@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.bench import format_seconds, time_call
-from repro.cloud import LatencyModel
+from repro.cloud import CloudStore, LatencyModel
 from repro.crypto.rng import DeterministicRng
 
 from conftest import scaled
@@ -25,7 +25,7 @@ def _client_update_costs(latency, seed: str, capacity: int):
     update after a re-key."""
     system = quickstart_system(
         partition_capacity=capacity, params="std160",
-        rng=DeterministicRng(seed), latency=latency,
+        rng=DeterministicRng(seed), cloud=CloudStore(latency=latency),
     )
     members = [f"u{i}" for i in range(capacity)]
     system.admin.create_group("g", members)

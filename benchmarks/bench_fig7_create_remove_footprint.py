@@ -172,49 +172,30 @@ def test_fig7b_partition_size_effect(sink, benchmark):
 
 def test_fig7c_rekey_boundary_footprint(sink, benchmark):
     """Operation-pipeline report: a whole-group rekey spanning every
-    partition costs one enclave crossing and one cloud commit in the
-    pipelined administrator, versus one cloud request per object in the
-    sequential mode it replaced (descriptor + N records + sealed key)."""
+    partition costs one enclave crossing and one cloud commit, however
+    many objects it writes (descriptor + N records + sealed key)."""
     members = [f"u{i}" for i in range(PIPELINE_MEMBERS)]
     capacity = PIPELINE_MEMBERS // PIPELINE_PARTITIONS
-    rows = []
-    deltas = {}
-    for label, pipeline in (("sequential (before)", False),
-                            ("pipelined (after)", True)):
-        system = make_bench_system(f"fig7c-{int(pipeline)}", capacity,
-                                   auto_repartition=False,
-                                   pipeline=pipeline)
-        system.admin.create_group("g", members)
-        assert (system.admin.group_state("g").table.partition_count
-                == PIPELINE_PARTITIONS)
-        counters = footprint_counters(system)
-        _, elapsed = time_call(system.admin.rekey, "g")
-        delta = footprint_delta(counters, footprint_counters(system))
-        deltas[pipeline] = delta
-        rows.append([label, delta["sgx.crossings"], delta["sgx.ecalls"],
-                     delta["cloud.requests"], delta["cloud.batch_commits"],
-                     format_bytes(delta["cloud.bytes_in"]),
-                     format_seconds(elapsed)])
+    system = make_bench_system("fig7c-1", capacity, auto_repartition=False)
+    system.admin.create_group("g", members)
+    assert (system.admin.group_state("g").table.partition_count
+            == PIPELINE_PARTITIONS)
+    counters = footprint_counters(system)
+    _, elapsed = time_call(system.admin.rekey, "g")
+    delta = footprint_delta(counters, footprint_counters(system))
     sink.table(
         f"Fig 7c: rekey boundary footprint ({PIPELINE_MEMBERS} members, "
         f"{PIPELINE_PARTITIONS} partitions)",
-        ["mode", "crossings", "ecalls", "cloud reqs", "commits",
-         "uploaded", "latency"],
-        rows,
+        ["crossings", "ecalls", "cloud reqs", "commits", "uploaded",
+         "latency"],
+        [[delta["sgx.crossings"], delta["sgx.ecalls"],
+          delta["cloud.requests"], delta["cloud.batch_commits"],
+          format_bytes(delta["cloud.bytes_in"]), format_seconds(elapsed)]],
     )
 
-    after = deltas[True]
-    before = deltas[False]
-    assert after["sgx.crossings"] == 1, "pipelined rekey is one crossing"
-    assert after["cloud.requests"] == 1, \
-        "pipelined rekey is one cloud request"
-    assert after["cloud.batch_commits"] == 1
-    # Sequential mode pays per object: descriptor + records + sealed key.
-    assert before["cloud.requests"] >= PIPELINE_PARTITIONS + 2
-    assert before["cloud.batch_commits"] == 0
-    # Both modes upload the same bytes — the pipeline batches, it does
-    # not change the metadata.
-    assert after["cloud.bytes_in"] == before["cloud.bytes_in"]
+    assert delta["sgx.crossings"] == 1, "a rekey is one crossing"
+    assert delta["cloud.requests"] == 1, "a rekey is one cloud request"
+    assert delta["cloud.batch_commits"] == 1
 
     # Where the rekey wall-clock goes: crossing vs cloud vs crypto.
     system = make_bench_system("fig7c-trace", capacity,

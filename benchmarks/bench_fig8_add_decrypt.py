@@ -177,49 +177,31 @@ def test_fig8b_decrypt_latency(std_group, sink, benchmark):
 
 def test_fig8c_batch_add_boundary_footprint(sink, benchmark):
     """Operation-pipeline report: enrolling a whole roster via
-    ``add_users`` costs one enclave crossing and one cloud commit in the
-    pipelined administrator, versus one crossing per touched partition
-    and one cloud request per object in the sequential mode."""
+    ``add_users`` costs one enclave crossing and one cloud commit,
+    however many partitions it touches."""
     joiners = [f"new{i}" for i in range(PIPELINE_JOINERS)]
     min_partitions = (1 + PIPELINE_JOINERS) // PIPELINE_CAPACITY
-    rows = []
-    deltas = {}
-    for label, pipeline in (("sequential (before)", False),
-                            ("pipelined (after)", True)):
-        system = make_bench_system(f"fig8c-{int(pipeline)}",
-                                   PIPELINE_CAPACITY,
-                                   auto_repartition=False,
-                                   pipeline=pipeline)
-        system.admin.create_group("g", ["seed0"])
-        counters = footprint_counters(system)
-        _, elapsed = time_call(system.admin.add_users, "g", joiners)
-        delta = footprint_delta(counters, footprint_counters(system))
-        deltas[pipeline] = delta
-        rows.append([label, delta["sgx.crossings"], delta["sgx.ecalls"],
-                     delta["cloud.requests"], delta["cloud.batch_commits"],
-                     format_seconds(elapsed)])
-        state = system.admin.group_state("g")
-        assert state.table.partition_count >= min_partitions
+    system = make_bench_system("fig8c-1", PIPELINE_CAPACITY,
+                               auto_repartition=False)
+    system.admin.create_group("g", ["seed0"])
+    counters = footprint_counters(system)
+    _, elapsed = time_call(system.admin.add_users, "g", joiners)
+    delta = footprint_delta(counters, footprint_counters(system))
+    assert (system.admin.group_state("g").table.partition_count
+            >= min_partitions)
     sink.table(
         f"Fig 8c: batch add_users boundary footprint "
         f"({PIPELINE_JOINERS} joiners, capacity {PIPELINE_CAPACITY})",
-        ["mode", "crossings", "ecalls", "cloud reqs", "commits",
-         "latency"],
-        rows,
+        ["crossings", "ecalls", "cloud reqs", "commits", "latency"],
+        [[delta["sgx.crossings"], delta["sgx.ecalls"],
+          delta["cloud.requests"], delta["cloud.batch_commits"],
+          format_seconds(elapsed)]],
     )
 
-    after = deltas[True]
-    before = deltas[False]
-    assert after["sgx.crossings"] == 1, "batch enrollment is one crossing"
-    assert after["cloud.requests"] == 1, \
+    assert delta["sgx.crossings"] == 1, "batch enrollment is one crossing"
+    assert delta["cloud.requests"] == 1, \
         "batch enrollment is one cloud commit"
-    assert after["cloud.batch_commits"] == 1
-    # Sequential mode crosses the boundary once per ecall and pays one
-    # cloud request per written object (descriptor + each record).
-    assert before["sgx.crossings"] >= min_partitions
-    assert before["cloud.requests"] >= min_partitions + 1
-    # Transport changes, the work does not: same ecalls either way.
-    assert after["sgx.ecalls"] == before["sgx.ecalls"]
+    assert delta["cloud.batch_commits"] == 1
 
     # Where the enrollment wall-clock goes: crossing vs cloud vs crypto.
     system = make_bench_system("fig8c-trace", PIPELINE_CAPACITY,

@@ -60,7 +60,7 @@ DEFAULT_TOLERANCES = {
 # The benchmark operations
 # ---------------------------------------------------------------------------
 
-def _bench_system(seed: str, capacity: int):
+def _bench_system(seed: str, capacity: int, cloud=None):
     from repro import quickstart_system
     from repro.crypto.rng import DeterministicRng
 
@@ -68,6 +68,7 @@ def _bench_system(seed: str, capacity: int):
         partition_capacity=capacity,
         params="toy64",
         rng=DeterministicRng(f"gate:{seed}"),
+        cloud=cloud,
         system_bound=capacity,
         workers=1,
     )
@@ -204,10 +205,8 @@ def _cold_start_store(scale: float, compacted: bool):
     if key not in _COLD_STORES:
         tmp = tempfile.TemporaryDirectory(prefix="gate-cold-")
         store = FileCloudStore(tmp.name)
-        system = _bench_system("cold", capacity=8)
+        system = _bench_system("cold", capacity=8, cloud=store)
         try:
-            system.cloud = store
-            system.admin.cloud = store
             n = max(8, int(32 * scale))
             system.admin.create_group("g", [f"u{i}" for i in range(n)])
             events = max(200, int(10_000 * scale))
@@ -243,8 +242,7 @@ def _op_cold_start(scale: float, compacted: bool
         system.user_key("u0")   # provision outside the timer
         start = time.perf_counter()
         store = FileCloudStore(root)
-        system.cloud = store
-        system.admin.cloud = store
+        system.rebind_store(store)
         system.admin.load_group_from_cloud("g")
         client = system.make_client("g", "u0")
         client.sync()

@@ -68,20 +68,14 @@ from typing import Optional
 
 from repro import ibbe
 from repro.cloud import FileCloudStore
-from repro.core import GroupAdministrator, GroupClient
+from repro.core import GroupClient
 from repro.crypto import ecdsa
 from repro.crypto.rng import SystemRng
-from repro.enclave_app import IbbeEnclave
-from repro.errors import NotFoundError, ReproError, ValidationError
+from repro.deploy import System, assemble_system, fresh_setup, unseal
+from repro.errors import ReproError, ValidationError
 from repro.pairing import PairingGroup, preset
 from repro.pairing.group import G1Element
-from repro.sgx import (
-    Auditor,
-    IntelAttestationService,
-    SgxDevice,
-    provision_user_key,
-    setup_trust,
-)
+from repro.sgx import Auditor, IntelAttestationService, SgxDevice
 
 _CONFIG = "config.json"
 _DEVICE_SECRET = "device-secret.bin"
@@ -92,8 +86,17 @@ _CA_KEY = "auditor-ca.key"
 _IAS_KEY = "ias-report.key"
 
 
-class Deployment:
-    """A reconstructed admin-side deployment from a state directory.
+def open_system(state_dir: Path, cloud, workers: Optional[int] = None,
+                setup_bound: Optional[int] = None) -> System:
+    """Assemble the deployment a state directory describes, against
+    ``cloud``.
+
+    The directory holds the persistent identities: the device secret
+    (the simulated CPU fuses, so the same platform — and its sealed
+    blobs — survives process restarts), the IAS and Auditor keys, and
+    the administrator signing key.  The master secret is unsealed from
+    it — or, with ``setup_bound`` (``init``), freshly set up for the
+    caller to persist.
 
     ``workers`` configures the enclave's parallel engine for this
     invocation; ``None`` falls back to the count persisted by ``init``
@@ -102,79 +105,30 @@ class Deployment:
     excluded from the enclave measurement, so any value can unseal the
     deployment's master secret.
     """
-
-    def __init__(self, state_dir: Path, cloud_dir: Optional[Path] = None,
-                 workers: Optional[int] = None,
-                 compact_every: Optional[int] = None,
-                 store=None) -> None:
-        from repro.par import resolve_workers
-
-        self.state_dir = state_dir
-        config = json.loads((state_dir / _CONFIG).read_text("utf-8"))
-        self.params_name = config["params"]
-        self.capacity = config["capacity"]
-        self.bound = config["bound"]
-        if workers is None:
-            workers = config.get("workers")
-        self.workers = resolve_workers(workers)
-        self.group = PairingGroup(preset(self.params_name))
-        self.rng = SystemRng()
-
-        device_secret = (state_dir / _DEVICE_SECRET).read_bytes()
-        self.device = SgxDevice(rng=self.rng, device_secret=device_secret)
-        self.ias = IntelAttestationService(
-            report_key=_load_scalar(state_dir / _IAS_KEY)
-        )
-        self.ias.register_device(self.device.device_id,
-                                 self.device.attestation_public_key)
-        ca_key = _load_scalar(state_dir / _CA_KEY)
-        self.enclave = IbbeEnclave.load(self.device, {
-            "pairing_group": self.group,
-            "ca_public_key": ca_key.public_key().encode().hex(),
-            "workers": self.workers,
-        })
-        self.auditor = Auditor(self.ias, ca_key=ca_key)
-        self.auditor.approve_measurement(self.enclave.measurement)
-        self.certificate = setup_trust(self.enclave, self.auditor)
-
-        pk_bytes = (state_dir / _PUBLIC_KEY).read_bytes()
-        self.public_key = ibbe.IbbePublicKey.decode(pk_bytes, self.group)
-        self.enclave.call(
-            "restore_system", (state_dir / _SEALED_MSK).read_bytes(),
-            self.public_key,
-        )
-
-        if store is not None:
-            self.cloud = store
-        else:
-            assert cloud_dir is not None
-            self.cloud = FileCloudStore(cloud_dir,
-                                        compact_every=compact_every)
-        self.admin = GroupAdministrator(
-            enclave=self.enclave,
-            cloud=self.cloud,
-            signing_key=_load_scalar(state_dir / _ADMIN_KEY),
-            partition_capacity=self.capacity,
-            rng=self.rng,
-        )
-
-    def load_group(self, group_id: str) -> None:
-        if self.admin.cache.get(group_id) is None:
-            self.admin.load_group_from_cloud(group_id)
-
-    def metric_sources(self) -> list:
-        """Admin-side metric registries (same shape as System.metric_sources).
-
-        Includes the enclave meter (which carries the ``par.*`` engine
-        metrics — worker count, tasks, dispatches) and the process-wide
-        ``ec.precomp.*`` fixed-base table counters."""
-        from repro.ec import precomp_registry
-        return [
-            self.enclave.meter.registry,
-            self.cloud.metrics.registry,
-            self.admin.metrics.registry,
-            precomp_registry,
-        ]
+    config = json.loads((state_dir / _CONFIG).read_text("utf-8"))
+    group = PairingGroup(preset(config["params"]))
+    rng = SystemRng()
+    if setup_bound is not None:
+        msk = fresh_setup(setup_bound)
+    else:
+        msk = unseal(
+            (state_dir / _SEALED_MSK).read_bytes(),
+            ibbe.IbbePublicKey.decode(
+                (state_dir / _PUBLIC_KEY).read_bytes(), group))
+    ias = IntelAttestationService(
+        report_key=_load_scalar(state_dir / _IAS_KEY))
+    return assemble_system(
+        group=group,
+        device=SgxDevice(
+            rng=rng,
+            device_secret=(state_dir / _DEVICE_SECRET).read_bytes()),
+        ias=ias,
+        auditor=Auditor(ias, ca_key=_load_scalar(state_dir / _CA_KEY)),
+        cloud=cloud, rng=rng, msk=msk,
+        signing_key=_load_scalar(state_dir / _ADMIN_KEY),
+        partition_capacity=config["capacity"],
+        workers=workers if workers is not None else config.get("workers"),
+    )
 
 
 def _open_store(args, compact_every: Optional[int] = None):
@@ -195,10 +149,11 @@ def _open_store(args, compact_every: Optional[int] = None):
     return FileCloudStore(Path(args.cloud), compact_every=compact_every)
 
 
-def _open_deployment(args, workers: Optional[int] = None,
-                     compact_every: Optional[int] = None) -> Deployment:
-    return Deployment(Path(args.state), workers=workers,
-                      store=_open_store(args, compact_every=compact_every))
+def _open_system(args, workers: Optional[int] = None,
+                 compact_every: Optional[int] = None) -> System:
+    return open_system(Path(args.state),
+                       _open_store(args, compact_every=compact_every),
+                       workers=workers)
 
 
 def _load_scalar(path: Path) -> ecdsa.EcdsaPrivateKey:
@@ -216,131 +171,114 @@ def _save_scalar(path: Path, key: ecdsa.EcdsaPrivateKey) -> None:
 def cmd_init(args) -> int:
     state_dir = Path(args.state)
     state_dir.mkdir(parents=True, exist_ok=True)
-    if (state_dir / _CONFIG).exists() and not args.force:
+    if (state_dir / _SEALED_MSK).exists() and not args.force:
         print(f"error: {state_dir} is already initialized "
               "(use --force to overwrite)", file=sys.stderr)
         return 2
     from repro.par import resolve_workers
 
     rng = SystemRng()
-    group = PairingGroup(preset(args.params))
     workers = resolve_workers(args.workers)
-
-    device_secret = rng.random_bytes(32)
-    (state_dir / _DEVICE_SECRET).write_bytes(device_secret)
-    device = SgxDevice(rng=rng, device_secret=device_secret)
-    ca_key = ecdsa.generate_keypair(rng)
-    enclave = IbbeEnclave.load(device, {
-        "pairing_group": group,
-        "ca_public_key": ca_key.public_key().encode().hex(),
-    })
     bound = args.bound or args.capacity
-    public_key, sealed_msk = enclave.call("setup_system", bound)
-
-    (state_dir / _SEALED_MSK).write_bytes(sealed_msk)
-    (state_dir / _PUBLIC_KEY).write_bytes(public_key.encode())
-    _save_scalar(state_dir / _ADMIN_KEY, ecdsa.generate_keypair(rng))
-    _save_scalar(state_dir / _CA_KEY, ca_key)
-    _save_scalar(state_dir / _IAS_KEY, ecdsa.generate_keypair(rng))
+    # Persist the identities, assemble the deployment they describe with
+    # a fresh system setup, then persist what the enclave produced.
+    (state_dir / _DEVICE_SECRET).write_bytes(rng.random_bytes(32))
+    for name in (_ADMIN_KEY, _CA_KEY, _IAS_KEY):
+        _save_scalar(state_dir / name, ecdsa.generate_keypair(rng))
     (state_dir / _CONFIG).write_text(json.dumps({
         "params": args.params,
         "capacity": args.capacity,
         "bound": bound,
         "workers": workers,
     }, indent=2), encoding="utf-8")
-    FileCloudStore(Path(args.cloud))  # materialize the store directory
+    system = open_system(state_dir, FileCloudStore(Path(args.cloud)),
+                         setup_bound=bound)
+    (state_dir / _SEALED_MSK).write_bytes(system.sealed_msk)
+    (state_dir / _PUBLIC_KEY).write_bytes(system.public_key.encode())
     print(f"initialized: params={args.params}, partition capacity="
           f"{args.capacity}, system bound m={bound}, workers={workers}")
-    print(f"enclave measurement: {enclave.measurement.hex()}")
+    print(f"enclave measurement: {system.enclave.measurement.hex()}")
     return 0
 
 
 def cmd_create_group(args) -> int:
-    deployment = _open_deployment(args)
-    deployment.admin.create_group(args.group, args.members)
-    state = deployment.admin.group_state(args.group)
+    admin = _open_system(args).admin
+    state = admin.create_group(args.group, args.members)
     print(f"group {args.group!r}: {len(args.members)} members in "
           f"{state.table.partition_count} partitions")
     return 0
 
 
-def cmd_add_user(args) -> int:
-    deployment = _open_deployment(args)
-    deployment.load_group(args.group)
-    deployment.admin.add_user(args.group, args.user)
-    print(f"added {args.user!r} to {args.group!r}")
-    return 0
+#: Group commands forwarded as-is: subcommand -> (administrator
+#: operation, success message).
+_GROUP_COMMANDS = {
+    "add-user": ("add_user", "added {user!r} to {group!r}"),
+    "remove-user": ("remove_user",
+                    "removed {user!r} from {group!r} (group key rotated)"),
+    "rekey": ("rekey", "re-keyed {group!r}"),
+    "delete-group": ("delete_group",
+                     "deleted group {group!r} and its cloud metadata"),
+}
 
 
-def cmd_remove_user(args) -> int:
-    deployment = _open_deployment(args)
-    deployment.load_group(args.group)
-    deployment.admin.remove_user(args.group, args.user)
-    print(f"removed {args.user!r} from {args.group!r} (group key rotated)")
-    return 0
+def cmd_group_op(args) -> int:
+    """Run one of :data:`_GROUP_COMMANDS` through the bridge a
+    ``serve``-hosted administrator answers on, which is where a cold
+    process loads the group from the cloud first."""
+    from repro.net import AdminBridge
 
-
-def cmd_delete_group(args) -> int:
-    deployment = _open_deployment(args)
-    deployment.load_group(args.group)
-    deployment.admin.delete_group(args.group)
-    print(f"deleted group {args.group!r} and its cloud metadata")
-    return 0
-
-
-def cmd_rekey(args) -> int:
-    deployment = _open_deployment(args)
-    deployment.load_group(args.group)
-    deployment.admin.rekey(args.group)
-    print(f"re-keyed {args.group!r}")
+    op, message = _GROUP_COMMANDS[args.command]
+    kwargs = {"group_id": args.group}
+    if hasattr(args, "user"):
+        kwargs["user"] = args.user
+    AdminBridge(_open_system(args).admin).call(op, kwargs)
+    print(message.format(**vars(args)))
     return 0
 
 
 def cmd_show(args) -> int:
-    deployment = _open_deployment(args)
+    system = _open_system(args)
+    admin = system.admin
     if args.group:
-        deployment.load_group(args.group)
-        state = deployment.admin.group_state(args.group)
+        state = admin.ensure_loaded(args.group)
         print(f"group {args.group!r} (epoch {state.epoch}):")
         for pid in state.table.partition_ids:
             members = ", ".join(state.table.members_of(pid))
             print(f"  p{pid}: {members}")
         print(f"  crypto metadata: {state.crypto_footprint()} bytes")
         return 0
-    groups = sorted({
-        path.strip("/").split("/")[0]
-        for path in deployment.cloud.list_dir("/")
-    })
+    groups = _stored_groups(system)
     if not groups:
         print("no groups")
         return 0
     for group_id in groups:
         try:
-            deployment.load_group(group_id)
-            state = deployment.admin.group_state(group_id)
+            state = admin.ensure_loaded(group_id)
             print(f"{group_id}: {len(state.table)} members, "
                   f"{state.table.partition_count} partitions")
-        except (NotFoundError, ReproError) as exc:
+        except ReproError as exc:
             print(f"{group_id}: <unreadable: {exc}>")
     return 0
 
 
+def _stored_groups(system: System) -> list:
+    """Group ids with metadata in the deployment's store."""
+    return sorted({path.strip("/").split("/")[0]
+                   for path in system.cloud.list_dir("/")})
+
+
 def cmd_provision(args) -> int:
-    deployment = _open_deployment(args)
-    raw = provision_user_key(
-        deployment.enclave, deployment.certificate,
-        deployment.auditor.ca_public_key, args.identity, deployment.rng,
-    )
+    system = _open_system(args)
     out = Path(args.out)
-    out.write_bytes(raw)
+    out.write_bytes(system.user_key(args.identity).element.encode())
     # The user also needs the public key and the admin verification key;
     # write a companion bundle.
     bundle = {
         "identity": args.identity,
-        "params": deployment.params_name,
-        "public_key": deployment.public_key.encode().hex(),
+        "params": system.group.params.name,
+        "public_key": system.public_key.encode().hex(),
         "admin_verification_key":
-            deployment.admin.verification_key.encode().hex(),
+            system.admin.verification_key.encode().hex(),
     }
     out.with_suffix(out.suffix + ".bundle.json").write_text(
         json.dumps(bundle, indent=2), encoding="utf-8"
@@ -418,8 +356,7 @@ def cmd_replay(args) -> int:
 
     if args.telemetry or args.trace_out:
         obs.enable()
-    deployment = _open_deployment(args, workers=args.workers,
-                                  compact_every=args.compact)
+    store = _open_store(args, compact_every=args.compact)
     injector = None
     if args.faults is not None:
         # Seeded transient store faults (outages / read timeouts /
@@ -429,36 +366,13 @@ def cmd_replay(args) -> int:
         from repro.faults import FaultInjector, FaultPlan, FaultyCloudStore
 
         injector = FaultInjector(FaultPlan.store_faults(args.faults))
-        faulty = FaultyCloudStore(deployment.cloud, injector)
-        deployment.cloud = faulty
-        deployment.admin.cloud = faulty
-    if deployment.workers > 1:
-        deployment.admin.warm_enclave_workers()
+        store = FaultyCloudStore(store, injector)
+    system = open_system(Path(args.state), store, workers=args.workers)
+    if system.workers > 1:
+        system.admin.warm_enclave_workers()
     trace = load_trace(args.trace)
 
-    clients = []
-
-    class _DeploymentShim:
-        """Adapter expects a System-shaped object."""
-
-        admin = deployment.admin
-
-        @staticmethod
-        def make_client(group_id, identity):
-            raw = deployment.enclave.call("extract_user_key_raw", identity)
-            user_key = ibbe.IbbeUserKey(
-                identity=identity,
-                element=G1Element.decode(deployment.group, raw),
-            )
-            client = GroupClient(
-                group_id=group_id, identity=identity, user_key=user_key,
-                public_key=deployment.public_key, cloud=deployment.cloud,
-                admin_verification_key=deployment.admin.verification_key,
-            )
-            clients.append(client)
-            return client
-
-    engine = ReplayEngine(IbbeSgxReplayAdapter(_DeploymentShim()),
+    engine = ReplayEngine(IbbeSgxReplayAdapter(system),
                           group_id=args.group,
                           decrypt_sample_every=args.sample_every)
     profiler = None
@@ -478,16 +392,15 @@ def cmd_replay(args) -> int:
         print(f"mean client decrypt: "
               f"{format_seconds(report.mean_decrypt_seconds)}")
     if injector is not None:
-        backoff_ms = deployment.admin.retry.slept_ms + sum(
-            client.retry.slept_ms for client in clients
-        )
+        backoff_ms = sum(
+            source.snapshot().get("retry.backoff_ms", 0.0)
+            for source in system.metric_sources())
         print(f"faults: {len(injector.log)} injected "
               f"(seed {args.faults!r}), "
               f"retry backoff {backoff_ms:.1f}ms accounted")
     if args.telemetry:
         spans = obs.tracer().spans()
-        sources = deployment.metric_sources() + [engine.registry]
-        sources.extend(client.registry for client in clients)
+        sources = system.metric_sources() + [engine.registry]
         print()
         print("== metrics ==")
         for line in obs.format_metrics(obs.merge_snapshots(sources)):
@@ -526,43 +439,6 @@ def cmd_compact(args) -> int:
     return 0
 
 
-class _ServedAdmin:
-    """The administrator surface ``repro serve`` forwards: each
-    whitelisted operation loads the group's cached state on demand
-    (every CLI invocation starts cold) before delegating."""
-
-    def __init__(self, deployment: Deployment) -> None:
-        self._deployment = deployment
-
-    def create_group(self, group_id, members):
-        return self._deployment.admin.create_group(group_id, members)
-
-    def _loaded(self, group_id):
-        self._deployment.load_group(group_id)
-        return self._deployment.admin
-
-    def add_user(self, group_id, user):
-        return self._loaded(group_id).add_user(group_id, user)
-
-    def add_users(self, group_id, users):
-        return self._loaded(group_id).add_users(group_id, users)
-
-    def remove_user(self, group_id, user):
-        return self._loaded(group_id).remove_user(group_id, user)
-
-    def rekey(self, group_id):
-        return self._loaded(group_id).rekey(group_id)
-
-    def delete_group(self, group_id):
-        return self._loaded(group_id).delete_group(group_id)
-
-    def members(self, group_id):
-        return self._loaded(group_id).members(group_id)
-
-    def sync_group(self, group_id):
-        return self._loaded(group_id).sync_group(group_id)
-
-
 def cmd_serve(args) -> int:
     """Serve the file-backed store (and optionally the admin) over TCP.
 
@@ -594,8 +470,7 @@ def cmd_serve(args) -> int:
                            compact_every=args.compact_every)
     bridge = None
     if args.state:
-        deployment = Deployment(Path(args.state), store=store)
-        bridge = AdminBridge(_ServedAdmin(deployment))
+        bridge = AdminBridge(open_system(Path(args.state), store).admin)
     request_log = None
     if args.request_log:
         request_log = RequestLog(args.request_log, slow_ms=args.slow_ms)
@@ -733,17 +608,13 @@ def cmd_stats(args) -> int:
             raise ValidationError(
                 "stats needs --state (local deployment snapshot) or "
                 "--store-url (live server snapshot)")
-        deployment = _open_deployment(args)
-        groups = sorted({
-            path.strip("/").split("/")[0]
-            for path in deployment.cloud.list_dir("/")
-        })
-        for group_id in groups:
+        system = _open_system(args)
+        for group_id in _stored_groups(system):
             try:
-                deployment.load_group(group_id)
-            except (NotFoundError, ReproError):
+                system.admin.ensure_loaded(group_id)
+            except ReproError:
                 pass
-        metrics = obs.merge_snapshots(deployment.metric_sources())
+        metrics = obs.merge_snapshots(system.metric_sources())
         metrics.update(obs.tracer().registry.snapshot())
         if args.format == "json":
             text = json.dumps(metrics, indent=2, sort_keys=True)
@@ -846,25 +717,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("members", nargs="+")
     p.set_defaults(func=cmd_create_group)
 
-    for name, fn, help_text in (
-        ("add-user", cmd_add_user, "add a member"),
-        ("remove-user", cmd_remove_user, "revoke a member"),
-    ):
+    for name, help_text in (("add-user", "add a member"),
+                            ("remove-user", "revoke a member"),
+                            ("rekey", "rotate a group key"),
+                            ("delete-group", "delete a group entirely")):
         p = sub.add_parser(name, help=help_text)
         common(p)
         p.add_argument("group")
-        p.add_argument("user")
-        p.set_defaults(func=fn)
-
-    p = sub.add_parser("rekey", help="rotate a group key")
-    common(p)
-    p.add_argument("group")
-    p.set_defaults(func=cmd_rekey)
-
-    p = sub.add_parser("delete-group", help="delete a group entirely")
-    common(p)
-    p.add_argument("group")
-    p.set_defaults(func=cmd_delete_group)
+        if name.endswith("-user"):
+            p.add_argument("user")
+        p.set_defaults(func=cmd_group_op)
 
     p = sub.add_parser("show", help="inspect groups")
     common(p)

@@ -118,26 +118,3 @@ class ConcurrentAdministrator:
                 f"operation on {group_id!r} kept conflicting after "
                 f"{self.max_retries} retries"
             ) from exc
-
-
-def join_administration(source_system, target_enclave) -> None:
-    """Bring a second enclave into the administration set.
-
-    Runs the attested MSK migration: the target is certified by the
-    deployment's Auditor (Fig. 3), the source enclave verifies that
-    certificate against its *pinned* CA key and releases the MSK only to
-    an identically-measured enclave.
-
-    ``source_system`` is a :class:`repro.System`; ``target_enclave`` an
-    :class:`~repro.enclave_app.IbbeEnclave` loaded with the same
-    configuration (including the pinned CA key).
-    """
-    from repro.sgx.attestation import setup_trust
-
-    source_system.auditor.approve_measurement(target_enclave.measurement)
-    target_certificate = setup_trust(target_enclave, source_system.auditor)
-    blob = source_system.enclave.call(
-        "export_master_secret", target_certificate
-    )
-    target_enclave.call("import_master_secret", blob,
-                        source_system.public_key)

@@ -1,0 +1,351 @@
+"""The composition root: :func:`assemble_system` wires every deployment.
+
+The paper has one architecture (Fig. 5: administrator → enclave → cloud,
+clients reading the cloud).  :func:`quickstart_system`, every shard of
+:class:`~repro.shard.ShardedSystem`, the CLI and the harnesses' second
+administrators all build it through this one function and differ only in
+the **pinned trust root** (an :class:`~repro.sgx.Auditor` CA, or the IAS
+report key) and the **master-secret source** (:func:`fresh_setup`,
+:func:`unseal`, or attested hand-over from a peer, :meth:`System.join`).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, List, Optional, Tuple
+
+from repro import ibbe
+from repro.cloud import CloudStore, CloudStoreProtocol
+from repro.core import GroupAdministrator, GroupClient
+from repro.crypto import Rng, SystemRng, ecdsa
+from repro.ec import precomp_registry
+from repro.enclave_app import IbbeEnclave
+from repro.errors import EnclaveError
+from repro.faults.retry import RetryPolicy
+from repro.obs import MetricSource, telemetry_snapshot
+from repro.pairing import PairingGroup, preset
+from repro.pairing.group import G1Element
+from repro.par import resolve_workers
+from repro.sgx import (
+    Auditor,
+    EnclaveCertificate,
+    IntelAttestationService,
+    SgxDevice,
+    provision_master_secret,
+    provision_user_key,
+    setup_trust,
+)
+
+#: How the master secret reaches a freshly loaded enclave: called with the
+#: enclave and its certificate (``None`` without an Auditor), returns
+#: ``(public key, this enclave's sealed MSK copy)``.
+MskSource = Callable[[IbbeEnclave, Optional[EnclaveCertificate]],
+                     Tuple[ibbe.IbbePublicKey, bytes]]
+
+
+@dataclass
+class System:
+    """A fully wired IBBE-SGX deployment (device, enclave, trust chain,
+    administrator, cloud) — the paper's Fig. 5 in one object.
+
+    ``auditor`` and ``certificate`` are ``None`` when trust is rooted in
+    the pinned IAS key instead of an Auditor CA (shards of a
+    :class:`~repro.shard.ShardedSystem`).
+    """
+
+    group: PairingGroup
+    device: SgxDevice
+    enclave: IbbeEnclave
+    ias: IntelAttestationService
+    auditor: Optional[Auditor]
+    cloud: CloudStoreProtocol
+    admin: GroupAdministrator
+    certificate: Optional[EnclaveCertificate]
+    public_key: ibbe.IbbePublicKey
+    sealed_msk: bytes
+    rng: Rng
+    #: Parallel-engine worker count the enclave was configured with
+    #: (``repro.par``; 1 = serial).  Results are byte-identical for any
+    #: value — this changes wall-clock only.
+    workers: int = 1
+    #: The enclave's load-time configuration, kept so the deployment can
+    #: survive a full enclave restart (:meth:`restart_enclave`).
+    enclave_config: Optional[Dict[str, Any]] = None
+    _user_keys: Dict[str, ibbe.IbbeUserKey] = field(default_factory=dict)
+    _clients: List[GroupClient] = field(default_factory=list)
+
+    def user_key(self, identity: str) -> ibbe.IbbeUserKey:
+        """Provision (and cache) a user's IBBE secret key: over the
+        attested channel of Fig. 3 when the enclave holds an Auditor
+        certificate, by plain extraction otherwise."""
+        if identity not in self._user_keys:
+            if self.certificate is not None:
+                raw = provision_user_key(
+                    self.enclave, self.certificate,
+                    self.auditor.ca_public_key, identity, self.rng,
+                )
+            else:
+                raw = self.enclave.call("extract_user_key_raw", identity)
+            self._user_keys[identity] = ibbe.IbbeUserKey(
+                identity=identity,
+                element=G1Element.decode(self.group, raw),
+            )
+        return self._user_keys[identity]
+
+    def make_client(self, group_id: str, identity: str) -> GroupClient:
+        client = GroupClient(
+            group_id=group_id,
+            identity=identity,
+            user_key=self.user_key(identity),
+            public_key=self.public_key,
+            cloud=self.cloud,
+            admin_verification_key=self.admin.verification_key,
+        )
+        self._clients.append(client)
+        return client
+
+    def join(self, device: SgxDevice, rng: Rng,
+             auto_repartition: bool = True,
+             retry: Optional[RetryPolicy] = None) -> "System":
+        """A further administrator: its own identically configured (hence
+        identically measured) enclave on ``device``, sharing this
+        deployment's store, trust root and organisational signing key.
+
+        The master secret arrives by attested hand-over.  Under an
+        Auditor, this enclave checks the newcomer's certificate against
+        its pinned CA key (paper §VIII, :mod:`repro.core.multiadmin`);
+        the newcomer never seals the MSK — it re-joins after a restart.
+        Without one, the two enclaves attest each other against the
+        pinned IAS key (MAGE) and the newcomer seals its own copy;
+        ``retry`` reruns that whole exchange on transient failures.
+        """
+        def hand_over(enclave, certificate):
+            if certificate is not None:
+                blob = self.enclave.call("export_master_secret", certificate)
+                enclave.call("import_master_secret", blob, self.public_key)
+                return self.public_key, b""
+
+            def exchange() -> bytes:
+                return provision_master_secret(
+                    self.enclave, enclave, self.ias, self.public_key)
+
+            if retry is not None:
+                return self.public_key, retry.run(exchange, label="provision")
+            return self.public_key, exchange()
+
+        return assemble_system(
+            group=self.group, device=device, ias=self.ias,
+            auditor=self.auditor, cloud=self.cloud, rng=rng, msk=hand_over,
+            signing_key=self.admin._signing_key,
+            partition_capacity=self.admin.partition_capacity,
+            auto_repartition=auto_repartition,
+            workers=self.workers,
+            precompute=self.enclave.config["precompute"],
+        )
+
+    def rebind_store(self, cloud: CloudStoreProtocol) -> None:
+        """Point the administrator and every client at ``cloud`` — for a
+        restarted process re-opening its store (the chaos driver after a
+        crash, the cold-start bench).  Everything else passes ``cloud=``
+        when the deployment is built."""
+        self.cloud = cloud
+        self.admin.cloud = cloud
+        for client in self._clients:
+            client._cloud = cloud
+
+    # -- observability ----------------------------------------------------------
+
+    def metric_sources(self) -> List[MetricSource]:
+        """Every :class:`~repro.obs.MetricSource` in this deployment:
+        the enclave's ``sgx.*`` meter (which carries the ``par.*`` engine
+        metrics), the cloud's ``cloud.*`` metrics, the administrator's
+        ``admin.*`` registry (which includes its cache accounting), the
+        process-wide ``ec.precomp.*`` fixed-base table counters and each
+        client's ``client.*`` registry."""
+        sources: List[MetricSource] = [
+            self.enclave.meter.registry,
+            self.cloud.metrics.registry,
+            self.admin.metrics.registry,
+            precomp_registry,
+        ]
+        sources.extend(client.registry for client in self._clients)
+        return sources
+
+    def set_workers(self, workers: int) -> int:
+        """Reconfigure the enclave's parallel-engine worker count at
+        runtime (the pool restarts lazily).  Returns the new count."""
+        count = self.enclave.call("set_workers", workers)
+        self.workers = count
+        return count
+
+    def restart_enclave(self) -> None:
+        """Full enclave restart: destroy → fresh load → unseal → reload.
+
+        Models the recovery a real deployment runs after an enclave
+        crash, host reboot, or migration (the seamless-restart story of
+        ReplicaTEE): the running enclave is torn down, a new one is
+        loaded with the *same measured configuration*, the sealed MSK is
+        unsealed back into it, and the administrator's cached group
+        state is rebuilt from cloud metadata.  Sealing and the attested
+        identity key are bound to the measurement, not the instance, so
+        the existing certificate remains valid and no re-attestation is
+        needed.
+        """
+        if self.enclave_config is None:
+            raise EnclaveError(
+                "this System does not carry its enclave configuration; "
+                "build it via assemble_system() to enable restarts"
+            )
+        group_ids = self.admin.cache.group_ids()
+        self.enclave.destroy()
+        enclave = IbbeEnclave.load(self.device, self.enclave_config)
+        enclave.call("restore_system", self.sealed_msk, self.public_key)
+        self.enclave = enclave
+        self.admin.enclave = enclave
+        for group_id in group_ids:
+            self.admin.cache.drop(group_id)
+            self.admin.load_group_from_cloud(group_id)
+
+    def close(self) -> None:
+        """Tear the deployment down: closes its clients and destroys the
+        enclave, which shuts down its worker pool and scrubs tracked
+        secrets.  Idempotent."""
+        for client in self._clients:
+            client.close()
+        self._clients.clear()
+        self.enclave.destroy()
+
+    def telemetry(self) -> Dict[str, Any]:
+        """Aggregated observability snapshot of the whole deployment.
+
+        Returns ``{"metrics": {dotted name: value}, "trace": {...}}`` —
+        the merged :meth:`metric_sources` plus a summary of the spans the
+        global tracer has collected (empty unless tracing is enabled via
+        ``repro.obs.enable()`` or ``REPRO_TELEMETRY=1``).  Client
+        registries share the ``client.*`` names, so with several clients
+        the merged view reflects the most recently created one; read
+        ``client.registry`` directly for per-client numbers.
+        """
+        return telemetry_snapshot(self.metric_sources())
+
+    def reset_metrics(self) -> None:
+        """Zero every metric source (spans are left to the tracer)."""
+        for source in self.metric_sources():
+            source.reset()
+
+
+# -- assembly ----------------------------------------------------------------
+
+def fresh_setup(bound: int) -> MskSource:
+    """IBBE system setup (Fig. 6a) inside the new enclave; ``bound`` is
+    the maximal partition size ``m``."""
+    return lambda enclave, certificate: enclave.call("setup_system", bound)
+
+
+def unseal(sealed_msk: bytes, public_key: ibbe.IbbePublicKey) -> MskSource:
+    """Restore a master secret this platform sealed earlier (a restarted
+    process; sealing binds to device and measurement)."""
+    def install(enclave, certificate):
+        enclave.call("restore_system", sealed_msk, public_key)
+        return public_key, sealed_msk
+
+    return install
+
+
+def assemble_system(*, group: PairingGroup, device: SgxDevice,
+                    ias: IntelAttestationService,
+                    cloud: CloudStoreProtocol, rng: Rng, msk: MskSource,
+                    partition_capacity: int,
+                    auditor: Optional[Auditor] = None,
+                    signing_key: Optional[ecdsa.EcdsaPrivateKey] = None,
+                    auto_repartition: bool = True,
+                    workers: Optional[int] = None,
+                    precompute: bool = False) -> System:
+    """Wire one enclave + administrator stack against ``cloud``:
+    register ``device`` with ``ias`` (manufacturing), load the enclave,
+    certify it when there is an ``auditor`` (Fig. 3), obtain the master
+    secret from ``msk`` and hand the enclave to a
+    :class:`GroupAdministrator`.
+
+    ``signing_key`` is the key clients verify metadata under; ``None``
+    draws a fresh one from ``rng`` (after the master-secret step, the
+    order every seeded digest depends on).  ``workers`` / ``precompute``
+    configure the enclave's parallel engine (performance only,
+    unmeasured).
+    """
+    ias.register_device(device.device_id, device.attestation_public_key)
+    worker_count = resolve_workers(workers)
+    # The trust root is pinned inside the measurement: the enclave
+    # releases its master secret only to peers certified under this exact
+    # CA (core.multiadmin) or attested under this exact IAS key (MAGE —
+    # swapping the root means running a different, rejectable build).
+    if auditor is not None:
+        trust_root = {"ca_public_key": auditor.ca_public_key.encode().hex()}
+    else:
+        trust_root = {"ias_report_key": ias.report_public_key.encode().hex()}
+    enclave_config = {
+        "pairing_group": group,
+        **trust_root,
+        "workers": worker_count,
+        "precompute": precompute,
+    }
+    enclave = IbbeEnclave.load(device, enclave_config)
+    certificate = None
+    if auditor is not None:
+        auditor.approve_measurement(enclave.measurement)
+        certificate = setup_trust(enclave, auditor)
+    public_key, sealed_msk = msk(enclave, certificate)
+    admin = GroupAdministrator(
+        enclave=enclave,
+        cloud=cloud,
+        signing_key=signing_key or ecdsa.generate_keypair(rng),
+        partition_capacity=partition_capacity,
+        rng=rng,
+        auto_repartition=auto_repartition,
+    )
+    return System(
+        group=group, device=device, enclave=enclave, ias=ias,
+        auditor=auditor, cloud=cloud, admin=admin, certificate=certificate,
+        public_key=public_key, sealed_msk=sealed_msk, rng=rng,
+        workers=worker_count, enclave_config=enclave_config,
+    )
+
+
+def quickstart_system(partition_capacity: int = 1000,
+                      params: str = "std160",
+                      rng: Optional[Rng] = None,
+                      cloud: Optional[CloudStoreProtocol] = None,
+                      auto_repartition: bool = True,
+                      system_bound: Optional[int] = None,
+                      workers: Optional[int] = None,
+                      precompute: bool = False) -> System:
+    """Stand up a complete single-admin deployment: manufacturing
+    (device + IAS), an Auditor as trust root and a fresh system setup
+    (Fig. 6a, Fig. 3), against ``cloud`` — any
+    :class:`~repro.cloud.CloudStoreProtocol` store; a new in-memory
+    :class:`~repro.cloud.CloudStore` by default (pass
+    ``CloudStore(latency=...)`` for a latency model).
+
+    ``system_bound`` is the enclave's maximal partition size ``m`` (the
+    IBBE public key is linear in it); it defaults to ``partition_capacity``
+    and must be raised at setup time if partitions may later grow (e.g.
+    under the adaptive-sizing extension).
+
+    ``workers`` configures the enclave's parallel engine (:mod:`repro.par`)
+    for partition-independent work — ``None`` defers to ``REPRO_WORKERS``,
+    else serial.  Any worker count produces byte-identical results.
+    ``precompute`` additionally builds fixed-base wNAF tables for the
+    public-key bases in the enclave and in every worker process.
+    """
+    rng = rng or SystemRng()
+    device = SgxDevice(rng=rng)
+    ias = IntelAttestationService(rng=rng)
+    return assemble_system(
+        group=PairingGroup(preset(params)), device=device, ias=ias,
+        auditor=Auditor(ias, rng=rng),
+        cloud=cloud if cloud is not None else CloudStore(), rng=rng,
+        msk=fresh_setup(system_bound or partition_capacity),
+        partition_capacity=partition_capacity,
+        auto_repartition=auto_repartition,
+        workers=workers, precompute=precompute,
+    )

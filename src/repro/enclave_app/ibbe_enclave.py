@@ -27,7 +27,6 @@ crossing):
 ``peer_offer``                   Identity key + fresh nonce (MAGE handshake).
 ``peer_quote``                   Quote committing to (identity key, peer nonce).
 ``register_peer``                Verify a peer's IAS report; admit the peer.
-``has_peer``                     Whether a key is a mutually attested peer.
 ``export_master_secret_to_peer`` ECIES-wrap the MSK for an attested peer.
 ``import_master_secret_from_peer`` Install an MSK received from a peer.
 ``seal_master_secret``           Seal the installed MSK for this platform.
@@ -359,11 +358,6 @@ class IbbeEnclave(Enclave):
             )
         self._peer_nonces.discard(nonce)
         self._peers[bytes(peer_public_key)] = True
-
-    @ecall
-    def has_peer(self, peer_public_key: bytes) -> bool:
-        """Whether a mutual-attestation handshake admitted this key."""
-        return bytes(peer_public_key) in self._peers
 
     @ecall
     def export_master_secret_to_peer(self, peer_public_key: bytes) -> bytes:

@@ -119,6 +119,9 @@ class AdminBridge:
         if unknown:
             raise AccessControlError(
                 f"unexpected arguments for {op}: {sorted(unknown)}")
+        if op != "create_group" and "group_id" in kwargs:
+            # A hosted administrator starts cold, like every CLI process.
+            self.admin.ensure_loaded(kwargs["group_id"])
         return _json_safe(getattr(self.admin, op)(**kwargs))
 
 

@@ -24,7 +24,7 @@ ecalls/ocalls and estimated cycles in one place for the benchmarks.
 
 :meth:`Enclave.load` (ECREATE/EINIT) hands untrusted code an
 :class:`EnclaveHandle` — a proxy exposing only the call doors, ocall
-registration, lifecycle and the public identity/counters.  Direct
+registration, lifecycle and the public identity/meter.  Direct
 attribute access to anything else raises :class:`EnclaveError`,
 approximating the hardware's memory isolation within the limits of a
 single-process simulation.  Trusted-side tests may unwrap a handle with
@@ -36,7 +36,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.crypto.rng import Rng
 from repro.errors import EnclaveError
@@ -142,9 +142,8 @@ class CrossingMeter:
 
     The authoritative values live in a ``repro.obs``
     :class:`~repro.obs.MetricRegistry` under the ``sgx.*`` namespace; the
-    meter's attributes and flat :meth:`snapshot` are the compatibility
-    shim over it, so existing call sites and the consolidated telemetry
-    view stay in lockstep by construction.
+    meter's attributes are views onto it, so attribute reads and the
+    consolidated telemetry view stay in lockstep by construction.
     """
 
     crossings = CounterField("sgx.crossings")
@@ -179,16 +178,6 @@ class CrossingMeter:
     def estimated_cycles(self) -> int:
         return self.crossings * ECALL_CROSSING_CYCLES
 
-    def snapshot(self) -> Dict[str, int]:
-        """Flat legacy view; prefer ``meter.registry.snapshot()`` (dotted)."""
-        return {
-            "crossings": self.crossings,
-            "ecalls": self.ecalls,
-            "ocalls": self.ocalls,
-            "batches": self.batches,
-            "estimated_cycles": self.estimated_cycles,
-        }
-
     def reset(self) -> None:
         self.registry.reset()
 
@@ -220,15 +209,6 @@ class ResultRef:
         if self.attr is not None:
             value = getattr(value, self.attr)
         return value
-
-
-def resolve_batch_args(args: Iterable[Any],
-                       results: Sequence[Any]) -> Tuple[Any, ...]:
-    """Materialize :class:`ResultRef` placeholders against prior results."""
-    return tuple(
-        arg.resolve(results) if isinstance(arg, ResultRef) else arg
-        for arg in args
-    )
 
 
 #: A batch entry: ``(name, args)`` or ``(name, args, kwargs)``.
@@ -306,16 +286,6 @@ class Enclave:
     def registry(self) -> EcallRegistry:
         """This enclave class's typed ecall dispatch table."""
         return EcallRegistry.for_class(type(self))
-
-    #: Legacy counter aliases, kept for the benchmarks and tests that read
-    #: them; the authoritative accounting lives on :attr:`meter`.
-    @property
-    def ecall_count(self) -> int:
-        return self.meter.ecalls
-
-    @property
-    def ocall_count(self) -> int:
-        return self.meter.ocalls
 
     #: Leak-scanner window: only the most recent secrets are checked, so the
     #: per-ecall scan stays O(1) across long benchmark runs.
@@ -414,7 +384,10 @@ class Enclave:
         results: List[Any] = []
         with _span("sgx.batch", ops=len(ops)):
             for descriptor, args, kwargs in ops:
-                resolved = resolve_batch_args(args, results)
+                # Materialize ResultRef placeholders against prior results.
+                resolved = [arg.resolve(results)
+                            if isinstance(arg, ResultRef) else arg
+                            for arg in args]
                 result = descriptor.handler(self, *resolved, **kwargs)
                 self._scan_for_leaks(result, descriptor.name)
                 results.append(result)
@@ -455,7 +428,7 @@ class Enclave:
 HANDLE_ATTRS = frozenset({
     "call", "call_batch", "register_ocall", "destroy",
     "measurement", "enclave_id", "device", "config",
-    "meter", "registry", "ecall_count", "ocall_count",
+    "meter", "registry",
 })
 
 

@@ -44,23 +44,19 @@ a post-failover group continues byte-for-byte where it left off.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from hashlib import sha256
 from typing import Any, Dict, List, Optional
 
-from repro.cloud import CloudStore, LatencyModel
+from repro.cloud import CloudStore, CloudStoreProtocol
 from repro.core import GroupClient
 from repro.crypto import ecdsa
+from repro.deploy import System, assemble_system, fresh_setup
 from repro.errors import EnclaveError, ValidationError
 from repro.faults.retry import RetryPolicy
 from repro.obs import MetricSource, telemetry_snapshot
 from repro.pairing import PairingGroup, preset
-from repro.sgx import (
-    IntelAttestationService,
-    SgxDevice,
-    mutual_attest,
-    provision_master_secret,
-)
+from repro.sgx import IntelAttestationService, SgxDevice, mutual_attest
 from repro.shard.ring import ShardRing
 from repro.shard.rng import GroupRoutedRng
 
@@ -69,16 +65,17 @@ from repro.shard.rng import GroupRoutedRng
 class Shard:
     """One enclave instance of a sharded deployment.
 
-    ``system`` is a full single-enclave :class:`repro.System` (with the
-    Auditor-specific fields unset — shard trust comes from mutual
-    attestation, not a CA), so the shard inherits the whole restart
-    machinery.  ``attested`` gates serving: a shard that has not
-    completed its (re-)attestation handshake never sees an operation.
+    ``system`` is a full single-enclave :class:`repro.System` from the
+    same :func:`repro.deploy.assemble_system` every deployment uses (no
+    Auditor — shard trust comes from mutual attestation, not a CA), so
+    the shard inherits the whole restart machinery.  ``attested`` gates
+    serving: a shard that has not completed its (re-)attestation
+    handshake never sees an operation.
     """
 
     index: int
     shard_id: str
-    system: Any                     # repro.System (import deferred; cycle)
+    system: System
     alive: bool = True
     attested: bool = False
     respawns: int = 0
@@ -99,118 +96,66 @@ class ShardedSystem:
                  partition_capacity: int = 1000,
                  params: str = "std160",
                  seed: str = "shard",
-                 latency: Optional[LatencyModel] = None,
+                 cloud: Optional[CloudStoreProtocol] = None,
                  auto_repartition: bool = True,
                  system_bound: Optional[int] = None,
-                 pipeline: bool = True,
                  workers: Optional[int] = None,
                  retry_policy: Optional[RetryPolicy] = None) -> None:
         if nshards < 1:
             raise ValidationError("nshards must be >= 1")
-        from repro.par import resolve_workers
-
         self.seed = seed
         self.rng = GroupRoutedRng(seed)
         self.ring = ShardRing([f"shard-{i}" for i in range(nshards)])
-        self.pairing_group = PairingGroup(preset(params))
-        self.cloud = CloudStore(latency=latency)
-        # The IAS is the deployment's only trust root.  Its report key is
-        # pinned in every shard's *measured* configuration below; its own
+        self.cloud = cloud if cloud is not None else CloudStore()
+        # The IAS is the deployment's only trust root (its report key is
+        # pinned in every shard's measured configuration); its own
         # randomness rides a dedicated stream so IAS identity generation
         # never perturbs group bytes.
         self.ias = IntelAttestationService(rng=self.rng.stream("ias"))
         # One signing key for every shard's administrator: clients verify
         # group metadata under a single key no matter which shard signed
         # it, and RFC 6979 nonces keep the signatures shard-independent.
-        self._signing_key = ecdsa.generate_keypair(
+        signing_key = ecdsa.generate_keypair(
             self.rng.stream("admin-signing"))
-        self._partition_capacity = partition_capacity
-        self._auto_repartition = auto_repartition
-        self._pipeline = pipeline
-        self._workers = resolve_workers(workers)
         # Attestation handshakes consult the ambient fault injector at
         # several sites per attempt, so give the exchange more headroom
         # than cloud I/O gets: an exhausted handshake aborts deployment.
         self.retry_policy = retry_policy or RetryPolicy(
             max_attempts=8, seed=f"shard:{seed}")
-        self.public_key = None
-        self.shards: List[Shard] = []
-        self._user_keys: Dict[str, object] = {}
-        self._clients: List[GroupClient] = []
         self._groups: Dict[str, int] = {}
 
         with self.rng.scoped("setup"):
-            first = self._build_shard(0, system_bound or partition_capacity)
-        first.attested = True    # setup shard is trusted by construction
-        self.shards.append(first)
-        self.public_key = first.system.public_key
+            first = assemble_system(
+                group=PairingGroup(preset(params)),
+                device=self._device(0), ias=self.ias, cloud=self.cloud,
+                rng=self.rng,
+                msk=fresh_setup(system_bound or partition_capacity),
+                signing_key=signing_key,
+                partition_capacity=partition_capacity,
+                auto_repartition=auto_repartition, workers=workers,
+            )
+        self.public_key = first.public_key
+        # The setup shard is trusted by construction; every other shard
+        # joins it — MSK by mutual attestation, retried as a whole on
+        # transient (injected) failures — and serves only once attested.
+        self.shards: List[Shard] = [
+            Shard(index=0, shard_id="shard-0", system=first, attested=True)]
         for index in range(1, nshards):
-            shard = self._build_shard(index, None)
-            self._provision_from(first, shard)
-            self.shards.append(shard)
+            joined = first.join(self._device(index), self.rng,
+                                auto_repartition=auto_repartition,
+                                retry=self.retry_policy)
+            self.shards.append(Shard(index=index, shard_id=f"shard-{index}",
+                                     system=joined, attested=True))
 
     # -- construction -----------------------------------------------------------
 
-    def _enclave_config(self) -> Dict[str, Any]:
-        # Identical across shards — measurement equality between peers is
-        # a *precondition* of the mutual-attestation handshake.  The IAS
-        # report key is pinned here, inside the measurement, so swapping
-        # the verification root means running a different (rejectable)
-        # build: the MAGE trust story.
-        return {
-            "pairing_group": self.pairing_group,
-            "ias_report_key": self.ias.report_public_key.encode().hex(),
-            "workers": self._workers,
-            "precompute": False,
-        }
-
-    def _build_shard(self, index: int, system_bound: Optional[int]) -> Shard:
-        from repro import System
-        from repro.core import GroupAdministrator
-        from repro.enclave_app import IbbeEnclave
-
+    def _device(self, index: int) -> SgxDevice:
         # Deterministic per-shard device secret: fuse/attestation keys
         # (and hence device ids) are a function of (seed, index), never
         # of the shared rng — manufacturing draws no group bytes.
         secret = sha256(
             f"repro:shard-device:{self.seed}:{index}".encode()).digest()
-        device = SgxDevice(rng=self.rng, device_secret=secret)
-        self.ias.register_device(device.device_id,
-                                 device.attestation_public_key)
-        config = self._enclave_config()
-        enclave = IbbeEnclave.load(device, config)
-        if system_bound is not None:
-            public_key, sealed_msk = enclave.call("setup_system",
-                                                  system_bound)
-        else:
-            public_key, sealed_msk = self.public_key, b""
-        admin = GroupAdministrator(
-            enclave=enclave,
-            cloud=self.cloud,
-            signing_key=self._signing_key,
-            partition_capacity=self._partition_capacity,
-            rng=self.rng,
-            auto_repartition=self._auto_repartition,
-            pipeline=self._pipeline,
-        )
-        system = System(
-            group=self.pairing_group, device=device, enclave=enclave,
-            ias=self.ias, auditor=None, cloud=self.cloud, admin=admin,
-            certificate=None, public_key=public_key, sealed_msk=sealed_msk,
-            rng=self.rng, workers=self._workers, enclave_config=config,
-        )
-        return Shard(index=index, shard_id=f"shard-{index}", system=system)
-
-    def _provision_from(self, source: Shard, target: Shard) -> None:
-        """Migrate the MSK to ``target`` via mutual attestation, retrying
-        the whole exchange on transient (injected) failures."""
-        def attempt():
-            return provision_master_secret(
-                source.enclave, target.enclave, self.ias, self.public_key)
-
-        target.system.sealed_msk = self.retry_policy.run(
-            attempt, label=f"provision:{target.shard_id}")
-        target.attested = True
+        return SgxDevice(rng=self.rng, device_secret=secret)
 
     # -- routing ----------------------------------------------------------------
 
@@ -280,42 +225,20 @@ class ShardedSystem:
 
     # -- clients ----------------------------------------------------------------
 
+    def _live_system(self) -> System:
+        """Any serving shard's deployment: key extraction is
+        deterministic in (MSK, identity) and clients only ever read the
+        shared store, so which shard provisions them does not matter."""
+        return next(s for s in self.shards if s.alive and s.attested).system
+
     def user_key(self, identity: str):
-        """Provision (and cache) a user's IBBE secret key.
-
-        Extraction is deterministic in (MSK, identity), so any live
-        shard gives the same key; the certificate-wrapped Fig. 3 channel
-        belongs to the Auditor deployment, not the sharded one.
-        """
-        if identity not in self._user_keys:
-            from repro import ibbe as _ibbe
-            from repro.pairing.group import G1Element
-
-            shard = next(s for s in self.shards if s.alive and s.attested)
-            raw = shard.enclave.call("extract_user_key_raw", identity)
-            self._user_keys[identity] = _ibbe.IbbeUserKey(
-                identity=identity,
-                element=G1Element.decode(self.pairing_group, raw),
-            )
-        return self._user_keys[identity]
-
-    @property
-    def verification_key(self):
-        return self.shards[0].admin.verification_key
+        """Provision (and cache) a user's IBBE secret key."""
+        return self._live_system().user_key(identity)
 
     def make_client(self, group_id: str, identity: str) -> GroupClient:
         """A client of ``group_id``; syncs hit the shared cloud store, so
         clients are oblivious to shard placement and failover."""
-        client = GroupClient(
-            group_id=group_id,
-            identity=identity,
-            user_key=self.user_key(identity),
-            public_key=self.public_key,
-            cloud=self.cloud,
-            admin_verification_key=self.verification_key,
-        )
-        self._clients.append(client)
-        return client
+        return self._live_system().make_client(group_id, identity)
 
     # -- failure and recovery ---------------------------------------------------
 
@@ -378,16 +301,12 @@ class ShardedSystem:
     # -- observability ----------------------------------------------------------
 
     def metric_sources(self) -> List[MetricSource]:
-        """The shared cloud registry, every shard's enclave + admin
-        registries, and each client's registry.  Names collide across
-        shards (merged views keep the last shard's ``sgx.*`` numbers);
-        use :meth:`total_crossings` for deployment-wide sums."""
-        sources: List[MetricSource] = [self.cloud.metrics.registry]
-        for shard in self.shards:
-            sources.append(shard.enclave.meter.registry)
-            sources.append(shard.admin.metrics.registry)
-        sources.extend(client.registry for client in self._clients)
-        return sources
+        """Every shard's :meth:`repro.System.metric_sources`.  Names
+        collide across shards (merged views keep the last shard's
+        ``sgx.*`` / ``admin.*`` numbers); use :meth:`total_crossings`
+        for deployment-wide sums."""
+        return [source for shard in self.shards
+                for source in shard.system.metric_sources()]
 
     def total_crossings(self) -> int:
         """Enclave boundary crossings summed over all shards (the merge
@@ -398,11 +317,6 @@ class ShardedSystem:
         return telemetry_snapshot(self.metric_sources())
 
     def close(self) -> None:
-        for client in self._clients:
-            closer = getattr(client, "close", None)
-            if closer is not None:
-                closer()
-        self._clients.clear()
         for shard in self.shards:
-            shard.enclave.destroy()
+            shard.system.close()
             shard.alive = False

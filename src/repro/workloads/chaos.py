@@ -77,9 +77,12 @@ import tempfile
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
+from repro.cloud import FileCloudStore
 from repro.crypto.rng import DeterministicRng
+from repro.deploy import quickstart_system
 from repro.errors import CrashError, NotFoundError, RevokedError, UnavailableError
 from repro.faults import FaultInjector, FaultPlan, FaultyCloudStore, install
+from repro.shard import ShardedSystem
 from repro.workloads.synthetic import OP_ADD, OP_REMOVE, Operation
 
 
@@ -211,9 +214,6 @@ class _ChaosRun:
                  workers: Optional[int] = 1,
                  compact_every: Optional[int] = None,
                  remote: bool = False) -> None:
-        from repro import quickstart_system
-        from repro.cloud import FileCloudStore
-
         self.root = root
         self.injector = injector
         self.compact_every = compact_every
@@ -229,15 +229,14 @@ class _ChaosRun:
 
             self.request_log = RequestLog()
         self.rng = DeterministicRng(f"chaos-system:{seed}")
+        self.inner = FileCloudStore(root, compact_every=compact_every)
         # auto_repartition stays off so a crashed remove never nests a
         # second (repartition) plan inside its own recovery window.
         self.system = quickstart_system(
             partition_capacity=capacity, params="toy64", rng=self.rng,
-            auto_repartition=False, workers=workers,
+            cloud=self._serving_store(), auto_repartition=False,
+            workers=workers,
         )
-        self._store_cls = FileCloudStore
-        self.inner = FileCloudStore(root, compact_every=compact_every)
-        self._wire()
         self.clients = {}
         self.crashes_recovered = 0
         self.enclave_restarts = 0
@@ -249,17 +248,20 @@ class _ChaosRun:
     def _serving_store(self):
         """The store the deployment talks to: the ``FileCloudStore``
         itself, or — in network mode — a fresh ``RemoteCloudStore``
-        connected to a :class:`~repro.net.ServerThread` hosting it.
-        An injected crash then genuinely kills the serving process."""
-        if not self.remote:
-            return self.inner
-        from repro.net import RemoteCloudStore, ServerThread
+        connected to a :class:`~repro.net.ServerThread` hosting it (an
+        injected crash then genuinely kills the serving process); either
+        one behind the fault injector when there is one."""
+        served = self.inner
+        if self.remote:
+            from repro.net import RemoteCloudStore, ServerThread
 
-        self._server = ServerThread(self.inner,
-                                    request_log=self.request_log)
-        url = self._server.start()
-        self._remote_store = RemoteCloudStore(url)
-        return self._remote_store
+            self._server = ServerThread(self.inner,
+                                        request_log=self.request_log)
+            url = self._server.start()
+            served = self._remote_store = RemoteCloudStore(url)
+        if self.injector is not None:
+            return FaultyCloudStore(served, self.injector)
+        return served
 
     def _stop_server(self) -> None:
         if self._remote_store is not None:
@@ -269,24 +271,15 @@ class _ChaosRun:
             self._server.stop()
             self._server = None
 
-    def _wire(self) -> None:
-        served = self._serving_store()
-        store = (FaultyCloudStore(served, self.injector)
-                 if self.injector is not None else served)
-        self.system.cloud = store
-        self.system.admin.cloud = store
-        for client in self.system._clients:
-            client._cloud = store
-
     def _reopen_store(self) -> None:
         """The restarted process re-opens the store directory: the
         journal roll-forward runs here.  In network mode the dead
         server is torn down and a fresh one is started on the reopened
         store — the full restart a real deployment would perform."""
         self._stop_server()
-        self.inner = self._store_cls(self.root,
-                                     compact_every=self.compact_every)
-        self._wire()
+        self.inner = FileCloudStore(self.root,
+                                    compact_every=self.compact_every)
+        self.system.rebind_store(self._serving_store())
 
     # -- the crash-recovery driver --------------------------------------------
 
@@ -666,8 +659,6 @@ class _ShardRun:
     """One sharded deployment driven through an interleaved trace."""
 
     def __init__(self, nshards: int, seed: str, capacity: int) -> None:
-        from repro.shard import ShardedSystem
-
         self.system = ShardedSystem(
             nshards=nshards, partition_capacity=capacity, params="toy64",
             seed=f"shard-chaos:{seed}",

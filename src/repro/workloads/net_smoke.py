@@ -45,6 +45,7 @@ import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.crypto.rng import DeterministicRng
+from repro.deploy import quickstart_system
 from repro.errors import ReproError
 from repro.workloads.chaos import cloud_digest
 
@@ -97,75 +98,54 @@ class ServedProcess:
 # The seeded workload
 # ---------------------------------------------------------------------------
 
-def _fresh_system(seed: str):
-    from repro import quickstart_system
-
-    return quickstart_system(partition_capacity=4, params="toy64",
-                             rng=DeterministicRng(seed),
-                             auto_repartition=False)
-
-
-def _second_admin(system, seed: str):
-    """A second administrator: own enclave on its own device, migrated
-    master secret, shared organisational signing key."""
-    from repro.core.admin import GroupAdministrator
-    from repro.core.multiadmin import join_administration
-    from repro.enclave_app import IbbeEnclave
-    from repro.sgx.device import SgxDevice
-
-    device = SgxDevice(rng=DeterministicRng(f"{seed}-device"))
-    system.ias.register_device(device.device_id,
-                               device.attestation_public_key)
-    enclave = IbbeEnclave.load(device, dict(system.enclave.config))
-    join_administration(system, enclave)
-    return GroupAdministrator(
-        enclave=enclave,
-        cloud=system.cloud,
-        signing_key=system.admin._signing_key,
-        partition_capacity=system.admin.partition_capacity,
-        rng=DeterministicRng(seed),
-    )
-
-
-def run_workload(system, store, seed: str) -> bytes:
+def run_workload(store, seed: str) -> bytes:
     """Seeded two-admin churn + late-client sync against ``store``.
 
-    The second administrator refreshes between operations, then admin 1
-    deliberately operates on a stale view so the OCC retry path runs
-    over whatever store (local or remote) is plugged in.  Returns the
-    surviving member's group key."""
+    The second administrator (own enclave on its own device, migrated
+    master secret, shared organisational signing key) refreshes between
+    operations, then admin 1 deliberately operates on a stale view so
+    the OCC retry path runs over whatever store (local or remote) is
+    plugged in.  Returns the surviving member's group key."""
     from repro.core.multiadmin import ConcurrentAdministrator
+    from repro.sgx.device import SgxDevice
 
-    system.cloud = store
-    system.admin.cloud = store
-    admin1 = ConcurrentAdministrator(system.admin)
-    admin2 = ConcurrentAdministrator(_second_admin(system, f"{seed}-b"))
+    system = quickstart_system(partition_capacity=4, params="toy64",
+                               rng=DeterministicRng(seed), cloud=store,
+                               auto_repartition=False)
+    second = system.join(
+        SgxDevice(rng=DeterministicRng(f"{seed}-b-device")),
+        rng=DeterministicRng(f"{seed}-b"))
+    try:
+        admin1 = ConcurrentAdministrator(system.admin)
+        admin2 = ConcurrentAdministrator(second.admin)
 
-    admin1.create_group(GROUP, ["alice", "bob", "carol", "dave"])
-    admin2.refresh(GROUP)
-    admin2.add_user(GROUP, "erin")
-    admin1.add_user(GROUP, "frank")      # stale view -> conflict retry
-    admin2.refresh(GROUP)
-    admin2.remove_user(GROUP, "bob")
-    admin1.rekey(GROUP)                  # stale again -> conflict retry
+        admin1.create_group(GROUP, ["alice", "bob", "carol", "dave"])
+        admin2.refresh(GROUP)
+        admin2.add_user(GROUP, "erin")
+        admin1.add_user(GROUP, "frank")      # stale view -> conflict retry
+        admin2.refresh(GROUP)
+        admin2.remove_user(GROUP, "bob")
+        admin1.rekey(GROUP)                  # stale again -> conflict retry
 
-    client = system.make_client(GROUP, "alice")
-    client.sync()
-    members = set(system.admin.members(GROUP))
-    expected = {"alice", "carol", "dave", "erin", "frank"}
-    if members != expected:
-        raise ReproError(f"membership diverged: {sorted(members)}")
-    return client.current_group_key()
+        client = system.make_client(GROUP, "alice")
+        client.sync()
+        members = set(system.admin.members(GROUP))
+        expected = {"alice", "carol", "dave", "erin", "frank"}
+        if members != expected:
+            raise ReproError(f"membership diverged: {sorted(members)}")
+        return client.current_group_key()
+    finally:
+        system.close()
+        second.close()
 
 
 def _reference_state(seed: str) -> Tuple[bytes, str]:
     """The same workload, fully in-process."""
-    system = _fresh_system(seed)
-    store = system.cloud
-    key = run_workload(system, store, seed)
-    digest = cloud_digest(store)
-    system.close()
-    return key, digest
+    from repro.cloud import CloudStore
+
+    store = CloudStore()
+    key = run_workload(store, seed)
+    return key, cloud_digest(store)
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +256,7 @@ def run_smoke(store_url: Optional[str] = None, seed: str = "net-smoke",
             obs.tracer().reset()
             obs.enable()
         store = RemoteCloudStore(store_url)
-        system = _fresh_system(seed)
-        remote_key = run_workload(system, store, seed)
+        remote_key = run_workload(store, seed)
         remote_digest = cloud_digest(store)
         object_count = len(list(store.adversary_view()))
         metrics = collect_metrics(store)
@@ -301,7 +280,6 @@ def run_smoke(store_url: Optional[str] = None, seed: str = "net-smoke",
                 "requests": stats.get("requests", {}),
                 "request_log": stats.get("request_log", {}),
             }
-        system.close()
         store.close()
     finally:
         if trace_out:

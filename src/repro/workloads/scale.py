@@ -58,6 +58,7 @@ from repro.core.adaptive import (
     fit_linear_cost,
 )
 from repro.crypto.rng import DeterministicRng
+from repro.deploy import quickstart_system
 from repro.errors import ParameterError, ReproError, UnavailableError
 from repro.obs.metrics import Histogram, MetricRegistry
 from repro.workloads.chaos import cloud_digest
@@ -404,20 +405,17 @@ class ScaleRunner:
     """
 
     def __init__(self, config: ScaleConfig) -> None:
-        from repro import quickstart_system
-
         self.config = config
         self.groups = plan_groups(config)
         max_capacity = max(g.capacity for g in self.groups)
         self.system_bound = max(16, 2 * max_capacity)
         self.rng = DeterministicRng(f"scale-system:{config.seed}")
-        self._injector = None
+        self._open_store()
         self.system = quickstart_system(
             partition_capacity=self.groups[0].capacity, params="toy64",
-            rng=self.rng, auto_repartition=False,
+            rng=self.rng, cloud=self.store, auto_repartition=False,
             system_bound=self.system_bound, workers=config.workers,
         )
-        self._wire_store()
         policy = AdaptivePolicy(
             min_capacity=2,
             max_capacity=self.system_bound,
@@ -438,11 +436,14 @@ class ScaleRunner:
         self.revocation_checks = 0
         self.revocation_failures = 0
         self._removed: List[ChurnEvent] = []
-        self._second_admin_metrics = None
+        self._second = None     # the contention phase's co-administrator
 
     # -- plumbing ----------------------------------------------------------
 
-    def _wire_store(self) -> None:
+    def _open_store(self) -> None:
+        """The store the deployment is built on: ``inner_store`` is the
+        real one (digested at the end), ``store`` what the deployment
+        talks to — the same, or its fault-injecting decorator."""
         from repro.cloud import CloudStore
         from repro.faults import FaultInjector, FaultPlan, FaultyCloudStore
 
@@ -450,15 +451,11 @@ class ScaleRunner:
         if config.store_url:
             from repro.net import RemoteCloudStore
 
-            inner = RemoteCloudStore(config.store_url)
-        elif config.compact_every is not None:
-            inner = CloudStore(compact_every=config.compact_every)
+            self.inner_store = RemoteCloudStore(config.store_url)
         else:
-            # Keep the deployment's own store so the telemetry sources
-            # captured at System creation keep reading the live one.
-            inner = self.system.cloud
-        self.inner_store = inner
-        store = inner
+            self.inner_store = CloudStore(compact_every=config.compact_every)
+        self.store = self.inner_store
+        self._injector = None
         if config.faults:
             # Store-profile faults only: outages, read timeouts and
             # latency spikes, all absorbed by the RetryPolicy layers.
@@ -466,10 +463,7 @@ class ScaleRunner:
             # driver and stay in repro.workloads.chaos.
             plan = FaultPlan.store_faults(f"scale:{config.seed}")
             self._injector = FaultInjector(plan)
-            store = FaultyCloudStore(inner, self._injector)
-        self.store = store
-        self.system.cloud = store
-        self.system.admin.cloud = store
+            self.store = FaultyCloudStore(self.inner_store, self._injector)
 
     def _drive(self, action, redo_check) -> None:
         """Run one mutation to completion across exhausted retry
@@ -558,6 +552,7 @@ class ScaleRunner:
         mid-size group; OCC conflicts resolve through the shared
         retry/backoff policy."""
         from repro.core.multiadmin import ConcurrentAdministrator
+        from repro.sgx.device import SgxDevice
 
         stat = self._phase("contention")
         start = time.perf_counter()
@@ -565,9 +560,13 @@ class ScaleRunner:
                                  max(1, len(self.groups) // 3))]
         gid = target.group_id
         admin1 = ConcurrentAdministrator(self.system.admin)
-        second = self._make_second_admin()
-        admin2 = ConcurrentAdministrator(second)
-        self._second_admin_metrics = second.metrics.registry
+        # A second administrator: own enclave on its own device,
+        # attested MSK migration, shared organisational signing key.
+        seed = self.config.seed
+        self._second = self.system.join(
+            SgxDevice(rng=DeterministicRng(f"scale-admin2:{seed}")),
+            rng=DeterministicRng(f"scale-admin2-ops:{seed}"))
+        admin2 = ConcurrentAdministrator(self._second.admin)
         for round_index in range(self.config.contention_rounds):
             tag = f"occ{round_index:03d}"
             admin2.refresh(gid)
@@ -582,30 +581,6 @@ class ScaleRunner:
             stat.ops += 4
         self.system.admin.sync_group(gid)
         stat.seconds += time.perf_counter() - start
-
-    def _make_second_admin(self):
-        """A second administrator: own enclave on its own device,
-        attested MSK migration, shared organisational signing key (the
-        net_smoke idiom)."""
-        from repro.core.admin import GroupAdministrator
-        from repro.core.multiadmin import join_administration
-        from repro.enclave_app import IbbeEnclave
-        from repro.sgx.device import SgxDevice
-
-        system = self.system
-        device = SgxDevice(
-            rng=DeterministicRng(f"scale-admin2:{self.config.seed}"))
-        system.ias.register_device(device.device_id,
-                                   device.attestation_public_key)
-        enclave = IbbeEnclave.load(device, dict(system.enclave.config))
-        join_administration(system, enclave)
-        return GroupAdministrator(
-            enclave=enclave,
-            cloud=self.store,
-            signing_key=system.admin._signing_key,
-            partition_capacity=system.admin.partition_capacity,
-            rng=DeterministicRng(f"scale-admin2-ops:{self.config.seed}"),
-        )
 
     def _sample_clients(self) -> List[Tuple[str, str]]:
         """Deterministic bounded client fleet: the biggest groups get
@@ -745,9 +720,10 @@ class ScaleRunner:
             registry.counter("admin.conflict.retries").value)
         report.occ_exhausted = int(
             registry.counter("admin.conflict.exhausted").value)
-        if self._second_admin_metrics is not None:
-            report.occ_conflicts += int(self._second_admin_metrics.counter(
-                "admin.conflict.retries").value)
+        if self._second is not None:
+            report.occ_conflicts += int(
+                self._second.admin.metrics.registry.counter(
+                    "admin.conflict.retries").value)
         if self._injector is not None:
             report.faults_injected = len(self._injector.log)
         report.retry_backoff_ms = (
@@ -806,6 +782,8 @@ class ScaleRunner:
 
     def close(self) -> None:
         self.system.close()
+        if self._second is not None:
+            self._second.close()
         closer = getattr(self.inner_store, "close", None)
         if closer is not None:
             closer()
@@ -907,7 +885,7 @@ def run_calibration(seed: str = "scale-cal",
     ``curve_sizes`` (defaults 10⁴–10⁶, the paper's regime) for the given
     workload mix and compared against sqrt(n).
     """
-    from repro import obs, quickstart_system
+    from repro import obs
     from repro.obs.profile import SamplingProfiler
 
     start = time.perf_counter()

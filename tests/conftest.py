@@ -43,19 +43,15 @@ def rng():
 
 def make_system(seed: str = "sys", capacity: int = 4,
                 auto_repartition: bool = True, system_bound: int = 16,
-                pipeline: bool = True):
-    """Factory for a full IBBE-SGX deployment on toy parameters.
-
-    ``pipeline=False`` selects the administrator's sequential
-    (call-per-ecall, request-per-object) mode for equivalence testing.
-    """
+                cloud=None):
+    """Factory for a full IBBE-SGX deployment on toy parameters."""
     return quickstart_system(
         partition_capacity=capacity,
         params="toy64",
         rng=DeterministicRng(seed),
+        cloud=cloud,
         auto_repartition=auto_repartition,
         system_bound=max(system_bound, capacity),
-        pipeline=pipeline,
     )
 
 

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.bench import gate
+from repro.errors import ValidationError
 
 
 def _op_record(mean=0.01, bytes_=1000.0, crossings=2.0):
@@ -85,7 +86,7 @@ class TestSnapshotFiles:
     def test_schema_version_enforced(self, tmp_path):
         path = tmp_path / "BENCH_bad.json"
         path.write_text(json.dumps({"schema": 99, "ops": {}}), "utf-8")
-        with pytest.raises(ValueError, match="schema"):
+        with pytest.raises(ValidationError, match="schema"):
             gate.load_snapshot(path)
 
     def test_committed_baseline_is_loadable(self):

@@ -11,6 +11,7 @@ from repro.bench import (
     format_seconds,
     time_call,
 )
+from repro.errors import ValidationError
 
 
 class TestFitting:
@@ -37,15 +38,15 @@ class TestFitting:
         assert fit.predict(1000) == pytest.approx(1_000_000.0, rel=1e-6)
 
     def test_too_few_points(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             fit_power_law([(10, 1.0)])
 
     def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             fit_power_law([(10, 0.0), (20, 1.0)])
 
     def test_degenerate_same_n(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             fit_power_law([(10, 1.0), (10, 2.0)])
 
     def test_anchored_extrapolation(self):

@@ -98,11 +98,8 @@ class TestSystemOnFileStore:
         system = quickstart_system(
             partition_capacity=3, params="toy64",
             rng=DeterministicRng("filestore-e2e"),
+            cloud=FileCloudStore(tmp_path / "cloud"),
         )
-        # Swap the in-memory store for the file-backed one.
-        store = FileCloudStore(tmp_path / "cloud")
-        system.cloud = store
-        system.admin.cloud = store
 
         system.admin.create_group("g", ["a", "b", "c", "d"])
         client = system.make_client("g", "a")

@@ -26,12 +26,9 @@ GROUP = "g"
 
 def make_filestore_system(root, seed="compact", capacity=4,
                           compact_every=None):
-    """A quickstart deployment rewired onto a file-backed store."""
-    system = make_system(seed, capacity=capacity)
+    """A quickstart deployment on a file-backed store."""
     store = FileCloudStore(root, compact_every=compact_every)
-    system.cloud = store
-    system.admin.cloud = store
-    return system, store
+    return make_system(seed, capacity=capacity, cloud=store), store
 
 
 def churn(admin, adds=(), removes=()):
@@ -195,7 +192,7 @@ class TestClientBootstrap:
         compacted_client.sync()
 
         # Control: the same user replaying the full uncompacted history.
-        system.cloud = FileCloudStore(tmp_path / "full")
+        system.rebind_store(FileCloudStore(tmp_path / "full"))
         replay_client = system.make_client(GROUP, "a")
         replay_client.sync()
 

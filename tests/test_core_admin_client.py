@@ -235,11 +235,11 @@ class TestMetrics:
         admin = populated.admin
         admin.add_user("team", "x1")
         admin.remove_user("team", "x1")
-        snap = admin.metrics.snapshot()
-        assert snap["groups_created"] == 1
-        assert snap["users_added"] == 1
-        assert snap["users_removed"] == 1
-        assert snap["bytes_pushed"] > 0
+        snap = admin.metrics.registry.snapshot()
+        assert snap["admin.groups_created"] == 1
+        assert snap["admin.users_added"] == 1
+        assert snap["admin.users_removed"] == 1
+        assert snap["admin.bytes_pushed"] > 0
 
     def test_footprints(self, populated):
         state = populated.admin.group_state("team")

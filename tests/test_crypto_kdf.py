@@ -3,6 +3,7 @@
 import pytest
 
 from repro.crypto.kdf import hkdf, hmac_sha256, mgf1, sha256
+from repro.errors import ValidationError
 
 
 class TestHmac:
@@ -57,7 +58,7 @@ class TestHkdf:
 
     def test_length_enforced(self):
         assert len(hkdf(b"ikm", 100)) == 100
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             hkdf(b"ikm", 255 * 32 + 1)
 
     def test_info_separates(self):

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.core.multiadmin import ConcurrentAdministrator, join_administration
-from repro.core.admin import GroupAdministrator
+from repro.core.multiadmin import ConcurrentAdministrator
 from repro.crypto.rng import DeterministicRng
 from repro.enclave_app import IbbeEnclave
 from repro.errors import ConflictError, EnclaveError, MembershipError
@@ -14,19 +13,8 @@ from tests.conftest import make_system
 def make_second_admin(system, seed: str = "admin2"):
     """A second administrator: own enclave on its own device, migrated
     MSK, shared signing key (the organisational role key)."""
-    device = SgxDevice(rng=DeterministicRng(f"{seed}-device"))
-    system.ias.register_device(device.device_id,
-                               device.attestation_public_key)
-    enclave = IbbeEnclave.load(device, dict(system.enclave.config))
-    join_administration(system, enclave)
-    admin = GroupAdministrator(
-        enclave=enclave,
-        cloud=system.cloud,
-        signing_key=system.admin._signing_key,
-        partition_capacity=system.admin.partition_capacity,
-        rng=DeterministicRng(seed),
-    )
-    return admin
+    return system.join(SgxDevice(rng=DeterministicRng(f"{seed}-device")),
+                       rng=DeterministicRng(seed)).admin
 
 
 class TestMskMigration:
@@ -46,10 +34,12 @@ class TestMskMigration:
         class PatchedEnclave(IbbeEnclave):
             """Different code → different measurement."""
 
-        enclave = IbbeEnclave  # silence linters
+        from repro.sgx.attestation import setup_trust
         rogue = PatchedEnclave.load(device, dict(system.enclave.config))
+        system.auditor.approve_measurement(rogue.measurement)
+        cert = setup_trust(rogue, system.auditor)
         with pytest.raises(Exception):
-            join_administration(system, rogue)
+            system.enclave.call("export_master_secret", cert)
 
     def test_export_requires_pinned_ca(self, group):
         device = SgxDevice(rng=DeterministicRng("nopin"))

@@ -320,6 +320,9 @@ def test_rpc_metrics_accounted(served):
 
 def test_admin_bridge_whitelist():
     class Admin:
+        def ensure_loaded(self, group_id):
+            pass
+
         def rekey(self, group_id):
             return f"rekeyed {group_id}"
 
@@ -344,12 +347,15 @@ def test_admin_call_without_bridge_is_denied(served):
 GROUP = "team"
 
 
-def _run_workload(system, store):
-    """Seeded create/add/rekey/remove + client-sync workload against
-    whatever store the deployment is wired to.  Returns the surviving
-    member's group key."""
-    system.cloud = store
-    system.admin.cloud = store
+def _run_workload(seed, store):
+    """Seeded create/add/rekey/remove + client-sync workload on a fresh
+    deployment built against ``store``.  Returns the surviving member's
+    group key."""
+    from repro import quickstart_system
+
+    system = quickstart_system(partition_capacity=2, params="toy64",
+                               rng=DeterministicRng(seed), cloud=store,
+                               auto_repartition=False)
     admin = system.admin
     admin.create_group(GROUP, ["alice", "bob", "carol"])
     admin.add_user(GROUP, "dave")
@@ -357,32 +363,22 @@ def _run_workload(system, store):
     admin.remove_user(GROUP, "bob")
     client = system.make_client(GROUP, "alice")
     client.sync()
-    return client.current_group_key()
-
-
-def _fresh_system(seed):
-    from repro import quickstart_system
-
-    return quickstart_system(partition_capacity=2, params="toy64",
-                             rng=DeterministicRng(seed),
-                             auto_repartition=False)
+    key = client.current_group_key()
+    system.close()
+    return key
 
 
 def test_remote_workload_is_byte_identical_to_in_process():
     seed = "net-equivalence"
-    local = _fresh_system(seed)
-    local_inner = local.cloud
-    local_key = _run_workload(local, local_inner)
-    local.close()
+    local_inner = CloudStore()
+    local_key = _run_workload(seed, local_inner)
 
-    remote_sys = _fresh_system(seed)
-    remote_inner = remote_sys.cloud
+    remote_inner = CloudStore()
     server = ServerThread(remote_inner)
     store = RemoteCloudStore(server.start())
-    remote_key = _run_workload(remote_sys, store)
+    remote_key = _run_workload(seed, store)
     store.close()
     server.stop()
-    remote_sys.close()
 
     assert remote_key == local_key
     assert cloud_digest(remote_inner) == cloud_digest(local_inner)
@@ -403,13 +399,10 @@ def test_workload_under_injected_outages_converges():
     from repro.faults import FaultyCloudStore
 
     seed = "net-faults"
-    local = _fresh_system(seed)
-    local_inner = local.cloud
-    local_key = _run_workload(local, local_inner)
-    local.close()
+    local_inner = CloudStore()
+    local_key = _run_workload(seed, local_inner)
 
-    remote_sys = _fresh_system(seed)
-    remote_inner = remote_sys.cloud
+    remote_inner = CloudStore()
     server = ServerThread(remote_inner)
     store = RemoteCloudStore(server.start())
     # The pipeline batches each admin op into one commit, so the
@@ -420,11 +413,10 @@ def test_workload_under_injected_outages_converges():
                                        store_timeout_rate=0.30,
                                        latency_spike_rate=0.30))
     faulty = FaultyCloudStore(store, injector)
-    remote_key = _run_workload(remote_sys, faulty)
+    remote_key = _run_workload(seed, faulty)
     assert injector.log, "the plan should have injected something"
     store.close()
     server.stop()
-    remote_sys.close()
 
     assert remote_key == local_key
     assert cloud_digest(remote_inner) == cloud_digest(local_inner)

@@ -7,6 +7,7 @@ import time
 import pytest
 
 from repro import obs
+from repro.errors import ValidationError
 from repro.obs.profile import DEFAULT_HZ, SamplingProfiler, _frame_functions
 from repro.obs.spans import Tracer
 
@@ -91,7 +92,7 @@ class TestSamplingProfiler:
             profiler.start()
         profiler.stop()
         profiler.stop()  # idempotent
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             SamplingProfiler(hz=0)
 
     def test_profile_helper_uses_global_tracer(self):

@@ -14,7 +14,7 @@ import pytest
 import repro
 from repro.crypto.rng import DeterministicRng
 from repro.ec import FixedBaseWnaf, wnaf_digits
-from repro.errors import ParallelError
+from repro.errors import ParallelError, ValidationError
 from repro.par import ENV_WORKERS, WorkerPool, derive_seed, resolve_workers
 from repro.par.streams import task_rng
 
@@ -55,7 +55,7 @@ def test_derive_seed_independence():
     assert derive_seed(parent, 0) == derive_seed(parent, 0)  # stable
     assert derive_seed(parent, 0) != derive_seed(parent, 0, "rekey")
     assert derive_seed(parent, 0) != derive_seed(b"q" * 32, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         derive_seed(parent, -1)
 
 

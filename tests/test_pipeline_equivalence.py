@@ -1,14 +1,11 @@
-"""Pipeline vs. sequential equivalence — the refactor's safety net.
+"""The administrator's operation pipeline, observed from outside.
 
-The batched operation pipeline (``pipeline=True``, the default) must be
-*observationally identical* to the sequential mode it replaced: both run
-the same planning phase (partition-table mutations and RNG draws) before
-any enclave work, and the enclave sees the same ecalls in the same
-order.  Only the transport differs — one crossing instead of N, one
-cloud commit instead of N requests — so the resulting cloud bytes,
-object versions and client-derived keys must match exactly.
+Every mutation script must be *reproducible*: two deployments built from
+one seed end with byte-identical cloud state (data and versions) and
+hand every surviving member the same group key — the property the golden
+digests (``test_golden_digests``) and every convergence harness rest on.
 
-Also pins the crossing/request footprint the pipeline was built for, and
+Also pins the crossing/request footprint the pipeline exists for, and
 the sparse-partition-id ``load_group_from_cloud`` path.
 """
 
@@ -21,13 +18,13 @@ from tests.conftest import make_system
 
 def run_paired(script, seed="equiv", capacity=3, auto_repartition=True,
                system_bound=64):
-    """Run the same mutation script against a pipelined and a sequential
-    deployment built from the same deterministic seed."""
+    """Run the same mutation script against two deployments built from
+    the same deterministic seed."""
     systems = []
-    for pipeline in (True, False):
+    for _ in range(2):
         system = make_system(seed, capacity=capacity,
                              auto_repartition=auto_repartition,
-                             system_bound=system_bound, pipeline=pipeline)
+                             system_bound=system_bound)
         script(system)
         systems.append(system)
     return systems
@@ -49,12 +46,12 @@ def derived_keys(system, group_id, users):
 
 
 def assert_equivalent(script, users_after, group_id="g", **kwargs):
-    pipelined, sequential = run_paired(script, **kwargs)
-    assert cloud_state(pipelined) == cloud_state(sequential)
+    first, second = run_paired(script, **kwargs)
+    assert cloud_state(first) == cloud_state(second)
     if users_after:
-        assert (derived_keys(pipelined, group_id, users_after)
-                == derived_keys(sequential, group_id, users_after))
-    return pipelined, sequential
+        assert (derived_keys(first, group_id, users_after)
+                == derived_keys(second, group_id, users_after))
+    return first, second
 
 
 class TestByteIdenticalCloudState:
@@ -102,8 +99,8 @@ class TestByteIdenticalCloudState:
             system.admin.create_group("g", ["solo"])
             system.admin.remove_user("g", "solo")
 
-        pipelined, sequential = assert_equivalent(script, [])
-        client = pipelined.make_client("g", "solo")
+        first, _ = assert_equivalent(script, [])
+        client = first.make_client("g", "solo")
         client.sync()
         with pytest.raises(RevokedError):
             client.current_group_key()
@@ -139,26 +136,26 @@ class TestByteIdenticalCloudState:
 
         survivors = ([f"u{i}" for i in range(9) if i not in (1, 4, 8)]
                      + [f"n{i}" for i in range(1, 5)] + ["late"])
-        pipelined, sequential = assert_equivalent(script, survivors)
-        assert (pipelined.admin.metrics.bytes_pushed
-                == sequential.admin.metrics.bytes_pushed)
-        assert (pipelined.admin.metrics.partitions_written
-                == sequential.admin.metrics.partitions_written)
+        first, second = assert_equivalent(script, survivors)
+        assert (first.admin.metrics.bytes_pushed
+                == second.admin.metrics.bytes_pushed)
+        assert (first.admin.metrics.partitions_written
+                == second.admin.metrics.partitions_written)
 
 
 class TestCrossingAndRequestFootprint:
     """The point of the pipeline: one crossing + one commit per mutation,
     regardless of how many partitions it touches."""
 
-    def _fan_out(self, pipeline):
+    def _fan_out(self):
         # capacity=1 -> every member is their own partition.
         system = make_system("footprint", capacity=1, system_bound=4,
-                             auto_repartition=False, pipeline=pipeline)
+                             auto_repartition=False)
         system.admin.create_group("g", [f"u{i}" for i in range(6)])
         return system
 
     def test_rekey_is_one_crossing_one_commit(self):
-        system = self._fan_out(pipeline=True)
+        system = self._fan_out()
         meter = system.enclave.meter
         metrics = system.cloud.metrics
         crossings = meter.crossings
@@ -168,18 +165,9 @@ class TestCrossingAndRequestFootprint:
         assert meter.crossings - crossings == 1
         assert metrics.requests - requests == 1
         assert metrics.batch_commits - commits == 1
-
-    def test_sequential_rekey_pays_per_object(self):
-        system = self._fan_out(pipeline=False)
-        requests = system.cloud.metrics.requests
-        system.admin.rekey("g")
-        # Descriptor + 6 partitions + sealed key, one request each.
-        assert system.cloud.metrics.requests - requests == 8
-        assert system.cloud.metrics.batch_commits == 0
 
     def test_add_users_batch_is_one_crossing_one_commit(self):
-        system = make_system("footprint-add", capacity=2, system_bound=4,
-                             pipeline=True)
+        system = make_system("footprint-add", capacity=2, system_bound=4)
         system.admin.create_group("g", ["a", "b"])
         meter = system.enclave.meter
         metrics = system.cloud.metrics
@@ -191,20 +179,8 @@ class TestCrossingAndRequestFootprint:
         assert metrics.requests - requests == 1
         assert metrics.batch_commits - commits == 1
 
-    def test_sequential_add_users_pays_per_partition(self):
-        system = make_system("footprint-add", capacity=2, system_bound=4,
-                             pipeline=False)
-        system.admin.create_group("g", ["a", "b"])
-        crossings = system.enclave.meter.crossings
-        requests = system.cloud.metrics.requests
-        system.admin.add_users("g", [f"n{i}" for i in range(6)])
-        # Three fresh partitions: one create ecall each, plus batched-add
-        # ecalls replayed individually.
-        assert system.enclave.meter.crossings - crossings > 1
-        assert system.cloud.metrics.requests - requests > 1
-
     def test_delete_group_is_one_commit(self):
-        system = self._fan_out(pipeline=True)
+        system = self._fan_out()
         metrics = system.cloud.metrics
         requests = metrics.requests
         commits = metrics.batch_commits
@@ -219,14 +195,14 @@ class TestLoadFromCloudSparseIds:
     """After deletions, partition ids on the cloud are sparse; a takeover
     administrator must rebuild the exact table, not a renumbered one."""
 
-    def _sparse_world(self, pipeline):
+    def _sparse_world(self):
         system = make_system("sparse", capacity=1, system_bound=4,
-                            auto_repartition=False, pipeline=pipeline)
+                             auto_repartition=False)
         system.admin.create_group("g", ["a", "b", "c"])
         system.admin.remove_user("g", "b")   # drops partition 1
         return system
 
-    def _takeover_admin(self, system, pipeline):
+    def _takeover_admin(self, system):
         return GroupAdministrator(
             enclave=system.enclave,
             cloud=system.cloud,
@@ -234,16 +210,14 @@ class TestLoadFromCloudSparseIds:
             partition_capacity=1,
             rng=system.rng,
             auto_repartition=False,
-            pipeline=pipeline,
         )
 
-    @pytest.mark.parametrize("pipeline", [True, False])
-    def test_reload_preserves_sparse_partition_ids(self, pipeline):
-        system = self._sparse_world(pipeline)
+    def test_reload_preserves_sparse_partition_ids(self):
+        system = self._sparse_world()
         original = system.admin.group_state("g")
         assert sorted(original.records) == [0, 2]
 
-        admin2 = self._takeover_admin(system, pipeline)
+        admin2 = self._takeover_admin(system)
         state = admin2.load_group_from_cloud("g")
         assert sorted(state.records) == [0, 2]
         assert state.epoch == original.epoch
@@ -253,8 +227,8 @@ class TestLoadFromCloudSparseIds:
         assert state.sealed_group_key == original.sealed_group_key
 
     def test_new_partition_ids_continue_after_gap(self):
-        system = self._sparse_world(pipeline=True)
-        admin2 = self._takeover_admin(system, pipeline=True)
+        system = self._sparse_world()
+        admin2 = self._takeover_admin(system)
         admin2.load_group_from_cloud("g")
         admin2.add_user("g", "d")
         state = admin2.group_state("g")
@@ -263,14 +237,3 @@ class TestLoadFromCloudSparseIds:
         client = system.make_client("g", "d")
         client.sync()
         assert client.current_group_key() is not None
-
-    def test_pipelined_and_sequential_reload_agree(self):
-        system = self._sparse_world(pipeline=True)
-        via_batch = self._takeover_admin(system, pipeline=True) \
-            .load_group_from_cloud("g")
-        via_single = self._takeover_admin(system, pipeline=False) \
-            .load_group_from_cloud("g")
-        assert via_batch.records.keys() == via_single.records.keys()
-        assert {pid: r.ciphertext for pid, r in via_batch.records.items()} \
-            == {pid: r.ciphertext for pid, r in via_single.records.items()}
-        assert via_batch.sealed_group_key == via_single.sealed_group_key

@@ -1,9 +1,11 @@
 """The package root's public surface must match its documentation.
 
-``docs/API.md`` carries a machine-readable block (between the
-``repro-public-surface`` markers) listing exactly what ``repro.__all__``
-exports.  This test fails whenever one drifts from the other, forcing
-doc updates to ride along with API changes."""
+``docs/API.md`` carries machine-readable blocks listing exactly what
+``repro.__all__`` exports (``repro-public-surface``) and which ecalls
+``IbbeEnclave`` registers (``ibbe-enclave-ecalls`` — the enclave's
+attack surface, a number that should only go down deliberately).  These
+tests fail whenever code and docs drift, forcing doc updates to ride
+along with API changes."""
 
 import re
 from pathlib import Path
@@ -12,25 +14,21 @@ import repro
 
 API_MD = Path(__file__).resolve().parent.parent / "docs" / "API.md"
 
-_BLOCK = re.compile(
-    r"<!-- begin repro-public-surface -->\s*```\w*\n(.*?)```\s*"
-    r"<!-- end repro-public-surface -->",
-    re.DOTALL,
-)
 
-
-def documented_surface() -> list:
-    match = _BLOCK.search(API_MD.read_text("utf-8"))
+def documented_block(name: str) -> list:
+    match = re.search(
+        rf"<!-- begin {name} -->\s*```\w*\n(.*?)```\s*<!-- end {name} -->",
+        API_MD.read_text("utf-8"), re.DOTALL)
     assert match, (
-        "docs/API.md must contain the repro-public-surface block "
-        "(<!-- begin repro-public-surface --> ... <!-- end ... -->)"
+        f"docs/API.md must contain the {name} block "
+        f"(<!-- begin {name} --> ... <!-- end {name} -->)"
     )
     return [line.strip() for line in match.group(1).splitlines()
             if line.strip()]
 
 
 def test_all_matches_docs():
-    documented = documented_surface()
+    documented = documented_block("repro-public-surface")
     actual = list(repro.__all__)
     assert documented == actual, (
         "repro.__all__ and the docs/API.md public-surface block have "
@@ -47,3 +45,19 @@ def test_all_names_are_importable():
 
 def test_no_duplicate_exports():
     assert len(repro.__all__) == len(set(repro.__all__))
+
+
+def test_registered_ecalls_match_docs():
+    from repro.enclave_app import IbbeEnclave
+    from repro.sgx import EcallRegistry
+
+    documented = [line.split("(")[0]
+                  for line in documented_block("ibbe-enclave-ecalls")]
+    assert len(documented) == len(set(documented))
+    registered = EcallRegistry.for_class(IbbeEnclave).names()
+    assert sorted(documented) == registered, (
+        "IbbeEnclave's registered ecalls and the docs/API.md "
+        "ibbe-enclave-ecalls block have drifted.\n  only in docs: "
+        f"{sorted(set(documented) - set(registered))}\n  only registered: "
+        f"{sorted(set(registered) - set(documented))}"
+    )

@@ -67,7 +67,7 @@ def enclave(device):
 class TestBoundary:
     def test_ecall_dispatch(self, enclave):
         assert enclave.call("add", 2, 3) == 5
-        assert enclave.ecall_count == 1
+        assert enclave.meter.registry.snapshot()["sgx.ecalls"] == 1
 
     def test_non_ecall_rejected(self, enclave):
         with pytest.raises(EnclaveError):
@@ -194,7 +194,7 @@ class TestIsolation:
     def test_public_surface_reachable(self, enclave, device):
         assert enclave.measurement == trusted_view(enclave).measurement
         assert enclave.device is device
-        assert enclave.ecall_count == 0
+        assert enclave.meter.registry.snapshot()["sgx.ecalls"] == 0
         assert enclave.meter.crossings == 0
         assert "add" in enclave.registry
 
@@ -237,7 +237,7 @@ class TestOcalls:
         enclave.register_ocall("persist", lambda data: calls.append(data) or "ok")
         assert enclave.call("uses_ocall") == "ok"
         assert calls == [b"payload"]
-        assert enclave.ocall_count == 1
+        assert enclave.meter.registry.snapshot()["sgx.ocalls"] == 1
 
     def test_missing_handler_raises(self, enclave):
         with pytest.raises(EnclaveError):

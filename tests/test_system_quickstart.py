@@ -4,7 +4,7 @@ and client robustness to storage-layer event anomalies."""
 import pytest
 
 from repro import quickstart_system
-from repro.cloud import LatencyModel
+from repro.cloud import CloudStore, LatencyModel
 from repro.crypto.rng import DeterministicRng
 from repro.errors import AccessControlError
 from tests.conftest import make_system
@@ -45,7 +45,7 @@ class TestQuickstart:
         system = quickstart_system(
             partition_capacity=4, params="toy64",
             rng=DeterministicRng("lat"),
-            latency=LatencyModel.public_cloud(seed="qs"),
+            cloud=CloudStore(latency=LatencyModel.public_cloud(seed="qs")),
         )
         system.admin.create_group("g", ["a"])
         assert system.cloud.metrics.simulated_latency_ms > 0
@@ -116,7 +116,6 @@ class TestClientEventRobustness:
             return list(events) + list(events), cursor
 
         system.cloud.poll_dir = duplicating_poll
-        client._cloud = system.cloud
         client.sync()
         gk = client.current_group_key()
         system.admin.rekey("g")
