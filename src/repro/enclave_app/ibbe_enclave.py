@@ -150,19 +150,16 @@ class IbbeEnclave(Enclave):
     # -- system lifecycle -------------------------------------------------------
 
     @ecall
-    def setup_system(self, m: int,
-                     precompute: bool = False,
-                     ) -> Tuple[ibbe.IbbePublicKey, bytes]:
+    def setup_system(self, m: int) -> Tuple[ibbe.IbbePublicKey, bytes]:
         """IBBE system setup bound to partition capacity ``m`` (Fig. 6a).
 
         Returns the public key and the MSK sealed for persistence.  The
-        plaintext MSK never crosses the boundary.  ``precompute`` enables
-        fixed-base window tables (see :func:`repro.ibbe.setup`).
+        plaintext MSK never crosses the boundary.  (Fixed-base tables
+        are the ``precompute`` config key's business: ``_install_msk``.)
         """
         if self._msk is not None:
             raise EnclaveError("system already set up")
-        msk, pk = ibbe.setup(self._group, m, self.rng,
-                             precompute=precompute)
+        msk, pk = ibbe.setup(self._group, m, self.rng)
         self._install_msk(msk, pk)
         sealed = self.seal_data(self._encode_msk(msk), aad=b"ibbe-msk")
         return pk, sealed

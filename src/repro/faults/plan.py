@@ -124,9 +124,9 @@ class FaultPlan:
         """Sharded-deployment trouble: seeded shard deaths at operation
         boundaries plus transient mutual-attestation failures during the
         respawn handshakes.  Store faults stay off so every kill lands
-        at a clean boundary — the shard chaos driver
-        (:func:`repro.workloads.chaos.run_shard_chaos`) adds its own
-        deterministic kill-each-shard-in-turn schedule on top."""
+        at a clean boundary — the chaos harness
+        (:func:`repro.workloads.chaos.run_chaos` with ``nshards``) adds
+        its own deterministic kill-each-shard-in-turn schedule on top."""
         return cls(seed=seed, shard_kill_rate=0.04,
                    max_shard_kills=max(1, nshards),
                    # The handshake consults the injector at ~4 sites per

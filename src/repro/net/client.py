@@ -69,6 +69,7 @@ from repro.errors import (
 from repro.net import wire
 from repro.net.wire import MUTATING_WIRE_METHODS
 from repro.obs import MetricRegistry, merge_traces, span, tracer
+from repro.obs.collect import carry_dropped
 
 #: Per-process connection-lane allocator: lane n renders as Chrome
 #: trace thread ``conn-n`` (tid -n; negative so lanes can never collide
@@ -284,9 +285,7 @@ class RemoteCloudStore(CloudStoreProtocol):
         deltas = telemetry.get("counters") or {}
         if deltas:
             self.server_metrics.add_counter_deltas(deltas)
-        dropped = int(telemetry.get("dropped") or 0)
-        if dropped:
-            tracer().registry.counter("obs.spans.dropped").add(dropped)
+        carry_dropped(telemetry, tracer())
 
     # -- contract methods --------------------------------------------------
 

@@ -62,6 +62,7 @@ from repro.errors import (
 from repro.net import wire
 from repro.net.reqlog import RequestLog
 from repro.obs import MetricRegistry, SloWindow, Tracer, span, use_tracer
+from repro.obs.collect import capture_payload
 
 #: Administrative operations the bridge will forward, with the keyword
 #: arguments each accepts.  Everything here is JSON-serializable in both
@@ -471,18 +472,10 @@ class StoreServer:
 
     def _capture_payload(self, capture: Tracer, registry,
                          before: Dict[str, float]) -> Dict[str, Any]:
-        deltas: Dict[str, float] = {}
-        if registry is not None:
-            for key, value in registry.counters_snapshot().items():
-                delta = value - before.get(key, 0)
-                if delta:
-                    deltas[key] = delta
-        return {
-            "spans": _json_safe([s.to_dict() for s in capture.spans()]),
-            "counters": deltas,
-            "dropped": capture.dropped,
-            "pid": os.getpid(),
-        }
+        payload = capture_payload(
+            capture, [registry] if registry is not None else [], before)
+        payload["spans"] = _json_safe(payload["spans"])
+        return payload
 
     # -- operational snapshots (ops.stats / ops.health) --------------------
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
 from repro.obs.metrics import MetricRegistry
 from repro.obs.spans import Span, Tracer, tracer as _global_tracer, \
@@ -92,18 +92,38 @@ class TaskCapture:
         return None
 
     def payload(self) -> Optional[Dict[str, Any]]:
-        """The picklable capture: span rows + counter deltas + pid."""
-        deltas: Dict[str, float] = {}
-        for source in _WORKER_SOURCES:
-            for name, value in source.counters_snapshot().items():
-                delta = value - self._before.get(name, 0)
-                if delta:
-                    deltas[name] = delta
-        spans = [span.to_dict() for span in self._tracer.spans()]
-        if not spans and not deltas:
+        """The picklable capture (``None`` when there is nothing to
+        ship)."""
+        payload = capture_payload(self._tracer, _WORKER_SOURCES,
+                                  self._before)
+        if not payload["spans"] and not payload["counters"]:
             return None
-        return {"pid": os.getpid(), "spans": spans, "counters": deltas,
-                "dropped": self._tracer.dropped}
+        return payload
+
+
+def capture_payload(capture: Tracer, sources: Iterable[MetricRegistry],
+                    before: Dict[str, float]) -> Dict[str, Any]:
+    """The one shippable telemetry bundle — worker-pool pickles and wire
+    ``Response.telemetry`` alike: ``capture``'s span rows, the counter
+    deltas of ``sources`` since the ``before`` snapshot, the capture's
+    dropped-span count and the producing pid."""
+    deltas: Dict[str, float] = {}
+    for source in sources:
+        for name, value in source.counters_snapshot().items():
+            delta = value - before.get(name, 0)
+            if delta:
+                deltas[name] = delta
+    return {"spans": [span.to_dict() for span in capture.spans()],
+            "counters": deltas, "dropped": capture.dropped,
+            "pid": os.getpid()}
+
+
+def carry_dropped(payload: Dict[str, Any], target: Tracer) -> None:
+    """Carry a shipped capture's buffer overflow over into ``target``'s
+    ``obs.spans.dropped`` so truncation stays visible after a merge."""
+    dropped = int(payload.get("dropped") or 0)
+    if dropped:
+        target.registry.counter("obs.spans.dropped").add(dropped)
 
 
 def capture_task(kernel: str) -> TaskCapture:
@@ -171,8 +191,7 @@ def merge_task_telemetry(payload: Optional[Dict[str, Any]],
         return 0
     if target is None:
         target = _global_tracer()
-    for _ in range(int(payload.get("dropped", 0))):
-        target.registry.counter("obs.spans.dropped").add()
+    carry_dropped(payload, target)
     deltas = payload.get("counters") or {}
     if deltas:
         remaining = dict(deltas)

@@ -59,9 +59,17 @@ from repro.core.adaptive import (
 )
 from repro.crypto.rng import DeterministicRng
 from repro.deploy import quickstart_system
-from repro.errors import ParameterError, ReproError, UnavailableError
+from repro.errors import ParameterError, ReproError
 from repro.obs.metrics import Histogram, MetricRegistry
-from repro.workloads.chaos import cloud_digest
+from repro.workloads.chaos import (
+    cloud_digest,
+    drive,
+    group_key_hash,
+    locked_out,
+    membership_digest,
+    reload_group,
+    server_observability,
+)
 
 OP_JOIN = "join"
 OP_LEAVE = "leave"
@@ -465,25 +473,6 @@ class ScaleRunner:
             self._injector = FaultInjector(plan)
             self.store = FaultyCloudStore(self.inner_store, self._injector)
 
-    def _drive(self, action, redo_check) -> None:
-        """Run one mutation to completion across exhausted retry
-        budgets (rare even under the fault profile): reload the group,
-        and redo from an RNG snapshot if the operation never landed —
-        the same contract the chaos driver keeps, minus crashes."""
-        snapshot = self.rng.getstate()
-        while True:
-            try:
-                action()
-                return
-            except UnavailableError:
-                gid = redo_check[0]
-                admin = self.system.admin
-                admin.cache.drop(gid)
-                admin.load_group_from_cloud(gid)
-                if redo_check[1]():
-                    return
-                self.rng.setstate(snapshot)
-
     def _phase(self, name: str) -> PhaseStat:
         stat = self.phase_stats.get(name)
         if stat is None:
@@ -516,24 +505,21 @@ class ScaleRunner:
                                for i in range(0, len(tail), step)]
 
     def _apply_event(self, event: ChurnEvent) -> None:
-        adaptive = self.adaptive
-        if event.kind == OP_JOIN:
-            self._drive(
-                lambda: adaptive.add_user(event.group_id, event.user),
-                (event.group_id,
-                 lambda: event.user in self.system.admin.group_state(
-                     event.group_id).table),
-            )
-        else:
-            self._drive(
-                lambda: adaptive.remove_user(event.group_id, event.user),
-                (event.group_id,
-                 lambda: event.user not in self.system.admin.group_state(
-                     event.group_id).table),
-            )
+        """One membership operation, run to completion across exhausted
+        retry budgets (rare even under the fault profile) by the chaos
+        harness's recovery driver: reload the group and, if the
+        operation never landed, redo it from the RNG snapshot."""
+        gid, user = event.group_id, event.user
+        admin = self.system.admin
+        joining = event.kind == OP_JOIN
+        act = self.adaptive.add_user if joining else self.adaptive.remove_user
+        drive(self.rng, lambda: act(gid, user),
+              lambda: (user in admin.group_state(gid).table) == joining,
+              lambda: reload_group(admin, gid))
+        if not joining:
             self._removed.append(event)
         if event.decrypts:
-            adaptive.record_decrypt(event.group_id, count=event.decrypts)
+            self.adaptive.record_decrypt(gid, count=event.decrypts)
 
     def churn(self) -> None:
         """Replay the bursty membership trace through the adaptive
@@ -643,8 +629,6 @@ class ScaleRunner:
         """The revocation invariant at scale: the most recently revoked
         users (still absent at the end of the trace) must not reach a
         group key through a fresh client."""
-        from repro.errors import ReproError as AnyError
-
         current: Dict[str, set] = {}
         for event in reversed(self._removed):
             gid = event.group_id
@@ -657,31 +641,12 @@ class ScaleRunner:
             if event.user in roster:
                 continue    # rejoined later; not a revocation any more
             self.revocation_checks += 1
-            try:
-                client = self.system.make_client(gid, event.user)
-                client.sync()
-                client.current_group_key()
-            except AnyError:
-                pass        # locked out — the invariant holds
-            else:
+            if not locked_out(self.system.make_client(gid, event.user)):
                 self.revocation_failures += 1
             if self.revocation_checks >= sample:
                 break
 
     # -- the verdict -------------------------------------------------------
-
-    def membership_digest(self) -> str:
-        """SHA-256 over every group's sorted member list — the semantic
-        state two equal-seed runs must agree on."""
-        digest = hashlib.sha256()
-        for group in self.groups:
-            digest.update(group.group_id.encode("utf-8"))
-            digest.update(b"\x00")
-            for member in sorted(
-                    self.system.admin.members(group.group_id)):
-                digest.update(member.encode("utf-8"))
-                digest.update(b"\x01")
-        return digest.hexdigest()
 
     def key_hashes(self, sample: int = 6) -> Dict[str, str]:
         """Group-key hashes at one surviving member of the largest
@@ -690,14 +655,10 @@ class ScaleRunner:
         hashes: Dict[str, str] = {}
         for group in self.groups[:sample]:
             gid = group.group_id
-            member = sorted(self.system.admin.members(gid))[0]
-            client = self.clients.get((gid, member))
-            if client is None:
-                client = self.system.make_client(gid, member)
-                self.clients[(gid, member)] = client
-            client.sync()
-            key = client.current_group_key()
-            hashes[gid] = hashlib.sha256(key).hexdigest()
+            key = (gid, sorted(self.system.admin.members(gid))[0])
+            if key not in self.clients:
+                self.clients[key] = self.system.make_client(*key)
+            hashes[gid] = group_key_hash(self.clients[key])
         return hashes
 
     def finish(self) -> ScaleReport:
@@ -751,7 +712,9 @@ class ScaleRunner:
         # Convergence digest: semantic membership + cloud content +
         # sampled group keys.  Pure state, no wall-clock anywhere.
         report.key_hashes = self.key_hashes()
-        report.membership_digest = self.membership_digest()
+        report.membership_digest = membership_digest(
+            (group.group_id, self.system.admin.members(group.group_id))
+            for group in self.groups)
         report.cloud_content_digest = cloud_digest(self.inner_store)
         objects = list(self.inner_store.adversary_view())
         report.cloud_objects = len(objects)
@@ -765,19 +728,9 @@ class ScaleRunner:
             digest.update(report.key_hashes[gid].encode("ascii"))
         report.convergence_digest = digest.hexdigest()
 
-        # Remote-store runs: pull the server's own view of the run —
-        # rolling SLO windows and the request-log tail — over the wire.
-        store = self.inner_store
-        if (hasattr(store, "server_stats")
-                and "ops" in getattr(store, "server_features", ())):
-            try:
-                stats = store.server_stats()
-            except ReproError:
-                pass
-            else:
-                report.server_slo = stats.get("slo", {})
-                report.request_log_tail = stats.get(
-                    "request_log", {}).get("tail", [])
+        # Remote-store runs: the server's own view of the run.
+        (report.server_slo,
+         report.request_log_tail) = server_observability(self.inner_store)
         return report
 
     def close(self) -> None:
@@ -991,13 +944,6 @@ def add_scale_arguments(parser) -> None:
                         help="inject the seeded store-fault profile "
                              "(outages/timeouts/latency spikes); the "
                              "convergence digest must not change")
-    parser.add_argument("--shards", type=int, default=None, metavar="N",
-                        help="run the sharded-deployment convergence "
-                             "scenario instead: an N-enclave "
-                             "ShardedSystem under kill-any-shard chaos "
-                             "(sized from --users/--churn-ops) must "
-                             "match the single-enclave run byte for "
-                             "byte")
     parser.add_argument("--store-url", default=None, metavar="URL",
                         help="run against a live repro serve endpoint "
                              "instead of the in-memory store")
@@ -1032,40 +978,6 @@ def config_from_args(args) -> ScaleConfig:
     )
 
 
-def run_shard_scale(args, nshards: int) -> int:
-    """The sharded-deployment convergence scenario at scale-suite sizing.
-
-    Derives a bounded multi-group churn workload from ``--users`` /
-    ``--churn-ops`` and hands it to
-    :func:`repro.workloads.chaos.run_shard_chaos`: every shard of an
-    ``N``-enclave deployment is killed in turn mid-churn and the final
-    cloud bytes, memberships and group keys must match the fault-free
-    single-enclave run.  Exit 0 on convergence, 1 otherwise.
-    """
-    import json
-
-    from repro.workloads.chaos import run_shard_chaos
-
-    users = int(float(args.users))
-    groups = max(2, min(8, round(users ** (1.0 / 3.0))))
-    pool = max(6, min(32, users // groups))
-    churn = args.churn_ops if args.churn_ops else max(12, min(96, users // 8))
-    report = run_shard_chaos(
-        nshards=nshards,
-        groups=groups,
-        ops=max(4, churn // groups),
-        pool=pool,
-        initial=max(3, pool // 2),
-        seed=args.seed,
-    )
-    payload = report.summary()
-    print(json.dumps(payload, indent=2))
-    if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-    return 0 if report.converged else 1
-
-
 def run_from_args(args) -> int:
     """Shared driver behind ``python -m repro.workloads.scale`` and the
     ``repro scale`` CLI subcommand: run the scenario (or calibration),
@@ -1074,9 +986,6 @@ def run_from_args(args) -> int:
     import os
 
     from repro import obs
-
-    if getattr(args, "shards", None):
-        return run_shard_scale(args, args.shards)
 
     trace_out = getattr(args, "trace_out", None)
     prom_out = getattr(args, "prom_out", None)

@@ -16,7 +16,7 @@ the parent commit and say so.
 """
 
 from repro.faults import FaultPlan
-from repro.workloads.chaos import run_chaos, run_shard_chaos
+from repro.workloads.chaos import run_chaos
 from repro.workloads.scale import run_scale
 
 SEED = "chaos-ci"
@@ -32,7 +32,8 @@ def _assert_chaos(report):
     assert report.converged
     assert report.reference_digest == report.chaos_digest == CLOUD
     assert report.reference_cold_digest == report.chaos_cold_digest == COLD
-    assert report.reference_key_hash == report.chaos_key_hash == KEY
+    assert (report.reference_key_hashes == report.chaos_key_hashes
+            == {"chaos": KEY})
 
 
 def test_chaos_store_profile():
@@ -48,9 +49,9 @@ def test_chaos_full_profile_with_compaction():
 
 def test_shard_chaos_two_shards():
     # The CLI sizes: --ops 30 over --groups 3, --pool 12.
-    report = run_shard_chaos(FaultPlan.shard_chaos(SEED, nshards=2),
-                             nshards=2, groups=3, ops=10, pool=12,
-                             seed=SEED)
+    report = run_chaos(FaultPlan.shard_chaos(SEED, nshards=2),
+                       nshards=2, groups=3, ops=10, pool=12, initial=4,
+                       seed=SEED)
     assert report.converged
     assert report.reference_digest == report.chaos_digest == SHARD
 

@@ -22,7 +22,7 @@ from repro.shard import (
     ShardRing,
     rendezvous_score,
 )
-from repro.workloads.chaos import cloud_digest, run_shard_chaos
+from repro.workloads.chaos import cloud_digest, run_chaos
 
 GROUPS = {
     "galois": ["galois.alice", "galois.bob", "galois.carol"],
@@ -272,9 +272,8 @@ class TestShardFaultKinds:
 
 class TestShardChaosHarness:
     def test_small_kill_any_shard_run_converges(self):
-        report = run_shard_chaos(nshards=2, groups=2, ops=6, pool=5,
-                                 initial=3, capacity=4,
-                                 seed="test-shard-chaos")
+        report = run_chaos(nshards=2, groups=2, ops=6, pool=5,
+                           initial=3, capacity=4, seed="test-shard-chaos")
         assert report.converged, report.summary()
         assert report.scheduled_kills == 2
         assert report.respawns >= report.scheduled_kills
