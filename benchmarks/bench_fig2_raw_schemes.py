@@ -136,7 +136,7 @@ def test_fig2a_group_creation_latency(sweep, sink, benchmark, std_group):
     sink.line(f"  IBBE/HE-PKI @100k: {ratio_100k:.1f}x (paper: 144x)")
     sink.line(f"  IBBE/HE-PKI @1M: {ratio_1m:.1f}x")
     sink.line(
-        "  note: pure-Python EC ops are ~50x slower than the paper's "
+        "  note: pure-Python EC ops are ~13x slower than the paper's "
         "native ECC while Z_q kernels are only ~3x slower, which shifts "
         "the IBBE/HE crossover right; the quadratic takeover itself is "
         "what the paper's claim rests on and is asserted below."

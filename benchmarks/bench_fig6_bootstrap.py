@@ -3,7 +3,10 @@
 Paper's observations:
 
 * 6a: system setup latency grows linearly with the partition size
-  (~1.2 s per 1,000 users on their hardware);
+  (~1.2 s per 1,000 users on their hardware) — here on top of a fixed
+  cost, the four fixed-base tables setup builds before its ``m``
+  exponentiations of ``h``, so linearity is checked on the growth
+  beyond the smallest size;
 * 6b: key-extract throughput is constant (~764 op/s), independent of the
   partition size.
 """
@@ -37,14 +40,15 @@ def test_fig6a_setup_latency(std_group, sink, benchmark):
     for m in (scaled(m) for m in PARTITION_SIZES):
         _, elapsed = time_call(ibbe.setup, std_group, m, rng)
         points.append((m, elapsed))
-    fit = fit_power_law(points)
+    base_m, base_t = points[0]
+    fit = fit_power_law([(m - base_m, t - base_t) for m, t in points[1:]])
     sink.table(
         "Fig 6a: system setup latency per partition size",
         ["partition size", "latency"],
         [[m, format_seconds(t)] for m, t in points],
     )
-    per_1000 = fit.predict(1000)
-    sink.line(f"  fit: {fit.describe()}")
+    per_1000 = base_t + fit.predict(1000 - base_m)
+    sink.line(f"  fit of the growth beyond m={base_m}: {fit.describe()}")
     sink.line(f"  projected setup @1000 users: {format_seconds(per_1000)} "
               "(paper: ~1.2 s growth per 1000)")
     assert 0.85 <= fit.exponent <= 1.15, "setup must be linear in m"

@@ -98,8 +98,7 @@ def toy_group() -> PairingGroup:
 def make_bench_system(seed: str, capacity: int, params: str = "toy64",
                       system_bound: int | None = None,
                       auto_repartition: bool = True,
-                      workers: int | None = 1,
-                      precompute: bool = False):
+                      workers: int | None = 1):
     return quickstart_system(
         partition_capacity=capacity,
         params=params,
@@ -107,7 +106,6 @@ def make_bench_system(seed: str, capacity: int, params: str = "toy64",
         auto_repartition=auto_repartition,
         system_bound=system_bound or capacity,
         workers=workers,
-        precompute=precompute,
     )
 
 

@@ -382,7 +382,7 @@ class GroupClient:
             self._pool = WorkerPool(
                 self.workers,
                 initializer=par_kernels.init_worker,
-                initargs=(group.params.name, pk.encode(), True, False),
+                initargs=(group.params.name, pk.encode(), True),
                 inline_initializer=lambda: par_kernels.set_context(group, pk),
                 registry=self.registry,
             )

@@ -140,7 +140,6 @@ class System:
             partition_capacity=self.admin.partition_capacity,
             auto_repartition=auto_repartition,
             workers=self.workers,
-            precompute=self.enclave.config["precompute"],
         )
 
     def rebind_store(self, cloud: CloudStoreProtocol) -> None:
@@ -259,8 +258,7 @@ def assemble_system(*, group: PairingGroup, device: SgxDevice,
                     auditor: Optional[Auditor] = None,
                     signing_key: Optional[ecdsa.EcdsaPrivateKey] = None,
                     auto_repartition: bool = True,
-                    workers: Optional[int] = None,
-                    precompute: bool = False) -> System:
+                    workers: Optional[int] = None) -> System:
     """Wire one enclave + administrator stack against ``cloud``:
     register ``device`` with ``ias`` (manufacturing), load the enclave,
     certify it when there is an ``auditor`` (Fig. 3), obtain the master
@@ -269,9 +267,8 @@ def assemble_system(*, group: PairingGroup, device: SgxDevice,
 
     ``signing_key`` is the key clients verify metadata under; ``None``
     draws a fresh one from ``rng`` (after the master-secret step, the
-    order every seeded digest depends on).  ``workers`` / ``precompute``
-    configure the enclave's parallel engine (performance only,
-    unmeasured).
+    order every seeded digest depends on).  ``workers`` configures the
+    enclave's parallel engine (performance only, unmeasured).
     """
     ias.register_device(device.device_id, device.attestation_public_key)
     worker_count = resolve_workers(workers)
@@ -287,7 +284,6 @@ def assemble_system(*, group: PairingGroup, device: SgxDevice,
         "pairing_group": group,
         **trust_root,
         "workers": worker_count,
-        "precompute": precompute,
     }
     enclave = IbbeEnclave.load(device, enclave_config)
     certificate = None
@@ -317,8 +313,7 @@ def quickstart_system(partition_capacity: int = 1000,
                       cloud: Optional[CloudStoreProtocol] = None,
                       auto_repartition: bool = True,
                       system_bound: Optional[int] = None,
-                      workers: Optional[int] = None,
-                      precompute: bool = False) -> System:
+                      workers: Optional[int] = None) -> System:
     """Stand up a complete single-admin deployment: manufacturing
     (device + IAS), an Auditor as trust root and a fresh system setup
     (Fig. 6a, Fig. 3), against ``cloud`` — any
@@ -334,8 +329,6 @@ def quickstart_system(partition_capacity: int = 1000,
     ``workers`` configures the enclave's parallel engine (:mod:`repro.par`)
     for partition-independent work — ``None`` defers to ``REPRO_WORKERS``,
     else serial.  Any worker count produces byte-identical results.
-    ``precompute`` additionally builds fixed-base wNAF tables for the
-    public-key bases in the enclave and in every worker process.
     """
     rng = rng or SystemRng()
     device = SgxDevice(rng=rng)
@@ -347,5 +340,5 @@ def quickstart_system(partition_capacity: int = 1000,
         msk=fresh_setup(system_bound or partition_capacity),
         partition_capacity=partition_capacity,
         auto_repartition=auto_repartition,
-        workers=workers, precompute=precompute,
+        workers=workers,
     )

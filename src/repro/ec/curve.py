@@ -4,16 +4,38 @@ The public interface is affine (:class:`Point`), while scalar multiplication
 runs on Jacobian coordinates internally to avoid a modular inversion per
 group operation.  This module serves both the NIST P-256 curve (baselines,
 signatures) and the supersingular pairing curve ``y² = x³ + x``.
+
+Every scalar multiplication is one signed-window engine built from four
+primitives: Jacobian doubling, *mixed* addition (Jacobian accumulator
+plus affine operand), Montgomery batch normalisation (many Jacobian
+points to affine for one inversion) and the digit recoder of
+:mod:`repro.ec.wnaf`.  ``Point.__mul__`` and :meth:`Curve.multi_mul` are
+the interleaved width-5 wNAF sum (Straus) over one or many bases;
+:meth:`Curve.mul_generator` and the long-lived IBBE bases go through the
+fixed-base tables of :class:`FixedBaseWnaf`.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
+from repro.ec.wnaf import (
+    HITS,
+    TABLE_WIDTH,
+    TABLES,
+    WNAF_WIDTH,
+    table_rows,
+    wnaf_digits,
+)
 from repro.errors import CurveError, ParameterError
 from repro.mathutils.modular import modinv, modsqrt
 
-Jacobian = Tuple[int, int, int]  # (X, Y, Z); point at infinity has Z == 0
+Affine = Tuple[int, int]          # a finite point; infinity is ``None``
+Jacobian = Tuple[int, int, int]   # (X, Y, Z); point at infinity has Z == 0
+
+_INFINITY: Jacobian = (1, 1, 0)
+#: Odd multiples ``P, 3P, …`` a wNAF ladder keeps per base.
+_ODD_MULTIPLES = 1 << (WNAF_WIDTH - 2)
 
 
 class Curve:
@@ -25,7 +47,7 @@ class Curve:
     """
 
     __slots__ = ("p", "a", "b", "order", "cofactor", "_generator", "name",
-                 "_gen_table")
+                 "_gen_table", "_a_signed")
 
     def __init__(self, p: int, a: int, b: int, order: Optional[int] = None,
                  generator: Optional[Tuple[int, int]] = None,
@@ -42,8 +64,11 @@ class Curve:
         self.order = order
         self.cofactor = cofactor
         self.name = name
+        # The representative of ``a`` closest to zero: 1 on the pairing
+        # curve, -3 on P-256 — a one-limb factor in every doubling.
+        self._a_signed = a if 2 * a < p else a - p
         self._generator: Optional[Point] = None
-        self._gen_table = None
+        self._gen_table: Optional[FixedBaseWnaf] = None
         if generator is not None:
             self._generator = self.point(*generator)
 
@@ -80,120 +105,139 @@ class Curve:
             (y * y - (pow(x, 3, self.p) + self.a * x + self.b)) % self.p == 0
         )
 
-    # -- Jacobian internals --------------------------------------------------
+    # -- Jacobian primitives -------------------------------------------------
 
-    def _jac_double(self, pt: Jacobian) -> Jacobian:
+    def _double(self, pt: Jacobian) -> Jacobian:
         X1, Y1, Z1 = pt
-        p = self.p
         if Z1 == 0 or Y1 == 0:
-            return (1, 1, 0)
-        XX = X1 * X1 % p
-        YY = Y1 * Y1 % p
-        YYYY = YY * YY % p
-        ZZ = Z1 * Z1 % p
-        S = 2 * ((X1 + YY) ** 2 - XX - YYYY) % p
-        M = (3 * XX + self.a * ZZ % p * ZZ) % p
-        T = (M * M - 2 * S) % p
-        Y3 = (M * (S - T) - 8 * YYYY) % p
-        Z3 = ((Y1 + Z1) ** 2 - YY - ZZ) % p
-        return (T, Y3, Z3)
-
-    def _jac_add(self, pt1: Jacobian, pt2: Jacobian) -> Jacobian:
-        X1, Y1, Z1 = pt1
-        X2, Y2, Z2 = pt2
+            return _INFINITY
         p = self.p
-        if Z1 == 0:
-            return pt2
-        if Z2 == 0:
-            return pt1
-        Z1Z1 = Z1 * Z1 % p
-        Z2Z2 = Z2 * Z2 % p
-        U1 = X1 * Z2Z2 % p
-        U2 = X2 * Z1Z1 % p
-        S1 = Y1 * Z2 % p * Z2Z2 % p
-        S2 = Y2 * Z1 % p * Z1Z1 % p
-        if U1 == U2:
-            if S1 != S2:
-                return (1, 1, 0)
-            return self._jac_double(pt1)
-        H = (U2 - U1) % p
-        I = 4 * H * H % p
-        J = H * I % p
-        r = 2 * (S2 - S1) % p
-        V = U1 * I % p
-        X3 = (r * r - J - 2 * V) % p
-        Y3 = (r * (V - X3) - 2 * S1 * J) % p
-        Z3 = ((Z1 + Z2) ** 2 - Z1Z1 - Z2Z2) % p * H % p
-        return (X3, Y3, Z3)
+        YY = Y1 * Y1 % p
+        S = 4 * X1 * YY % p
+        ZZ = Z1 * Z1 % p
+        M = (3 * X1 * X1 + self._a_signed * ZZ * ZZ) % p
+        X3 = (M * M - 2 * S) % p
+        Y3 = (M * (S - X3) - 8 * YY * YY) % p
+        return (X3, Y3, 2 * Y1 * Z1 % p)
 
-    def _jac_mul(self, pt: Jacobian, k: int) -> Jacobian:
-        if k == 0 or pt[2] == 0:
-            return (1, 1, 0)
-        if k < 0:
-            pt = (pt[0], (-pt[1]) % self.p, pt[2])
-            k = -k
-        result: Jacobian = (1, 1, 0)
-        addend = pt
-        while k:
-            if k & 1:
-                result = self._jac_add(result, addend)
-            addend = self._jac_double(addend)
-            k >>= 1
-        return result
+    def _add_affine(self, pt: Jacobian, x2: int, y2: int) -> Jacobian:
+        """Mixed addition ``pt + (x2, y2)`` — the operand has ``Z = 1``."""
+        X1, Y1, Z1 = pt
+        if Z1 == 0:
+            return (x2, y2, 1)
+        p = self.p
+        ZZ = Z1 * Z1 % p
+        H = (x2 * ZZ - X1) % p
+        r = (y2 * ZZ % p * Z1 - Y1) % p
+        if H == 0:
+            # Same x: the operand is the accumulator or its negative.
+            return self._double(pt) if r == 0 else _INFINITY
+        HH = H * H % p
+        HHH = H * HH % p
+        V = X1 * HH % p
+        X3 = (r * r - HHH - 2 * V) % p
+        Y3 = (r * (V - X3) - Y1 * HHH) % p
+        return (X3, Y3, Z1 * H % p)
+
+    def _normalise(self,
+                   points: Sequence[Jacobian]) -> List[Optional[Affine]]:
+        """Affine forms of ``points`` for one modular inversion
+        (Montgomery's trick); infinity (``Z == 0``) becomes ``None``."""
+        p = self.p
+        prefixes: List[int] = []
+        running = 1
+        for _, _, Z in points:
+            prefixes.append(running)
+            if Z:
+                running = running * Z % p
+        inverse = modinv(running, p)
+        out: List[Optional[Affine]] = [None] * len(points)
+        for i in range(len(points) - 1, -1, -1):
+            X, Y, Z = points[i]
+            if Z:
+                zinv = inverse * prefixes[i] % p
+                inverse = inverse * Z % p
+                zz = zinv * zinv % p
+                out[i] = (X * zz % p, Y * zz % p * zinv % p)
+        return out
+
+    def _multiples(self, x: int, y: int, count: int) -> List[Jacobian]:
+        """``[1·P, 2·P, …, count·P]`` for the affine ``P = (x, y)``: even
+        multiples by doubling, odd ones by one mixed addition of ``P``."""
+        out: List[Jacobian] = [(x, y, 1)]
+        for k in range(2, count + 1):
+            if k % 2:
+                out.append(self._add_affine(out[-1], x, y))
+            else:
+                out.append(self._double(out[k // 2 - 1]))
+        return out
 
     def _to_affine(self, pt: Jacobian) -> "Point":
-        X, Y, Z = pt
-        if Z == 0:
-            return self.infinity()
+        xy = self._normalise([pt])[0]
+        return self.infinity() if xy is None else Point(self, *xy)
+
+    def _wnaf_sum(self, terms: Iterable[Tuple[int, "Point"]]) -> "Point":
+        """``Σ k_i · P_i`` by interleaved width-5 wNAF (Straus).
+
+        Each base contributes its odd multiples ``P, 3P, …, 15P``; all of
+        them are normalised together, so the whole sum costs one
+        inversion for its tables and one for the result.  The doublings
+        are shared: one per bit of the longest scalar, plus one mixed
+        addition per non-zero digit (≈ bits/6 per term).
+        """
         p = self.p
-        zinv = modinv(Z, p)
-        zinv2 = zinv * zinv % p
-        return Point(self, X * zinv2 % p, Y * zinv2 % p * zinv % p)
+        odd_multiples: List[Jacobian] = []
+        recodings: List[List[int]] = []
+        for k, point in terms:
+            xy = point._xy()
+            if k == 0 or xy is None:
+                continue
+            x, y = xy
+            recodings.append(wnaf_digits(abs(k)))
+            odd_multiples.extend(self._multiples(
+                x, -y % p if k < 0 else y, 2 * _ODD_MULTIPLES - 1)[::2])
+        table = self._normalise(odd_multiples)
+        columns: List[List[Affine]] = [
+            [] for _ in range(max(map(len, recodings), default=0))
+        ]
+        for index, digits in enumerate(recodings):
+            first = index * _ODD_MULTIPLES
+            for position, digit in enumerate(digits):
+                entry = table[first + (abs(digit) >> 1)] if digit else None
+                if entry is not None:
+                    x, y = entry
+                    columns[position].append((x, -y % p if digit < 0 else y))
+        acc = _INFINITY
+        for column in reversed(columns):
+            acc = self._double(acc)
+            for x, y in column:
+                acc = self._add_affine(acc, x, y)
+        return self._to_affine(acc)
+
+    # -- scalar multiplication -------------------------------------------------
 
     def mul_generator(self, k: int) -> "Point":
-        """``k·G`` with a lazily built fixed-base wNAF table.
+        """``k·G`` from a lazily built fixed-base table.
 
         The generator is multiplied on every signature, key generation and
         ECIES encryption, so the one-time table pays for itself quickly.
         """
-        if self._generator is None:
-            raise CurveError(f"curve {self.name} has no generator configured")
+        generator = self.generator
         if self.order is not None:
             k %= self.order
-        if k == 0:
-            return self.infinity()
         if self._gen_table is None:
-            from repro.ec.wnaf import FixedBaseWnaf
             self._gen_table = FixedBaseWnaf(
-                self, self._generator._jac(),
-                bits=(self.order or self.p).bit_length(),
+                self, generator, bits=(self.order or self.p).bit_length(),
             )
-        negate = k < 0
-        point = self._to_affine(self._gen_table.mul(abs(k)))
-        return -point if negate else point
+        return self._gen_table.mul(k)
 
-    def multi_mul(self, pairs) -> "Point":
-        """Compute ``Σ k_i · P_i`` (interleaved double-and-add).
+    def multi_mul(self, pairs: Iterable[Tuple[int, "Point"]]) -> "Point":
+        """Compute ``Σ k_i · P_i`` (interleaved wNAF, shared doublings).
 
         ``pairs`` is an iterable of ``(scalar, Point)``.  Used by the IBBE
-        decrypt multi-exponentiation.
+        decrypt multi-exponentiation and by every ECDSA verification.
         """
-        pairs = [(k, pt) for k, pt in pairs if k != 0 and not pt.is_infinity()]
-        if not pairs:
-            return self.infinity()
-        jacs = [
-            ((x, y, 1) if k >= 0 else (x, (-y) % self.p, 1), abs(k))
-            for (k, pt) in pairs
-            for (x, y) in [(pt.x, pt.y)]
-        ]
-        max_bits = max(k.bit_length() for _, k in jacs)
-        acc: Jacobian = (1, 1, 0)
-        for bit in range(max_bits - 1, -1, -1):
-            acc = self._jac_double(acc)
-            for base, k in jacs:
-                if (k >> bit) & 1:
-                    acc = self._jac_add(acc, base)
-        return self._to_affine(acc)
+        return self._wnaf_sum(pairs)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -223,42 +267,48 @@ class Point:
     def is_infinity(self) -> bool:
         return self.x is None
 
+    def _xy(self) -> Optional[Affine]:
+        """``(x, y)`` of a finite point, ``None`` for infinity."""
+        if self.x is None or self.y is None:
+            return None
+        return (self.x, self.y)
+
     def is_on_curve(self) -> bool:
-        if self.is_infinity():
-            return True
-        return self.curve.contains(self.x, self.y)  # type: ignore[arg-type]
+        xy = self._xy()
+        return xy is None or self.curve.contains(*xy)
 
     def _jac(self) -> Jacobian:
-        if self.is_infinity():
-            return (1, 1, 0)
-        return (self.x, self.y, 1)  # type: ignore[return-value]
+        xy = self._xy()
+        return _INFINITY if xy is None else (xy[0], xy[1], 1)
 
     def __add__(self, other: "Point") -> "Point":
         if not isinstance(other, Point):
             return NotImplemented
         if other.curve != self.curve:
             raise CurveError("points on different curves")
-        return self.curve._to_affine(
-            self.curve._jac_add(self._jac(), other._jac())
-        )
+        xy = other._xy()
+        if xy is None:
+            return self
+        return self.curve._to_affine(self.curve._add_affine(self._jac(), *xy))
 
     def __sub__(self, other: "Point") -> "Point":
         return self + (-other)
 
     def __neg__(self) -> "Point":
-        if self.is_infinity():
+        xy = self._xy()
+        if xy is None:
             return self
-        return Point(self.curve, self.x, (-self.y) % self.curve.p)  # type: ignore[operator]
+        return Point(self.curve, xy[0], -xy[1] % self.curve.p)
 
     def __mul__(self, k: int) -> "Point":
         if not isinstance(k, int):
             return NotImplemented
-        return self.curve._to_affine(self.curve._jac_mul(self._jac(), k))
+        return self.curve._wnaf_sum([(k, self)])
 
     __rmul__ = __mul__
 
     def double(self) -> "Point":
-        return self.curve._to_affine(self.curve._jac_double(self._jac()))
+        return self.curve._to_affine(self.curve._double(self._jac()))
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -273,22 +323,82 @@ class Point:
 
     def encode(self) -> bytes:
         """Compressed SEC1-style encoding (02/03 prefix + x), 00 for infinity."""
-        if self.is_infinity():
+        xy = self._xy()
+        if xy is None:
             return b"\x00"
         size = (self.curve.p.bit_length() + 7) // 8
-        prefix = b"\x03" if self.y % 2 else b"\x02"  # type: ignore[operator]
-        return prefix + self.x.to_bytes(size, "big")  # type: ignore[union-attr]
+        prefix = b"\x03" if xy[1] % 2 else b"\x02"
+        return prefix + xy[0].to_bytes(size, "big")
 
     @classmethod
     def decode(cls, curve: Curve, data: bytes) -> "Point":
+        """Inverse of :meth:`encode`; accepts the canonical encoding only
+        (exact length, ``x < p``), so one point has one byte string."""
         if data == b"\x00":
             return curve.infinity()
-        if not data or data[0] not in (2, 3):
+        size = (curve.p.bit_length() + 7) // 8
+        if len(data) != 1 + size or data[0] not in (2, 3):
             raise CurveError("malformed compressed point")
         x = int.from_bytes(data[1:], "big")
+        if x >= curve.p:
+            raise CurveError("compressed point has x >= p")
         return curve.lift_x(x, y_parity=data[0] - 2)
 
     def __repr__(self) -> str:
         if self.is_infinity():
             return f"Point(infinity on {self.curve.name})"
         return f"Point({self.x}, {self.y} on {self.curve.name})"
+
+
+class FixedBaseWnaf:
+    """Radix-``2^width`` signed-digit table for one fixed curve point.
+
+    ``rows[i][j-1]`` holds ``j · 2^(width·i) · B`` in affine coordinates
+    for ``j = 1 … 2^(width-1)``, so a recoded scalar is evaluated with
+    one mixed addition per non-zero digit and *no* doublings; negative
+    digits negate the looked-up point, which costs one field
+    subtraction.  At ``std160`` that is 41 rows of 8 points, built with
+    two batch inversions.
+    """
+
+    __slots__ = ("curve", "width", "rows")
+
+    def __init__(self, curve: Curve, base: Point,
+                 bits: int, width: int = TABLE_WIDTH) -> None:
+        self.curve = curve
+        self.width = width
+        per_row = 1 << (width - 1)
+        row_base = base._jac()
+        row_bases = [row_base]
+        for _ in range(table_rows(bits, width) - 1):
+            for _ in range(width):
+                row_base = curve._double(row_base)
+            row_bases.append(row_base)
+        multiples: List[Jacobian] = []
+        for xy in curve._normalise(row_bases):
+            # A base of small 2-power order leaves its upper rows empty.
+            multiples.extend([_INFINITY] * per_row if xy is None
+                             else curve._multiples(*xy, per_row))
+        entries = curve._normalise(multiples)
+        self.rows = [entries[start:start + per_row]
+                     for start in range(0, len(entries), per_row)]
+        TABLES.add()
+
+    def mul(self, k: int) -> Point:
+        """``k · B`` for ``|k| < 2^bits``; a scalar beyond the table is a
+        :class:`~repro.errors.CurveError`."""
+        if k < 0:
+            return -self.mul(-k)
+        HITS.add()
+        digits = wnaf_digits(k, self.width, self.width)
+        if len(digits) > len(self.rows):
+            raise CurveError("scalar exceeds the fixed-base table")
+        curve = self.curve
+        p = curve.p
+        acc = _INFINITY
+        for row, digit in zip(self.rows, digits):
+            entry = row[abs(digit) - 1] if digit else None
+            if entry is not None:
+                x, y = entry
+                acc = curve._add_affine(acc, x, -y % p if digit < 0 else y)
+        return curve._to_affine(acc)

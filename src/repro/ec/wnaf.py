@@ -1,36 +1,38 @@
-"""Fixed-base scalar multiplication via width-w non-adjacent form (wNAF).
+"""Signed-digit recoding for scalar multiplication, and its metrics.
 
-A scalar recoded into width-``w`` NAF has digits that are zero or odd with
-``|d| < 2^(w-1)``, and at most one non-zero digit in any ``w`` consecutive
-positions — on average ``bits/(w+1)`` non-zero digits versus ``bits/2``
-set bits in binary.  For a *fixed* base the per-bit-position odd multiples
-can be precomputed once, after which every multiplication is just the
-sparse sum of table entries (group negation is free in EC groups, which is
-what lets wNAF halve the table against unsigned windows of the same
-width).
+One recoder, :func:`wnaf_digits`, serves every exponentiation in the
+library.  With ``stride=1`` it yields the width-``w`` non-adjacent form:
+digits zero or odd with ``|d| < 2^(w-1)`` and at most one non-zero digit
+in any ``w`` consecutive positions (``≈ bits/(w+1)`` non-zero digits
+against ``bits/2`` set bits in binary) — what the variable-base ladders
+of :mod:`repro.ec.curve` consume.  With ``stride=w`` it yields the
+radix-``2^w`` signed-window form, one digit per ``w`` bits with
+``|d| ≤ 2^(w-1)``, which indexes the fixed-base tables
+(:class:`repro.ec.curve.FixedBaseWnaf` for curve points, the same row
+layout inside :class:`repro.pairing.group.GTElement`).  Group
+negation is free (EC points, and GT elements of the order-``q``
+subgroup), which is what lets signed digits halve every table.
 
-The long-lived bases this serves are the IBBE public-key elements ``w``,
-``v``, ``h`` (exponentiated by every membership operation, Algorithms 1-3)
-and curve generators (every signature / key generation).  Table usage is
-observable through the module-level :data:`registry` (``ec.precomp.*``
-metrics), which :meth:`repro.System.metric_sources` folds into the
-unified telemetry snapshot.
+The long-lived bases the tables serve are the IBBE public-key elements
+``w``, ``v``, ``h`` and the master secret's ``g`` (exponentiated by every
+membership operation, Algorithms 1-3) and curve generators (every
+signature / key generation).  Table usage is observable through the
+module-level :data:`registry` (``ec.precomp.*`` metrics), which
+:meth:`repro.System.metric_sources` folds into the unified telemetry
+snapshot.
 """
 
 from __future__ import annotations
 
-from typing import List, TYPE_CHECKING
+from typing import List
 
 from repro.obs.collect import register_worker_source
 from repro.obs.metrics import MetricRegistry
 from repro.errors import ValidationError
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.ec.curve import Curve, Jacobian
-
 #: Process-wide precomputation metrics: ``ec.precomp.tables`` (tables
 #: built), ``ec.precomp.hits`` (exponentiations served by a table),
-#: ``ec.precomp.misses`` (exponentiations that ran a full ladder).
+#: ``ec.precomp.misses`` (variable-base exponentiations).
 #: Registered as a worker source so counters bumped inside pool workers
 #: are merged back into the parent process after each traced dispatch.
 registry = register_worker_source(MetricRegistry())
@@ -38,74 +40,45 @@ TABLES = registry.counter("ec.precomp.tables")
 HITS = registry.counter("ec.precomp.hits")
 MISSES = registry.counter("ec.precomp.misses")
 
-#: Default window width; 2^(w-2) table entries per digit position.
-DEFAULT_WIDTH = 5
+#: Window width of the variable-base wNAF ladders.
+WNAF_WIDTH = 5
+#: Window width of the fixed-base tables (G1 and GT): one row of
+#: ``2^(TABLE_WIDTH-1)`` multiples per ``TABLE_WIDTH`` bits of the scalar.
+TABLE_WIDTH = 4
 
 
-def wnaf_digits(k: int, width: int = DEFAULT_WIDTH) -> List[int]:
-    """Width-``width`` NAF of ``k >= 0``, least-significant digit first.
+def wnaf_digits(k: int, width: int = WNAF_WIDTH, stride: int = 1) -> List[int]:
+    """Signed digits of ``k >= 0``, least significant first, with
+    ``k = Σ d_i · 2^(stride·i)`` and ``|d_i| <= 2^(width-1)``.
 
-    Every digit is either zero or an odd integer with absolute value below
-    ``2^(width-1)``; for a ``b``-bit scalar the digit string has at most
-    ``b + 1`` entries.
+    ``stride=1`` is the width-``width`` NAF (every digit zero or odd; at
+    most ``bits + 1`` digits for a ``bits``-bit scalar); ``stride=width``
+    is the radix-``2^width`` signed-window form (at most
+    :func:`table_rows` digits).
     """
     if k < 0:
         raise ValidationError("wNAF recoding expects a non-negative scalar")
-    if width < 2:
-        raise ValidationError("wNAF width must be >= 2")
+    if width < 2 or not 1 <= stride <= width:
+        raise ValidationError("wNAF needs width >= 2 and 1 <= stride <= width")
     radix = 1 << width
     half = radix >> 1
+    window = radix - 1
+    low = (1 << stride) - 1
     digits: List[int] = []
     while k:
-        if k & 1:
-            digit = k & (radix - 1)
-            if digit >= half:
+        if k & low:
+            digit = k & window
+            if digit > half:
                 digit -= radix
             k -= digit
             digits.append(digit)
         else:
             digits.append(0)
-        k >>= 1
+        k >>= stride
     return digits
 
 
-class FixedBaseWnaf:
-    """Per-digit-position odd-multiple tables for one fixed curve point.
-
-    ``rows[i][t]`` holds ``(2t+1) · 2^i · B`` in Jacobian coordinates, so a
-    recoded scalar is evaluated with one mixed addition per non-zero digit
-    and *no* doublings; negative digits negate the looked-up point, which
-    costs one field subtraction.
-    """
-
-    __slots__ = ("curve", "width", "rows")
-
-    def __init__(self, curve: "Curve", base: "Jacobian",
-                 bits: int, width: int = DEFAULT_WIDTH) -> None:
-        self.curve = curve
-        self.width = width
-        rows: List[List["Jacobian"]] = []
-        entries = 1 << (width - 2)
-        for _ in range(bits + 2):
-            twice = curve._jac_double(base)
-            row = [base]
-            for _ in range(entries - 1):
-                row.append(curve._jac_add(row[-1], twice))
-            rows.append(row)
-            base = twice
-        self.rows = rows
-        TABLES.add()
-
-    def mul(self, k: int) -> "Jacobian":
-        """``k · B`` for ``0 <= k < 2^bits`` (Jacobian result)."""
-        HITS.add()
-        curve = self.curve
-        p = curve.p
-        acc: "Jacobian" = (1, 1, 0)
-        for i, digit in enumerate(wnaf_digits(k, self.width)):
-            if digit:
-                x, y, z = self.rows[i][(abs(digit) - 1) >> 1]
-                if digit < 0:
-                    y = p - y
-                acc = curve._jac_add(acc, (x, y, z))
-        return acc
+def table_rows(bits: int, width: int = TABLE_WIDTH) -> int:
+    """Rows a fixed-base table needs for scalars below ``2^bits``: one per
+    ``width`` bits plus one for the final carry."""
+    return -(-bits // width) + 1

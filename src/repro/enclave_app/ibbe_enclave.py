@@ -90,10 +90,10 @@ class IbbeEnclave(Enclave):
 
     VERSION = "ibbe-sgx-1.0"
 
-    # Engine knobs are performance-only (results are byte-identical at
-    # any worker count), so they stay out of the audited identity — a
+    # The engine knob is performance-only (results are byte-identical at
+    # any worker count), so it stays out of the audited identity — a
     # redeploy with more workers must still unseal its MSK.
-    UNMEASURED_CONFIG = frozenset({"workers", "precompute"})
+    UNMEASURED_CONFIG = frozenset({"workers"})
 
     def __init__(self, device, config=None) -> None:
         super().__init__(device, config)
@@ -137,7 +137,6 @@ class IbbeEnclave(Enclave):
         # created lazily on first use (it needs the public key) and its
         # par.* metrics ride this enclave's meter registry.
         self._workers = resolve_workers((self.config or {}).get("workers"))
-        self._precompute = bool((self.config or {}).get("precompute", False))
         self._pool: Optional[WorkerPool] = None
         self.meter.registry.gauge("par.workers", lambda: self._workers)
 
@@ -154,8 +153,7 @@ class IbbeEnclave(Enclave):
         """IBBE system setup bound to partition capacity ``m`` (Fig. 6a).
 
         Returns the public key and the MSK sealed for persistence.  The
-        plaintext MSK never crosses the boundary.  (Fixed-base tables
-        are the ``precompute`` config key's business: ``_install_msk``.)
+        plaintext MSK never crosses the boundary.
         """
         if self._msk is not None:
             raise EnclaveError("system already set up")
@@ -175,8 +173,10 @@ class IbbeEnclave(Enclave):
                      pk: ibbe.IbbePublicKey) -> None:
         self._msk = msk
         self._pk = pk
-        if self._precompute:
-            pk.enable_precomputation()
+        # This enclave exponentiates w, v, h (Algorithms 1-3) and g
+        # (extract) for as long as it lives: table them once.
+        pk.enable_precomputation()
+        msk.g.enable_precomputation()
         self.track_secret(msk.gamma.to_bytes(32, "big"))
         self.track_secret(msk.g.encode())
 
@@ -575,8 +575,7 @@ class IbbeEnclave(Enclave):
             self._pool = WorkerPool(
                 self._workers,
                 initializer=par_kernels.init_worker,
-                initargs=(group.params.name, pk.encode(), False,
-                          self._precompute),
+                initargs=(group.params.name, pk.encode(), False),
                 inline_initializer=lambda: par_kernels.set_context(group, pk),
                 registry=self.meter.registry,
             )

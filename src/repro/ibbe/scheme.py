@@ -57,14 +57,16 @@ class IbbePublicKey:
         return self.group.hash_to_scalar(identity, domain=b"repro:ibbe-h")
 
     def enable_precomputation(self) -> "IbbePublicKey":
-        """Build fixed-base wNAF tables for the hot bases ``w``, ``v`` and
+        """Build fixed-base tables for the hot bases ``w``, ``v`` and
         ``h`` (idempotent; tables are cached on the elements, so every
         holder of this key object shares them).
 
         These three are the only bases ``encrypt_msk`` / ``rekey_from_c3``
         exponentiate with fresh scalars, so this turns the per-partition
         cost of Algorithms 1-3 from three full ladders into sparse
-        table lookups.  The parallel engine enables it per worker process.
+        table lookups.  Called where those run — :func:`setup`, the
+        enclave installing a master secret, each engine worker process —
+        and not by :meth:`decode`: clients never exponentiate the bases.
         """
         self.h.enable_precomputation()
         self.w.enable_precomputation()
@@ -204,42 +206,35 @@ class IbbeCiphertext:
 # Setup and key extraction (identical for IBBE and IBBE-SGX)
 # ---------------------------------------------------------------------------
 
-def setup(group: PairingGroup, m: int, rng: Rng,
-          precompute: bool = False) -> Tuple[IbbeMasterSecret, IbbePublicKey]:
+def setup(group: PairingGroup, m: int, rng: Rng
+          ) -> Tuple[IbbeMasterSecret, IbbePublicKey]:
     """System setup for maximal broadcast-set size ``m`` — O(m).
 
     Under IBBE-SGX the bound applies per *partition*, which is why the
     partitioning mechanism shrinks both this setup cost and the public key
     size (paper §IV-C).
 
-    ``precompute=True`` builds fixed-base window tables for the long-lived
-    elements ``w``, ``v`` and ``h`` that every membership operation
-    exponentiates, speeding those operations by 2-3×.  Off by default to
-    keep the cost profile faithful to the paper's PBC implementation
-    (which exponentiates without precomputation); the ablation benchmark
-    quantifies the difference.
+    The returned keys carry fixed-base tables for the long-lived elements
+    every membership operation exponentiates (``w``, ``v``, ``h`` and the
+    master secret's ``g``); ``h``'s serves the ``m`` exponentiations
+    below first.
     """
     if m < 1:
         raise ParameterError("maximal broadcast size m must be >= 1")
     g = group.g1 ** group.random_scalar(rng)
     gamma = group.random_scalar(rng)
     h = group.g1 ** group.random_scalar(rng)
+    g.enable_precomputation()   # extract exponentiates g per user
+    h.enable_precomputation()
     w = g ** gamma
     v = group.pair(g, h)
-    if precompute:
-        h.enable_precomputation()
-        w.enable_precomputation()
-        v.enable_precomputation()
-        g.enable_precomputation()   # extract exponentiates g per user
     h_powers: List[G1Element] = [h]
     acc = 1
     for _ in range(m):
         acc = (acc * gamma) % group.q
         h_powers.append(h ** acc)
-    return (
-        IbbeMasterSecret(g=g, gamma=gamma),
-        IbbePublicKey(group=group, m=m, w=w, v=v, h_powers=tuple(h_powers)),
-    )
+    pk = IbbePublicKey(group=group, m=m, w=w, v=v, h_powers=tuple(h_powers))
+    return IbbeMasterSecret(g=g, gamma=gamma), pk.enable_precomputation()
 
 
 def extract(msk: IbbeMasterSecret, pk: IbbePublicKey,

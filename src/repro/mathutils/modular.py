@@ -58,10 +58,15 @@ def modsqrt(a: int, p: int) -> int:
         return 0
     if p == 2:
         return a
+    if p % 4 == 3:
+        # a^((p+1)/4) squares to ±a: checking the candidate is one
+        # multiplication, where a Jacobi symbol up front is a gcd loop.
+        root = pow(a, (p + 1) // 4, p)
+        if root * root % p != a:
+            raise MathError(f"{a} is not a quadratic residue modulo {p}")
+        return root
     if jacobi_symbol(a, p) != 1:
         raise MathError(f"{a} is not a quadratic residue modulo {p}")
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
     # Tonelli-Shanks for p ≡ 1 (mod 4).
     q, s = p - 1, 0
     while q % 2 == 0:

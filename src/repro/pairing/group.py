@@ -11,11 +11,11 @@ from __future__ import annotations
 import hashlib
 from typing import Iterable, Tuple
 
-from repro.ec.curve import Curve, Point
+from repro.ec.curve import Curve, FixedBaseWnaf, Point
 from repro.ec.wnaf import HITS as _precomp_hits
 from repro.ec.wnaf import MISSES as _precomp_misses
 from repro.ec.wnaf import TABLES as _precomp_tables
-from repro.ec.wnaf import DEFAULT_WIDTH, FixedBaseWnaf, wnaf_digits
+from repro.ec.wnaf import TABLE_WIDTH, table_rows, wnaf_digits
 from repro.errors import PairingError
 from repro.obs.spans import span as _span
 from repro.fields.fp2 import (
@@ -117,12 +117,12 @@ class PairingGroup:
 class G1Element:
     """Element of G1 (written multiplicatively to match the paper)."""
 
-    __slots__ = ("group", "point", "_wnaf_table")
+    __slots__ = ("group", "point", "_table")
 
     def __init__(self, group: PairingGroup, point: Point) -> None:
         self.group = group
         self.point = point
-        self._wnaf_table = None
+        self._table: FixedBaseWnaf | None = None
 
     def __mul__(self, other: "G1Element") -> "G1Element":
         if not isinstance(other, G1Element):
@@ -135,28 +135,26 @@ class G1Element:
         return G1Element(self.group, self.point - other.point)
 
     def enable_precomputation(self) -> "G1Element":
-        """Build a fixed-base wNAF table so subsequent exponentiations of
-        THIS element cost ~q_bits/(w+1) mixed additions instead of a full
-        double-and-add ladder (about 6× on the std160 preset).
+        """Build a fixed-base table so subsequent exponentiations of THIS
+        element cost ~q_bits/4 mixed additions and no doublings instead
+        of a full wNAF ladder (about 4× on the std160 preset, for a table
+        that costs about three ladders to build).
 
-        Used for the long-lived public-key elements (w, v, h) that every
-        membership operation exponentiates (paper Algorithms 1-3), and by
-        the parallel engine's worker processes, which build the tables
-        once per process at pool start-up."""
-        if self._wnaf_table is None and not self.point.is_infinity():
-            self._wnaf_table = FixedBaseWnaf(
-                self.group.curve, self.point._jac(),
-                bits=self.group.q.bit_length(),
+        Used for the long-lived elements every membership operation
+        exponentiates (the public key's w, v, h and the master secret's
+        g; paper Algorithms 1-3) where they are exponentiated: system
+        setup, the enclave holding the master secret and the parallel
+        engine's worker processes."""
+        if self._table is None and not self.point.is_infinity():
+            self._table = FixedBaseWnaf(
+                self.group.curve, self.point, bits=self.group.q.bit_length(),
             )
         return self
 
     def __pow__(self, exponent: int) -> "G1Element":
         exponent %= self.group.q
-        if self._wnaf_table is not None:
-            curve = self.group.curve
-            return G1Element(
-                self.group, curve._to_affine(self._wnaf_table.mul(exponent))
-            )
+        if self._table is not None:
+            return G1Element(self.group, self._table.mul(exponent))
         _precomp_misses.add()
         return G1Element(self.group, self.point * exponent)
 
@@ -187,35 +185,35 @@ class G1Element:
 class GTElement:
     """Element of GT, the order-q subgroup of F_p²*."""
 
-    __slots__ = ("group", "raw", "_wnaf_table")
+    __slots__ = ("group", "raw", "_table")
 
     def __init__(self, group: PairingGroup, raw: RawFp2) -> None:
         self.group = group
         self.raw = raw
-        self._wnaf_table = None
+        self._table: list[list[RawFp2]] | None = None
 
     def enable_precomputation(self) -> "GTElement":
-        """Fixed-base wNAF table for a long-lived GT base (see G1Element).
+        """Fixed-base table for a long-lived GT base, in the row layout
+        of :class:`~repro.ec.curve.FixedBaseWnaf`: ``rows[i][j-1]`` is the
+        base to the power ``j · 2^(TABLE_WIDTH·i)``.
 
-        Negative wNAF digits need cheap inversion, which GT provides:
+        Negative digits need cheap inversion, which GT provides:
         elements of the order-q subgroup satisfy ``z^(p+1) = 1``, so the
         inverse is the conjugate.  The table is therefore only valid for
         subgroup members — which the long-lived bases it serves (``v``,
         pairing outputs) always are.
         """
-        if self._wnaf_table is None and self.raw != (1, 0):
+        if self._table is None and self.raw != (1, 0):
             p = self.group.p
-            entries = 1 << (DEFAULT_WIDTH - 2)
             rows = []
             base = self.raw
-            for _ in range(self.group.q.bit_length() + 2):
-                twice = fp2_mul(base, base, p)
+            for _ in range(table_rows(self.group.q.bit_length())):
                 row = [base]
-                for _ in range(entries - 1):
-                    row.append(fp2_mul(row[-1], twice, p))
+                for _ in range((1 << (TABLE_WIDTH - 1)) - 1):
+                    row.append(fp2_mul(row[-1], base, p))
                 rows.append(row)
-                base = twice
-            self._wnaf_table = rows
+                base = fp2_mul(row[-1], row[-1], p)
+            self._table = rows
             _precomp_tables.add()
         return self
 
@@ -231,13 +229,14 @@ class GTElement:
 
     def __pow__(self, exponent: int) -> "GTElement":
         exponent %= self.group.q
-        if self._wnaf_table is not None:
+        if self._table is not None:
             _precomp_hits.add()
             p = self.group.p
             acc: RawFp2 = (1, 0)
-            for i, digit in enumerate(wnaf_digits(exponent)):
+            digits = wnaf_digits(exponent, TABLE_WIDTH, TABLE_WIDTH)
+            for row, digit in zip(self._table, digits):
                 if digit:
-                    entry = self._wnaf_table[i][(abs(digit) - 1) >> 1]
+                    entry = row[abs(digit) - 1]
                     if digit < 0:
                         entry = fp2_conj(entry, p)
                     acc = fp2_mul(acc, entry, p)

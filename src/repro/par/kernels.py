@@ -39,13 +39,14 @@ def set_context(group: PairingGroup, pk: IbbePublicKey) -> None:
 
 
 def init_worker(preset_name: str, pk_bytes: bytes,
-                full_pk: bool = True, precompute: bool = True) -> None:
+                full_pk: bool = True) -> None:
     """Pool initializer: rebuild the context from wire-format inputs.
 
     ``full_pk=False`` decodes only the ``(w, v, h)`` bases the
-    partition-build kernels touch, skipping the ``m`` point
-    decompressions of the ``h``-power ladder (one modular square root
-    each — seconds for large ``m``).  Hint kernels need the full key.
+    partition-build kernels exponentiate — and tables them — skipping
+    the ``m`` point decompressions of the ``h``-power ladder (one modular
+    square root each — seconds for large ``m``).  Hint kernels need the
+    full key and exponentiate none of it.
     """
     from repro.pairing.params import preset
 
@@ -53,9 +54,7 @@ def init_worker(preset_name: str, pk_bytes: bytes,
     if full_pk:
         pk = IbbePublicKey.decode(pk_bytes, group)
     else:
-        pk = _decode_pk_bases(pk_bytes, group)
-    if precompute:
-        pk.enable_precomputation()
+        pk = _decode_pk_bases(pk_bytes, group).enable_precomputation()
     set_context(group, pk)
 
 

@@ -226,8 +226,7 @@ class Enclave:
     VERSION = "1.0"
 
     #: Config keys excluded from the measurement: runtime tuning knobs
-    #: (worker counts, precomputation toggles) that change performance but
-    #: never results.  Real MRENCLAVE likewise covers code and data pages,
+    #: (worker counts) that change performance but never results.  Real MRENCLAVE likewise covers code and data pages,
     #: not launch-time thread configuration — and sealing policy demands
     #: it: data sealed by a deployment must remain unsealable after a
     #: restart with a different knob setting.

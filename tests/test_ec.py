@@ -110,10 +110,46 @@ class TestEncoding:
         with pytest.raises(CurveError):
             Point.decode(P256, b"\x09" + bytes(32))
 
+    def test_non_canonical_length_rejected(self):
+        # One point, one byte string: a padded or truncated x used to
+        # decode to the same point as the canonical encoding.
+        encoded = (P256.generator * 7).encode()
+        for data in (encoded[:1] + b"\x00" + encoded[1:],
+                     encoded[:1] + encoded[2:], encoded + b"\x00",
+                     encoded[:1], b"\x00\x00"):
+            with pytest.raises(CurveError):
+                Point.decode(P256, data)
+
+    def test_unreduced_x_rejected(self):
+        # x = 5 lifts on P-256 and x + p still fits 32 bytes; it used to
+        # be reduced silently.
+        assert Point.decode(P256, b"\x02" + (5).to_bytes(32, "big")).x == 5
+        with pytest.raises(CurveError):
+            Point.decode(P256, b"\x02" + (5 + P256.p).to_bytes(32, "big"))
+        with pytest.raises(CurveError):
+            Point.decode(P256, b"\x03" + P256.p.to_bytes(32, "big"))
+
     def test_lift_x(self):
         point = P256.generator * 99
         lifted = P256.lift_x(point.x, point.y % 2)
         assert lifted == point
+
+
+class TestFixedBaseRange:
+    def test_scalar_beyond_table_is_a_library_error(self):
+        # No order to reduce by: the table covers |k| < 2^bits and says
+        # so (this was an IndexError).
+        curve = Curve(p=P256.p, a=P256.a, b=P256.b,
+                      generator=(P256.generator.x, P256.generator.y))
+        assert curve.mul_generator(2 ** 256 - 1) == \
+            P256.generator * (2 ** 256 - 1)
+        assert curve.mul_generator(-5) == -(P256.generator * 5)
+        with pytest.raises(CurveError):
+            curve.mul_generator(2 ** 262)
+
+    def test_no_generator(self):
+        with pytest.raises(CurveError):
+            Curve(p=23, a=-1, b=0).mul_generator(3)
 
 
 class TestHashToPoint:

@@ -72,6 +72,19 @@ class TestCryptoFuzz:
     def test_point_decode(self, data):
         _assert_fails_closed(lambda d: Point.decode(P256, d), data)
 
+    @given(st.integers(min_value=0, max_value=2 ** 256 - 1),
+           st.sampled_from([2, 3]), st.sampled_from([b"", b"\x00"]))
+    @settings(max_examples=60)
+    def test_point_decode_is_injective(self, x, prefix, pad):
+        """Whatever decodes re-encodes to the same bytes: no zero-padded
+        x, no x >= p standing in for x - p."""
+        data = bytes([prefix]) + pad + x.to_bytes(32, "big")
+        try:
+            point = Point.decode(P256, data)
+        except ReproError:
+            return
+        assert point.encode() == data
+
     @given(data=junk)
     @settings(max_examples=40)
     def test_g1_decode(self, group, data):

@@ -103,6 +103,25 @@ class TestModsqrt:
         root = modsqrt(10, 13)
         assert (root * root) % 13 == 10
 
+    @pytest.mark.parametrize("name", ["toy64", "std160", "P-256"])
+    def test_presets_residues_and_non_residues(self, name):
+        # p ≡ 3 (mod 4) on all three: the root is a candidate power,
+        # checked by squaring it.
+        from repro.ec import P256
+        from repro.pairing.params import preset
+        p = P256.p if name == "P-256" else preset(name).p
+        assert p % 4 == 3
+        assert modsqrt(0, p) == 0 and modsqrt(p, p) == 0
+        for x in (1, 2, 3, 0xDEADBEEF, p - 1, p // 3):
+            square = x * x % p
+            root = modsqrt(square, p)
+            assert root in (x, p - x)
+            assert modsqrt(square + p, p) == root     # input is reduced
+            # -1 is a non-residue, hence so is the negative of a square.
+            assert jacobi_symbol(p - square, p) == -1
+            with pytest.raises(MathError):
+                modsqrt(p - square, p)
+
     def test_large_prime_3_mod_4(self):
         p = (1 << 127) - 1  # Mersenne, ≡ 3 mod 4
         root = modsqrt(4, p)
