@@ -5,7 +5,7 @@ multi-exponentiation) depends only on the partition's member set, not on
 the ciphertext.  Since every revocation re-keys *every* partition
 (Algorithm 3), clients under churn repeatedly decrypt fresh ciphertexts
 over an unchanged member set — exactly the case the hint cache turns into
-two pairings.
+one two-term product pairing over cached Miller lines.
 
 This bench replays a revocation-heavy workload from a client's perspective
 with the cache enabled vs disabled.

@@ -139,7 +139,8 @@ def test_fig8b_decrypt_latency(std_group, sink, benchmark):
     sink.table("Fig 8b: client decrypt latency per partition size",
                ["partition size", "latency"], rows)
 
-    # Decrypt cost decomposes as c_pair + a·n + b·n²: two pairings
+    # Decrypt cost decomposes as c_pair + a·n + b·n²: one two-term
+    # product pairing plus its two line tables and the C1 order test
     # (constant), the multi-exponentiation over h^(γ^t) (linear), and the
     # p_i(γ) polynomial expansion (quadratic).  At pure-Python-feasible
     # sizes the constant and linear terms still dominate, so instead of a

@@ -152,7 +152,7 @@ def test_rekey_constant(toy_setup, sink, benchmark):
 
 
 def test_decrypt_scaling(toy_setup, sink, benchmark):
-    """Decrypt = 2 pairings + O(|p|) multi-exp + O(|p|²) expansion; the
+    """Decrypt = one product pairing + O(|p|) multi-exp + O(|p|²) expansion; the
     measured totals must be superlinear-convex, and the kernel quadratic
     (kernel asserted by test_create_pk_quadratic_kernel on the same code
     path — monic_linear_product)."""

@@ -77,6 +77,33 @@ def fp2_pow(x: RawFp2, e: int, p: int) -> RawFp2:
     return result
 
 
+def fp2_lucas_pow(x: RawFp2, e: int, p: int) -> RawFp2:
+    """``x^e`` for ``x = a + b·i`` of norm 1 (``a² + b² = 1``), which
+    every element of the pairing's target group is.
+
+    With ``x⁻¹ = conj(x)`` the real parts ``c_k = Re(x^k)`` obey the Lucas
+    recurrences ``c_2k = 2c_k² - 1`` and ``c_2k+1 = 2·c_k·c_k+1 - a``, so a
+    ladder over ``(c_k, c_k+1)`` costs one squaring and one multiplication
+    in F_p per exponent bit — against about 3.5 F_p² operations for
+    :func:`fp2_pow` — and ``Im(x^e)`` falls out of ``x^(e+1) = x^e · x``
+    for one inversion of ``b``.  The result is undefined off the norm-1
+    subgroup (except for real ``x``, where this is ``a^e``).
+    """
+    a, b = x
+    if e < 0:
+        e, b = -e, -b % p
+    if b == 0 or e == 0:
+        return (pow(a, e, p), 0)
+    lo, hi = 1, a                # (c_k, c_k+1), k = 0
+    for bit in bin(e)[2:]:
+        if bit == "1":
+            lo, hi = (2 * lo * hi - a) % p, (2 * hi * hi - 1) % p
+        else:
+            lo, hi = (2 * lo * lo - 1) % p, (2 * lo * hi - a) % p
+    # c_e+1 = a·c_e - b·Im(x^e)
+    return (lo, (a * lo - hi) * pow(b, -1, p) % p)
+
+
 # ---------------------------------------------------------------------------
 # Wrapper classes
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro.crypto.rng import Rng
-from repro.errors import ParameterError, SchemeError
+from repro.errors import PairingError, ParameterError, SchemeError
 from repro.mathutils.modular import modinv
 from repro.mathutils.poly import monic_linear_product
 from repro.pairing.group import G1Element, GTElement, PairingGroup
@@ -150,15 +150,22 @@ class IbbeUserKey:
 
 
 @dataclass(frozen=True)
-class IbbeCiphertext:
+class IbbeHeader:
+    """The broadcast header ``(C1, C2)`` of A-C — all that decryption
+    reads."""
+
+    c1: G1Element  # w^(-k)
+    c2: G1Element  # h^(k·∏(γ+H(u)))
+
+
+@dataclass(frozen=True)
+class IbbeCiphertext(IbbeHeader):
     """Broadcast ciphertext ``(C1, C2)`` plus the auxiliary ``C3``.
 
     ``C3`` carries no secret (it is computable from PK alone, paper eq. 5)
     and enables the constant-time membership updates of A-E/F/G.
     """
 
-    c1: G1Element  # w^(-k)
-    c2: G1Element  # h^(k·∏(γ+H(u)))
     c3: G1Element  # h^(∏(γ+H(u)))
 
     def encode(self) -> bytes:
@@ -169,13 +176,19 @@ class IbbeCiphertext:
 
     @classmethod
     def decode(cls, group: PairingGroup, data: bytes) -> "IbbeCiphertext":
-        point_size = 1 + (group.p.bit_length() + 7) // 8
-        if len(data) != 3 * point_size:
-            raise SchemeError("malformed IBBE ciphertext encoding")
-        return cls(
+        header = cls.decode_header(group, data)
+        return cls(header.c1, header.c2, cls.decode_c3(group, data))
+
+    @classmethod
+    def decode_header(cls, group: PairingGroup, data: bytes) -> IbbeHeader:
+        """Decode only ``(C1, C2)`` — the decrypt-side twin of
+        :meth:`decode_c3`: decryption never reads C3, so decompressing it
+        (a modular square root) is wasted work on every member's read
+        path."""
+        point_size = len(cls.encoded_c3(group, data))
+        return IbbeHeader(
             G1Element.decode(group, data[:point_size]),
             G1Element.decode(group, data[point_size:2 * point_size]),
-            G1Element.decode(group, data[2 * point_size:]),
         )
 
     @classmethod
@@ -333,8 +346,9 @@ class DecryptionHint:
     on the ciphertext.  Since re-keying (Algorithm 3 runs one per partition
     per revocation) changes the ciphertext but *not* the set, a client that
     caches this hint pays the quadratic expansion once per membership
-    change and only two pairings per re-key — an optimization on top of
-    the paper quantified by the ablation benchmarks.
+    change and only one two-term product pairing over cached Miller lines
+    per re-key — an optimization on top of the paper quantified by the
+    ablation benchmarks.
     """
 
     identity: str
@@ -383,19 +397,34 @@ def prepare_decryption(pk: IbbePublicKey, user_key: IbbeUserKey,
 
 def decrypt_with_hint(pk: IbbePublicKey, user_key: IbbeUserKey,
                       hint: DecryptionHint,
-                      ciphertext: IbbeCiphertext) -> GTElement:
-    """The O(1) part of decryption: two pairings and one GT exponent."""
+                      ciphertext: IbbeHeader) -> GTElement:
+    """The O(1) part of decryption: one two-term product pairing and one
+    GT exponent.
+
+    ``e(C1, h^{p_i(γ)}) · e(USK_i, C2)`` is computed as
+    ``pair(h^{p_i(γ)}, C1, USK_i, C2)`` — the pairing is symmetric, and
+    with the hint's element and the user key first both Miller line
+    tables are cached on long-lived objects, so a re-key (new ``C1``,
+    ``C2``, same member set) pays no point arithmetic.  The Miller ladder
+    used to run over ``C1`` and reject it outside the order-``q``
+    subgroup; that test is now explicit.
+    """
     if hint.identity != user_key.identity:
         raise SchemeError("decryption hint belongs to a different user")
-    paired = pk.group.pair(ciphertext.c1, hint.h_pi) * pk.group.pair(
-        user_key.element, ciphertext.c2
-    )
+    group = pk.group
+    # As before, a term with an identity argument (h_pi of a singleton
+    # set) drops out unexamined.
+    if not (hint.h_pi.is_identity()
+            or (ciphertext.c1.point * group.q).is_infinity()):
+        raise PairingError("C1 is not in the order-q subgroup")
+    paired = group.pair(hint.h_pi, ciphertext.c1,
+                        user_key.element, ciphertext.c2)
     return paired ** hint.delta_inverse
 
 
 def decrypt(pk: IbbePublicKey, user_key: IbbeUserKey,
             identities: Sequence[str],
-            ciphertext: IbbeCiphertext) -> GTElement:
+            ciphertext: IbbeHeader) -> GTElement:
     """Recover ``bk`` as a member of the broadcast set (paper A-D).
 
     Computes ``bk = (e(C1, h^{p_i(γ)}) · e(USK_i, C2))^{1/Δ}`` where

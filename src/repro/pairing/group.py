@@ -22,10 +22,10 @@ from repro.fields.fp2 import (
     RawFp2,
     fp2_conj,
     fp2_inv,
+    fp2_lucas_pow,
     fp2_mul,
-    fp2_pow,
 )
-from repro.pairing.miller import tate_pairing
+from repro.pairing.miller import Lines, miller_lines, pairing_product
 from repro.pairing.params import PairingParams
 
 
@@ -90,18 +90,36 @@ class PairingGroup:
 
     # -- pairing -------------------------------------------------------------
 
-    def pair(self, a: "G1Element", b: "G1Element") -> "GTElement":
-        """The symmetric pairing ``ê(a, b) = e(a, φ(b))``."""
-        if a.group is not self and a.group.params != self.params:
-            raise PairingError("first argument from a different group")
-        if b.group is not self and b.group.params != self.params:
-            raise PairingError("second argument from a different group")
-        pa, pb = a.point, b.point
-        if pa.is_infinity() or pb.is_infinity():
-            return self.gt_identity()
+    def pair(self, a: "G1Element", b: "G1Element",
+             *more_pairs: "G1Element") -> "GTElement":
+        """The symmetric pairing ``ê(a, b) = e(a, φ(b))`` — times
+        ``ê(a2, b2) · …`` for every further pair in ``more_pairs``.
+
+        A product shares one Miller loop and one final exponentiation
+        between its terms, and each *first* argument contributes only its
+        cached line table (:meth:`G1Element.miller_lines`), so callers put
+        their long-lived element first (the pairing is symmetric).  First
+        arguments must lie in the order-``q`` subgroup; second arguments
+        are taken as given.  Pairs with an identity argument drop out.
+        """
+        elements = (a, b) + more_pairs
+        if len(elements) % 2:
+            raise PairingError("pairing arguments come in pairs")
+        for position, element in enumerate(elements):
+            if (element.group is not self
+                    and element.group.params != self.params):
+                raise PairingError(
+                    f"argument {position} from a different group")
         with _span("crypto.pair", curve=self.params.name):
-            raw = tate_pairing(pa.x, pa.y, pb.x, pb.y, self.p, self.q)  # type: ignore[arg-type]
-        return GTElement(self, raw)
+            terms = []
+            for first, second in zip(elements[::2], elements[1::2]):
+                x, y = second.point.x, second.point.y
+                if first.is_identity() or x is None or y is None:
+                    continue
+                terms.append((first.miller_lines(), x, y))
+            if not terms:
+                return self.gt_identity()
+            return GTElement(self, pairing_product(terms, self.p, self.q))
 
     def multi_mul_g1(self, pairs: Iterable[Tuple[int, "G1Element"]]) -> "G1Element":
         """``Σ k_i·P_i`` in G1 — the IBBE decrypt multi-exponentiation."""
@@ -117,12 +135,13 @@ class PairingGroup:
 class G1Element:
     """Element of G1 (written multiplicatively to match the paper)."""
 
-    __slots__ = ("group", "point", "_table")
+    __slots__ = ("group", "point", "_table", "_lines")
 
     def __init__(self, group: PairingGroup, point: Point) -> None:
         self.group = group
         self.point = point
         self._table: FixedBaseWnaf | None = None
+        self._lines: Lines | None = None
 
     def __mul__(self, other: "G1Element") -> "G1Element":
         if not isinstance(other, G1Element):
@@ -150,6 +169,23 @@ class G1Element:
                 self.group.curve, self.point, bits=self.group.q.bit_length(),
             )
         return self
+
+    def miller_lines(self) -> Lines:
+        """This element's Miller line table, built on first use and kept
+        (about 90 KB at ``std160``), so every later pairing with this
+        element as a first argument pays no point arithmetic.
+
+        Building it is also the subgroup test: :class:`PairingError`
+        unless the element has order ``q``.  The table determines the
+        element, so for a secret element (a user key) it is as secret as
+        the key; it never leaves this object.
+        """
+        if self._lines is None:
+            x, y = self.point.x, self.point.y
+            if x is None or y is None:
+                raise PairingError("the identity has no Miller lines")
+            self._lines = miller_lines(x, y, self.group.p, self.group.q)
+        return self._lines
 
     def __pow__(self, exponent: int) -> "G1Element":
         exponent %= self.group.q
@@ -243,7 +279,7 @@ class GTElement:
             return GTElement(self.group, acc)
         _precomp_misses.add()
         return GTElement(
-            self.group, fp2_pow(self.raw, exponent, self.group.p)
+            self.group, fp2_lucas_pow(self.raw, exponent, self.group.p)
         )
 
     def inverse(self) -> "GTElement":
@@ -264,11 +300,20 @@ class GTElement:
 
     @classmethod
     def decode(cls, group: PairingGroup, data: bytes) -> "GTElement":
+        """Inverse of :meth:`encode`: the canonical encoding (both
+        coordinates below ``p``) of a norm-1 element, which every member
+        of GT is and which :func:`~repro.fields.fp2.fp2_lucas_pow`
+        relies on."""
         size = (group.p.bit_length() + 7) // 8
         if len(data) != 2 * size:
             raise PairingError("malformed GT encoding")
-        return cls(group, (int.from_bytes(data[:size], "big"),
-                           int.from_bytes(data[size:], "big")))
+        a = int.from_bytes(data[:size], "big")
+        b = int.from_bytes(data[size:], "big")
+        if a >= group.p or b >= group.p:
+            raise PairingError("non-canonical GT encoding")
+        if (a * a + b * b) % group.p != 1:
+            raise PairingError("encoded value is not a norm-1 element")
+        return cls(group, (a, b))
 
     def digest(self) -> bytes:
         """SHA-256 of the canonical encoding — the ``sgx_sha(bk)`` of

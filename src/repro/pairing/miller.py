@@ -1,4 +1,4 @@
-"""Miller's algorithm for the reduced Tate pairing (type-A, k = 2).
+"""Miller's algorithm for products of reduced Tate pairings (type-A, k = 2).
 
 The second pairing argument is first pushed through the distortion map
 ``φ(x, y) = (-x, i·y)`` into ``E(F_p²)``.  Because the distorted point has
@@ -7,62 +7,60 @@ lines evaluate inside F_p and are annihilated by the final exponentiation
 ``(p² - 1)/q = (p - 1)·(p + 1)/q`` — the classic BKLS denominator
 elimination, so the Miller loop only accumulates the tangent/chord lines.
 
-Two implementations are provided:
+The work is split along what each argument determines:
 
-* :func:`tate_pairing` — the production path: the running point is kept in
-  Jacobian coordinates and line evaluations are *scaled* by the slope
-  denominators (2YZ for tangents, λ'Z for chords).  Those factors live in
+* :func:`miller_lines` walks the double-and-add chain of the *first*
+  argument ``P`` once, in Jacobian coordinates, and records every line as
+  three F_p coefficients ``(A, B, C)`` with
+  ``l(φ(Q)) = (A + B·x_Q) + (C·y_Q)·i``.  Lines are *scaled* by the slope
+  denominators (2YZ³ for tangents, λ'Z for chords); those factors live in
   F_p*, so the final exponentiation kills them — no modular inversion
-  anywhere in the loop.
-* :func:`tate_pairing_affine` — the textbook affine version (one inversion
-  per step), kept as the reference the property tests cross-check against.
+  anywhere.  The table depends on ``P`` alone, so a long-lived ``P`` pays
+  for it once (:class:`~repro.pairing.group.G1Element` caches it).
+* :func:`pairing_product` evaluates ``∏ e(P_i, φ(Q_i))`` from such tables:
+  one ``f²`` per bit of ``q`` shared by all terms, two F_p
+  multiplications per line, and one final exponentiation — the Frobenius
+  shortcut ``f^(p-1) = conj(f) · f^{-1}`` followed by the ``(p+1)/q``
+  power of that norm-1 value on a Lucas ladder.
 
-Final exponentiation uses the Frobenius shortcut
-``f^(p-1) = conj(f) · f^{-1}`` followed by a short ``(p+1)/q`` exponent.
+The textbook affine loop the property tests cross-check against lives in
+``tests/pairing_oracle.py``.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.errors import PairingError
-from repro.fields.fp2 import RawFp2, fp2_inv, fp2_mul, fp2_pow, fp2_sqr
+from repro.fields.fp2 import (
+    RawFp2,
+    fp2_conj,
+    fp2_inv,
+    fp2_lucas_pow,
+    fp2_mul,
+)
 
-Affine = Optional[Tuple[int, int]]  # None is the point at infinity
+Line = Tuple[int, int, int]      # l(φ(Q)) = (A + B·x_Q) + (C·y_Q)·i
+Lines = List[Tuple[Line, ...]]   # per bit of q below the leading one
 
 
-def _final_exponentiation(f: RawFp2, p: int, q: int) -> RawFp2:
-    if f == (0, 0):
-        raise PairingError("degenerate Miller value")
-    # f^((p-1)(p+1)/q): Frobenius (conjugation) then a short exponent.
-    f_p_minus_1 = fp2_mul((f[0], (-f[1]) % p), fp2_inv(f, p), p)
-    return fp2_pow(f_p_minus_1, (p + 1) // q, p)
+def miller_lines(px: int, py: int, p: int, q: int) -> Lines:
+    """Line coefficients of the Miller ladder ``P, 2P, …, qP = ∞`` for
+    ``P = (px, py)`` on ``y² = x³ + x`` over F_p.
 
-
-# ---------------------------------------------------------------------------
-# Production path: Jacobian, inversion-free
-# ---------------------------------------------------------------------------
-
-def tate_pairing(px: int, py: int, qx: int, qy: int,
-                 p: int, q: int) -> RawFp2:
-    """Reduced Tate pairing ``e(P, φ(Q))`` for P, Q in the order-``q``
-    subgroup of ``y² = x³ + x`` over F_p.
-
-    Inputs are affine coordinates of non-infinity points; the caller
-    handles infinity (pairing value 1).  Returns a raw F_p² element of
-    order dividing ``q``.
+    One entry per bit of ``q`` below the leading one: the tangent of the
+    doubling followed, where the bit is set, by the chord of the
+    addition.  Vertical lines are eliminated and leave no entry.  Raises
+    :class:`PairingError` unless the ladder ends at infinity, i.e. unless
+    ``P`` lies in the order-``q`` subgroup.
     """
-    # Distorted coordinates of Q: x' = -qx (in F_p), y' = qy·i.
-    xq = (-qx) % p
-    yq = qy % p
     x2, y2 = px % p, py % p     # the affine base point, re-added when bits set
-
-    f: RawFp2 = (1, 0)
     # Running point in Jacobian coordinates (X, Y, Z); starts at P (Z = 1).
     X, Y, Z = x2, y2, 1
+    steps: Lines = []
 
     for bit in bin(q)[3:]:       # skip the leading 1
-        f = fp2_sqr(f, p)
+        step: Tuple[Line, ...] = ()
         # -- doubling with line (a = 1 for the type-A curve) --------------
         if Z == 0:
             pass                 # point at infinity: line is 1
@@ -71,12 +69,12 @@ def tate_pairing(px: int, py: int, qx: int, qy: int,
         else:
             ZZ = Z * Z % p
             YY = Y * Y % p
-            # Tangent numerator n = 3X² + a·Z⁴ and the line scaled by 2YZ³:
-            #   l̃ = (n(X - xq·Z²) - 2Y²)  +  (2YZ³·yq)·i
+            # Tangent numerator n = 3X² + a·Z⁴ and the line scaled by 2YZ³
+            # at the distorted point (-x_Q, y_Q·i):
+            #   l̃ = (nX - 2Y²  +  nZ²·x_Q)  +  (2YZ³·y_Q)·i
             n = (3 * X * X + ZZ * ZZ) % p
-            line_re = (n * (X - xq * ZZ) - 2 * YY) % p
-            line_im = 2 * Y * ZZ % p * Z % p * yq % p
-            f = fp2_mul(f, (line_re, line_im), p)
+            step = (((n * X - 2 * YY) % p, n * ZZ % p,
+                     2 * Y * ZZ % p * Z % p),)
             # Jacobian doubling (a = 1): standard dbl-2007-bl-like forms.
             S = 4 * X * YY % p
             X3 = (n * n - 2 * S) % p
@@ -101,11 +99,9 @@ def tate_pairing(px: int, py: int, qx: int, qy: int,
                     X, Y, Z = 1, 1, 0
                 else:
                     # Line scaled by λ'Z:
-                    #   l̃ = (-θ(xq - x2) - λ'Z·y2)  +  (λ'Z·yq)·i
+                    #   l̃ = (θ·x2 - λ'Z·y2  +  θ·x_Q)  +  (λ'Z·y_Q)·i
                     lam_z = lam * Z % p
-                    line_re = (-theta * (xq - x2) - lam_z * y2) % p
-                    line_im = lam_z * yq % p
-                    f = fp2_mul(f, (line_re, line_im), p)
+                    step += (((theta * x2 - lam_z * y2) % p, theta, lam_z),)
                     # Mixed addition with θ = Y - y2Z³, λ' = X - x2Z² and
                     # Z3 = Z·λ': X3 = θ² + λ'³ - 2Xλ'²,
                     # Y3 = θ(Xλ'² - X3) - Yλ'³.
@@ -116,79 +112,42 @@ def tate_pairing(px: int, py: int, qx: int, qy: int,
                     Y3 = (theta * (v - X3) - Y * lll) % p
                     Z3 = Z * lam % p
                     X, Y, Z = X3, Y3, Z3
+        steps.append(step)
 
     if Z != 0:
         raise PairingError("Miller loop did not terminate at infinity; "
                            "point is not in the order-q subgroup")
-    return _final_exponentiation(f, p, q)
+    return steps
 
 
-# ---------------------------------------------------------------------------
-# Reference path: affine, one inversion per step
-# ---------------------------------------------------------------------------
+def pairing_product(terms: Sequence[Tuple[Lines, int, int]],
+                    p: int, q: int) -> RawFp2:
+    """``∏ e(P_i, φ(Q_i))`` for terms ``(miller_lines(P_i), x_Qi, y_Qi)``.
 
-def tate_pairing_affine(px: int, py: int, qx: int, qy: int,
-                        p: int, q: int) -> RawFp2:
-    """Textbook affine Miller loop (reference implementation)."""
-    xq = (-qx) % p
-    yq = qy % p
-
-    f: RawFp2 = (1, 0)
-    v: Affine = (px % p, py % p)
-    base = (px % p, py % p)
-
-    for bit in bin(q)[3:]:
-        f = fp2_sqr(f, p)
-        v, line = _double_step(v, xq, yq, p)
-        if line is not None:
-            f = fp2_mul(f, line, p)
-        if bit == "1":
-            v, line = _add_step(v, base, xq, yq, p)
-            if line is not None:
-                f = fp2_mul(f, line, p)
-    if v is not None:
-        raise PairingError("Miller loop did not terminate at infinity; "
-                           "point is not in the order-q subgroup")
-    return _final_exponentiation(f, p, q)
-
-
-def _double_step(v: Affine, xq: int, yq: int,
-                 p: int) -> Tuple[Affine, Optional[RawFp2]]:
-    """Double ``v`` and return the tangent line evaluated at the distorted Q.
-
-    Returns ``(2·v, line)`` where ``line`` is None when it is a vertical
-    (eliminated) or the point is infinity.
+    The ``Q_i`` are affine, non-infinity points of the order-``q``
+    subgroup (the caller drops identity terms: their pairing is 1).
+    Returns a raw F_p² element of order dividing ``q``.
     """
-    if v is None:
-        return None, None
-    x, y = v
-    if y == 0:
-        # Tangent is vertical; 2v = infinity; line eliminated.
-        return None, None
-    lam = (3 * x * x + 1) * pow(2 * y, -1, p) % p
-    x3 = (lam * lam - 2 * x) % p
-    y3 = (lam * (x - x3) - y) % p
-    # l(Q') = y' - y - λ(x' - x) with x' = xq (already negated), y' = yq·i.
-    c = (lam * (xq - x) * -1 - y) % p
-    # Expanded: real part = -y - λ(xq - x); imaginary part = yq.
-    return (x3, y3), (c, yq)
+    points = [(x % p, y % p) for _, x, y in terms]
+    fa, fb = 1, 0
+    for steps in zip(*(lines for lines, _, _ in terms)):
+        fa, fb = (fa - fb) * (fa + fb) % p, 2 * fa * fb % p
+        for step, (x, y) in zip(steps, points):
+            for A, B, C in step:
+                # f · l, Karatsuba over the reduced line value.
+                la = (A + B * x) % p
+                lb = C * y % p
+                aa = fa * la
+                bb = fb * lb
+                fb = ((fa + fb) * (la + lb) - aa - bb) % p
+                fa = (aa - bb) % p
+    return _final_exponentiation((fa, fb), p, q)
 
 
-def _add_step(v: Affine, base: Tuple[int, int], xq: int, yq: int,
-              p: int) -> Tuple[Affine, Optional[RawFp2]]:
-    """Add ``base`` to ``v`` and return the chord line evaluated at Q'."""
-    if v is None:
-        # Line through infinity and base is vertical — eliminated.
-        return base, None
-    x1, y1 = v
-    x2, y2 = base
-    if x1 == x2:
-        if (y1 + y2) % p == 0:
-            # v == -base: vertical chord, sum is infinity, line eliminated.
-            return None, None
-        return _double_step(v, xq, yq, p)
-    lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
-    x3 = (lam * lam - x1 - x2) % p
-    y3 = (lam * (x1 - x3) - y1) % p
-    c = (lam * (xq - x1) * -1 - y1) % p
-    return (x3, y3), (c, yq)
+def _final_exponentiation(f: RawFp2, p: int, q: int) -> RawFp2:
+    if f == (0, 0):
+        raise PairingError("degenerate Miller value")
+    # f^((p-1)(p+1)/q): Frobenius (conjugation) gives the norm-1 value
+    # f^(p-1), whose short exponent runs on the Lucas ladder.
+    f_p_minus_1 = fp2_mul(fp2_conj(f, p), fp2_inv(f, p), p)
+    return fp2_lucas_pow(f_p_minus_1, (p + 1) // q, p)

@@ -85,6 +85,45 @@ class TestDecryptHintCache:
             client.current_group_key()
         assert len(client._hints) <= 4
 
+    def test_line_tables_ride_on_the_cached_elements(self, world):
+        """A re-key reuses the Miller lines built at the first decrypt:
+        one table on the user key, one per cached hint — at most the
+        cache capacity + 1 a client."""
+        system, client = world
+        client.current_group_key()
+        usk_lines = client._user_key.element.miller_lines()
+        (hint,) = client._hints.values()
+        hint_lines = hint.h_pi.miller_lines()
+        system.admin.rekey("g")
+        client.sync()
+        client.current_group_key()
+        assert client._user_key.element.miller_lines() is usk_lines
+        assert next(iter(client._hints.values())).h_pi.miller_lines() \
+            is hint_lines
+
+    def test_prewarm_workers_see_identities_only(self, world, monkeypatch):
+        """The user key's line table is key-equivalent: what goes to the
+        hint-preparation pool is (identity, member set) and nothing of
+        the key, even once its table exists."""
+        from repro.par import WorkerPool
+        system, client = world
+        client.current_group_key()          # the key's table now exists
+        sent = []
+        real_run = WorkerPool.run
+
+        def recording_run(self, task, items):
+            items = list(items)
+            sent.extend(items)
+            return real_run(self, task, items)
+
+        monkeypatch.setattr(WorkerPool, "run", recording_run)
+        other_set = tuple(MEMBERS[:3])
+        try:
+            assert client.prewarm_hints([other_set]) == 1
+        finally:
+            client.close()
+        assert sent == [("user0", other_set)]
+
 
 class TestFreshness:
     def test_rollback_detected(self, world):

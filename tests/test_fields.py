@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 from repro.crypto.rng import DeterministicRng
 from repro.errors import MathError, ParameterError
 from repro.fields import Fp, Fp2
-from repro.fields.fp2 import fp2_conj, fp2_inv, fp2_mul, fp2_pow, fp2_sqr
+from repro.fields.fp2 import (
+    fp2_conj,
+    fp2_inv,
+    fp2_lucas_pow,
+    fp2_mul,
+    fp2_pow,
+    fp2_sqr,
+)
 
 P = (1 << 127) - 1  # Mersenne prime, ≡ 3 (mod 4)
 F = Fp(P)
@@ -167,3 +174,39 @@ class TestFp2RawOps:
 
     def test_conj(self):
         assert fp2_conj((3, 4), P) == (3, P - 4)
+
+
+def _norm1(f):
+    """``f^(p-1) = conj(f)/f``: an arbitrary element of the norm-1
+    subgroup (order ``p + 1``) of F_p²*."""
+    return fp2_mul(fp2_conj(f, P), fp2_inv(f, P), P)
+
+
+class TestLucasPow:
+    """The Lucas ladder equals square-and-multiply on norm-1 inputs."""
+
+    @given(pairs.filter(lambda t: t != (0, 0)),
+           st.integers(min_value=-(1 << 130), max_value=1 << 130))
+    @settings(max_examples=60)
+    def test_matches_fp2_pow(self, f, e):
+        x = _norm1(f)
+        assert fp2_lucas_pow(x, e, P) == fp2_pow(x, e, P)
+
+    @pytest.mark.parametrize("e", [0, 1, 2, 3, P, P + 1])
+    @pytest.mark.parametrize("f", [(3, 4), (1, 1), (0, 5), (7, 0)])
+    def test_edge_exponents(self, f, e):
+        # (1, 1) maps to (0, -1): a norm-1 base with zero real part;
+        # (0, 5) and (7, 0) map to the real bases (-1, 0) and (1, 0).
+        x = _norm1(f)
+        assert fp2_lucas_pow(x, e, P) == fp2_pow(x, e, P)
+
+    @pytest.mark.parametrize("x", [(1, 0), (P - 1, 0), (0, 1), (0, P - 1)])
+    def test_units(self, x):
+        for e in (0, 1, 2, 3, 4, P, P + 1):
+            assert fp2_lucas_pow(x, e, P) == fp2_pow(x, e, P)
+
+    def test_group_order(self):
+        x = _norm1((3, 4))
+        assert fp2_lucas_pow(x, P + 1, P) == (1, 0)
+        assert fp2_lucas_pow(x, P, P) == fp2_conj(x, P)
+        assert fp2_lucas_pow(x, -1, P) == fp2_conj(x, P)

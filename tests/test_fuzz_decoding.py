@@ -95,11 +95,35 @@ class TestCryptoFuzz:
     def test_gt_decode(self, group, data):
         _assert_fails_closed(lambda d: GTElement.decode(group, d), data)
 
+    @given(st.integers(min_value=0, max_value=2 ** 32), st.booleans(),
+           st.booleans(), st.sampled_from([0, 0, 1, -1]))
+    @settings(max_examples=60)
+    def test_gt_decode_is_injective(self, group, k, wrap_a, wrap_b, nudge):
+        """One GT element has one byte string: a coordinate >= p standing
+        in for its residue is refused, and so is a value off the norm-1
+        circle; what decodes re-encodes to the same bytes."""
+        p = group.p
+        size = (p.bit_length() + 7) // 8
+        a, b = (group.gt_generator() ** k).raw
+        a = a + wrap_a * p
+        b = (b + nudge) % p + wrap_b * p
+        if max(a, b).bit_length() > 8 * size:
+            return                      # the wrapped value does not fit
+        data = a.to_bytes(size, "big") + b.to_bytes(size, "big")
+        if wrap_a or wrap_b or (a * a + b * b) % p != 1:
+            with pytest.raises(ReproError):
+                GTElement.decode(group, data)
+        else:
+            assert GTElement.decode(group, data).encode() == data
+
     @given(data=junk)
     @settings(max_examples=40)
     def test_ibbe_ciphertext_decode(self, group, data):
         _assert_fails_closed(
             lambda d: ibbe.IbbeCiphertext.decode(group, d), data
+        )
+        _assert_fails_closed(
+            lambda d: ibbe.IbbeCiphertext.decode_header(group, d), data
         )
 
     @given(data=junk)

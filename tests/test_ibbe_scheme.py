@@ -4,7 +4,9 @@ import pytest
 
 from repro import ibbe
 from repro.crypto.rng import DeterministicRng
-from repro.errors import ParameterError, SchemeError
+from repro.errors import PairingError, ParameterError, SchemeError
+from repro.pairing import G1Element
+from tests.pairing_oracle import off_subgroup_point
 
 USERS = [f"user{i}" for i in range(8)]
 
@@ -99,6 +101,57 @@ class TestEncryptionPaths:
         bk1, _ = ibbe.encrypt_msk(msk, pk, USERS, rng)
         bk2, _ = ibbe.encrypt_msk(msk, pk, USERS, rng)
         assert bk1 != bk2
+
+
+class TestDecryptRejectionSet:
+    """The Miller ladder used to run over ``C1`` and ``USK``, rejecting
+    either outside the order-q subgroup; it now runs over ``h_pi`` and
+    ``USK``, with an explicit order test on ``C1``.  ``C2`` is, as
+    before, only on-curve-checked (by decoding)."""
+
+    @pytest.fixture()
+    def case(self, ibbe_system, user_keys, rng):
+        msk, pk = ibbe_system
+        bk, ct = ibbe.encrypt_msk(msk, pk, USERS, rng)
+        usk = user_keys["user0"]
+        hint = ibbe.prepare_decryption(pk, usk, USERS)
+        assert ibbe.decrypt_with_hint(pk, usk, hint, ct) == bk
+        return pk, usk, hint, ct
+
+    @pytest.fixture()
+    def off_subgroup(self, group):
+        return G1Element(
+            group, off_subgroup_point(group.curve, group.q, "ibbe-stray"))
+
+    def test_off_subgroup_c1_rejected(self, case, off_subgroup):
+        pk, usk, hint, ct = case
+        with pytest.raises(PairingError):
+            ibbe.decrypt_with_hint(
+                pk, usk, hint, ibbe.IbbeHeader(c1=off_subgroup, c2=ct.c2))
+
+    def test_off_subgroup_usk_rejected(self, case, off_subgroup):
+        pk, usk, hint, ct = case
+        forged = ibbe.IbbeUserKey(identity=usk.identity, element=off_subgroup)
+        with pytest.raises(PairingError):
+            ibbe.decrypt_with_hint(pk, forged, hint, ct)
+
+    def test_off_subgroup_h_pi_rejected(self, case, off_subgroup):
+        pk, usk, hint, ct = case
+        forged = ibbe.DecryptionHint(
+            identity=hint.identity,
+            member_fingerprint=hint.member_fingerprint,
+            h_pi=off_subgroup, delta_inverse=hint.delta_inverse)
+        with pytest.raises(PairingError):
+            ibbe.decrypt_with_hint(pk, usk, forged, ct)
+
+    def test_header_alone_decrypts(self, case, group):
+        """Decryption reads (C1, C2) only: the header decoded from the
+        wire gives the same key as the full ciphertext."""
+        pk, usk, hint, ct = case
+        header = ibbe.IbbeCiphertext.decode_header(group, ct.encode())
+        assert header == ibbe.IbbeHeader(c1=ct.c1, c2=ct.c2)
+        assert ibbe.decrypt_with_hint(pk, usk, hint, header) == (
+            ibbe.decrypt_with_hint(pk, usk, hint, ct))
 
 
 class TestMembershipUpdates:

@@ -16,6 +16,8 @@ from repro.pairing import (
     preset,
     toy64,
 )
+from repro.pairing.miller import miller_lines
+from tests.pairing_oracle import off_subgroup_point, tate_pairing_affine
 
 
 class TestParams:
@@ -136,6 +138,38 @@ class TestGTElement:
         with pytest.raises(PairingError):
             GTElement.decode(group, b"\x00")
 
+    def test_decode_accepts_the_canonical_encoding_only(self, group):
+        """A coordinate >= p would denote the same element under a second
+        encoding; (0, 0) and other norm != 1 values are not in GT."""
+        size = (group.p.bit_length() + 7) // 8
+        a, b = (group.gt_generator() ** 5).raw
+
+        def encoded(x, y):
+            return x.to_bytes(size, "big") + y.to_bytes(size, "big")
+
+        assert GTElement.decode(group, encoded(a, b)).raw == (a, b)
+        assert GTElement.decode(group, encoded(1, 0)).is_identity()
+        for x, y in [(group.p + 1, 0), (1, group.p), (group.p, 0),
+                     (0, 0), (2, 0), (a, (b + 1) % group.p)]:
+            with pytest.raises(PairingError):
+                GTElement.decode(group, encoded(x, y))
+
+    def test_tableless_pow_matches_square_and_multiply(self, group):
+        """``__pow__`` without a table runs the Lucas ladder; with one,
+        the windowed table — both must be the plain power."""
+        from repro.fields.fp2 import fp2_pow
+        e = group.pair(group.g1 ** 3, group.g1 ** 5)
+        tabled = GTElement(group, e.raw).enable_precomputation()
+        q = group.q
+        for k in (0, 1, 2, q - 1, q, q + 1, 0xDEADBEEF, -1):
+            expected = fp2_pow(e.raw, k % q, group.p)
+            assert (e ** k).raw == expected
+            assert (tabled ** k).raw == expected
+        for raw in [(1, 0), (group.p - 1, 0)]:
+            for k in (0, 1, q - 1, q):
+                assert (GTElement(group, raw) ** k).raw == fp2_pow(
+                    raw, k % q, group.p)
+
     def test_digest_stable_and_distinct(self, group):
         e = group.gt_generator()
         assert e.digest() == e.digest()
@@ -160,69 +194,88 @@ class TestHashToScalar:
         assert group.hash_to_scalar(b"alice") == group.hash_to_scalar("alice")
 
 
-class TestMillerImplementations:
-    """The inversion-free Jacobian loop must equal the affine reference."""
+def _oracle(group, a: G1Element, b: G1Element) -> GTElement:
+    """``ê(a, b)`` by the textbook affine loop of ``tests/pairing_oracle``."""
+    return GTElement(group, tate_pairing_affine(
+        a.point.x, a.point.y, b.point.x, b.point.y, group.p, group.q))
 
-    @given(a=st.integers(min_value=1, max_value=2**48),
-           b=st.integers(min_value=1, max_value=2**48))
+
+_exponents = st.integers(min_value=1, max_value=2**48)
+
+
+class TestMillerImplementations:
+    """The one production ladder (cached Jacobian lines, shared loop,
+    Lucas final exponent) must equal the affine reference."""
+
+    @given(a=_exponents, b=_exponents)
     @settings(max_examples=15, deadline=None)
     def test_jacobian_matches_affine(self, group, a, b):
-        from repro.pairing.miller import tate_pairing, tate_pairing_affine
-        P = (group.g1 ** a).point
-        Q = (group.g1 ** b).point
-        assert tate_pairing(P.x, P.y, Q.x, Q.y, group.p, group.q) == (
-            tate_pairing_affine(P.x, P.y, Q.x, Q.y, group.p, group.q)
-        )
+        P, Q = group.g1 ** a, group.g1 ** b
+        assert group.pair(P, Q) == _oracle(group, P, Q)
+        assert group.pair(Q, P) == _oracle(group, P, Q)
 
     def test_self_pairing_matches(self, group):
-        from repro.pairing.miller import tate_pairing, tate_pairing_affine
-        P = group.g1.point
-        assert tate_pairing(P.x, P.y, P.x, P.y, group.p, group.q) == (
-            tate_pairing_affine(P.x, P.y, P.x, P.y, group.p, group.q)
-        )
+        assert group.pair(group.g1, group.g1) == _oracle(
+            group, group.g1, group.g1)
 
     def test_affine_reference_rejects_wrong_order(self, group):
         """Both implementations enforce the subgroup check."""
-        from repro.pairing.miller import tate_pairing_affine
-        from repro.crypto.rng import DeterministicRng
-        from repro.mathutils.modular import jacobi_symbol, modsqrt
-        curve = group.curve
-        rng = DeterministicRng("edge-affine")
-        while True:
-            x = rng.randint_below(curve.p)
-            rhs = (pow(x, 3, curve.p) + x) % curve.p
-            if rhs == 0 or jacobi_symbol(rhs, curve.p) != 1:
-                continue
-            y = modsqrt(rhs, curve.p)
-            point = curve.point(x, y)
-            if not (point * group.q).is_infinity():
-                break
+        point = off_subgroup_point(group.curve, group.q, "edge-affine")
         with pytest.raises(PairingError):
             tate_pairing_affine(point.x, point.y, point.x, point.y,
                                 group.p, group.q)
+
+    @given(a1=_exponents, b1=_exponents, a2=_exponents, b2=_exponents)
+    @settings(max_examples=15, deadline=None)
+    def test_product_is_product_of_pairings(self, group, a1, b1, a2, b2):
+        g = group.g1
+        A1, B1, A2, B2 = g ** a1, g ** b1, g ** a2, g ** b2
+        product = group.pair(A1, B1, A2, B2)
+        assert product == group.pair(A1, B1) * group.pair(A2, B2)
+        assert product == _oracle(group, A1, B1) * _oracle(group, A2, B2)
+
+    def test_std160_product_matches_affine(self):
+        group = PairingGroup(preset("std160"))
+        g = group.g1
+        A1, B1, A2, B2 = g ** 0xA11CE, g ** 0xB0B, g ** 0xCA201, g ** 0xDA7E
+        expected = _oracle(group, A1, B1) * _oracle(group, A2, B2)
+        assert group.pair(A1, B1, A2, B2) == expected
+        assert group.pair(B1, A1, B2, A2) == expected
+        assert group.pair(A1, B1) * group.pair(A2, B2) == expected
+
+    def test_identity_terms_drop_out(self, group):
+        g, one = group.g1, group.g1_identity()
+        e = group.pair(g ** 5, g ** 9)
+        assert group.pair(g ** 5, g ** 9, one, g) == e
+        assert group.pair(g, one, g ** 5, g ** 9) == e
+        assert group.pair(one, g, g, one).is_identity()
+
+    def test_arguments_come_in_pairs(self, group):
+        with pytest.raises(PairingError):
+            group.pair(group.g1, group.g1, group.g1)
+
+    def test_cached_lines_give_the_same_value(self, group):
+        a, b = group.g1 ** 11, group.g1 ** 13
+        first = group.pair(a, b)
+        lines = a.miller_lines()
+        assert group.pair(a, b) == first
+        assert a.miller_lines() is lines
+        assert lines == miller_lines(a.point.x, a.point.y, group.p, group.q)
+        assert len(lines) == group.q.bit_length() - 1
+        # A fresh element with the same point starts without a table.
+        assert group.pair(G1Element(group, a.point), b) == first
 
 
 class TestMillerEdgeCases:
     def test_pairing_of_low_order_rejected(self, group):
         """Points outside the order-q subgroup must be rejected."""
-        from repro.pairing.miller import tate_pairing
-        curve = group.curve
-        # Find a point of order != q: multiply generator-lift by q to land
-        # outside... easier: a random point NOT multiplied by the cofactor.
-        rng = DeterministicRng("edge")
-        while True:
-            x = rng.randint_below(curve.p)
-            rhs = (pow(x, 3, curve.p) + x) % curve.p
-            from repro.mathutils.modular import jacobi_symbol, modsqrt
-            if rhs == 0 or jacobi_symbol(rhs, curve.p) != 1:
-                continue
-            y = modsqrt(rhs, curve.p)
-            point = curve.point(x, y)
-            if not (point * group.q).is_infinity():
-                break
+        point = off_subgroup_point(group.curve, group.q, "edge")
         with pytest.raises(PairingError):
-            tate_pairing(point.x, point.y, point.x, point.y,
-                         group.p, group.q)
+            miller_lines(point.x, point.y, group.p, group.q)
+        with pytest.raises(PairingError):
+            group.pair(G1Element(group, point), group.g1)
+        with pytest.raises(PairingError):
+            group.pair(group.g1, group.g1, G1Element(group, point), group.g1)
 
     def test_consistency_across_generators(self, group):
         """e(g^a, g) == e(g, g^a) for an independent sanity sweep."""
