@@ -6,6 +6,13 @@ metadata that always precedes a decryption operation".  This bench
 quantifies that claim with the latency model: the end-to-end client update
 path (long-poll + record fetch + decrypt) under a public-cloud latency
 profile vs a zero-latency store.
+
+The sync is routed through the signed descriptor: a member that stays in
+its partition makes two round trips (poll, then one ``get_many`` for the
+descriptor and its own record); a cold or moved member makes a third —
+one ``get`` for the record the descriptor points it at — for O(1)
+objects, where the event-replay sync made two round trips but fetched
+O(changed) objects.
 """
 
 from __future__ import annotations
@@ -21,8 +28,9 @@ from repro import quickstart_system
 
 
 def _client_update_costs(latency, seed: str, capacity: int):
-    """Returns (decrypt_seconds, simulated_cloud_ms) for one client
-    update after a re-key."""
+    """Returns (decrypt_seconds, simulated_cloud_ms, cold_requests,
+    cold_cloud_ms): one client update after a re-key, then the first
+    sync of a member that has never synced."""
     system = quickstart_system(
         partition_capacity=capacity, params="std160",
         rng=DeterministicRng(seed), cloud=CloudStore(latency=latency),
@@ -37,13 +45,19 @@ def _client_update_costs(latency, seed: str, capacity: int):
     cloud_ms_before = system.cloud.metrics.simulated_latency_ms
     client.sync()
     _, decrypt_seconds = time_call(client.current_group_key)
-    cloud_ms = system.cloud.metrics.simulated_latency_ms - cloud_ms_before
-    return decrypt_seconds, cloud_ms
+    metrics = system.cloud.metrics
+    cloud_ms = metrics.simulated_latency_ms - cloud_ms_before
+
+    cold = system.make_client("g", "u1")
+    requests, cold_ms = metrics.requests, metrics.simulated_latency_ms
+    cold.sync()
+    return (decrypt_seconds, cloud_ms, metrics.requests - requests,
+            metrics.simulated_latency_ms - cold_ms)
 
 
 def test_cloud_latency_overshadows_decrypt(sink, benchmark):
     capacity = scaled(64)
-    decrypt_s, cloud_ms = _client_update_costs(
+    decrypt_s, cloud_ms, cold_requests, cold_ms = _client_update_costs(
         LatencyModel.public_cloud(seed="ablation"), "lat", capacity
     )
     sink.line(
@@ -51,12 +65,18 @@ def test_cloud_latency_overshadows_decrypt(sink, benchmark):
         f"{format_seconds(decrypt_s)} vs simulated cloud round trips "
         f"{cloud_ms:.0f} ms"
     )
+    sink.line(
+        f"  cold member's first sync: {cold_requests} round trips, "
+        f"{cold_ms:.0f} ms simulated"
+    )
+    # Poll, descriptor, own record — whatever the history or group size.
+    assert cold_requests == 3
     # §VI-A: the metadata round trip dominates the (hint-cached) decrypt.
     assert cloud_ms > decrypt_s * 1000, (
         "cloud response time must overshadow the decrypt cost"
     )
 
-    zero_decrypt_s, zero_cloud_ms = _client_update_costs(
+    zero_decrypt_s, zero_cloud_ms, _, _ = _client_update_costs(
         LatencyModel.disabled(), "nolat", capacity
     )
     sink.line(

@@ -107,6 +107,10 @@ class GroupAdministrator:
         self.partition_capacity = partition_capacity
         self.auto_repartition = auto_repartition
         self._signing_key = signing_key
+        # Every record this administrator reloads is checked against its
+        # own key, for as long as it lives: derive it once and table it.
+        self._verification_key = (
+            signing_key.public_key().enable_precomputation())
         self._rng = rng or SystemRng()
         self.metrics = AdminMetrics()
         # Transient-outage retries (UnavailableError only — requests that
@@ -121,7 +125,7 @@ class GroupAdministrator:
     @property
     def verification_key(self) -> ecdsa.EcdsaPublicKey:
         """Clients pin this key to authenticate metadata."""
-        return self._signing_key.public_key()
+        return self._verification_key
 
     # -- Algorithm 1: create group --------------------------------------------------
 

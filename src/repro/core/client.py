@@ -1,9 +1,24 @@
 """The client (regular user) API (paper §V).
 
 Clients never touch an enclave.  They long-poll the group directory for
-partition updates, authenticate records against the pinned administrator
+changes, authenticate what they fetch against the pinned administrator
 key, run the plain IBBE decrypt (quadratic in the partition size — the
 cost Fig. 8b measures) and unwrap the group key envelope.
+
+**One sync path, routed through the signed descriptor.**  A poll round
+only tells a member *that* something changed and under which paths; it
+never decides anything.  If anything did, :meth:`GroupClient.sync`
+fetches the group descriptor — together with the member's current
+partition record when that path is among the changed ones — verifies
+it, and reads its own partition id from the signed user→partition map.
+Only when the map moves it (first sync, re-partitioning) does it fetch
+one more object: the record of its new partition.  So a member fetches
+and verifies the descriptor and *its own* record, whatever the size of
+the group or of the history it missed — O(|p|) bytes, the paper's
+client-side bound (§IV-C) — and a record of a partition it is not in
+cannot reach it: such a record is never requested, and a record served
+at the requested path must be signed, carry the (group, partition) the
+signed descriptor named, and list the member, or it is rejected.
 
 Two hardening extensions beyond the paper:
 
@@ -22,15 +37,13 @@ Two hardening extensions beyond the paper:
 Two scaling extensions ride on the store's snapshot compaction:
 
 * **Snapshot bootstrap** — when the poll cursor predates the store's
-  snapshot horizon (first connect, or a reconnect after the history the
-  client missed was compacted away), :meth:`GroupClient.sync` skips the
-  per-event replay entirely: it fetches the signed descriptor, looks up
-  its *own* partition in the user→partition map, and fetches only that
-  partition's record — O(1) round trips and O(|p|) bytes instead of
-  O(history) — then resumes normal suffix polling from the horizon.
+  snapshot horizon (a reconnect after the history the client missed was
+  compacted away), the same routine runs without consulting the events
+  at all (``client.snapshot_bootstraps`` counts these) and polling
+  resumes from the horizon.
 * **Persistent resume cursor** — pass ``resume_path`` and the client
   saves ``(cursor, epoch, partition record)`` after every sync and
-  reloads it on construction, so a restarted client process replays only
+  reloads it on construction, so a restarted client process polls only
   the changes since its last sync.  The saved record is re-verified
   against the pinned administrator key on load; a corrupt or foreign
   file is ignored (cold start).
@@ -43,10 +56,10 @@ import json
 import os
 import time
 from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Set, Tuple, Union
 
 from repro import ibbe
-from repro.cloud.store import CloudStore
+from repro.cloud.store import CloudObject, CloudStore
 from repro.core.cache import ClientGroupState
 from repro.core.envelope import unwrap_group_key
 from repro.core.metadata import (
@@ -99,7 +112,8 @@ class GroupClient:
         self._user_key = user_key
         self._pk = public_key
         self._cloud = cloud
-        self._admin_key = admin_verification_key
+        # Pinned for this client's lifetime and checked on every sync.
+        self._admin_key = admin_verification_key.enable_precomputation()
         self.state = ClientGroupState(group_id=group_id)
         self.registry = MetricRegistry()
         # Long-poll rounds retry through the shared policy: both the poll
@@ -140,13 +154,12 @@ class GroupClient:
     # -- synchronisation ---------------------------------------------------------
 
     def sync(self) -> bool:
-        """One long-poll round: ingest directory events, refresh our
-        partition record.  Returns True when our partition changed.
+        """One long-poll round.  Returns True when our partition changed.
 
-        All objects advertised by the poll round are fetched in a single
-        ``get_many`` round trip (the client-side counterpart of the
-        administrator's batched commit); events are then processed in
-        log order against that snapshot.
+        The poll only says *whether* (and which paths) anything changed;
+        what changed for us is read from the signed descriptor, fetched
+        in one ``get_many`` together with our current partition record
+        when that is among the changed paths.
         """
         with _span("client.sync", group=self.group_id,
                    identity=self.identity):
@@ -156,136 +169,94 @@ class GroupClient:
             return changed
 
     def _sync(self) -> bool:
-        bootstrapped = False
         horizon = self._snapshot_horizon()
-        if self.state.poll_cursor < horizon:
-            # Our cursor points into a compacted (truncated) prefix; the
-            # per-event history it references no longer exists.  Load the
-            # materialized state directly instead of replaying.
-            bootstrapped = self._bootstrap_from_snapshot(horizon)
+        # A cursor inside the compacted prefix: the history it points
+        # into no longer exists, so poll the suffix only and rebuild our
+        # view whatever the suffix holds.
+        compacted = self.state.poll_cursor < horizon
+        if compacted:
+            self._bootstraps.add()
         events, cursor = self.retry.run(
             lambda: self._cloud.poll_dir(
-                group_dir(self.group_id), self.state.poll_cursor
+                group_dir(self.group_id),
+                max(self.state.poll_cursor, horizon),
             ),
             label="client.poll",
         )
         self.state.poll_cursor = cursor
-        fetch_paths = list(dict.fromkeys(
-            event.path for event in events
-            if event.kind != "delete"
-            and not event.path.endswith("/sealed-gk")
-        ))
-        objects = self.retry.run(
-            lambda: self._cloud.get_many(fetch_paths),
-            label="client.fetch",
-        ) if fetch_paths else {}
-        changed = False
-        for event in events:
-            if event.kind == "delete":
-                if self._is_our_partition_path(event.path):
-                    self._clear_membership()
-                    changed = True
-                continue
-            if event.path.endswith("/sealed-gk"):
-                # Opaque to everyone but the enclave.
-                continue
-            obj = objects.get(event.path)
-            if obj is None:
-                # The object was deleted by a later operation (e.g. a
-                # re-partitioning); its delete event follows in the batch.
-                continue
-            if event.path.endswith("/descriptor"):
-                self._ingest_descriptor(obj.data)
-                continue
-            record = PartitionRecord.verify_and_decode(
-                obj.data, self._admin_key
-            )
-            if self.identity in record.members:
-                self.state.record = record
-                self.state.record_signed = obj.data
-                self.state.partition_id = record.partition_id
-                self.state.record_version = obj.version
-                self.state.group_key = None  # force re-derivation
-                changed = True
-            elif (self.state.partition_id == record.partition_id
-                  and self.state.record is not None):
-                # Our old partition no longer lists us: revoked (or moved —
-                # a later event will bring the new partition if moved).
-                self._clear_membership()
-                changed = True
-        return changed or bootstrapped
+        if not (events or compacted):
+            return False
+        return self._materialise(
+            None if compacted else {event.path for event in events})
 
     def _snapshot_horizon(self) -> int:
         """The store's compaction horizon (0 for stores without one)."""
         accessor = getattr(self._cloud, "snapshot_horizon", None)
         return accessor() if callable(accessor) else 0
 
-    def _bootstrap_from_snapshot(self, horizon: int) -> bool:
-        """O(changes) cold start: materialize our view at ``horizon``
-        from the descriptor plus *our own* partition record only, instead
-        of replaying the compacted event prefix.  Returns True when our
-        membership state changed."""
-        with _span("client.snapshot_bootstrap", group=self.group_id,
-                   identity=self.identity, horizon=horizon):
-            self._bootstraps.add()
+    def _materialise(self, changed: Optional[Set[str]]) -> bool:
+        """Rebuild our view from the signed descriptor plus *our own*
+        partition record — the only two objects a member ever fetches or
+        verifies.  ``changed`` holds the paths the poll reported
+        (``None``: unknown, assume all).  Returns True when our
+        membership or record changed."""
+        state = self.state
+        dpath = descriptor_path(self.group_id)
+        paths = [dpath]
+        if state.partition_id is not None:
+            own = partition_path(self.group_id, state.partition_id)
+            if changed is None or own in changed:
+                paths.append(own)
+        objects = self.retry.run(
+            lambda: self._cloud.get_many(paths), label="client.fetch")
+        if dpath not in objects:
+            # The group does not exist (deleted, or never created).
+            return self._clear_membership()
+        descriptor = self._ingest_descriptor(objects[dpath].data)
+        pid = descriptor.user_to_partition.get(self.identity)
+        if pid is None:
+            return self._clear_membership()
+        path = partition_path(self.group_id, pid)
+        if pid != state.partition_id:
+            # New here, or moved by a re-partitioning: one more fetch.
             try:
-                obj = self.retry.run(
-                    lambda: self._cloud.get(descriptor_path(self.group_id)),
-                    label="client.bootstrap",
-                )
+                obj: Optional[CloudObject] = self.retry.run(
+                    lambda: self._cloud.get(path), label="client.fetch")
             except NotFoundError:
-                # The group does not exist at the horizon (deleted, or
-                # never created); any membership we remember is stale.
-                changed = self.state.record is not None
-                self._clear_membership()
-                self.state.poll_cursor = max(self.state.poll_cursor,
-                                             horizon)
-                return changed
-            descriptor = self._ingest_descriptor(obj.data)
-            pid = descriptor.user_to_partition.get(self.identity)
-            if pid is None:
-                changed = self.state.record is not None
-                self._clear_membership()
-                self.state.poll_cursor = max(self.state.poll_cursor,
-                                             horizon)
-                return changed
-            changed = self._install_partition(pid)
-            self.state.poll_cursor = max(self.state.poll_cursor, horizon)
-            return changed
-
-    def _install_partition(self, pid: int) -> bool:
-        """Fetch and install the record for partition ``pid``; a no-op
-        when the stored record is byte-identical to the cached one (the
-        derived group key then stays valid)."""
-        try:
-            obj = self.retry.run(
-                lambda: self._cloud.get(partition_path(self.group_id, pid)),
-                label="client.bootstrap",
-            )
-        except NotFoundError:
-            # Raced with a concurrent commit; its events are past the
-            # horizon and the regular poll that follows will catch up.
+                obj = None
+        elif path in paths:
+            obj = objects.get(path)
+        else:
+            return False    # somebody else's partition changed
+        if obj is None:
+            # Raced with a concurrent commit; the next poll catches up.
             return False
         record = PartitionRecord.verify_and_decode(obj.data, self._admin_key)
+        if record.group_id != self.group_id or record.partition_id != pid:
+            theirs = partition_path(record.group_id, record.partition_id)
+            raise AccessControlError(f"record of {theirs} served at {path}")
         if self.identity not in record.members:
-            return False
-        if (self.state.record is not None
-                and self.state.record.payload() == record.payload()):
-            self.state.record_version = obj.version
-            self.state.record_signed = obj.data
-            return False
-        self.state.record = record
-        self.state.record_signed = obj.data
-        self.state.partition_id = record.partition_id
-        self.state.record_version = obj.version
-        self.state.group_key = None  # force re-derivation
+            # The descriptor is ahead of the record; the next poll
+            # brings the record that lists us (or the revocation).
+            return self._clear_membership()
+        unchanged = state.record_signed == obj.data
+        state.record_signed = obj.data
+        state.record_version = obj.version
+        if unchanged:
+            return False    # the derived group key stays valid
+        state.record = record
+        state.partition_id = pid
+        state.group_key = None  # force re-derivation
         return True
 
-    def _clear_membership(self) -> None:
+    def _clear_membership(self) -> bool:
+        """Forget our partition; True when there was one to forget."""
+        had_record = self.state.record is not None
         self.state.record = None
         self.state.record_signed = None
         self.state.partition_id = None
         self.state.group_key = None
+        return had_record
 
     def _ingest_descriptor(self, data: bytes) -> GroupDescriptor:
         """Track the signed group epoch for rollback detection."""
@@ -454,6 +425,7 @@ class GroupClient:
                 record = PartitionRecord.verify_and_decode(
                     blob, self._admin_key)
                 if (record.group_id != self.group_id
+                        or record.partition_id != payload["partition_id"]
                         or self.identity not in record.members):
                     return
                 version = int(payload["record_version"])
@@ -467,11 +439,3 @@ class GroupClient:
             self.state.partition_id = record.partition_id
             self.state.record_version = version
         self._resume_loads.add()
-
-    # -- internals -------------------------------------------------------------------
-
-    def _is_our_partition_path(self, path: str) -> bool:
-        return (
-            self.state.partition_id is not None
-            and path == f"/{self.group_id}/p{self.state.partition_id}"
-        )

@@ -9,21 +9,47 @@ certificates (Fig. 3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Any, Optional, Tuple
 
 from repro.crypto.kdf import hmac_sha256, sha256
 from repro.crypto.rng import Rng
-from repro.ec.curve import Point
+from repro.ec.curve import FixedBaseWnaf, Point
 from repro.ec.p256 import P256
 from repro.errors import AuthenticationError, CryptoError
 from repro.mathutils.modular import modinv
 
-_N = P256.order
+assert P256.order is not None    # narrows Optional[int] for the type checker
+_N: int = P256.order
 
 
 @dataclass(frozen=True)
 class EcdsaPublicKey:
+    """A verification key; equality, hashing, encoding and pickling see
+    only :attr:`point`."""
+
     point: Point
+    _long_lived: bool = field(default=False, init=False, repr=False,
+                              compare=False)
+    _table: Optional[FixedBaseWnaf] = field(default=None, init=False,
+                                            repr=False, compare=False)
+
+    def enable_precomputation(self) -> "EcdsaPublicKey":
+        """Mark THIS key object long-lived: its next :meth:`verify` builds
+        a fixed-base table (≈ 5 ms, ≈ 36 KB) and every later one costs
+        two table walks instead of a 256-bit Straus ladder (0.8 ms
+        against 1.9 ms, so the table pays back on the fifth check).
+
+        For holders that pin one key for their lifetime — a client and
+        an administrator checking store metadata.  One-shot keys (quotes,
+        IAS reports, certificates) are verified two or three times and
+        stay on the ladder.
+        """
+        object.__setattr__(self, "_long_lived", True)
+        return self
+
+    def __reduce__(self) -> Tuple[Any, ...]:
+        return (EcdsaPublicKey, (self.point,))
 
     def verify(self, message: bytes, signature: bytes) -> None:
         """Verify; raises :class:`AuthenticationError` on failure."""
@@ -37,8 +63,13 @@ class EcdsaPublicKey:
         w = modinv(s, _N)
         u1 = (z * w) % _N
         u2 = (r * w) % _N
-        point = P256.multi_mul([(u1, P256.generator), (u2, self.point)])
-        if point.is_infinity() or point.x % _N != r:
+        table = self._table
+        if table is None and self._long_lived:
+            table = FixedBaseWnaf(P256, self.point, bits=_N.bit_length())
+            object.__setattr__(self, "_table", table)
+        point = P256.multi_mul([(u1, P256.generator_table()),
+                                (u2, table or self.point)])
+        if point.x is None or point.x % _N != r:
             raise AuthenticationError("ECDSA signature invalid")
 
     def is_valid(self, message: bytes, signature: bytes) -> bool:
@@ -68,8 +99,8 @@ class EcdsaPrivateKey:
         z = _hash_to_int(message)
         k = _deterministic_nonce(self.scalar, message)
         for attempt in range(64):
-            point = P256.mul_generator(k)
-            r = point.x % _N
+            x = P256.mul_generator(k).x
+            r = 0 if x is None else x % _N
             if r != 0:
                 s = (modinv(k, _N) * (z + r * self.scalar)) % _N
                 if s != 0:

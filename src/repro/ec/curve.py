@@ -10,14 +10,16 @@ primitives: Jacobian doubling, *mixed* addition (Jacobian accumulator
 plus affine operand), Montgomery batch normalisation (many Jacobian
 points to affine for one inversion) and the digit recoder of
 :mod:`repro.ec.wnaf`.  ``Point.__mul__`` and :meth:`Curve.multi_mul` are
-the interleaved width-5 wNAF sum (Straus) over one or many bases;
-:meth:`Curve.mul_generator` and the long-lived IBBE bases go through the
-fixed-base tables of :class:`FixedBaseWnaf`.
+the interleaved width-5 wNAF sum (Straus) over one or many bases.  A
+base may also be a :class:`FixedBaseWnaf` table (the curve generators,
+the long-lived IBBE bases, a pinned ECDSA key): its term needs no
+doublings, only one mixed addition per non-zero digit into the same
+accumulator, and :meth:`FixedBaseWnaf.mul` is the one-term case.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.ec.wnaf import (
     HITS,
@@ -32,6 +34,9 @@ from repro.mathutils.modular import modinv, modsqrt
 
 Affine = Tuple[int, int]          # a finite point; infinity is ``None``
 Jacobian = Tuple[int, int, int]   # (X, Y, Z); point at infinity has Z == 0
+
+#: What a scalar multiplies in :meth:`Curve.multi_mul`.
+Base = Union["Point", "FixedBaseWnaf"]
 
 _INFINITY: Jacobian = (1, 1, 0)
 #: Odd multiples ``P, 3P, …`` a wNAF ladder keeps per base.
@@ -176,20 +181,37 @@ class Curve:
         xy = self._normalise([pt])[0]
         return self.infinity() if xy is None else Point(self, *xy)
 
-    def _wnaf_sum(self, terms: Iterable[Tuple[int, "Point"]]) -> "Point":
-        """``Σ k_i · P_i`` by interleaved width-5 wNAF (Straus).
+    def _wnaf_sum(self, terms: Iterable[Tuple[int, Base]]) -> "Point":
+        """``Σ k_i · B_i`` by interleaved width-5 wNAF (Straus), with
+        tabled bases folded into the same accumulator.
 
-        Each base contributes its odd multiples ``P, 3P, …, 15P``; all of
-        them are normalised together, so the whole sum costs one
-        inversion for its tables and one for the result.  The doublings
-        are shared: one per bit of the longest scalar, plus one mixed
-        addition per non-zero digit (≈ bits/6 per term).
+        Each :class:`Point` base contributes its odd multiples ``P, 3P,
+        …, 15P``; all of them are normalised together, so the whole sum
+        costs one inversion for its tables and one for the result.  The
+        doublings are shared: one per bit of the longest scalar, plus one
+        mixed addition per non-zero digit (≈ bits/6 per term).  A
+        :class:`FixedBaseWnaf` base already holds every multiple its
+        radix-16 digits select, so its term joins after the last doubling
+        and costs ≈ bits/4 mixed additions and nothing else.
         """
         p = self.p
         odd_multiples: List[Jacobian] = []
         recodings: List[List[int]] = []
-        for k, point in terms:
-            xy = point._xy()
+        tabled: List[Affine] = []
+        for k, base in terms:
+            if isinstance(base, FixedBaseWnaf):
+                HITS.add()
+                digits = wnaf_digits(abs(k), base.width, base.width)
+                if len(digits) > len(base.rows):
+                    raise CurveError("scalar exceeds the fixed-base table")
+                for row, digit in zip(base.rows, digits):
+                    entry = row[abs(digit) - 1] if digit else None
+                    if entry is not None:
+                        x, y = entry
+                        tabled.append(
+                            (x, -y % p if (digit < 0) != (k < 0) else y))
+                continue
+            xy = base._xy()
             if k == 0 or xy is None:
                 continue
             x, y = xy
@@ -212,30 +234,41 @@ class Curve:
             acc = self._double(acc)
             for x, y in column:
                 acc = self._add_affine(acc, x, y)
+        for x, y in tabled:
+            acc = self._add_affine(acc, x, y)
         return self._to_affine(acc)
 
     # -- scalar multiplication -------------------------------------------------
 
-    def mul_generator(self, k: int) -> "Point":
-        """``k·G`` from a lazily built fixed-base table.
+    def generator_table(self) -> "FixedBaseWnaf":
+        """The generator's fixed-base table, built on first use.
 
-        The generator is multiplied on every signature, key generation and
-        ECIES encryption, so the one-time table pays for itself quickly.
+        The generator is multiplied on every signature, verification, key
+        generation and ECIES encryption, so the one-time table pays for
+        itself quickly.
         """
-        generator = self.generator
-        if self.order is not None:
-            k %= self.order
         if self._gen_table is None:
             self._gen_table = FixedBaseWnaf(
-                self, generator, bits=(self.order or self.p).bit_length(),
+                self, self.generator,
+                bits=(self.order or self.p).bit_length(),
             )
-        return self._gen_table.mul(k)
+        return self._gen_table
 
-    def multi_mul(self, pairs: Iterable[Tuple[int, "Point"]]) -> "Point":
-        """Compute ``Σ k_i · P_i`` (interleaved wNAF, shared doublings).
+    def mul_generator(self, k: int) -> "Point":
+        """``k·G`` from :meth:`generator_table`."""
+        table = self.generator_table()
+        return table.mul(k % self.order if self.order is not None else k)
 
-        ``pairs`` is an iterable of ``(scalar, Point)``.  Used by the IBBE
-        decrypt multi-exponentiation and by every ECDSA verification.
+    def multi_mul(self, pairs: Iterable[Tuple[int, Base]]) -> "Point":
+        """Compute ``Σ k_i · B_i`` in one accumulator with one final
+        normalisation.
+
+        ``pairs`` is an iterable of ``(scalar, base)``; a base is a
+        :class:`Point` (interleaved wNAF, shared doublings) or a
+        :class:`FixedBaseWnaf` built for this curve (table lookups; a
+        scalar beyond the table is a :class:`~repro.errors.CurveError`).
+        Used by the IBBE decrypt multi-exponentiation and by every ECDSA
+        verification.
         """
         return self._wnaf_sum(pairs)
 
@@ -387,18 +420,4 @@ class FixedBaseWnaf:
     def mul(self, k: int) -> Point:
         """``k · B`` for ``|k| < 2^bits``; a scalar beyond the table is a
         :class:`~repro.errors.CurveError`."""
-        if k < 0:
-            return -self.mul(-k)
-        HITS.add()
-        digits = wnaf_digits(k, self.width, self.width)
-        if len(digits) > len(self.rows):
-            raise CurveError("scalar exceeds the fixed-base table")
-        curve = self.curve
-        p = curve.p
-        acc = _INFINITY
-        for row, digit in zip(self.rows, digits):
-            entry = row[abs(digit) - 1] if digit else None
-            if entry is not None:
-                x, y = entry
-                acc = curve._add_affine(acc, x, -y % p if digit < 0 else y)
-        return curve._to_affine(acc)
+        return self.curve._wnaf_sum([(k, self)])

@@ -74,7 +74,9 @@ def encrypt(params: IbePublicParams, identity: str, message: bytes,
     r = params.group.random_scalar(rng)
     u = params.group.g1 ** r
     q_id = params.hash_identity(identity)
-    shared = params.group.pair(q_id, params.p_pub) ** r
+    # The pairing is symmetric; the long-lived ``p_pub`` goes first so
+    # its cached Miller lines serve every encryption.
+    shared = params.group.pair(params.p_pub, q_id) ** r
     key = _derive_key(shared, u)
     nonce = rng.random_bytes(12)
     return IbeCiphertext(u, nonce + gcm_encrypt(key, nonce, message))

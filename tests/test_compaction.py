@@ -300,6 +300,26 @@ class TestResumeCursor:
         restarted.sync()
         assert restarted.current_group_key() == client.current_group_key()
 
+    def test_resume_record_bound_to_its_saved_partition(self, tmp_path):
+        """The saved record must be the one of the saved partition id,
+        as a fetched record must be the one of the path requested."""
+        system, store = make_filestore_system(tmp_path / "c")
+        system.admin.create_group(GROUP, ["a", "b"])
+        resume = tmp_path / "resume.json"
+        client = system.make_client(GROUP, "a")
+        client.resume_path = resume
+        client.sync()
+
+        payload = json.loads(resume.read_text("utf-8"))
+        payload["partition_id"] += 1
+        resume.write_text(json.dumps(payload), encoding="utf-8")
+
+        restarted = system.make_client(GROUP, "a")
+        restarted.resume_path = resume
+        restarted._load_resume()
+        assert restarted.state.record is None      # cold start
+        assert restarted.state.poll_cursor == 0
+
     def test_foreign_identity_resume_ignored(self, tmp_path):
         system, store = make_filestore_system(tmp_path / "c")
         system.admin.create_group(GROUP, ["a", "b"])

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from repro.ec import P256, Curve, FixedBaseWnaf, Point, wnaf_digits
 from repro.ec.wnaf import TABLE_WIDTH, WNAF_WIDTH, table_rows
+from repro.errors import CurveError
 from repro.pairing import PairingGroup
 from repro.pairing.group import G1Element, GTElement
 from repro.pairing.params import preset
@@ -195,6 +196,62 @@ def test_multi_mul_sampled_std160():
     terms = [(group.hash_to_scalar(f"k{i}"), curve.generator * (i + 2))
              for i in range(6)]
     assert xy(curve.multi_mul(terms)) == ref_sum(curve, terms)
+
+
+def pool_tables(curve):
+    """A table for every base the :func:`bases` strategy can draw."""
+    g = curve.generator
+    bits = curve.order.bit_length()
+    return {point: FixedBaseWnaf(curve, point, bits=bits)
+            for point in {sign * (g * k) for sign in (1, -1)
+                          for k in (1, 2, 0xC0FFEE, curve.order - 5)}
+            | {curve.infinity()}}
+
+
+@pytest.mark.parametrize("name,examples", [("P-256", 8), ("toy64", 40)])
+def test_multi_mul_mixes_tabled_and_plain_terms(name, examples):
+    """Any mix of tabled and plain bases — zero and negative scalars,
+    infinity under either form — is the naive sum."""
+    curve = CURVES[name]
+    tables = pool_tables(curve)
+
+    @given(st.lists(st.tuples(scalars(curve.order), bases(curve),
+                              st.booleans()), max_size=12))
+    @settings(max_examples=examples, deadline=None)
+    def run(terms):
+        mixed = [(k, tables[base] if tabled else base)
+                 for k, base, tabled in terms]
+        assert xy(curve.multi_mul(mixed)) == ref_sum(
+            curve, [(k, base) for k, base, _ in terms])
+
+    run()
+
+
+@pytest.mark.parametrize("name", CURVES)
+def test_multi_mul_rejects_a_scalar_beyond_a_table(name):
+    """One bit past what the rows hold is an error for the whole sum,
+    whatever else it contains; the last scalar that fits still works."""
+    curve = CURVES[name]
+    g = curve.generator
+    table = curve.generator_table()
+    beyond = 1 << (table.width * len(table.rows))
+    for sign in (1, -1):
+        with pytest.raises(CurveError, match="exceeds the fixed-base table"):
+            curve.multi_mul([(5, g), (sign * beyond, table)])
+        with pytest.raises(CurveError):
+            table.mul(sign * beyond)
+    fits = beyond // 2
+    assert xy(curve.multi_mul([(5, g), (fits, table)])) == ref_mul(
+        curve, 5 + fits, xy(g))
+
+
+def test_multi_mul_of_tables_only_and_the_one_term_case():
+    table = TOY.generator_table()
+    g = TOY.generator
+    assert TOY.multi_mul([(3, table), (-3, table)]).is_infinity()
+    assert TOY.multi_mul([(0, table)]).is_infinity()
+    assert TOY.multi_mul([(7, table), (11, table)]) == g * 18
+    assert table.mul(18) == TOY.mul_generator(18) == g * 18
 
 
 # -- fixed-base tables ----------------------------------------------------------------

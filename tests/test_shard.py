@@ -208,6 +208,22 @@ class TestFailover:
         finally:
             system.close()
 
+    def test_attestation_keys_build_no_tables(self):
+        """Quote, IAS-report and peer keys are checked two or three times
+        each — fewer than a table takes to pay back — and nobody marks
+        them long-lived, so re-attestation leaves the table count alone."""
+        from repro.ec import precomp_registry
+        from repro.sgx import mutual_attest
+        system = build(2)
+        try:
+            first, second = (shard.enclave for shard in system.shards)
+            before = precomp_registry.snapshot()["ec.precomp.tables"]
+            mutual_attest(first, second, system.ias)
+            mutual_attest(second, first, system.ias)
+            assert precomp_registry.snapshot()["ec.precomp.tables"] == before
+        finally:
+            system.close()
+
     def test_provisioning_retries_injected_attestation_faults(self):
         plan = FaultPlan(seed="attest", attest_fail_rate=1.0,
                          max_attest_fails=3)
