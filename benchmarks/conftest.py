@@ -52,7 +52,6 @@ class ResultSink:
         print(text)
 
     def table(self, title: str, headers, rows) -> None:
-        from repro.bench import print_table
         self.line(f"\n== {title} ==")
         widths = [
             max(len(str(headers[i])), *(len(str(r[i])) for r in rows))

@@ -1,40 +1,14 @@
-"""Shared benchmark harness utilities (timing, curve fitting, reporting)
-and the CI performance-regression gate (:mod:`repro.bench.gate`)."""
+"""Shared benchmark harness utilities (timing, curve fitting, reporting)."""
 
 from repro.bench.fitting import FitResult, extrapolate, fit_power_law
-from repro.bench.gate import (
-    compare,
-    current_rev,
-    load_snapshot,
-    load_tolerances,
-    make_snapshot,
-    run_ops,
-    write_snapshot,
-)
-from repro.bench.reporting import (
-    cdf_points,
-    format_bytes,
-    format_seconds,
-    print_series,
-    print_table,
-)
-from repro.bench.timing import Timer, time_call
+from repro.bench.reporting import cdf_points, format_bytes, format_seconds
+from repro.bench.timing import time_call
 
 __all__ = [
-    "Timer",
     "time_call",
-    "compare",
-    "current_rev",
-    "load_snapshot",
-    "load_tolerances",
-    "make_snapshot",
-    "run_ops",
-    "write_snapshot",
     "FitResult",
     "fit_power_law",
     "extrapolate",
-    "print_table",
-    "print_series",
     "cdf_points",
     "format_seconds",
     "format_bytes",

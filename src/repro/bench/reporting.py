@@ -1,4 +1,4 @@
-"""Plain-text reporting for benchmark output (tables and series).
+"""Plain-text formatting for benchmark output.
 
 Benchmarks print the same rows/series the paper's figures plot, in a form
 that diffs cleanly into EXPERIMENTS.md.
@@ -32,34 +32,6 @@ def format_bytes(count: float) -> str:
             return f"{value:.1f} {unit}"
         value /= 1024
     return f"{value:.1f} GB"
-
-
-def print_table(title: str, headers: Sequence[str],
-                rows: Sequence[Sequence[str]]) -> None:
-    widths = [
-        max(len(str(headers[i])), *(len(str(row[i])) for row in rows))
-        if rows else len(str(headers[i]))
-        for i in range(len(headers))
-    ]
-    print(f"\n== {title} ==")
-    header_line = "  ".join(
-        str(h).ljust(widths[i]) for i, h in enumerate(headers)
-    )
-    print(header_line)
-    print("-" * len(header_line))
-    for row in rows:
-        print("  ".join(str(c).ljust(widths[i]) for i, c in enumerate(row)))
-
-
-def print_series(title: str, xlabel: str, ylabel: str,
-                 series: Sequence[Tuple[str, Sequence[Tuple[float, str]]]],
-                 ) -> None:
-    """Print named (x, formatted-y) series — one figure's worth of lines."""
-    print(f"\n== {title} ==")
-    for name, points in series:
-        print(f"  [{name}] ({xlabel} -> {ylabel})")
-        for x, y in points:
-            print(f"    {x:>12g}  {y}")
 
 
 def cdf_points(samples: Sequence[float],

@@ -12,24 +12,3 @@ def time_call(fn: Callable[..., Any], *args: Any,
     start = time.perf_counter()
     result = fn(*args, **kwargs)
     return result, time.perf_counter() - start
-
-
-class Timer:
-    """Context-manager stopwatch.
-
-    >>> with Timer() as t:
-    ...     sum(range(1000))
-    >>> t.seconds >= 0
-    True
-    """
-
-    def __init__(self) -> None:
-        self.seconds = 0.0
-        self._start = 0.0
-
-    def __enter__(self) -> "Timer":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.seconds = time.perf_counter() - self._start

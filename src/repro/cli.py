@@ -518,14 +518,6 @@ def cmd_serve(args) -> int:
     return 0
 
 
-def cmd_scale(args) -> int:
-    """Run the scale suite through the same argument set (and driver)
-    as ``python -m repro.workloads.scale``."""
-    from repro.workloads.scale import run_from_args
-
-    return run_from_args(args)
-
-
 def _server_stats_table(stats: dict) -> list:
     """Human-readable rendering of an ``ops.stats`` snapshot."""
     from repro import obs
@@ -826,15 +818,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(one `serving` line each, in shard order; "
                         "with --port they bind consecutive ports)")
     p.set_defaults(func=cmd_serve)
-
-    p = sub.add_parser("scale",
-                       help="run the million-user scale suite (Zipf "
-                            "groups, bursty churn, OCC contention, "
-                            "sync storms) or its calibration mode")
-    from repro.workloads.scale import add_scale_arguments
-
-    add_scale_arguments(p)
-    p.set_defaults(func=cmd_scale)
 
     p = sub.add_parser("stats",
                        help="dump a metric snapshot: the deployment's "

@@ -6,19 +6,20 @@ cryptographic step, signs the resulting metadata, and pushes it to the
 cloud.  At no point does it see a plaintext group or broadcast key — the
 zero-knowledge tests run these exact code paths.
 
-Every mutation is expressed as an :class:`~repro.core.pipeline.OpPlan`
-(enclave batch + ordered cloud effects) executed by one shared
+Every mutation is expressed as an :class:`OpPlan` (enclave batch +
+ordered cloud effects) executed by one shared
 :meth:`GroupAdministrator._commit_plan` path: the enclave work runs in a
 single :meth:`~repro.sgx.enclave.Enclave.call_batch` crossing and the
 cloud writes land in a single atomic
-:meth:`~repro.cloud.store.CloudStore.commit` round trip.
+:meth:`~repro.cloud.store.CloudStore.commit` round trip (descriptor
+conditional-put first).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.cloud.store import CloudBatch, CloudStore
 from repro.core.cache import AdminCache, AdminGroupState
@@ -31,14 +32,6 @@ from repro.core.metadata import (
     sealed_key_path,
 )
 from repro.core.partitions import PartitionTable
-from repro.core.pipeline import (
-    DropPartition,
-    EcallOp,
-    InstallPartition,
-    OpPlan,
-    PlanEffects,
-    PushSealedKey,
-)
 from repro.crypto import ecdsa
 from repro.crypto.rng import Rng, SystemRng
 from repro.enclave_app.ibbe_enclave import IbbeEnclave, PartitionBlob
@@ -89,6 +82,74 @@ class _Placement:
 
     fresh: bool
     users: List[str]
+
+
+@dataclass(frozen=True)
+class EcallOp:
+    """One enclave entry in a plan (positional args only).  Arguments may
+    be :class:`~repro.sgx.enclave.ResultRef` placeholders referencing
+    earlier results, so dependent calls (extend the ciphertext a previous
+    entry created) batch into the same crossing."""
+
+    name: str
+    args: Tuple[Any, ...]
+
+
+@dataclass(frozen=True)
+class InstallPartition:
+    """Sign and push the record for partition ``pid`` holding ``blob``."""
+
+    pid: int
+    blob: PartitionBlob
+
+
+@dataclass(frozen=True)
+class DropPartition:
+    """Delete partition ``pid``'s cloud object (tolerating absence)."""
+
+    pid: int
+
+
+@dataclass(frozen=True)
+class PushSealedKey:
+    """Push the state's (possibly freshly rotated) sealed group key."""
+
+
+PlanAction = Union[InstallPartition, DropPartition, PushSealedKey]
+
+
+@dataclass
+class PlanEffects:
+    """Cloud-visible outcome of a plan's enclave phase, in commit order."""
+
+    actions: List[PlanAction]
+    #: New sealed group key (``None`` when the operation kept the old one).
+    sealed_gk: Optional[bytes] = None
+
+
+@dataclass
+class OpPlan:
+    """One group mutation: enclave batch + cloud effects.
+
+    ``effects`` receives the ecall results in request order.  Plans are
+    produced by zero-argument builder closures so the executor can rebuild
+    them after recovering a foreign sealed group key (multi-admin
+    :class:`~repro.errors.SealingError` path) — the builder re-reads the
+    refreshed ``state.sealed_group_key``.
+
+    ``bump_epoch`` is False for operations that preset the epoch on a
+    fresh state object (group creation, re-partitioning).
+    """
+
+    ecalls: List[EcallOp]
+    effects: Callable[[Sequence[Any]], PlanEffects]
+    bump_epoch: bool = True
+
+    def describe(self) -> str:
+        """Short trace label for this plan (``admin.plan`` spans)."""
+        if not self.ecalls:
+            return "noop"
+        return "+".join(op.name for op in self.ecalls)
 
 
 class GroupAdministrator:

@@ -27,7 +27,8 @@ server to run the handler under a distributed-trace capture and ship
 the resulting span rows and counter deltas back on the response's
 optional ``telemetry`` object.  Both keys are *omitted entirely* when
 unused, keeping the non-traced envelope byte-identical to protocol
-version 1 as shipped (the perf gate pins per-RPC wire bytes).
+version 1 as shipped (``tests/test_footprint.py`` pins per-RPC wire
+bytes).
 
 **Handshake.**  The first exchange on every connection must be
 ``hello``: the client sends its :data:`PROTOCOL_VERSION`, the server

@@ -162,7 +162,7 @@ class Histogram:
         self.max: Optional[float] = None
         self._reservoir: List[float] = []
         # Deterministic per-name stream: snapshots are reproducible for
-        # a fixed observation sequence (the bench gate relies on this).
+        # a fixed observation sequence.
         self._rand = random.Random(f"histogram:{self.name}")
 
     def snapshot(self) -> Dict[str, float]:

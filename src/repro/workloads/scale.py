@@ -406,7 +406,8 @@ class ScaleReport:
 class ScaleRunner:
     """Drives one deployment through the scale scenario, phase by phase.
 
-    Phases are public so the bench gate can time them individually:
+    Phases are public so ``tests/test_footprint.py`` can meter them
+    individually:
     :meth:`provision` → :meth:`churn` → :meth:`contention` →
     :meth:`sync_storm` → :meth:`finish`.  ``run_scale`` strings them all
     together.
@@ -921,7 +922,7 @@ def run_calibration(seed: str = "scale-cal",
 # ---------------------------------------------------------------------------
 
 def add_scale_arguments(parser) -> None:
-    """Scale-suite options, shared with ``repro scale`` in the CLI."""
+    """Scale-suite options."""
     parser.add_argument("--users", default="100000",
                         help="total users across all groups "
                              "(accepts 1e5 notation)")
@@ -979,9 +980,9 @@ def config_from_args(args) -> ScaleConfig:
 
 
 def run_from_args(args) -> int:
-    """Shared driver behind ``python -m repro.workloads.scale`` and the
-    ``repro scale`` CLI subcommand: run the scenario (or calibration),
-    print the JSON summary, and emit the requested artifacts."""
+    """Driver behind ``python -m repro.workloads.scale``: run the scenario
+    (or calibration), print the JSON summary, and emit the requested
+    artifacts."""
     import json
     import os
 

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.bench import (
-    Timer,
     cdf_points,
     extrapolate,
     fit_power_law,
@@ -94,8 +93,3 @@ class TestTiming:
         result, elapsed = time_call(sum, range(1000))
         assert result == 499500
         assert elapsed >= 0
-
-    def test_timer_context(self):
-        with Timer() as timer:
-            sum(range(10_000))
-        assert timer.seconds > 0

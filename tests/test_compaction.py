@@ -13,6 +13,7 @@ import base64
 import copy
 import json
 import shutil
+import time
 
 import pytest
 
@@ -20,6 +21,7 @@ from repro.cloud import FileCloudStore
 from repro.errors import CrashError, RevokedError, StorageError
 from repro.faults import FaultInjector, FaultPlan, FaultyCloudStore, use_faults
 from tests.conftest import make_system
+from tests.test_footprint import cold_start, gate_system, history_store
 
 GROUP = "g"
 
@@ -380,14 +382,23 @@ class TestAdminIncrementalSync:
 
 
 class TestColdStartPerformance:
-    def test_snapshot_cold_start_beats_full_replay(self):
-        """The bench-gate claim at reduced scale: bootstrapping from a
-        compacted store must be faster than replaying the full event
-        history (min-of-3 to shrug off scheduler noise)."""
-        from repro.bench.gate import _op_cold_start
+    def test_snapshot_cold_start_beats_full_replay(self, tmp_path):
+        """Bootstrapping from a compacted store must be faster than
+        replaying the full event history (min-of-3 to shrug off
+        scheduler noise).  The bytes read are pinned, and shown equal on
+        both stores, in ``tests/test_footprint.py``."""
+        def restart_seconds(root):
+            with gate_system("cold", capacity=8) as system:
+                system.user_key("u0")   # provision outside the timer
+                start = time.perf_counter()
+                cold_start(system, root)
+                return time.perf_counter() - start
 
-        replay = min(_op_cold_start(0.3, compacted=False)[0]
+        history_store(tmp_path / "replay", 3000)
+        shutil.copytree(tmp_path / "replay", tmp_path / "snapshot")
+        FileCloudStore(tmp_path / "snapshot").compact()
+        replay = min(restart_seconds(tmp_path / "replay")
                      for _ in range(3))
-        snapshot = min(_op_cold_start(0.3, compacted=True)[0]
+        snapshot = min(restart_seconds(tmp_path / "snapshot")
                        for _ in range(3))
         assert snapshot < replay
