@@ -20,54 +20,53 @@ for the architecture and experiment index.
 
 from __future__ import annotations
 
-from repro.cloud import CloudStore, CloudStoreProtocol, LatencyModel
-from repro.core import GroupAdministrator, GroupClient
-from repro.deploy import System, assemble_system, quickstart_system
-from repro.enclave_app import IbbeEnclave
-from repro.errors import ReproError
-from repro.net import RemoteCloudStore, StoreServer, connect_store
-from repro.obs import (
-    MetricRegistry,
-    MetricSource,
-    Span,
-    Tracer,
-    merge_snapshots,
-    telemetry_snapshot,
-    tracer,
-)
-from repro.pairing import PairingGroup, preset, std160, toy64
-from repro.sgx import Auditor, IntelAttestationService, SgxDevice
-from repro.shard import ShardedSystem
+from importlib import import_module
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ReproError",
-    "CloudStore",
-    "CloudStoreProtocol",
-    "RemoteCloudStore",
-    "StoreServer",
-    "connect_store",
-    "LatencyModel",
-    "GroupAdministrator",
-    "GroupClient",
-    "IbbeEnclave",
-    "PairingGroup",
-    "preset",
-    "toy64",
-    "std160",
-    "SgxDevice",
-    "IntelAttestationService",
-    "Auditor",
-    "System",
-    "assemble_system",
-    "quickstart_system",
-    "ShardedSystem",
-    "MetricRegistry",
-    "MetricSource",
-    "Span",
-    "Tracer",
-    "merge_snapshots",
-    "telemetry_snapshot",
-    "tracer",
-]
+#: Every public name and the sub-package that exports it, in documented
+#: order.  Nothing is imported until a name is first used (PEP 562), so
+#: ``import repro`` — which every ``import repro.x.y`` runs first — loads
+#: this file alone: the enclave's import closure (``tests/test_tcb.py``)
+#: is what the enclave imports, not what the deployment helpers do.
+_HOME = {
+    "ReproError": "repro.errors",
+    "CloudStore": "repro.cloud",
+    "CloudStoreProtocol": "repro.cloud",
+    "RemoteCloudStore": "repro.net",
+    "StoreServer": "repro.net",
+    "connect_store": "repro.net",
+    "LatencyModel": "repro.cloud",
+    "GroupAdministrator": "repro.core",
+    "GroupClient": "repro.core",
+    "IbbeEnclave": "repro.enclave_app",
+    "PairingGroup": "repro.pairing",
+    "preset": "repro.pairing",
+    "toy64": "repro.pairing",
+    "std160": "repro.pairing",
+    "SgxDevice": "repro.sgx",
+    "IntelAttestationService": "repro.sgx",
+    "Auditor": "repro.sgx",
+    "System": "repro.deploy",
+    "assemble_system": "repro.deploy",
+    "quickstart_system": "repro.deploy",
+    "ShardedSystem": "repro.shard",
+    "MetricRegistry": "repro.obs",
+    "MetricSource": "repro.obs",
+    "Span": "repro.obs",
+    "Tracer": "repro.obs",
+    "merge_snapshots": "repro.obs",
+    "telemetry_snapshot": "repro.obs",
+    "tracer": "repro.obs",
+}
+
+__all__ = [*_HOME]
+
+
+def __getattr__(name: str):
+    # AttributeError for anything else is what lets ``from repro import
+    # ibbe`` fall through to importing the sub-package.
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(_HOME[name]), name)
+    return value

@@ -21,14 +21,14 @@ from typing import Dict, List, Optional, Protocol, Sequence
 
 from repro import ibe
 from repro.cloud.store import CloudStore
-from repro.core.envelope import GROUP_KEY_SIZE
-from repro.core.serialize import Reader, Writer
 from repro.crypto import ecies
+from repro.crypto.envelope import GROUP_KEY_SIZE
 from repro.crypto.rng import Rng, SystemRng
 from repro.errors import AccessControlError, MembershipError, RevokedError
 from repro.obs.metrics import MetricRegistry
 from repro.obs.spans import span as _span
-from repro.pairing.group import PairingGroup
+from repro.pairing.group import G1Element, PairingGroup
+from repro.serialize import Reader, Writer
 
 
 class UserCryptoScheme(Protocol):
@@ -109,7 +109,6 @@ class HeIbeScheme:
         if user_key is None:
             raise MembershipError(f"user {identity!r} has no extracted key")
         point_size = 1 + (self.params.group.p.bit_length() + 7) // 8
-        from repro.pairing.group import G1Element
         u = G1Element.decode(self.params.group, ciphertext[:point_size])
         body = ciphertext[point_size:]
         return ibe.decrypt(self.params, user_key,

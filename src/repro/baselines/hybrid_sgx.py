@@ -20,9 +20,14 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.envelope import GROUP_KEY_SIZE
 from repro.crypto import ecies
-from repro.errors import EnclaveError, MembershipError
+from repro.crypto.envelope import GROUP_KEY_SIZE
+from repro.errors import (
+    AccessControlError,
+    EnclaveError,
+    MembershipError,
+    RevokedError,
+)
 from repro.obs.metrics import MetricRegistry
 from repro.sgx.enclave import Enclave, ecall
 
@@ -179,7 +184,6 @@ class HeSgxGroupManager:
     def derive_group_key(self, group_id: str, user: str) -> bytes:
         wrapped = self._require(group_id).get(user)
         if wrapped is None:
-            from repro.errors import RevokedError
             raise RevokedError(f"user {user!r} holds no wrapped key")
         return self.user_keys[user].decrypt(wrapped)
 
@@ -192,6 +196,5 @@ class HeSgxGroupManager:
     def _require(self, group_id: str) -> Dict[str, bytes]:
         wrapped = self._wrapped.get(group_id)
         if wrapped is None:
-            from repro.errors import AccessControlError
             raise AccessControlError(f"unknown group {group_id!r}")
         return wrapped

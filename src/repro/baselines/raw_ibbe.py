@@ -13,7 +13,11 @@ from typing import Dict, List, Optional, Sequence
 
 from repro import ibbe
 from repro.cloud.store import CloudStore
-from repro.core.envelope import GROUP_KEY_SIZE, unwrap_group_key, wrap_group_key
+from repro.crypto.envelope import (
+    GROUP_KEY_SIZE,
+    unwrap_group_key,
+    wrap_group_key,
+)
 from repro.crypto.rng import Rng, SystemRng
 from repro.errors import AccessControlError, MembershipError, RevokedError
 

@@ -65,7 +65,7 @@ from repro.cloud.store import (
     snapshot_events,
 )
 from repro.errors import ConflictError, NotFoundError, StorageError
-from repro.faults.plan import crash_point
+from repro.faulthook import crash_point
 from repro.obs.spans import span as _span
 
 

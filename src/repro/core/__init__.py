@@ -1,9 +1,8 @@
 """The IBBE-SGX group access control system (paper §V).
 
-* :mod:`repro.core.envelope` — AES-GCM wrapping of the group key under the
-  hashed partition broadcast key.
 * :mod:`repro.core.partitions` — the partitioning mechanism (§IV-C).
-* :mod:`repro.core.metadata` — group metadata records and binary codecs.
+* :mod:`repro.core.metadata` — group metadata records (framed with
+  :mod:`repro.serialize`, enveloped with :mod:`repro.crypto.envelope`).
 * :mod:`repro.core.admin` — administrator API (Algorithms 1-3 + heuristics).
 * :mod:`repro.core.client` — user API (listen, decrypt).
 * :mod:`repro.core.cache` — admin/client local metadata caches.

@@ -35,8 +35,13 @@ from repro.core.partitions import PartitionTable
 from repro.crypto import ecdsa
 from repro.crypto.rng import Rng, SystemRng
 from repro.enclave_app.ibbe_enclave import IbbeEnclave, PartitionBlob
-from repro.errors import AccessControlError, MembershipError, SealingError
-from repro.faults.plan import crash_point
+from repro.errors import (
+    AccessControlError,
+    MembershipError,
+    NotFoundError,
+    SealingError,
+)
+from repro.faulthook import crash_point
 from repro.faults.retry import RetryPolicy
 from repro.obs.metrics import CounterField, MetricRegistry
 from repro.obs.spans import span as _span
@@ -743,7 +748,6 @@ class GroupAdministrator:
             if (descriptor_event is not None
                     and descriptor_event.kind == "delete"):
                 self.cache.drop(group_id)
-                from repro.errors import NotFoundError
                 raise NotFoundError(f"no object at {dpath}")
             descriptor_obj = self.retry.run(
                 lambda: self.cloud.get(dpath),
@@ -806,7 +810,6 @@ class GroupAdministrator:
             else:
                 record_obj = objects.get(record_paths[pid])
                 if record_obj is None:
-                    from repro.errors import NotFoundError
                     raise NotFoundError(
                         f"no object at {record_paths[pid]}")
                 record = PartitionRecord.verify_and_decode(

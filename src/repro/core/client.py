@@ -61,7 +61,6 @@ from typing import Dict, Optional, Set, Tuple, Union
 from repro import ibbe
 from repro.cloud.store import CloudObject, CloudStore
 from repro.core.cache import ClientGroupState
-from repro.core.envelope import unwrap_group_key
 from repro.core.metadata import (
     GroupDescriptor,
     PartitionRecord,
@@ -70,6 +69,7 @@ from repro.core.metadata import (
     partition_path,
 )
 from repro.crypto import ecdsa
+from repro.crypto.envelope import unwrap_group_key
 from repro.errors import (
     AccessControlError,
     NotFoundError,
@@ -79,7 +79,9 @@ from repro.errors import (
 from repro.faults.retry import RetryPolicy
 from repro.obs.metrics import CounterField, MetricRegistry
 from repro.obs.spans import span as _span
-from repro.pairing.group import PairingGroup
+from repro.pairing.group import G1Element, PairingGroup
+from repro.par import WorkerPool
+from repro.par import kernels as par_kernels
 
 
 class GroupClient:
@@ -341,9 +343,6 @@ class GroupClient:
         client's identity are skipped.  Returns the number of hints added;
         the cache capacity grows to hold them all.
         """
-        from repro.par import WorkerPool
-        from repro.par import kernels as par_kernels
-
         todo = []
         for members in member_sets:
             key = tuple(members)
@@ -366,7 +365,6 @@ class GroupClient:
         )
         self.hint_cache_cap = max(self.hint_cache_cap,
                                   len(self._hints) + len(todo))
-        from repro.pairing.group import G1Element
         for key, (h_pi_bytes, delta_inverse) in zip(todo, results):
             self._cache_hint(key, ibbe.DecryptionHint(
                 identity=self.identity,

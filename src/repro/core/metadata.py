@@ -20,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from repro.core.serialize import Reader, Writer, join_signed, split_signed
 from repro.crypto import ecdsa
 from repro.errors import AuthenticationError, StorageError
+from repro.serialize import Reader, Writer, join_signed, split_signed
 
 _PARTITION_MAGIC = b"PREC1"
 _DESCRIPTOR_MAGIC = b"GDSC1"

@@ -30,10 +30,10 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.serialize import Reader, Writer
 from repro.crypto import ecdsa
 from repro.crypto.kdf import sha256
 from repro.errors import AccessControlError, AuthenticationError, StorageError
+from repro.serialize import Reader, Writer
 
 GENESIS_HASH = bytes(32)
 

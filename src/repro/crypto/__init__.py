@@ -10,6 +10,8 @@ Contents:
 * :mod:`repro.crypto.ecies` — ECIES over NIST P-256 (HE-PKI baseline primitive).
 * :mod:`repro.crypto.ecdsa` — ECDSA over NIST P-256 (signatures for admins,
   quotes, IAS reports and CA certificates).
+* :mod:`repro.crypto.envelope` — AES-GCM wrapping of the group key under the
+  hashed partition broadcast key (Algorithms 1-3's ``y_p``).
 """
 
 from repro.crypto.rng import DeterministicRng, Rng, SystemRng

@@ -12,36 +12,11 @@ The honest-but-curious administrator of the paper's model drives these
 ecalls but gains zero knowledge of ``gk`` — the property the boundary leak
 scanner and the zero-knowledge tests enforce.
 
-Ecall inventory (``enclave.call(name, ...)``; entries marked [b] are
-batchable and may ride in a single :meth:`~repro.sgx.enclave.Enclave.call_batch`
-crossing):
-
-==============================  ===============================================
-``setup_system(m)``              System setup; returns (public key, sealed MSK).
-``restore_system(...)``          Reload MSK from a sealed blob after a restart.
-``get_system_bound`` [b]         Partition capacity ``m`` fixed at setup.
-``get_public_key``               Identity public key (Fig. 3).
-``get_attestation_quote``        Quote committing to the identity key (Fig. 3).
-``provision_user_key``           Extract a user secret over a secure channel.
-``extract_user_key_raw``         Extract for benchmarks (bootstrap, Fig. 6b).
-``peer_offer``                   Identity key + fresh nonce (MAGE handshake).
-``peer_quote``                   Quote committing to (identity key, peer nonce).
-``register_peer``                Verify a peer's IAS report; admit the peer.
-``export_master_secret_to_peer`` ECIES-wrap the MSK for an attested peer.
-``import_master_secret_from_peer`` Install an MSK received from a peer.
-``seal_master_secret``           Seal the installed MSK for this platform.
-``create_group`` [b]             Algorithm 1 (all partitions, one entry).
-``create_partition`` [b]         Algorithm 2, new-partition path (lines 3-7).
-``add_user_to_partition`` [b]    Algorithm 2, existing path (line 11).
-``add_users_to_partition`` [b]   Line 11 iterated over many users in one
-                                 entry (batch add).
-``remove_user`` [b]              Algorithm 3 (all partition blobs, one entry).
-``rekey_group`` [b]              Re-key every partition without a membership
-                                 change (A-G; also used by re-partitioning).
-``recover_and_reseal`` [b]       Re-seal another admin's gk for this enclave.
-``prepare_workers``              Pre-start the parallel worker pool.
-``set_workers``                  Reconfigure the worker count at runtime.
-==============================  ===============================================
+Ecall inventory: the ``ibbe-enclave-ecalls`` block of docs/API.md lists
+every registered ecall (``enclave.call(name, ...)``) with its signature,
+and ``test_registered_ecalls_match_docs`` pins that block to the live
+registry.  The ones declared ``@ecall(batchable=True)`` below may ride
+in a single :meth:`~repro.sgx.enclave.Enclave.call_batch` crossing.
 
 Parallel execution: the per-partition work of ``create_group``,
 ``rekey_group`` and ``remove_user`` is partition-independent, so it runs
@@ -62,18 +37,25 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import ibbe
-from repro.core.envelope import GROUP_KEY_SIZE, wrap_group_key
-from repro.crypto import ecies
-from repro.crypto.kdf import sha256
+from repro.crypto import ecdsa, ecies
+from repro.crypto.envelope import (
+    GROUP_KEY_SIZE,
+    unwrap_group_key,
+    wrap_group_key,
+)
+from repro.crypto.kdf import hkdf, sha256
+from repro.ec.p256 import P256
 from repro.errors import AttestationError, EnclaveError
 from repro.mathutils.modular import modinv
 from repro.obs.spans import span as _span
-from repro.pairing.group import PairingGroup
+from repro.pairing.group import G1Element, PairingGroup
 from repro.par import WorkerPool, derive_seed, resolve_workers
 from repro.par import kernels as par_kernels
 from repro.sgx.attestation import parse_provision_request
+from repro.sgx.auditor import EnclaveCertificate
 from repro.sgx.counters import MonotonicCounterService
 from repro.sgx.enclave import Enclave, ecall
+from repro.sgx.ias import AttestationReport, IntelAttestationService
 from repro.sgx.quote import Quote
 
 
@@ -110,8 +92,6 @@ class IbbeEnclave(Enclave):
         # the same enclave build on the same device presents the same
         # certified identity across restarts, which the persistent CLI
         # deployment relies on.
-        from repro.crypto.kdf import hkdf
-        from repro.ec.p256 import P256
         scalar = 1 + int.from_bytes(
             hkdf(self.device.sealing_root_key(), 48,
                  salt=self.measurement, info=b"repro:enclave-identity"),
@@ -185,7 +165,6 @@ class IbbeEnclave(Enclave):
 
     def _decode_msk(self, data: bytes) -> ibbe.IbbeMasterSecret:
         gamma = int.from_bytes(data[:64], "big")
-        from repro.pairing.group import G1Element
         g = G1Element.decode(self._group, data[64:])
         return ibbe.IbbeMasterSecret(g=g, gamma=gamma)
 
@@ -243,15 +222,12 @@ class IbbeEnclave(Enclave):
 
         Returns an ECIES blob only the certified enclave can open.
         """
-        from repro.sgx.auditor import EnclaveCertificate
-
         pinned_hex = self.config.get("ca_public_key")
         if not pinned_hex:
             raise EnclaveError(
                 "MSK export requires a pinned 'ca_public_key' in the "
                 "enclave configuration"
             )
-        from repro.crypto import ecdsa
         ca_key = ecdsa.EcdsaPublicKey.decode(bytes.fromhex(str(pinned_hex)))
         if not isinstance(target_certificate, EnclaveCertificate):
             raise EnclaveError("malformed enclave certificate")
@@ -322,8 +298,6 @@ class IbbeEnclave(Enclave):
         * the report data commits to the presented peer key and echoes
           a nonce this enclave issued (and consumes it).
         """
-        from repro.sgx.ias import AttestationReport, IntelAttestationService
-
         pinned_hex = (self.config or {}).get("ias_report_key")
         if not pinned_hex:
             raise AttestationError(
@@ -332,7 +306,8 @@ class IbbeEnclave(Enclave):
             )
         if not isinstance(report, AttestationReport):
             raise AttestationError("malformed attestation report")
-        from repro.crypto import ecdsa
+        if not isinstance(peer_public_key, bytes):
+            raise AttestationError("peer public key must be bytes")
         ias_key = ecdsa.EcdsaPublicKey.decode(bytes.fromhex(str(pinned_hex)))
         IntelAttestationService.verify_report(report, ias_key)
         if not report.is_ok:
@@ -354,7 +329,7 @@ class IbbeEnclave(Enclave):
                 "peer report does not answer an outstanding challenge"
             )
         self._peer_nonces.discard(nonce)
-        self._peers[bytes(peer_public_key)] = True
+        self._peers[peer_public_key] = True
 
     @ecall
     def export_master_secret_to_peer(self, peer_public_key: bytes) -> bytes:
@@ -363,13 +338,13 @@ class IbbeEnclave(Enclave):
         Unlike :meth:`export_master_secret` there is no certificate: the
         authorisation is membership in the peer registry, which only
         :meth:`register_peer`'s in-boundary checks can grant."""
-        key = bytes(peer_public_key)
-        if key not in self._peers:
+        if (not isinstance(peer_public_key, bytes)
+                or peer_public_key not in self._peers):
             raise AttestationError(
                 "refusing MSK export: key is not a mutually attested peer"
             )
         msk = self._require_msk()
-        target_key = ecies.EciesPublicKey.decode(key)
+        target_key = ecies.EciesPublicKey.decode(peer_public_key)
         return target_key.encrypt(self._encode_msk(msk), self.rng,
                                   aad=b"msk-peer")
 
@@ -384,7 +359,8 @@ class IbbeEnclave(Enclave):
         master secret of its choosing."""
         if self._msk is not None:
             raise EnclaveError("enclave already holds a master secret")
-        if bytes(sender_public_key) not in self._peers:
+        if (not isinstance(sender_public_key, bytes)
+                or sender_public_key not in self._peers):
             raise AttestationError(
                 "refusing MSK import: sender is not a mutually attested peer"
             )
@@ -514,7 +490,6 @@ class IbbeEnclave(Enclave):
         usk = ibbe.extract(msk, pk, members[0])
         ct = ibbe.IbbeCiphertext.decode(self._group, ciphertext)
         bk = ibbe.decrypt(pk, usk, list(members), ct)
-        from repro.core.envelope import unwrap_group_key
         gk = self.track_secret(unwrap_group_key(
             bk.digest(), envelope, aad=group_id.encode("utf-8")
         ))

@@ -14,11 +14,10 @@ Injection sites consult the injector through two doors:
 
 * explicitly — :class:`~repro.faults.FaultyCloudStore` holds its injector
   and calls :meth:`FaultInjector.store_fault` before delegating;
-* ambiently — :func:`crash_point` (sprinkled through the admin plan
-  executor and the file store's commit path) and the worker pool's kill
-  hook read the process-wide injector installed by :func:`install` /
-  :func:`use_faults`.  With no injector installed every hook is a no-op
-  costing one ``None`` check, so production paths pay nothing.
+* ambiently — the :func:`~repro.faulthook.crash_point` sites, the worker
+  pool's kill hook and the attestation driver read the process-wide slot
+  of the leaf module :mod:`repro.faulthook` (``install`` /
+  ``use_faults``), which sits below every layer that consults it.
 
 Faults are *accounted, not slept*: latency spikes add to the
 ``faults.latency_ms`` counter rather than stalling the process, keeping
@@ -28,9 +27,8 @@ model does.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.crypto.rng import DeterministicRng
 from repro.errors import (
@@ -309,41 +307,3 @@ class FaultInjector:
     def history(self) -> List[Tuple[str, str]]:
         """The fault sequence as comparable ``(kind, site)`` pairs."""
         return [fault.signature() for fault in self.log]
-
-
-# ---------------------------------------------------------------------------
-# Ambient installation (the tracer pattern: one injector per process)
-# ---------------------------------------------------------------------------
-
-_ACTIVE: Optional[FaultInjector] = None
-
-
-def install(injector: Optional[FaultInjector]) -> None:
-    """Install (or clear, with ``None``) the process-wide injector read
-    by :func:`crash_point` and the worker pool's kill hook."""
-    global _ACTIVE
-    _ACTIVE = injector
-
-
-def active() -> Optional[FaultInjector]:
-    """The currently installed injector, if any."""
-    return _ACTIVE
-
-
-@contextmanager
-def use_faults(injector: FaultInjector) -> Iterator[FaultInjector]:
-    """Scoped :func:`install`; restores the previous injector on exit."""
-    previous = _ACTIVE
-    install(injector)
-    try:
-        yield injector
-    finally:
-        install(previous)
-
-
-def crash_point(name: str) -> None:
-    """Named crash site.  A no-op (one ``None`` check) unless a fault
-    injector is installed and its schedule crashes here, in which case
-    :class:`~repro.errors.CrashError` unwinds to the chaos driver."""
-    if _ACTIVE is not None:
-        _ACTIVE.crash_point(name)

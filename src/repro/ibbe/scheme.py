@@ -31,6 +31,10 @@ from repro.errors import PairingError, ParameterError, SchemeError
 from repro.mathutils.modular import modinv
 from repro.mathutils.poly import monic_linear_product
 from repro.pairing.group import G1Element, GTElement, PairingGroup
+from repro.pairing.params import preset
+from repro.serialize import Reader, Writer
+
+_PK_MAGIC = b"IBBEPK1"
 
 
 @dataclass(frozen=True)
@@ -84,17 +88,13 @@ class IbbePublicKey:
         clients can be started from state directories (see
         :mod:`repro.cli`).
         """
-        from repro.core.serialize import Writer
-
         writer = Writer()
-        writer.bytes_field(b"IBBEPK1")
+        writer.bytes_field(_PK_MAGIC)
         writer.str_field(self.group.params.name)
         writer.u32(self.m)
         writer.bytes_field(self.w.encode())
         writer.bytes_field(self.v.encode())
-        writer.u32(len(self.h_powers))
-        for element in self.h_powers:
-            writer.bytes_field(element.encode())
+        writer.bytes_list(element.encode() for element in self.h_powers)
         return writer.getvalue()
 
     @classmethod
@@ -102,16 +102,32 @@ class IbbePublicKey:
                group: "PairingGroup | None" = None) -> "IbbePublicKey":
         """Decode a public key; the pairing group is reconstructed from the
         named preset unless supplied."""
-        from repro.core.serialize import Reader
-        from repro.pairing.group import GTElement
-        from repro.pairing.params import preset
+        return cls._decode(data, group, None)
 
+    @classmethod
+    def decode_bases(cls, data: bytes,
+                     group: "PairingGroup | None" = None) -> "IbbePublicKey":
+        """:meth:`decode` keeping only ``w``, ``v`` and ``h``
+        (= ``h_powers[0]``) — the bases Algorithms 1-3 exponentiate.
+
+        The remaining ``m`` ``h``-powers are checked as framed fields
+        but not decompressed (a modular square root each — seconds for
+        large ``m``), so the engine's partition-build workers start
+        without them.
+        """
+        return cls._decode(data, group, 1)
+
+    @classmethod
+    def _decode(cls, data: bytes, group: "PairingGroup | None",
+                keep: "int | None") -> "IbbePublicKey":
+        """The one walk over the ``IBBEPK1`` fields :meth:`encode`
+        writes; decompresses the first ``keep`` ``h``-powers (all of
+        them for ``None``)."""
         reader = Reader(data)
-        if reader.bytes_field() != b"IBBEPK1":
+        if reader.bytes_field() != _PK_MAGIC:
             raise SchemeError("not an IBBE public key encoding")
         preset_name = reader.str_field()
         if group is None:
-            from repro.pairing.group import PairingGroup
             group = PairingGroup(preset(preset_name))
         elif group.params.name != preset_name:
             raise SchemeError(
@@ -121,14 +137,12 @@ class IbbePublicKey:
         m = reader.u32()
         w = G1Element.decode(group, reader.bytes_field())
         v = GTElement.decode(group, reader.bytes_field())
-        count = reader.u32()
-        h_powers = tuple(
-            G1Element.decode(group, reader.bytes_field())
-            for _ in range(count)
-        )
+        encoded = reader.bytes_list()
         reader.expect_end()
-        if count != m + 1:
+        if len(encoded) != m + 1:
             raise SchemeError("inconsistent public key (h-power count)")
+        h_powers = tuple(G1Element.decode(group, item)
+                         for item in encoded[:keep])
         return cls(group=group, m=m, w=w, v=v, h_powers=h_powers)
 
 

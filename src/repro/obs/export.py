@@ -36,7 +36,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional
 
 from repro.obs.metrics import MetricSource, merge_snapshots, \
     quantile_from_samples
-from repro.obs.spans import Span, Tracer
+from repro.obs.spans import Span, Tracer, tracer as _global_tracer
 from repro.errors import ValidationError
 
 
@@ -110,7 +110,6 @@ def telemetry_snapshot(sources: Iterable[MetricSource] = (),
     """
     snapshot: Dict[str, Any] = {"metrics": merge_snapshots(sources)}
     if tracer is None:
-        from repro.obs.spans import tracer as _global_tracer
         tracer = _global_tracer()
     snapshot["metrics"].update(tracer.registry.snapshot())
     spans = tracer.spans()

@@ -25,7 +25,9 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.crypto.rng import DeterministicRng, Rng
+from repro.ec.curve import Curve
 from repro.errors import ParameterError
+from repro.mathutils.modular import jacobi_symbol, modsqrt
 from repro.mathutils.primes import gen_prime, is_probable_prime
 
 
@@ -91,10 +93,6 @@ def generate_params(q_bits: int, p_bits: int, rng: Rng,
 
 def _find_generator(p: int, q: int, rng: Rng) -> Tuple[int, int]:
     """Find a point of order exactly q on y² = x³ + x over F_p."""
-    # Import here to avoid a circular import at module load.
-    from repro.ec.curve import Curve
-    from repro.mathutils.modular import jacobi_symbol, modsqrt
-
     curve = Curve(p=p, a=1, b=0, order=q, cofactor=(p + 1) // q,
                   name="type-a")
     while True:

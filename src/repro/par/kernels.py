@@ -25,7 +25,8 @@ from repro.ibbe.scheme import (
     IbbePublicKey,
     prepare_decryption_public,
 )
-from repro.pairing.group import G1Element, GTElement, PairingGroup
+from repro.pairing.group import G1Element, PairingGroup
+from repro.pairing.params import preset
 
 #: Per-process context: (pairing group, public key).  Populated by
 #: :func:`init_worker` (subprocesses) or :func:`set_context` (inline).
@@ -48,13 +49,12 @@ def init_worker(preset_name: str, pk_bytes: bytes,
     square root each — seconds for large ``m``).  Hint kernels need the
     full key and exponentiate none of it.
     """
-    from repro.pairing.params import preset
-
     group = PairingGroup(preset(preset_name))
     if full_pk:
         pk = IbbePublicKey.decode(pk_bytes, group)
     else:
-        pk = _decode_pk_bases(pk_bytes, group).enable_precomputation()
+        pk = IbbePublicKey.decode_bases(pk_bytes, group)
+        pk.enable_precomputation()
     set_context(group, pk)
 
 
@@ -65,32 +65,6 @@ def _require_context() -> Tuple[PairingGroup, IbbePublicKey]:
             "with kernels.init_worker (or set_context for inline use)"
         )
     return _CONTEXT
-
-
-def _decode_pk_bases(data: bytes, group: PairingGroup) -> IbbePublicKey:
-    """Decode an :class:`IbbePublicKey` keeping only ``w``, ``v`` and
-    ``h`` (= ``h_powers[0]``); the remaining ``h``-powers are skipped
-    without decompression."""
-    from repro.core.serialize import Reader
-    from repro.errors import SchemeError
-
-    reader = Reader(data)
-    if reader.bytes_field() != b"IBBEPK1":
-        raise SchemeError("not an IBBE public key encoding")
-    preset_name = reader.str_field()
-    if group.params.name != preset_name:
-        raise SchemeError(
-            f"public key was generated for preset {preset_name!r}, "
-            f"got group {group.params.name!r}"
-        )
-    m = reader.u32()
-    w = G1Element.decode(group, reader.bytes_field())
-    v = GTElement.decode(group, reader.bytes_field())
-    count = reader.u32()
-    if count < 1:
-        raise SchemeError("inconsistent public key (no h-powers)")
-    h = G1Element.decode(group, reader.bytes_field())
-    return IbbePublicKey(group=group, m=m, w=w, v=v, h_powers=(h,))
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,8 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
+from repro import faulthook
 from repro.errors import ParallelError
-from repro.faults import plan as _faults
 from repro.obs import collect as obs_collect
 from repro.obs.metrics import MetricRegistry
 from repro.obs.spans import span as _span, tracer as _tracer
@@ -169,7 +169,7 @@ class WorkerPool:
             finally:
                 self._pending = 0
         collect = _tracer().enabled
-        injector = _faults.active()
+        injector = faulthook.active()
         kill_index = (injector.take_worker_kill(len(tasks))
                       if injector is not None else None)
         try:

@@ -97,9 +97,6 @@ class Reader:
         if self._offset != len(self._data):
             raise StorageError("trailing bytes in record")
 
-    def consumed(self) -> int:
-        return self._offset
-
 
 def split_signed(data: bytes) -> Tuple[bytes, bytes]:
     """Split ``payload || u32-len || signature`` envelope."""

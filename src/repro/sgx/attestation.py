@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 from typing import Tuple
 
+from repro import faulthook
 from repro.crypto import ecdsa, ecies
 from repro.crypto.rng import Rng
 from repro.errors import AttestationError
@@ -88,9 +89,7 @@ def provision_user_key(
 
 
 def _attestation_fault(site: str) -> None:
-    from repro.faults import active
-
-    injector = active()
+    injector = faulthook.active()
     if injector is not None:
         injector.attestation_fault(site)
 

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.envelope import ENVELOPE_SIZE, unwrap_group_key, wrap_group_key
 from repro.core.metadata import (
     GroupDescriptor,
     PartitionRecord,
@@ -10,11 +9,12 @@ from repro.core.metadata import (
     group_dir,
     partition_path,
 )
-from repro.core.serialize import Reader, Writer, join_signed, split_signed
 from repro.crypto import ecdsa
+from repro.crypto.envelope import ENVELOPE_SIZE, unwrap_group_key, wrap_group_key
 from repro.crypto.kdf import sha256
 from repro.crypto.rng import DeterministicRng
 from repro.errors import AuthenticationError, CryptoError, StorageError
+from repro.serialize import Reader, Writer, join_signed, split_signed
 
 
 @pytest.fixture(scope="module")

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import ibbe
-from repro.core.envelope import unwrap_group_key
+from repro.crypto.envelope import unwrap_group_key
 from repro.crypto.rng import DeterministicRng
 from repro.enclave_app import IbbeEnclave
 from repro.errors import EnclaveError

@@ -13,13 +13,13 @@ from hypothesis import strategies as st
 from repro import ibbe
 from repro.core.metadata import GroupDescriptor, PartitionRecord
 from repro.core.oplog import OpLogEntry
-from repro.core.serialize import Reader, split_signed
 from repro.crypto import ecdsa, ecies
 from repro.crypto.rng import DeterministicRng
 from repro.ec.curve import Point
 from repro.ec.p256 import P256
 from repro.errors import ReproError
 from repro.pairing.group import G1Element, GTElement
+from repro.serialize import Reader, split_signed
 
 KEY = ecdsa.generate_keypair(DeterministicRng("fuzz")).public_key()
 
@@ -131,6 +131,9 @@ class TestCryptoFuzz:
     def test_ibbe_public_key_decode(self, group, data):
         _assert_fails_closed(
             lambda d: ibbe.IbbePublicKey.decode(d, group), data
+        )
+        _assert_fails_closed(
+            lambda d: ibbe.IbbePublicKey.decode_bases(d, group), data
         )
 
     @given(junk)

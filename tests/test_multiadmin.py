@@ -113,7 +113,7 @@ class TestCrossEnclaveSealedKey:
         blob = system.enclave.call("create_partition", "g", ["z"], sealed)
         client = system.make_client("g", "a")
         client.sync()
-        from repro.core.envelope import unwrap_group_key
+        from repro.crypto.envelope import unwrap_group_key
         from repro import ibbe as ibbe_mod
         usk = system.user_key("z")
         ct = ibbe_mod.IbbeCiphertext.decode(system.group, blob.ciphertext)

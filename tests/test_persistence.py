@@ -6,7 +6,8 @@ import pytest
 from repro import ibbe
 from repro.crypto.rng import DeterministicRng
 from repro.enclave_app import IbbeEnclave
-from repro.errors import SchemeError
+from repro.errors import ReproError, SchemeError
+from repro.serialize import Writer
 from repro.sgx.device import SgxDevice
 from tests.conftest import make_system
 
@@ -44,6 +45,41 @@ class TestPublicKeySerialization:
     def test_garbage_rejected(self, group):
         with pytest.raises(Exception):
             ibbe.IbbePublicKey.decode(b"junk", group)
+
+    def test_bases_decode_equals_full_decode(self, group, ibbe_system):
+        """What the engine's partition-build workers start from: the same
+        ``(m, w, v, h)`` with the other ``m`` h-powers left compressed."""
+        _, pk = ibbe_system
+        bases = ibbe.IbbePublicKey.decode_bases(pk.encode(), group)
+        full = ibbe.IbbePublicKey.decode(pk.encode(), group)
+        assert (bases.m, bases.w, bases.v, bases.h) \
+            == (full.m, full.w, full.v, full.h)
+        assert bases.h_powers == full.h_powers[:1]
+        assert ibbe.IbbePublicKey.decode_bases(pk.encode()).h == pk.h
+
+    @pytest.mark.parametrize("decode", [ibbe.IbbePublicKey.decode,
+                                        ibbe.IbbePublicKey.decode_bases],
+                             ids=["full", "bases"])
+    def test_both_decoders_reject_the_same_encodings(self, decode, group,
+                                                     ibbe_system):
+        _, pk = ibbe_system
+
+        def framed(magic=b"IBBEPK1", preset=group.params.name,
+                   h_powers=pk.h_powers):
+            return (Writer().bytes_field(magic).str_field(preset)
+                    .u32(pk.m).bytes_field(pk.w.encode())
+                    .bytes_field(pk.v.encode())
+                    .bytes_list(h.encode() for h in h_powers).getvalue())
+
+        data = framed()
+        assert data == pk.encode()
+        for bad in (framed(magic=b"IBBEPK2"), framed(preset="std160"),
+                    framed(h_powers=()), framed(h_powers=pk.h_powers[:-1])):
+            with pytest.raises(SchemeError):
+                decode(bad, group)
+        for bad in [data + b"\x00"] + [data[:cut] for cut in range(len(data))]:
+            with pytest.raises(ReproError):
+                decode(bad, group)
 
 
 class TestDeterministicDevice:

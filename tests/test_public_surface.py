@@ -7,7 +7,10 @@ attack surface, a number that should only go down deliberately).  These
 tests fail whenever code and docs drift, forcing doc updates to ride
 along with API changes."""
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import repro
@@ -45,6 +48,39 @@ def test_all_names_are_importable():
 
 def test_no_duplicate_exports():
     assert len(repro.__all__) == len(set(repro.__all__))
+
+
+LAZY_ROOT_PROBE = """
+import importlib, sys
+import repro
+
+def loaded():
+    return sorted(name for name in sys.modules if name.startswith("repro."))
+
+assert loaded() == [], loaded()
+for name in repro.__all__:
+    home = importlib.import_module(repro._HOME[name])
+    assert getattr(repro, name) is getattr(home, name), name
+try:
+    repro.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("unknown attribute did not raise AttributeError")
+from repro import ibbe, obs
+assert (ibbe, obs) == (sys.modules["repro.ibbe"], sys.modules["repro.obs"])
+"""
+
+
+def test_package_root_is_lazy():
+    """``import repro`` alone loads no sub-package (what keeps the
+    enclave's import closure its own, see ``tests/test_tcb.py``); every
+    public name still resolves, on first use, to the object its home
+    module exports; unknown names raise ``AttributeError``, which is
+    what lets ``from repro import <sub-package>`` keep working."""
+    src = Path(repro.__file__).resolve().parents[1]
+    subprocess.run([sys.executable, "-c", LAZY_ROOT_PROBE], check=True,
+                   env={**os.environ, "PYTHONPATH": str(src)})
 
 
 def test_registered_ecalls_match_docs():

@@ -9,7 +9,7 @@ plaintext group key.
 import pytest
 
 from repro import ibbe
-from repro.core.envelope import unwrap_group_key
+from repro.crypto.envelope import unwrap_group_key
 from repro.errors import ReproError, RevokedError
 from tests.conftest import make_system
 

@@ -157,6 +157,182 @@ class TestProvisioning:
             enclave.call("provision_user_key", garbage)
 
 
+class PeerWorld:
+    """Two IBBE enclaves of one build on two registered platforms:
+    ``source`` holds the master secret, ``target`` does not."""
+
+    def __init__(self, group):
+        self.group = group
+        self.rng = DeterministicRng("mage-refusals")
+        self.ias = IntelAttestationService(rng=self.rng)
+        self.source_device = self.device()
+        self.target_device = self.device()
+        self.source = self.load(self.source_device)
+        self.pk, self.sealed_msk = self.source.call("setup_system", 4)
+        self.target = self.load(self.target_device)
+
+    def device(self):
+        device = SgxDevice(rng=self.rng)
+        self.ias.register_device(device.device_id,
+                                 device.attestation_public_key)
+        return device
+
+    def load(self, device, **config):
+        pinned = self.ias.report_public_key.encode().hex()
+        return IbbeEnclave.load(device, {
+            "pairing_group": self.group, "ias_report_key": pinned, **config})
+
+    def evidence(self, verifier, prover, ias=None):
+        """Steps 1-2 of the handshake plus the IAS round trip: the
+        ``(report, key)`` pair ``prover`` would present to ``verifier``."""
+        nonce = verifier.call("peer_offer")["nonce"]
+        report = (ias or self.ias).verify_quote(
+            prover.call("peer_quote", nonce))
+        return report, prover.call("get_public_key")
+
+
+# Each case stages one refused step of the MAGE exchange and returns
+# ``(verifier, peer, attempt)``: ``attempt()`` must end in
+# AttestationError, after which ``verifier`` must still refuse to export
+# to ``peer`` and ``peer`` must still hold no master secret.
+
+def _register(verifier, report, key):
+    return lambda: verifier.call("register_peer", report, key)
+
+
+def unpinned_ias_key(w):
+    loose = IbbeEnclave.load(w.device(), {"pairing_group": w.group})
+    loose.call("setup_system", 4)
+    return loose, w.target, _register(loose, *w.evidence(loose, w.target))
+
+
+def report_is_not_a_report(w):
+    nonce = w.source.call("peer_offer")["nonce"]
+    quote = w.target.call("peer_quote", nonce)
+    return w.source, w.target, _register(
+        w.source, quote, w.target.call("get_public_key"))
+
+
+def report_signed_by_another_ias(w):
+    other = IntelAttestationService(rng=DeterministicRng("other-ias"))
+    other.register_device(w.target_device.device_id,
+                          w.target_device.attestation_public_key)
+    return w.source, w.target, _register(
+        w.source, *w.evidence(w.source, w.target, ias=other))
+
+
+def revoked_platform(w):
+    w.ias.revoke_device(w.target_device.device_id)
+    return w.source, w.target, _register(
+        w.source, *w.evidence(w.source, w.target))
+
+
+def different_measured_config(w):
+    odd = w.load(w.device(), build="patched")
+    return w.source, odd, _register(w.source, *w.evidence(w.source, odd))
+
+
+def substituted_key(w):
+    report, _ = w.evidence(w.source, w.target)
+    mallory = w.load(w.device())
+    return w.source, mallory, _register(
+        w.source, report, mallory.call("get_public_key"))
+
+
+def replayed_report(w):
+    """A report answers one challenge once: registering it twice is
+    refused, and so is presenting it to the same enclave after a restart
+    emptied its registry (a stale quote)."""
+    report, key = w.evidence(w.source, w.target)
+    w.source.call("register_peer", report, key)
+    with pytest.raises(AttestationError, match="outstanding"):
+        w.source.call("register_peer", report, key)
+    restarted = w.load(w.source_device)
+    restarted.call("restore_system", w.sealed_msk, w.pk)
+    return restarted, w.target, _register(restarted, report, key)
+
+
+def export_to_unregistered_key(w):
+    key = w.target.call("get_public_key")
+    return w.source, w.target, lambda: w.source.call(
+        "export_master_secret_to_peer", key)
+
+
+def import_from_unregistered_sender(w):
+    """The attack the mutual half of the handshake exists for: a master
+    secret of the host's choosing, correctly wrapped for the target."""
+    from repro.crypto import ecies
+    target_key = ecies.EciesPublicKey.decode(w.target.call("get_public_key"))
+    chosen = (7).to_bytes(64, "big") + w.pk.h.encode()
+    blob = target_key.encrypt(chosen, w.rng, aad=b"msk-peer")
+    return w.source, w.target, lambda: w.target.call(
+        "import_master_secret_from_peer", blob, w.pk,
+        w.source.call("get_public_key"))
+
+
+def non_bytes_key(door, junk):
+    """A host-supplied key that is not ``bytes``.  The doors used to
+    apply ``bytes()`` / ``sha256()`` to it unchecked: an ``int`` n
+    allocated n bytes inside the boundary, a ``str`` escaped as
+    ``TypeError``."""
+    def case(w):
+        if door == "register_peer":
+            report, _ = w.evidence(w.source, w.target)
+            callee, args = w.source, (report, junk)
+        elif door == "export_master_secret_to_peer":
+            callee, args = w.source, (junk,)
+        else:
+            callee, args = w.target, (b"blob", w.pk, junk)
+        return w.source, w.target, lambda: callee.call(door, *args)
+    case.__name__ = f"{door}-{type(junk).__name__}"
+    return case
+
+
+#: (case, the refusal it must end in)
+MAGE_REFUSALS = [
+    (unpinned_ias_key, "requires a pinned 'ias_report_key'"),
+    (report_is_not_a_report, "malformed attestation report"),
+    (report_signed_by_another_ias, "report signature invalid"),
+    (revoked_platform, "rejected by IAS: DEVICE_REVOKED"),
+    (different_measured_config, "runs different code"),
+    (substituted_key, "does not commit to the presented key"),
+    (replayed_report, "outstanding challenge"),
+    (export_to_unregistered_key, "not a mutually attested peer"),
+    (import_from_unregistered_sender, "not a mutually attested peer"),
+] + [
+    (non_bytes_key(door, junk), reason)
+    for door, reason in (
+        ("register_peer", "must be bytes"),
+        ("export_master_secret_to_peer", "not a mutually attested peer"),
+        ("import_master_secret_from_peer", "not a mutually attested peer"))
+    for junk in (1 << 20, "not bytes")
+]
+
+
+class TestPeerRefusals:
+    """The MAGE predicate (``register_peer``) and the two registry checks
+    behind it, observed through the doors only."""
+
+    def test_handshake_admits_a_genuine_peer(self, group):
+        """The control: the same world, nothing tampered with."""
+        from repro.sgx.attestation import provision_master_secret
+        w = PeerWorld(group)
+        provision_master_secret(w.source, w.target, w.ias, w.pk)
+        assert w.target.call("get_system_bound") == 4
+
+    @pytest.mark.parametrize("case, reason", MAGE_REFUSALS,
+                             ids=[case.__name__ for case, _ in MAGE_REFUSALS])
+    def test_refused_and_nothing_admitted(self, group, case, reason):
+        verifier, peer, attempt = case(PeerWorld(group))
+        with pytest.raises(AttestationError, match=reason):
+            attempt()
+        with pytest.raises(AttestationError, match="mutually attested"):
+            verifier.call("export_master_secret_to_peer",
+                          peer.call("get_public_key"))
+        with pytest.raises(EnclaveError, match="not set up"):
+            peer.call("get_system_bound")
+
+
 class TestCounters:
     def test_monotonic(self):
         svc = MonotonicCounterService()

@@ -1,13 +1,30 @@
-"""The trusted computing base, counted.
+"""The trusted computing base, counted — and the layer order, checked.
 
 Everything ``repro.enclave_app.ibbe_enclave`` imports would be linked
 into a real enclave and is trusted with the master secret; every
-registered ecall is a door into it.  Both numbers may be lowered by any
-PR; raising either needs a reason stated next to the new number (and in
-DESIGN.md §2, which records them).  Lines are reported in the failure
-message, not asserted, so ordinary edits do not trip the test.
+registered ecall is a door into it.  Three things are asserted:
+
+* **The closure.**  Importing the enclave in a fresh interpreter loads
+  at most ``MAX_ENCLAVE_MODULES`` ``repro.*`` modules, none of them from
+  ``UNTRUSTED`` (the administrator, the stores, the wire, the harnesses).
+  The count may be lowered by any PR; raising it needs a reason stated
+  next to the new number (and in DESIGN.md §2, which records it).  Lines
+  are reported in the failure message, not asserted, so ordinary edits
+  do not trip the test.
+* **The order.**  ``LAYERS`` is the package graph bottom-up; an ``ast``
+  walk over every file under ``src/`` asserts each ``repro.*`` import
+  points into the importer's own package or a lower row, so the graph is
+  acyclic by construction and the trusted half is its bottom.  Standard
+  library only: this is the static gate that runs wherever pytest does.
+* **No deferred imports in the trusted half.**  At or below
+  ``enclave_app`` every ``repro.*`` import is at module level, so the
+  import-time closure above *is* what an ecall can load.
+
+Moved a module or added an import?  This file, ~2 s.
 """
 
+import ast
+import functools
 import json
 import os
 import subprocess
@@ -18,11 +35,48 @@ import repro
 from repro.enclave_app import IbbeEnclave
 from repro.sgx import EcallRegistry
 
+SRC = Path(repro.__file__).resolve().parents[1]
+
 #: ``repro.*`` modules loaded by importing the enclave in a fresh
-#: interpreter.  Most of them are there because of three import edges
-#: the enclave does not need (ROADMAP item 4 lists them).
-MAX_ENCLAVE_MODULES = 78
+#: interpreter: sgx 11 (its enclave runtime imports the device / EPC /
+#: IAS platform simulation), crypto 8, obs 6, ec 5, mathutils 4,
+#: pairing 4, par 4, fields 3, ibbe 2, enclave_app 2, the package root
+#: and the leaves errors, serialize, faulthook.
+MAX_ENCLAVE_MODULES = 53
 ECALLS = 24
+
+#: The package graph, bottom-up.  A unit is a first-level name under
+#: ``repro`` (a sub-package or a single module); units sharing a row do
+#: not import each other.  ``repro/__init__.py`` names every row in its
+#: lazy table and sits on top.
+LAYERS = [
+    {"errors"},
+    {"serialize", "faulthook"},
+    {"obs"},
+    {"mathutils"},
+    {"fields", "ec"},
+    {"crypto"},
+    {"pairing"},
+    {"ibe", "ibbe"},
+    {"par"},
+    {"sgx"},
+    {"enclave_app", "cloud"},       # the trusted half ends here
+    {"faults"},
+    {"core"},
+    {"baselines", "deploy"},
+    {"shard"},
+    {"net"},
+    {"bench"},
+    {"workloads"},
+    {"cli"},
+    {"repro"},
+]
+ROW = {unit: row for row, units in enumerate(LAYERS) for unit in units}
+#: Must never load with the enclave: every row above its own, its
+#: row-mate ``cloud``, and ``ibe`` (the HE-IBE baseline's scheme).
+UNTRUSTED = {"cloud", "ibe"} | {
+    unit for unit, row in ROW.items()
+    if ROW["enclave_app"] < row < ROW["repro"]}
 
 PROBE = """
 import json, sys
@@ -38,17 +92,89 @@ def line_count(paths):
                for path in paths)
 
 
+def unit_of(module):
+    """``repro.sgx.ias`` → ``sgx``; the package root → ``repro``."""
+    return (module.split(".") + ["repro"])[1]
+
+
+def repro_imports(path):
+    """``(line, imported module, inside a function?)`` for every
+    ``repro.*`` import statement in ``path``."""
+    found = []
+
+    def walk(node, deferred):
+        deferred = deferred or isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                targets = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                assert child.level == 0, (
+                    f"{path}:{child.lineno}: relative import — the layer "
+                    "check reads absolute names")
+                targets = ([f"repro.{alias.name}" for alias in child.names]
+                           if child.module == "repro" else [child.module])
+            else:
+                walk(child, deferred)
+                continue
+            found.extend((child.lineno, target, deferred)
+                         for target in targets
+                         if target.split(".")[0] == "repro")
+
+    walk(ast.parse(path.read_text("utf-8")), False)
+    return found
+
+
+@functools.lru_cache(maxsize=None)
+def source_imports():
+    """``(where, importing unit, imported unit, inside a function?)``
+    over every file under ``src/repro``."""
+    found = []
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        parts = path.relative_to(SRC / "repro").parts
+        importer = "repro" if parts == ("__init__.py",) else Path(parts[0]).stem
+        found.extend(
+            (f"{path.relative_to(SRC)}:{line}", importer, unit_of(target),
+             deferred)
+            for line, target, deferred in repro_imports(path))
+    return found
+
+
 def test_enclave_import_closure_does_not_grow():
-    src = Path(repro.__file__).resolve().parents[1]
     probe = subprocess.run(
         [sys.executable, "-c", PROBE], check=True, capture_output=True,
-        text=True, env={**os.environ, "PYTHONPATH": str(src)})
+        text=True, env={**os.environ, "PYTHONPATH": str(SRC)})
     modules = json.loads(probe.stdout)
     assert len(modules) <= MAX_ENCLAVE_MODULES, (
         f"the enclave now imports {len(modules)} repro modules "
         f"({line_count(modules.values())} of "
-        f"{line_count(src.rglob('*.py'))} lines under src/), ceiling "
+        f"{line_count(SRC.rglob('*.py'))} lines under src/), ceiling "
         f"{MAX_ENCLAVE_MODULES}: {sorted(modules)}")
+    outside = sorted(name for name in modules if unit_of(name) in UNTRUSTED)
+    assert not outside, f"untrusted modules inside the enclave: {outside}"
+
+
+def test_every_unit_has_a_row():
+    units = {path.stem for path in (SRC / "repro").iterdir()
+             if path.suffix == ".py" or (path / "__init__.py").exists()}
+    assert units - {"__init__"} == set(ROW) - {"repro"}
+
+
+def test_imports_point_sideways_or_down():
+    upward = [
+        f"{where}: {importer} (row {ROW[importer]}) imports "
+        f"{imported} (row {ROW.get(imported, '— no such unit')})"
+        for where, importer, imported, _ in source_imports()
+        if imported != importer
+        and not ROW.get(imported, len(LAYERS)) < ROW[importer]]
+    assert not upward, "\n".join(upward)
+
+
+def test_trusted_half_defers_no_import():
+    deferred = [f"{where}: {importer} imports {imported} inside a function"
+                for where, importer, imported, is_deferred in source_imports()
+                if is_deferred and ROW[importer] <= ROW["enclave_app"]]
+    assert not deferred, "\n".join(deferred)
 
 
 def test_registered_ecall_count():
