@@ -15,11 +15,11 @@ realizes that with optimistic concurrency control:
   :meth:`GroupAdministrator.load_group_from_cloud` for a group it has
   never loaded — and re-applies the operation — the classic lock-free
   retry loop;
-* administrators share the IBBE master secret by *attested migration*
-  between their enclaves (see
-  :meth:`repro.enclave_app.IbbeEnclave.export_master_secret`) and sign
-  metadata with a shared organisational role key so clients keep a single
-  verification anchor.
+* administrators share the IBBE master secret by *mutually attested
+  migration* between their enclaves (``System.join``; see
+  :func:`repro.sgx.provision_master_secret`) and sign metadata with a
+  shared organisational role key so clients keep a single verification
+  anchor.
 
 The retry loop re-validates the operation against the refreshed state, so
 semantically-conflicting operations (e.g. both admins removing the same

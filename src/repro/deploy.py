@@ -4,9 +4,12 @@ The paper has one architecture (Fig. 5: administrator → enclave → cloud,
 clients reading the cloud).  :func:`quickstart_system`, every shard of
 :class:`~repro.shard.ShardedSystem`, the CLI and the harnesses' second
 administrators all build it through this one function and differ only in
-the **pinned trust root** (an :class:`~repro.sgx.Auditor` CA, or the IAS
-report key) and the **master-secret source** (:func:`fresh_setup`,
-:func:`unseal`, or attested hand-over from a peer, :meth:`System.join`).
+the **master-secret source** (:func:`fresh_setup`, :func:`unseal`, or
+attested hand-over from a peer, :meth:`System.join`).  Trust is
+established one way: every enclave pins the IAS report key in its
+measured configuration (what peers attest each other under, MAGE), and
+every deployment has an :class:`~repro.sgx.Auditor` whose certificate
+users check before asking the enclave for their key (Fig. 3).
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from repro.core import GroupAdministrator, GroupClient
 from repro.crypto import Rng, SystemRng, ecdsa
 from repro.ec import precomp_registry
 from repro.enclave_app import IbbeEnclave
-from repro.errors import EnclaveError
 from repro.faults.retry import RetryPolicy
 from repro.obs import MetricSource, telemetry_snapshot
 from repro.pairing import PairingGroup, preset
@@ -36,56 +38,45 @@ from repro.sgx import (
     setup_trust,
 )
 
-#: How the master secret reaches a freshly loaded enclave: called with the
-#: enclave and its certificate (``None`` without an Auditor), returns
-#: ``(public key, this enclave's sealed MSK copy)``.
-MskSource = Callable[[IbbeEnclave, Optional[EnclaveCertificate]],
-                     Tuple[ibbe.IbbePublicKey, bytes]]
+#: How the master secret reaches a freshly loaded enclave: called with
+#: the enclave, returns ``(public key, this enclave's sealed MSK copy)``.
+MskSource = Callable[[IbbeEnclave], Tuple[ibbe.IbbePublicKey, bytes]]
 
 
 @dataclass
 class System:
     """A fully wired IBBE-SGX deployment (device, enclave, trust chain,
-    administrator, cloud) — the paper's Fig. 5 in one object.
-
-    ``auditor`` and ``certificate`` are ``None`` when trust is rooted in
-    the pinned IAS key instead of an Auditor CA (shards of a
-    :class:`~repro.shard.ShardedSystem`).
-    """
+    administrator, cloud) — the paper's Fig. 5 in one object."""
 
     group: PairingGroup
     device: SgxDevice
     enclave: IbbeEnclave
     ias: IntelAttestationService
-    auditor: Optional[Auditor]
+    auditor: Auditor
     cloud: CloudStoreProtocol
     admin: GroupAdministrator
-    certificate: Optional[EnclaveCertificate]
+    certificate: EnclaveCertificate
     public_key: ibbe.IbbePublicKey
     sealed_msk: bytes
     rng: Rng
+    #: The enclave's load-time configuration, kept so the deployment can
+    #: survive a full enclave restart (:meth:`restart_enclave`).
+    enclave_config: Dict[str, Any]
     #: Parallel-engine worker count the enclave was configured with
     #: (``repro.par``; 1 = serial).  Results are byte-identical for any
     #: value — this changes wall-clock only.
     workers: int = 1
-    #: The enclave's load-time configuration, kept so the deployment can
-    #: survive a full enclave restart (:meth:`restart_enclave`).
-    enclave_config: Optional[Dict[str, Any]] = None
     _user_keys: Dict[str, ibbe.IbbeUserKey] = field(default_factory=dict)
     _clients: List[GroupClient] = field(default_factory=list)
 
     def user_key(self, identity: str) -> ibbe.IbbeUserKey:
-        """Provision (and cache) a user's IBBE secret key: over the
-        attested channel of Fig. 3 when the enclave holds an Auditor
-        certificate, by plain extraction otherwise."""
+        """Provision (and cache) a user's IBBE secret key over the
+        attested channel of Fig. 3."""
         if identity not in self._user_keys:
-            if self.certificate is not None:
-                raw = provision_user_key(
-                    self.enclave, self.certificate,
-                    self.auditor.ca_public_key, identity, self.rng,
-                )
-            else:
-                raw = self.enclave.call("extract_user_key_raw", identity)
+            raw = provision_user_key(
+                self.enclave, self.certificate,
+                self.auditor.ca_public_key, identity, self.rng,
+            )
             self._user_keys[identity] = ibbe.IbbeUserKey(
                 identity=identity,
                 element=G1Element.decode(self.group, raw),
@@ -109,29 +100,22 @@ class System:
              retry: Optional[RetryPolicy] = None) -> "System":
         """A further administrator: its own identically configured (hence
         identically measured) enclave on ``device``, sharing this
-        deployment's store, trust root and organisational signing key.
+        deployment's store, trust roots and organisational signing key.
 
-        The master secret arrives by attested hand-over.  Under an
-        Auditor, this enclave checks the newcomer's certificate against
-        its pinned CA key (paper §VIII, :mod:`repro.core.multiadmin`);
-        the newcomer never seals the MSK — it re-joins after a restart.
-        Without one, the two enclaves attest each other against the
-        pinned IAS key (MAGE) and the newcomer seals its own copy;
-        ``retry`` reruns that whole exchange on transient failures.
+        The master secret arrives by attested hand-over (paper §VIII,
+        :mod:`repro.core.multiadmin`): the two enclaves attest each
+        other against the pinned IAS key (MAGE) and the newcomer seals
+        its own copy, so it restarts like any other; ``retry`` reruns
+        that whole exchange on transient failures.
         """
-        def hand_over(enclave, certificate):
-            if certificate is not None:
-                blob = self.enclave.call("export_master_secret", certificate)
-                enclave.call("import_master_secret", blob, self.public_key)
-                return self.public_key, b""
-
+        def hand_over(enclave):
             def exchange() -> bytes:
                 return provision_master_secret(
                     self.enclave, enclave, self.ias, self.public_key)
 
-            if retry is not None:
-                return self.public_key, retry.run(exchange, label="provision")
-            return self.public_key, exchange()
+            sealed = (retry.run(exchange, label="provision")
+                      if retry is not None else exchange())
+            return self.public_key, sealed
 
         return assemble_system(
             group=self.group, device=device, ias=self.ias,
@@ -190,11 +174,6 @@ class System:
         the existing certificate remains valid and no re-attestation is
         needed.
         """
-        if self.enclave_config is None:
-            raise EnclaveError(
-                "this System does not carry its enclave configuration; "
-                "build it via assemble_system() to enable restarts"
-            )
         group_ids = self.admin.cache.group_ids()
         self.enclave.destroy()
         enclave = IbbeEnclave.load(self.device, self.enclave_config)
@@ -238,13 +217,13 @@ class System:
 def fresh_setup(bound: int) -> MskSource:
     """IBBE system setup (Fig. 6a) inside the new enclave; ``bound`` is
     the maximal partition size ``m``."""
-    return lambda enclave, certificate: enclave.call("setup_system", bound)
+    return lambda enclave: enclave.call("setup_system", bound)
 
 
 def unseal(sealed_msk: bytes, public_key: ibbe.IbbePublicKey) -> MskSource:
     """Restore a master secret this platform sealed earlier (a restarted
     process; sealing binds to device and measurement)."""
-    def install(enclave, certificate):
+    def install(enclave):
         enclave.call("restore_system", sealed_msk, public_key)
         return public_key, sealed_msk
 
@@ -252,18 +231,16 @@ def unseal(sealed_msk: bytes, public_key: ibbe.IbbePublicKey) -> MskSource:
 
 
 def assemble_system(*, group: PairingGroup, device: SgxDevice,
-                    ias: IntelAttestationService,
+                    ias: IntelAttestationService, auditor: Auditor,
                     cloud: CloudStoreProtocol, rng: Rng, msk: MskSource,
                     partition_capacity: int,
-                    auditor: Optional[Auditor] = None,
                     signing_key: Optional[ecdsa.EcdsaPrivateKey] = None,
                     auto_repartition: bool = True,
                     workers: Optional[int] = None) -> System:
     """Wire one enclave + administrator stack against ``cloud``:
     register ``device`` with ``ias`` (manufacturing), load the enclave,
-    certify it when there is an ``auditor`` (Fig. 3), obtain the master
-    secret from ``msk`` and hand the enclave to a
-    :class:`GroupAdministrator`.
+    have ``auditor`` certify it (Fig. 3), obtain the master secret from
+    ``msk`` and hand the enclave to a :class:`GroupAdministrator`.
 
     ``signing_key`` is the key clients verify metadata under; ``None``
     draws a fresh one from ``rng`` (after the master-secret step, the
@@ -272,25 +249,19 @@ def assemble_system(*, group: PairingGroup, device: SgxDevice,
     """
     ias.register_device(device.device_id, device.attestation_public_key)
     worker_count = resolve_workers(workers)
-    # The trust root is pinned inside the measurement: the enclave
-    # releases its master secret only to peers certified under this exact
-    # CA (core.multiadmin) or attested under this exact IAS key (MAGE —
-    # swapping the root means running a different, rejectable build).
-    if auditor is not None:
-        trust_root = {"ca_public_key": auditor.ca_public_key.encode().hex()}
-    else:
-        trust_root = {"ias_report_key": ias.report_public_key.encode().hex()}
+    # The IAS key is pinned inside the measurement: the enclave releases
+    # its master secret only to peers attested under this exact key
+    # (MAGE — swapping it means running a different, rejectable build).
+    # The Auditor is the users' CA and never enters the enclave.
     enclave_config = {
         "pairing_group": group,
-        **trust_root,
+        "ias_report_key": ias.report_public_key.encode().hex(),
         "workers": worker_count,
     }
     enclave = IbbeEnclave.load(device, enclave_config)
-    certificate = None
-    if auditor is not None:
-        auditor.approve_measurement(enclave.measurement)
-        certificate = setup_trust(enclave, auditor)
-    public_key, sealed_msk = msk(enclave, certificate)
+    auditor.approve_measurement(enclave.measurement)
+    certificate = setup_trust(enclave, auditor)
+    public_key, sealed_msk = msk(enclave)
     admin = GroupAdministrator(
         enclave=enclave,
         cloud=cloud,
@@ -303,7 +274,7 @@ def assemble_system(*, group: PairingGroup, device: SgxDevice,
         group=group, device=device, enclave=enclave, ias=ias,
         auditor=auditor, cloud=cloud, admin=admin, certificate=certificate,
         public_key=public_key, sealed_msk=sealed_msk, rng=rng,
-        workers=worker_count, enclave_config=enclave_config,
+        enclave_config=enclave_config, workers=worker_count,
     )
 
 
@@ -315,7 +286,7 @@ def quickstart_system(partition_capacity: int = 1000,
                       system_bound: Optional[int] = None,
                       workers: Optional[int] = None) -> System:
     """Stand up a complete single-admin deployment: manufacturing
-    (device + IAS), an Auditor as trust root and a fresh system setup
+    (device + IAS), an Auditor and a fresh system setup
     (Fig. 6a, Fig. 3), against ``cloud`` — any
     :class:`~repro.cloud.CloudStoreProtocol` store; a new in-memory
     :class:`~repro.cloud.CloudStore` by default (pass

@@ -52,7 +52,6 @@ from repro.pairing.group import G1Element, PairingGroup
 from repro.par import WorkerPool, derive_seed, resolve_workers
 from repro.par import kernels as par_kernels
 from repro.sgx.attestation import parse_provision_request
-from repro.sgx.auditor import EnclaveCertificate
 from repro.sgx.counters import MonotonicCounterService
 from repro.sgx.enclave import Enclave, ecall
 from repro.sgx.ias import AttestationReport, IntelAttestationService
@@ -76,6 +75,10 @@ class IbbeEnclave(Enclave):
     # any worker count), so it stays out of the audited identity — a
     # redeploy with more workers must still unseal its MSK.
     UNMEASURED_CONFIG = frozenset({"workers"})
+
+    #: Outstanding :meth:`peer_offer` challenges kept (oldest evicted):
+    #: the host cannot grow enclave memory by looping that ecall.
+    MAX_PEER_CHALLENGES = 32
 
     def __init__(self, device, config=None) -> None:
         super().__init__(device, config)
@@ -112,7 +115,7 @@ class IbbeEnclave(Enclave):
         self._peers: Dict[bytes, bool] = {}
         #: Nonces this enclave issued (:meth:`peer_offer`) and has not
         #: yet seen answered — the freshness check of the handshake.
-        self._peer_nonces: set = set()
+        self._peer_nonces: Dict[bytes, bool] = {}
         # Parallel engine configuration (repro.par).  The pool itself is
         # created lazily on first use (it needs the public key) and its
         # par.* metrics ride this enclave's meter registry.
@@ -139,8 +142,7 @@ class IbbeEnclave(Enclave):
             raise EnclaveError("system already set up")
         msk, pk = ibbe.setup(self._group, m, self.rng)
         self._install_msk(msk, pk)
-        sealed = self.seal_data(self._encode_msk(msk), aad=b"ibbe-msk")
-        return pk, sealed
+        return pk, self._seal_msk(msk)
 
     @ecall
     def restore_system(self, sealed_msk: bytes,
@@ -162,6 +164,11 @@ class IbbeEnclave(Enclave):
 
     def _encode_msk(self, msk: ibbe.IbbeMasterSecret) -> bytes:
         return msk.gamma.to_bytes(64, "big") + msk.g.encode()
+
+    def _seal_msk(self, msk: ibbe.IbbeMasterSecret) -> bytes:
+        """This platform's sealed copy, the blob :meth:`restore_system`
+        reloads: every door that installs a new MSK returns one."""
+        return self.seal_data(self._encode_msk(msk), aad=b"ibbe-msk")
 
     def _decode_msk(self, data: bytes) -> ibbe.IbbeMasterSecret:
         gamma = int.from_bytes(data[:64], "big")
@@ -204,63 +211,15 @@ class IbbeEnclave(Enclave):
         usk = ibbe.extract(self._require_msk(), self._require_pk(), identity)
         return usk.encode()
 
-    # -- master-secret migration (multi-admin, paper §VIII avenue 2) -------------
-
-    @ecall
-    def export_master_secret(self, target_certificate) -> bytes:
-        """Encrypt the MSK to another *attested* admin enclave.
-
-        Preconditions enforced inside the boundary:
-
-        * this enclave's configuration pins the Auditor CA key
-          (``ca_public_key`` config entry, hex) — the pin is part of the
-          measurement, so it cannot be swapped without changing the
-          audited identity;
-        * the presented certificate verifies under that CA;
-        * the certificate's measurement equals OUR measurement (same
-          audited build — the MSK never migrates to different code).
-
-        Returns an ECIES blob only the certified enclave can open.
-        """
-        pinned_hex = self.config.get("ca_public_key")
-        if not pinned_hex:
-            raise EnclaveError(
-                "MSK export requires a pinned 'ca_public_key' in the "
-                "enclave configuration"
-            )
-        ca_key = ecdsa.EcdsaPublicKey.decode(bytes.fromhex(str(pinned_hex)))
-        if not isinstance(target_certificate, EnclaveCertificate):
-            raise EnclaveError("malformed enclave certificate")
-        target_certificate.verify(ca_key)
-        if target_certificate.measurement != self.measurement:
-            raise EnclaveError(
-                "refusing MSK export: target enclave runs different code"
-            )
-        msk = self._require_msk()
-        target_key = ecies.EciesPublicKey.decode(
-            target_certificate.enclave_public_key
-        )
-        return target_key.encrypt(self._encode_msk(msk), self.rng,
-                                  aad=b"msk-migration")
-
-    @ecall
-    def import_master_secret(self, blob: bytes,
-                             pk: ibbe.IbbePublicKey) -> None:
-        """Counterpart of :meth:`export_master_secret` on the target."""
-        if self._msk is not None:
-            raise EnclaveError("enclave already holds a master secret")
-        data = self._identity_key.decrypt(blob, aad=b"msk-migration")
-        self._install_msk(self._decode_msk(data), pk)
-
-    # -- MAGE-style mutual attestation (multi-enclave shards, §VIII) -------------
+    # -- master-secret migration: MAGE mutual attestation (§VIII avenue 2) ------
     #
-    # The certificate path above needs the Auditor/CA as a trusted third
-    # party.  The peer path below removes it (the MAGE construction,
-    # arXiv:2008.09501): two enclaves of the *same build* attest each
-    # other directly, each verifying the other's IAS-signed report under
-    # an IAS report key pinned in the measured configuration and
-    # requiring the peer's measurement to equal its OWN.  The hardware
-    # root of trust (IAS) stays; the auditing middleman goes.
+    # The one way an MSK travels between enclaves (a further
+    # administrator, a shard) needs no third party — the MAGE
+    # construction, arXiv:2008.09501: two enclaves of the *same build*
+    # attest each other directly, each verifying the other's IAS-signed
+    # report under the IAS report key pinned in its measured
+    # configuration and requiring the peer's measurement to equal its
+    # OWN.  The Auditor certifies enclaves to *users* and never enters.
 
     @ecall
     def peer_offer(self) -> Dict[str, bytes]:
@@ -269,7 +228,9 @@ class IbbeEnclave(Enclave):
         report data (freshness: a replayed quote carries a nonce this
         enclave never issued, or one already consumed)."""
         nonce = self.rng.random_bytes(32)
-        self._peer_nonces.add(nonce)
+        self._peer_nonces[nonce] = True
+        if len(self._peer_nonces) > self.MAX_PEER_CHALLENGES:
+            del self._peer_nonces[next(iter(self._peer_nonces))]
         return {
             "public_key": self._identity_key.public_key().encode(),
             "nonce": nonce,
@@ -328,14 +289,12 @@ class IbbeEnclave(Enclave):
             raise AttestationError(
                 "peer report does not answer an outstanding challenge"
             )
-        self._peer_nonces.discard(nonce)
+        del self._peer_nonces[nonce]
         self._peers[peer_public_key] = True
 
     @ecall
     def export_master_secret_to_peer(self, peer_public_key: bytes) -> bytes:
-        """Encrypt the MSK to a *mutually attested* peer enclave.
-
-        Unlike :meth:`export_master_secret` there is no certificate: the
+        """Encrypt the MSK to a *mutually attested* peer enclave: the
         authorisation is membership in the peer registry, which only
         :meth:`register_peer`'s in-boundary checks can grant."""
         if (not isinstance(peer_public_key, bytes)
@@ -351,8 +310,9 @@ class IbbeEnclave(Enclave):
     @ecall
     def import_master_secret_from_peer(self, blob: bytes,
                                        pk: ibbe.IbbePublicKey,
-                                       sender_public_key: bytes) -> None:
-        """Counterpart of :meth:`export_master_secret_to_peer`.
+                                       sender_public_key: bytes) -> bytes:
+        """Counterpart of :meth:`export_master_secret_to_peer`; returns
+        this platform's sealed copy, as :meth:`setup_system` does.
 
         The sender must be in OUR peer registry too (the handshake is
         mutual), so an unattested party cannot feed this enclave a
@@ -365,15 +325,9 @@ class IbbeEnclave(Enclave):
                 "refusing MSK import: sender is not a mutually attested peer"
             )
         data = self._identity_key.decrypt(blob, aad=b"msk-peer")
-        self._install_msk(self._decode_msk(data), pk)
-
-    @ecall
-    def seal_master_secret(self) -> bytes:
-        """Seal the installed MSK for this platform, so a later restart
-        can :meth:`restore_system` without repeating the migration.
-        Byte-compatible with the blob :meth:`setup_system` returns."""
-        msk = self._require_msk()
-        return self.seal_data(self._encode_msk(msk), aad=b"ibbe-msk")
+        msk = self._decode_msk(data)
+        self._install_msk(msk, pk)
+        return self._seal_msk(msk)
 
     # -- Algorithm 1: create group -------------------------------------------------
 

@@ -75,17 +75,18 @@ def provision_user_key(
 # MAGE-style mutual attestation (no trusted third party)
 # ---------------------------------------------------------------------------
 #
-# The Fig. 3 flow above trusts the Auditor/CA to say which measurements
-# are good.  Multi-enclave shard deployments (repro.shard) drop that
-# third party following MAGE (arXiv:2008.09501): two enclaves of the
-# same build attest *each other*.  The untrusted coordinator below only
-# ferries offers, quotes and IAS reports between the parties — every
-# security-relevant check (report signature under the pinned IAS key,
-# measurement equality with the verifier's OWN measurement, key
-# commitment, nonce freshness) runs inside the enclave boundary in
-# ``register_peer``.  The coordinator consults the ambient fault
-# injector at each step, so seeded chaos plans can break the handshake
-# mid-flight; a TransientAttestationError is retryable by contract.
+# The Fig. 3 flow above is how *users* come to trust an enclave: the
+# Auditor/CA says which measurements are good.  Between enclaves — a
+# further administrator, a shard — there is no third party, following
+# MAGE (arXiv:2008.09501): two enclaves of the same build attest *each
+# other*.  The untrusted coordinator below only ferries offers, quotes
+# and IAS reports between the parties — every security-relevant check
+# (report signature under the pinned IAS key, measurement equality with
+# the verifier's OWN measurement, key commitment, nonce freshness) runs
+# inside the enclave boundary in ``register_peer``.  The coordinator
+# consults the ambient fault injector at each step, so seeded chaos
+# plans can break the handshake mid-flight; a
+# TransientAttestationError is retryable by contract.
 
 
 def _attestation_fault(site: str) -> None:
@@ -103,7 +104,7 @@ def mutual_attest(enclave_a: Enclave, enclave_b: Enclave, ias) -> None:
     :class:`~repro.errors.AttestationError` if either side rejects;
     raises the *transient* subclass when an injected fault interrupts a
     step, in which case the whole exchange is safe to rerun (stale
-    issued nonces are simply never answered).
+    issued nonces are never answered and age out).
     """
     _attestation_fault("peer-offer")
     offer_a = enclave_a.call("peer_offer")
@@ -130,9 +131,8 @@ def provision_master_secret(source: Enclave, target: Enclave, ias,
     target_key = target.call("get_public_key")
     _attestation_fault("msk-transfer")
     blob = source.call("export_master_secret_to_peer", target_key)
-    target.call("import_master_secret_from_peer", blob, public_key,
-                source_key)
-    return target.call("seal_master_secret")
+    return target.call("import_master_secret_from_peer", blob, public_key,
+                       source_key)
 
 
 def parse_provision_request(request: bytes) -> Tuple[str, ecies.EciesPublicKey]:

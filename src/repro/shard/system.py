@@ -8,11 +8,13 @@ partitions groups across them by rendezvous hash
 
 **Provisioning.**  Shard 0 runs IBBE system setup; every other shard
 receives the master secret through the MAGE-style mutual-attestation
-exchange of :func:`repro.sgx.provision_master_secret` — no Auditor/CA,
-each enclave checks the peer's IAS-signed report against the pinned IAS
-key in its *measured* configuration and requires the peer's measurement
-to equal its own.  Each shard then holds the MSK sealed under its own
-device fuse key, so it can restart without repeating the migration.
+exchange of :func:`repro.sgx.provision_master_secret` — each enclave
+checks the peer's IAS-signed report against the pinned IAS key in its
+*measured* configuration and requires the peer's measurement to equal
+its own.  Each shard then holds the MSK sealed under its own device
+fuse key, so it can restart without repeating the migration.  The
+deployment's one Auditor certifies every shard's enclave, and users get
+their keys from any of them over the certified channel of Fig. 3.
 
 **Routing.**  Admin operations and client syncs for a group go to the
 shard that owns it.  One :class:`~repro.shard.rng.GroupRoutedRng` is
@@ -56,7 +58,12 @@ from repro.errors import EnclaveError, ValidationError
 from repro.faults.retry import RetryPolicy
 from repro.obs import MetricSource, telemetry_snapshot
 from repro.pairing import PairingGroup, preset
-from repro.sgx import IntelAttestationService, SgxDevice, mutual_attest
+from repro.sgx import (
+    Auditor,
+    IntelAttestationService,
+    SgxDevice,
+    mutual_attest,
+)
 from repro.shard.ring import ShardRing
 from repro.shard.rng import GroupRoutedRng
 
@@ -66,9 +73,9 @@ class Shard:
     """One enclave instance of a sharded deployment.
 
     ``system`` is a full single-enclave :class:`repro.System` from the
-    same :func:`repro.deploy.assemble_system` every deployment uses (no
-    Auditor — shard trust comes from mutual attestation, not a CA), so
-    the shard inherits the whole restart machinery.  ``attested`` gates
+    same :func:`repro.deploy.assemble_system` every deployment uses
+    (certified by the deployment's Auditor like any other), so the
+    shard inherits the whole restart machinery.  ``attested`` gates
     serving: a shard that has not completed its (re-)attestation
     handshake never sees an operation.
     """
@@ -107,11 +114,12 @@ class ShardedSystem:
         self.rng = GroupRoutedRng(seed)
         self.ring = ShardRing([f"shard-{i}" for i in range(nshards)])
         self.cloud = cloud if cloud is not None else CloudStore()
-        # The IAS is the deployment's only trust root (its report key is
-        # pinned in every shard's measured configuration); its own
-        # randomness rides a dedicated stream so IAS identity generation
-        # never perturbs group bytes.
+        # The IAS is what the shards trust each other under (its report
+        # key is pinned in every shard's measured configuration), the
+        # Auditor what users trust them under; each draws its identity
+        # from a dedicated stream, so neither perturbs group bytes.
         self.ias = IntelAttestationService(rng=self.rng.stream("ias"))
+        self.auditor = Auditor(self.ias, rng=self.rng.stream("auditor"))
         # One signing key for every shard's administrator: clients verify
         # group metadata under a single key no matter which shard signed
         # it, and RFC 6979 nonces keep the signatures shard-independent.
@@ -127,8 +135,8 @@ class ShardedSystem:
         with self.rng.scoped("setup"):
             first = assemble_system(
                 group=PairingGroup(preset(params)),
-                device=self._device(0), ias=self.ias, cloud=self.cloud,
-                rng=self.rng,
+                device=self._device(0), ias=self.ias,
+                auditor=self.auditor, cloud=self.cloud, rng=self.rng,
                 msk=fresh_setup(system_bound or partition_capacity),
                 signing_key=signing_key,
                 partition_capacity=partition_capacity,

@@ -10,7 +10,7 @@ import pytest
 from repro import quickstart_system
 from repro.cloud import CloudStore
 from repro.crypto import DeterministicRng
-from repro.errors import EnclaveError, ParameterError
+from repro.errors import ParameterError
 from repro.faults import FaultPlan
 from repro.workloads import chaos
 from repro.workloads.chaos import (
@@ -252,14 +252,5 @@ class TestEnclaveRestart:
             # Only revocation re-keys (hence reseals) in IBBE-SGX.
             system.admin.remove_user("g", "b")
             assert counter.read("gk:g") > version_before
-        finally:
-            system.close()
-
-    def test_restart_requires_carried_config(self):
-        system = self.make_system()
-        try:
-            system.enclave_config = None
-            with pytest.raises(EnclaveError, match="enclave configuration"):
-                system.restart_enclave()
         finally:
             system.close()

@@ -7,9 +7,15 @@ refactors, the behaviour-preservation proof the deleted sequential admin
 path used to provide by running twice.  The chaos values are the ones
 the CI smoke commands print (``python -m repro.workloads.chaos --profile
 {store,full,shard} --seed chaos-ci``); the scale value is the
-``test_workloads_scale.SMALL`` scenario (the CLI default sizes take
-~13 s; ``--users 1e4 --seed 7`` gave ``861a2e8c…c41c`` at the same
-commit).
+``test_workloads_scale.SMALL`` scenario.
+
+``SCALE_SMALL`` alone was re-captured at PR 20 (the CLI's ``--users 1e4
+--seed 7`` moved with it, ``861a2e8c…c41c`` → ``dfaa69f9…2eb6``): a
+second administrator now joins by the MAGE exchange, whose offer draws
+a 32-byte challenge from the *source* enclave's stream, which the
+deleted certificate door did not, so bytes written after the contention
+phase's ``join`` shift; the store up to the join is byte-identical to
+the parent's, and the four chaos digests did not move.
 
 A deliberate change to what the system writes must re-capture these at
 the parent commit and say so.
@@ -25,7 +31,7 @@ COLD = "e12bfe9e6cbf70acb614342862319b9b50461e0ec3c6deb3228cd0adef3c9d3f"
 KEY = "b3c9853d6c4dcb0fa186344858beef23542d783ecf773f4b5258af153248a88c"
 SHARD = "183102b06893e3dc2c1833f619cc799f0382d8c810ecc909f11776ee4a81e8dc"
 SCALE_SMALL = (
-    "124b596e63987762ff6f96a1a769c5c94232fba0c647cd34695fabac23446552")
+    "573c6d4acd9f903354c94c860d438ca026375fb7d4e2ab4445c125d1c6402cb7")
 
 
 def _assert_chaos(report):

@@ -2,10 +2,19 @@
 
 import pytest
 
+from repro import ibbe
 from repro.core.multiadmin import ConcurrentAdministrator
+from repro.crypto import ecies
 from repro.crypto.rng import DeterministicRng
 from repro.enclave_app import IbbeEnclave
-from repro.errors import ConflictError, EnclaveError, MembershipError
+from repro.errors import (
+    AttestationError,
+    AuthenticationError,
+    ConflictError,
+    EnclaveError,
+    MembershipError,
+)
+from repro.sgx.attestation import mutual_attest, provision_master_secret
 from repro.sgx.device import SgxDevice
 from tests.conftest import make_system
 
@@ -18,6 +27,19 @@ def make_second_admin(system, seed: str = "admin2"):
 
 
 class TestMskMigration:
+    """The one way a master secret travels: the mutually attested peer
+    exchange behind :meth:`System.join`.  Every refusal is pinned to its
+    message and, observed through the doors, leaves nothing installed."""
+
+    @staticmethod
+    def fresh_enclave(system, seed, enclave_class=IbbeEnclave):
+        """An MSK-less enclave configured exactly like ``system``'s, on
+        its own registered platform."""
+        device = SgxDevice(rng=DeterministicRng(seed))
+        system.ias.register_device(device.device_id,
+                                   device.attestation_public_key)
+        return enclave_class.load(device, dict(system.enclave.config))
+
     def test_migrated_enclave_extracts_identical_keys(self):
         system = make_system("mig1", capacity=4)
         admin2 = make_second_admin(system)
@@ -25,53 +47,114 @@ class TestMskMigration:
         b = admin2.enclave.call("extract_user_key_raw", "alice")
         assert a == b
 
-    def test_migration_requires_same_measurement(self, group):
+    def test_migration_requires_same_measurement(self):
         system = make_system("mig2", capacity=4)
-        device = SgxDevice(rng=DeterministicRng("mig2-dev"))
-        system.ias.register_device(device.device_id,
-                                   device.attestation_public_key)
 
         class PatchedEnclave(IbbeEnclave):
             """Different code → different measurement."""
 
-        from repro.sgx.attestation import setup_trust
-        rogue = PatchedEnclave.load(device, dict(system.enclave.config))
-        system.auditor.approve_measurement(rogue.measurement)
-        cert = setup_trust(rogue, system.auditor)
-        with pytest.raises(Exception):
-            system.enclave.call("export_master_secret", cert)
-
-    def test_export_requires_pinned_ca(self, group):
-        device = SgxDevice(rng=DeterministicRng("nopin"))
-        enclave = IbbeEnclave.load(device, {"pairing_group": group})
-        enclave.call("setup_system", 4)
-        with pytest.raises(EnclaveError, match="pinned"):
-            enclave.call("export_master_secret", object())
+        rogue = self.fresh_enclave(system, "mig2-dev", PatchedEnclave)
+        with pytest.raises(AttestationError,
+                           match="enclave runs different code"):
+            provision_master_secret(system.enclave, rogue, system.ias,
+                                    system.public_key)
+        with pytest.raises(AttestationError, match="mutually attested"):
+            system.enclave.call("export_master_secret_to_peer",
+                                rogue.call("get_public_key"))
+        with pytest.raises(EnclaveError, match="not set up"):
+            rogue.call("get_system_bound")
 
     def test_import_rejected_when_already_provisioned(self):
         system = make_system("mig3", capacity=4)
-        with pytest.raises(EnclaveError, match="already"):
-            system.enclave.call("import_master_secret", b"x",
-                                system.public_key)
+        second = make_second_admin(system, "mig3-b")
+        with pytest.raises(EnclaveError,
+                           match="already holds a master secret"):
+            second.enclave.call("import_master_secret_from_peer", b"x",
+                                system.public_key,
+                                system.enclave.call("get_public_key"))
 
     def test_blob_unreadable_by_third_enclave(self):
-        """The migration blob is bound to the certified target key."""
+        """The migration blob is bound to the attested target's key: fed
+        to another peer — attested just as well — it fails authentication
+        and installs nothing."""
         system = make_system("mig4", capacity=4)
-        device_b = SgxDevice(rng=DeterministicRng("mig4-b"))
-        device_c = SgxDevice(rng=DeterministicRng("mig4-c"))
-        for device in (device_b, device_c):
-            system.ias.register_device(device.device_id,
-                                       device.attestation_public_key)
-        target = IbbeEnclave.load(device_b, dict(system.enclave.config))
-        eavesdropper = IbbeEnclave.load(device_c,
-                                        dict(system.enclave.config))
-        from repro.sgx.attestation import setup_trust
-        system.auditor.approve_measurement(target.measurement)
-        cert = setup_trust(target, system.auditor)
-        blob = system.enclave.call("export_master_secret", cert)
-        with pytest.raises(Exception):
-            eavesdropper.call("import_master_secret", blob,
-                              system.public_key)
+        target = self.fresh_enclave(system, "mig4-b")
+        third = self.fresh_enclave(system, "mig4-c")
+        for peer in (target, third):
+            mutual_attest(system.enclave, peer, system.ias)
+        blob = system.enclave.call("export_master_secret_to_peer",
+                                   target.call("get_public_key"))
+        with pytest.raises(AuthenticationError, match="GCM tag"):
+            third.call("import_master_secret_from_peer", blob,
+                       system.public_key,
+                       system.enclave.call("get_public_key"))
+        with pytest.raises(EnclaveError, match="not set up"):
+            third.call("get_system_bound")
+
+    def test_host_chosen_master_secret_is_refused(self):
+        """The host runs IBBE setup itself and wraps its own ``(γ, g)``
+        to a fresh enclave's public identity key.  No door installs it —
+        ``import_master_secret``, which authenticated no sender and did,
+        is tried by name to show it is gone."""
+        system = make_system("mig5", capacity=4)
+        fresh = self.fresh_enclave(system, "mig5-dev")
+        host_rng = DeterministicRng("mig5-host")
+        msk, pk = ibbe.setup(system.group, 4, host_rng)
+        chosen = msk.gamma.to_bytes(64, "big") + msk.g.encode()
+        fresh_key = ecies.EciesPublicKey.decode(fresh.call("get_public_key"))
+        host_key = ecies.generate_keypair(host_rng).public_key().encode()
+
+        def wrapped(aad):
+            return fresh_key.encrypt(chosen, host_rng, aad=aad)
+
+        refusals = [
+            ("import_master_secret", (wrapped(b"msk-migration"), pk),
+             "not a registered ecall"),
+            ("import_master_secret_from_peer",
+             (wrapped(b"msk-peer"), pk, host_key),
+             "not a mutually attested peer"),
+            # A genuine enclave's key is no better: it never attested to
+            # this one.
+            ("import_master_secret_from_peer",
+             (wrapped(b"msk-peer"), pk,
+              system.enclave.call("get_public_key")),
+             "not a mutually attested peer"),
+            ("restore_system", (wrapped(b"ibbe-msk"), pk),
+             "not a sealed blob"),
+        ]
+        for door, args, reason in refusals:
+            with pytest.raises(EnclaveError, match=reason):
+                fresh.call(door, *args)
+        with pytest.raises(EnclaveError, match="not set up"):
+            fresh.call("get_system_bound")
+
+
+class TestJoinedAdministratorRestart:
+    def test_joined_administrator_restarts_and_keeps_operating(self):
+        """A joined administrator holds its own sealed MSK copy, so it
+        restarts like the first one and keeps operating."""
+        system = make_system("rejoin", capacity=4)
+        second = system.join(
+            SgxDevice(rng=DeterministicRng("rejoin-b-device")),
+            rng=DeterministicRng("rejoin-b"))
+        system.admin.create_group("g", ["a", "b", "c"])
+        second.admin.load_group_from_cloud("g")
+
+        second.restart_enclave()
+        second.admin.add_user("g", "d")
+        second.admin.remove_user("g", "b")
+        # One reader provisioned by each administrator's enclave.
+        reader_a = system.make_client("g", "a")
+        reader_d = second.make_client("g", "d")
+        reader_a.sync(); reader_d.sync()
+        after_second = reader_a.current_group_key()
+        assert reader_d.current_group_key() == after_second
+
+        system.admin.sync_group("g")
+        system.admin.remove_user("g", "c")
+        reader_a.sync(); reader_d.sync()
+        assert reader_a.current_group_key() != after_second
+        assert reader_a.current_group_key() == reader_d.current_group_key()
 
 
 class TestCrossEnclaveSealedKey:

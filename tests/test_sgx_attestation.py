@@ -317,8 +317,12 @@ class TestPeerRefusals:
         """The control: the same world, nothing tampered with."""
         from repro.sgx.attestation import provision_master_secret
         w = PeerWorld(group)
-        provision_master_secret(w.source, w.target, w.ias, w.pk)
+        sealed = provision_master_secret(w.source, w.target, w.ias, w.pk)
         assert w.target.call("get_system_bound") == 4
+        # The import door hands back the target's own sealed copy.
+        restarted = w.load(w.target_device)
+        restarted.call("restore_system", sealed, w.pk)
+        assert restarted.call("get_system_bound") == 4
 
     @pytest.mark.parametrize("case, reason", MAGE_REFUSALS,
                              ids=[case.__name__ for case, _ in MAGE_REFUSALS])
@@ -331,6 +335,27 @@ class TestPeerRefusals:
                           peer.call("get_public_key"))
         with pytest.raises(EnclaveError, match="not set up"):
             peer.call("get_system_bound")
+
+    def test_outstanding_challenges_are_bounded(self, group):
+        """``peer_offer`` is host-callable, so the challenges it leaves
+        behind are capped: one offer past the bound evicts the oldest
+        (its answer is refused) and nothing younger."""
+        w = PeerWorld(group)
+        nonces = [w.source.call("peer_offer")["nonce"]
+                  for _ in range(IbbeEnclave.MAX_PEER_CHALLENGES + 1)]
+        key = w.target.call("get_public_key")
+
+        def answer(nonce):
+            return w.ias.verify_quote(w.target.call("peer_quote", nonce))
+
+        with pytest.raises(AttestationError,
+                           match="does not answer an outstanding challenge"):
+            w.source.call("register_peer", answer(nonces[0]), key)
+        with pytest.raises(AttestationError, match="mutually attested"):
+            w.source.call("export_master_secret_to_peer", key)
+        w.source.call("register_peer", answer(nonces[1]), key)
+        w.source.call("register_peer", answer(nonces[-1]), key)
+        assert w.source.call("export_master_secret_to_peer", key)
 
 
 class TestCounters:

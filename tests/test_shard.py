@@ -7,6 +7,7 @@ import hashlib
 
 import pytest
 
+from repro import obs
 from repro.errors import (
     AttestationError,
     EnclaveError,
@@ -240,6 +241,53 @@ class TestFailover:
                 system.close()
         finally:
             install(None)
+
+
+class TestShardTrust:
+    """Shards establish trust the way every deployment does: certified
+    by the deployment's one Auditor, users provisioned over Fig. 3."""
+
+    def test_clients_are_provisioned_over_the_certified_channel(self):
+        system = build(2)
+        try:
+            system.create_group("galois", GROUPS["galois"])
+            with obs.enabled() as tracer:
+                tracer.reset()
+                client = system.make_client("galois", "galois.alice")
+                ecalls = [span.attrs["ecall"] for span in tracer.spans()
+                          if span.name == "sgx.ecall"]
+            tracer.reset()
+            assert "provision_user_key" in ecalls
+            assert "extract_user_key_raw" not in ecalls
+            client.sync()
+            assert len(client.current_group_key()) == 32
+        finally:
+            system.close()
+
+    def test_every_shard_is_certified_and_stays_so_across_respawn(self):
+        system = build(2)
+        try:
+            for shard in system.shards:
+                assert shard.system.auditor is system.auditor
+                shard.system.certificate.verify(
+                    system.auditor.ca_public_key)
+                assert (shard.system.certificate.enclave_public_key
+                        == shard.enclave.call("get_public_key"))
+            first, second = (shard.system for shard in system.shards)
+            certificate = first.certificate
+            system.kill_shard(0)
+            system.respawn_shard(0)
+            # The identity key is bound to (platform, measurement), not
+            # the instance: the pre-crash certificate still names it,
+            # and a fresh identity provisions through it.
+            assert first.certificate is certificate
+            assert (certificate.enclave_public_key
+                    == first.enclave.call("get_public_key"))
+            assert (first.user_key("newcomer").element.encode()
+                    == second.enclave.call("extract_user_key_raw",
+                                           "newcomer"))
+        finally:
+            system.close()
 
 
 class TestShardFaultKinds:

@@ -50,10 +50,16 @@ class TestQuickstart:
         system.admin.create_group("g", ["a"])
         assert system.cloud.metrics.simulated_latency_ms > 0
 
-    def test_ca_key_pinned_in_enclave_config(self):
+    def test_ias_key_pinned_in_enclave_config(self):
+        """The one pin in the measured configuration is the IAS report
+        key (what peers attest each other under); the Auditor is the
+        users' CA and never enters the enclave."""
         system = make_system("qs-pin")
-        pinned = system.enclave.config.get("ca_public_key")
-        assert pinned == system.auditor.ca_public_key.encode().hex()
+        config = system.enclave.config
+        assert config["ias_report_key"] \
+            == system.ias.report_public_key.encode().hex()
+        assert "ca_public_key" not in config
+        assert set(config) == {"pairing_group", "ias_report_key", "workers"}
 
 
 class TestMultiGroupAdministration:

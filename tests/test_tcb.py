@@ -2,7 +2,7 @@
 
 Everything ``repro.enclave_app.ibbe_enclave`` imports would be linked
 into a real enclave and is trusted with the master secret; every
-registered ecall is a door into it.  Three things are asserted:
+registered ecall is a door into it.  Four things are asserted:
 
 * **The closure.**  Importing the enclave in a fresh interpreter loads
   at most ``MAX_ENCLAVE_MODULES`` ``repro.*`` modules, none of them from
@@ -19,6 +19,11 @@ registered ecall is a door into it.  Three things are asserted:
 * **No deferred imports in the trusted half.**  At or below
   ``enclave_app`` every ``repro.*`` import is at module level, so the
   import-time closure above *is* what an ecall can load.
+* **The doors.**  ``ECALLS`` pins how many the IBBE enclave registers,
+  and — ecalls being dispatched by name — every name ``src/`` passes to
+  ``.call(`` or puts in a ``call_batch`` request is one some enclave
+  under ``src/`` registers, so a deleted ecall cannot linger as a string
+  that fails only when its rare path next runs.
 
 Moved a module or added an import?  This file, ~2 s.
 """
@@ -43,7 +48,7 @@ SRC = Path(repro.__file__).resolve().parents[1]
 #: pairing 4, par 4, fields 3, ibbe 2, enclave_app 2, the package root
 #: and the leaves errors, serialize, faulthook.
 MAX_ENCLAVE_MODULES = 53
-ECALLS = 24
+ECALLS = 21
 
 #: The package graph, bottom-up.  A unit is a first-level name under
 #: ``repro`` (a sub-package or a single module); units sharing a row do
@@ -97,6 +102,11 @@ def unit_of(module):
     return (module.split(".") + ["repro"])[1]
 
 
+@functools.lru_cache(maxsize=None)
+def tree_of(path):
+    return ast.parse(path.read_text("utf-8"))
+
+
 def repro_imports(path):
     """``(line, imported module, inside a function?)`` for every
     ``repro.*`` import statement in ``path``."""
@@ -121,7 +131,7 @@ def repro_imports(path):
                          for target in targets
                          if target.split(".")[0] == "repro")
 
-    walk(ast.parse(path.read_text("utf-8")), False)
+    walk(tree_of(path), False)
     return found
 
 
@@ -179,3 +189,63 @@ def test_trusted_half_defers_no_import():
 
 def test_registered_ecall_count():
     assert len(EcallRegistry.for_class(IbbeEnclave).names()) == ECALLS
+
+
+def is_named(node, name):
+    """``name`` or ``<anything>.name``."""
+    return (isinstance(node, ast.Name) and node.id == name
+            or isinstance(node, ast.Attribute) and node.attr == name)
+
+
+def named_requests(call):
+    """The nodes of ``call`` whose leading string literal names an
+    ecall: ``<handle>.call("name", …)`` itself, every ``("name", args)``
+    entry inside a ``call_batch(...)`` argument, and
+    ``EcallOp("name", args)``, the administrator's batch-request type.
+    ``self.call(...)`` is an object's own method (the admin RPC
+    client's), never a handle."""
+    if is_named(call.func, "call_batch"):
+        return [entry for arg in call.args for entry in ast.walk(arg)
+                if isinstance(entry, (ast.Tuple, ast.List))]
+    if is_named(call.func, "EcallOp") or (
+            isinstance(call.func, ast.Attribute) and call.func.attr == "call"
+            and not is_named(call.func.value, "self")):
+        return [call]
+    return []
+
+
+def ecall_names():
+    """``(registered, called)`` over ``src/``: the names of ``@ecall``
+    methods, and ``{name: where}`` for every literal ecall name called
+    (a computed name is not a literal and is skipped)."""
+    registered, called = set(), {}
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        for node in ast.walk(tree_of(path)):
+            if isinstance(node, ast.FunctionDef):
+                if any(is_named(getattr(d, "func", d), "ecall")
+                       for d in node.decorator_list):
+                    registered.add(node.name)
+            elif isinstance(node, ast.Call):
+                for request in named_requests(node):
+                    items = (request.args if isinstance(request, ast.Call)
+                             else request.elts)
+                    head = items[0] if items else None
+                    if isinstance(head, ast.Constant) \
+                            and isinstance(head.value, str):
+                        called[head.value] = (
+                            f"{path.relative_to(SRC)}:{node.lineno}")
+    return registered, called
+
+
+def test_every_ecall_name_in_src_is_registered():
+    registered, called = ecall_names()
+    # The collector agrees with the live registry and sees the callers.
+    assert set(EcallRegistry.for_class(IbbeEnclave).names()) <= registered
+    assert {"setup_system", "create_group", "register_user",
+            "import_master_secret_from_peer"} <= set(called)
+    # Kept for the Fig. 6b bench and the tests: no deployment path hands
+    # a user key to the host in the clear.
+    assert "extract_user_key_raw" not in called
+    dangling = {name: where for name, where in called.items()
+                if name not in registered}
+    assert not dangling, f"calls to ecalls no enclave registers: {dangling}"
