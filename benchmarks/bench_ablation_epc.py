@@ -126,9 +126,15 @@ def test_system_level_he_sgx_vs_ibbe_sgx(sink, benchmark):
          ["IBBE-SGX", ibbe_stats.read_bytes, ibbe_stats.written_bytes,
           f"{ibbe_stats.cycles / 1e6:.2f}M"]],
     )
-    ratio = he_stats.read_bytes / max(ibbe_stats.read_bytes, 1)
-    sink.line(f"  HE-SGX/IBBE-SGX enclave read volume: {ratio:.1f}x")
-    assert he_stats.read_bytes > 3 * ibbe_stats.read_bytes, (
+    # IBBE-SGX stages member lists (written once, on entry) and no
+    # stored ciphertext — a revocation re-derives each partition from
+    # its list — so its side is all writes, while HE-SGX reads and
+    # rewrites every wrapped key: compare bytes moved, not bytes read.
+    he_moved = he_stats.read_bytes + he_stats.written_bytes
+    ibbe_moved = ibbe_stats.read_bytes + ibbe_stats.written_bytes
+    sink.line(f"  HE-SGX/IBBE-SGX bytes moved through the enclave: "
+              f"{he_moved / ibbe_moved:.1f}x")
+    assert he_moved > 3 * ibbe_moved, (
         "HE-SGX must move far more data through the enclave"
     )
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)

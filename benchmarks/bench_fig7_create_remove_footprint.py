@@ -140,11 +140,12 @@ def test_fig7b_partition_size_effect(sink, benchmark):
     Run at partition sizes where, as in the paper's 1000-4000 range, the
     per-member O(|p|) hashing work in create is non-negligible next to the
     per-partition exponentiations.  The paper measures remove at about
-    half of create.  Here the order is the other way round: create
-    exponentiates fixed, tabled bases three times out of four per
-    partition, while a removal decompresses each partition's own C3 and
-    exponentiates it — a variable base no table can serve (see
-    EXPERIMENTS.md)."""
+    half of create.  Here a removal re-derives every partition from its
+    member list on the same tabled bases as create, with one lookup
+    fewer per partition (an untouched partition's C3 is not recomputed):
+    two G1 lookups and one GT against three and one, under the same
+    O(|p|) hashing, signing and commit — so it is cheaper at every size,
+    by less than half (see EXPERIMENTS.md)."""
     group_size = scaled(1024)
     capacities = [scaled(c) for c in (128, 256, 512, 1024)]
     rows = []
@@ -159,12 +160,12 @@ def test_fig7b_partition_size_effect(sink, benchmark):
         ["partition size", "create", "remove", "footprint"], rows,
     )
 
-    # Both are |P|·O(1): whichever is dearer, the two stay within a
-    # small constant factor at every partition size.
+    # Both are |P|·O(1) within a small constant factor, and the
+    # direction is the paper's: a removal is the cheaper of the two.
     ratio = sum(r / c for _, c, r, _ in measured) / len(measured)
     sink.line(f"  remove/create mean ratio: {ratio:.2f} (paper: ~0.5)")
-    assert all(0.4 < r / c < 2.5 for _, c, r, _ in measured), (
-        "create and remove must stay within a constant factor"
+    assert all(0.4 < r / c < 1 for _, c, r, _ in measured), (
+        "a removal must cost less than a create at every partition size"
     )
 
     # Smaller partitions -> more partitions -> larger footprint, but the

@@ -78,11 +78,13 @@ def test_fig8a_add_user_cdf(sink, benchmark):
 
     # Two-path structure: adds that created a new partition (full IBBE
     # encrypt + unseal + envelope) versus O(1) ciphertext extensions.
-    # The paper's slower mode is the new partition.  Here it is the
-    # faster one: a one-member partition is assembled from tabled bases,
-    # while an extension decompresses the partition's own C2 and C3 and
-    # exponentiates both — so the knee sits at the new-partition share,
-    # not at its complement (see EXPERIMENTS.md).
+    # The paper's slower mode is the new partition.  Here it is still
+    # the faster one, by less than before: a one-member partition is
+    # four lookups on tabled bases, while an extension decompresses the
+    # partition's C2 and raises it on the one ladder left (k is not
+    # kept, so no table serves C2) before taking C3 off h's table — so
+    # the knee sits at the new-partition share, not at its complement
+    # (see EXPERIMENTS.md).
     existing = [t for t, path in zip(ibbe_latencies, path_taken)
                 if path == "existing"]
     fresh = [t for t, path in zip(ibbe_latencies, path_taken)

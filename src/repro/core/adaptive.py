@@ -107,7 +107,12 @@ class CutoffPoint:
 class AdaptivePolicy:
     """Closed-form optimal partition size with hysteresis."""
 
-    c_rekey: float = 5e-3        # seconds per partition re-key
+    #: Seconds per partition re-key.  Sized when a re-key raised the
+    #: stored C3 on the variable-base ladder; at ``std160`` it is now two
+    #: tabled lookups, a GT power, an envelope and a record signature,
+    #: about 2e-3.  The cube root mutes it (m* moves by 1.36x): calibrate
+    #: (:meth:`from_fits`) where the optimum matters.
+    c_rekey: float = 5e-3
     c_decrypt: float = 2e-7      # seconds per (partition member)²
     min_capacity: int = 8
     max_capacity: int = 4000

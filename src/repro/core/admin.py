@@ -18,7 +18,7 @@ conditional-put first).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.cloud.store import CloudBatch, CloudStore
@@ -83,9 +83,12 @@ class AdminMetrics:
 
 @dataclass
 class _Placement:
-    """Where a batch-add routed users: one entry per touched partition."""
+    """Where a batch-add routed users: one entry per touched partition.
+    ``members`` is what the partition holds before the batch extends it
+    by ``users`` — for a ``fresh`` one, the user it is created around."""
 
     fresh: bool
+    members: List[str]
     users: List[str]
 
 
@@ -155,6 +158,20 @@ class OpPlan:
         if not self.ecalls:
             return "noop"
         return "+".join(op.name for op in self.ecalls)
+
+
+def _rekeyed(state: AdminGroupState, pids: Sequence[int],
+             blobs: Sequence[PartitionBlob]) -> List[InstallPartition]:
+    """Installs for partitions a re-key left the members of: the enclave
+    returns their fresh header ``C1 ‖ C2`` alone — ``C3`` depends on the
+    member set only — so the stored record's last third is spliced back,
+    as ``add_user`` carries the envelope over."""
+    return [
+        InstallPartition(pid, replace(
+            blob, ciphertext=blob.ciphertext
+            + state.records[pid].ciphertext[len(blob.ciphertext):]))
+        for pid, blob in zip(pids, blobs)
+    ]
 
 
 class GroupAdministrator:
@@ -264,6 +281,7 @@ class GroupAdministrator:
                     ),
                 )
         else:
+            members = state.table.members_of(pid)
             state.table.add_to_partition(pid, user)
             record = state.records[pid]
             host_pid = pid
@@ -273,7 +291,7 @@ class GroupAdministrator:
                 # verbatim (Algorithm 2 pushes only members + ciphertext).
                 return OpPlan(
                     ecalls=[EcallOp("add_user_to_partition",
-                                    (record.ciphertext, user))],
+                                    (record.ciphertext, members, user))],
                     effects=lambda results: PlanEffects(actions=[
                         InstallPartition(host_pid, PartitionBlob(
                             ciphertext=results[0],
@@ -313,13 +331,15 @@ class GroupAdministrator:
             pid = state.table.pick_open_partition(self._rng)
             if pid is None:
                 pid = state.table.add_new_partition(user)
-                placements[pid] = _Placement(fresh=True, users=[user])
+                placements[pid] = _Placement(fresh=True, members=[user],
+                                             users=[])
             else:
+                if pid not in placements:
+                    placements[pid] = _Placement(
+                        fresh=False, members=state.table.members_of(pid),
+                        users=[])
                 state.table.add_to_partition(pid, user)
-                placement = placements.setdefault(
-                    pid, _Placement(fresh=False, users=[])
-                )
-                placement.users.append(user)
+                placements[pid].users.append(user)
 
         def make_plan() -> OpPlan:
             ecalls: List[EcallOp] = []
@@ -332,16 +352,16 @@ class GroupAdministrator:
                     create_index = len(ecalls)
                     ecalls.append(EcallOp(
                         "create_partition",
-                        (group_id, [placement.users[0]],
+                        (group_id, placement.members,
                          state.sealed_group_key),
                     ))
                     ct_index = create_index
-                    if len(placement.users) > 1:
+                    if placement.users:
                         ct_index = len(ecalls)
                         ecalls.append(EcallOp(
                             "add_users_to_partition",
                             (ResultRef(create_index, "ciphertext"),
-                             placement.users[1:]),
+                             placement.members, placement.users),
                         ))
                     spec.append((pid, create_index, ct_index))
                 else:
@@ -349,7 +369,8 @@ class GroupAdministrator:
                     index = len(ecalls)
                     ecalls.append(EcallOp(
                         "add_users_to_partition",
-                        (record.ciphertext, list(placement.users)),
+                        (record.ciphertext, placement.members,
+                         placement.users),
                     ))
                     spec.append((pid, record.envelope, index))
 
@@ -410,12 +431,12 @@ class GroupAdministrator:
     # -- Algorithm 3: remove user --------------------------------------------------------
 
     def remove_user(self, group_id: str, user: str) -> None:
-        """Revoke ``user``: fresh group key, O(1) update of the hosting
-        partition, O(1) re-key of every other partition — all partition
-        blobs emitted by a single enclave entry."""
+        """Revoke ``user``: fresh group key, the hosting partition
+        rebuilt without them, every other partition re-keyed — the
+        enclave derives each from its member list, and all partition
+        blobs are emitted by a single entry."""
         state = self._require_group(group_id)
         host_pid = state.table.partition_of(user)
-        host_record = state.records[host_pid]
         state.table.remove(user)
         other_pids = [pid for pid in state.table.partition_ids
                       if pid != host_pid]
@@ -435,17 +456,14 @@ class GroupAdministrator:
                 def effects(results: Sequence[Any]) -> PlanEffects:
                     host_blob, other_blobs, sealed_gk = results[0]
                     actions = [InstallPartition(host_pid, host_blob)]
-                    actions.extend(
-                        InstallPartition(pid, blob)
-                        for pid, blob in zip(other_pids, other_blobs)
-                    )
+                    actions.extend(_rekeyed(state, other_pids, other_blobs))
                     actions.append(PushSealedKey())
                     return PlanEffects(actions=actions, sealed_gk=sealed_gk)
 
                 return OpPlan(
                     ecalls=[EcallOp("remove_user", (
-                        group_id, user, host_record.ciphertext,
-                        [state.records[pid].ciphertext for pid in other_pids],
+                        group_id, user, state.table.members_of(host_pid),
+                        [state.table.members_of(pid) for pid in other_pids],
                     ))],
                     effects=effects,
                 )
@@ -455,17 +473,14 @@ class GroupAdministrator:
                 def effects(results: Sequence[Any]) -> PlanEffects:
                     other_blobs, sealed_gk = results[0]
                     actions: List[Any] = [DropPartition(host_pid)]
-                    actions.extend(
-                        InstallPartition(pid, blob)
-                        for pid, blob in zip(other_pids, other_blobs)
-                    )
+                    actions.extend(_rekeyed(state, other_pids, other_blobs))
                     actions.append(PushSealedKey())
                     return PlanEffects(actions=actions, sealed_gk=sealed_gk)
 
                 return OpPlan(
                     ecalls=[EcallOp("rekey_group", (
                         group_id,
-                        [state.records[pid].ciphertext for pid in other_pids],
+                        [state.table.members_of(pid) for pid in other_pids],
                     ))],
                     effects=effects,
                 )
@@ -494,17 +509,13 @@ class GroupAdministrator:
         def make_plan() -> OpPlan:
             def effects(results: Sequence[Any]) -> PlanEffects:
                 blobs, sealed_gk = results[0]
-                actions = [
-                    InstallPartition(pid, blob)
-                    for pid, blob in zip(pids, blobs)
-                ]
+                actions: List[Any] = _rekeyed(state, pids, blobs)
                 actions.append(PushSealedKey())
                 return PlanEffects(actions=actions, sealed_gk=sealed_gk)
 
             return OpPlan(
                 ecalls=[EcallOp("rekey_group", (
-                    group_id,
-                    [state.records[pid].ciphertext for pid in pids],
+                    group_id, [state.table.members_of(pid) for pid in pids],
                 ))],
                 effects=effects,
             )

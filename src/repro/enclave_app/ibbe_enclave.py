@@ -4,7 +4,9 @@ This enclave owns the IBBE master secret ``MSK = (g, γ)`` and every
 plaintext group key ``gk``.  Untrusted administrator code sees only:
 
 * the system public key (public by definition),
-* partition ciphertexts ``c_p`` (public broadcast metadata),
+* member lists and partition ciphertexts ``c_p`` (public broadcast
+  metadata; Algorithms 1-3 are driven by the lists, and only an
+  extension reads a stored ciphertext back),
 * group-key envelopes ``y_p`` (AES-GCM ciphertext),
 * sealed blobs (group keys, master secret) bound to this enclave identity.
 
@@ -27,8 +29,9 @@ variable, else serial) and changes *performance only*: per-partition
 randomness streams are derived by index from one parent seed, so any
 worker count produces byte-identical blobs.  γ-dependent aggregation,
 group-key generation, enveloping and sealing always execute inside this
-enclave; workers receive only public-key material and per-partition
-aggregates (see DESIGN.md, "Parallel engine and the trust split").
+enclave; workers receive public-key material and per-partition
+aggregates, which are MSK-equivalent — they are the enclave's own
+threads (see DESIGN.md, "Parallel engine and the trust split").
 """
 
 from __future__ import annotations
@@ -45,8 +48,7 @@ from repro.crypto.envelope import (
 )
 from repro.crypto.kdf import hkdf, sha256
 from repro.ec.p256 import P256
-from repro.errors import AttestationError, EnclaveError
-from repro.mathutils.modular import modinv
+from repro.errors import AttestationError, EnclaveError, SchemeError
 from repro.obs.spans import span as _span
 from repro.pairing.group import G1Element, PairingGroup
 from repro.par import WorkerPool, derive_seed, resolve_workers
@@ -62,7 +64,9 @@ from repro.sgx.quote import Quote
 class PartitionBlob:
     """Untrusted-side view of one partition's cryptographic payload."""
 
-    ciphertext: bytes   # IbbeCiphertext encoding (c1 || c2 || c3)
+    #: IbbeCiphertext encoding ``c1 || c2 || c3`` — or the header
+    #: ``c1 || c2`` alone where a re-key left the stored ``c3`` as it is.
+    ciphertext: bytes
     envelope: bytes     # y_p = nonce || GCM(SHA-256(bk_p), gk)
 
 
@@ -330,6 +334,13 @@ class IbbeEnclave(Enclave):
         return self._seal_msk(msk)
 
     # -- Algorithm 1: create group -------------------------------------------------
+    #
+    # Algorithms 1-3 take member lists, never a stored aggregate: C3 =
+    # h^{∏(γ+H(u))} is a function of the list and this enclave holds γ,
+    # so every partition is (re)built from the tabled h, w, v with the
+    # exponent folded in Z_q (eq. 3).  Each entry validates what the host
+    # handed it before the first rng draw or counter increment, so a
+    # refused call leaves no trace.
 
     @ecall(batchable=True)
     def create_group(self, group_id: str,
@@ -346,12 +357,9 @@ class IbbeEnclave(Enclave):
         worker count.
         """
         msk, pk = self._require_msk(), self._require_pk()
-        gk = self.track_secret(self.rng.random_bytes(GROUP_KEY_SIZE))
-        blobs = self._build_partitions(
-            msk, pk, [list(members) for members in partitions], gk, group_id
-        )
-        sealed_gk = self._seal_group_key(group_id, gk)
-        return blobs, sealed_gk
+        partitions = self._checked_partitions(pk, partitions)
+        return self._rotate_group_key(msk, partitions, group_id,
+                                      "partition", len(partitions))
 
     # -- Algorithm 2: add user -------------------------------------------------------
 
@@ -360,64 +368,79 @@ class IbbeEnclave(Enclave):
                          sealed_gk: bytes) -> PartitionBlob:
         """Algorithm 2 lines 4-6: new partition enveloping the current gk."""
         msk, pk = self._require_msk(), self._require_pk()
+        partitions = self._checked_partitions(pk, [members])
         gk = self.track_secret(self._unseal_group_key(group_id, sealed_gk))
-        return self._build_partition(msk, pk, members, gk, group_id)
+        return self._build_partitions(msk, partitions, gk, group_id,
+                                      "partition", 1)[0]
 
     @ecall(batchable=True)
     def add_user_to_partition(self, partition_ciphertext: bytes,
+                              members: Sequence[str],
                               identity: str) -> bytes:
-        """Algorithm 2 line 11: O(1) ciphertext extension, bk unchanged."""
-        msk, pk = self._require_msk(), self._require_pk()
-        ct = ibbe.IbbeCiphertext.decode(self._group, partition_ciphertext)
-        return ibbe.add_user_msk(msk, pk, ct, identity).encode()
+        """Algorithm 2 line 11: extend the ciphertext of the partition
+        holding ``members`` by ``identity``; ``bk`` is unchanged."""
+        return self._extend_partition(partition_ciphertext, members,
+                                      [identity])
 
     @ecall(batchable=True)
     def add_users_to_partition(self, partition_ciphertext: bytes,
+                               members: Sequence[str],
                                identities: Sequence[str]) -> bytes:
-        """Algorithm 2 line 11 iterated inside one entry (batch add).
-
-        Each extension is the same deterministic O(1) ``add_user_msk``
-        step, so the resulting ciphertext is byte-identical to applying
+        """Algorithm 2 line 11 for a whole batch inside one entry: the
+        new factors fold in ``Z_q`` and ``C2`` is raised once, so the
+        ciphertext is byte-identical to applying
         :meth:`add_user_to_partition` once per identity — without the
-        per-user boundary crossing.
-        """
+        per-user boundary crossing or the per-user ladder."""
+        return self._extend_partition(partition_ciphertext, members,
+                                      identities)
+
+    def _extend_partition(self, ciphertext: bytes, members: Sequence[str],
+                          identities: Sequence[str]) -> bytes:
+        """``C1`` passes through as bytes; ``C2`` is raised to the product
+        of the new factors — the one variable-base ladder left, because
+        ``k`` is not kept after creation and a fresh ``k`` would change
+        ``bk``; ``C3 = h^{∏ all}`` comes off the table."""
         msk, pk = self._require_msk(), self._require_pk()
-        ct = ibbe.IbbeCiphertext.decode(self._group, partition_ciphertext)
-        self._account_epc(len(partition_ciphertext))
-        for identity in identities:
-            ct = ibbe.add_user_msk(msk, pk, ct, identity)
-        return ct.encode()
+        c1, c2, _ = ibbe.IbbeCiphertext.split(self._group, ciphertext)
+        members, identities = list(members), list(identities)
+        extended = members + identities
+        ibbe.check_broadcast_set(pk, members)
+        ibbe.check_broadcast_set(pk, extended)
+        self._account_epc(len(ciphertext))
+        self._account_members(extended)
+        q = self._group.q
+        added = ibbe.aggregate_exponent(
+            msk, q, map(pk.hash_identity, identities))
+        total = added * ibbe.aggregate_exponent(
+            msk, q, map(pk.hash_identity, members)) % q
+        new_c2 = G1Element.decode(self._group, c2) ** added
+        return c1 + new_c2.encode() + (pk.h ** total).encode()
 
     # -- Algorithm 3: remove user -------------------------------------------------------
 
     @ecall(batchable=True)
     def remove_user(self, group_id: str, identity: str,
-                    hosting_ciphertext: bytes,
-                    other_ciphertexts: Sequence[bytes],
+                    hosting_members: Sequence[str],
+                    other_partitions: Sequence[Sequence[str]],
                     ) -> Tuple[PartitionBlob, List[PartitionBlob], bytes]:
         """Lines 3-9 of Algorithm 3 (the enclaved region).
 
-        A fresh ``gk`` is generated; the hosting partition's ciphertext
-        drops the revoked user in O(1); every other partition is re-keyed
-        in O(1); each partition envelopes the new ``gk``.
+        ``hosting_members`` is the revoked user's partition *without*
+        them.  A fresh ``gk`` is generated and enveloped under a fresh
+        ``(C1, C2, bk)`` per partition; the hosting blob also carries its
+        shrunken ``C3``.  The other partitions' ``C3`` is untouched by a
+        re-key, so it neither enters nor leaves: their blobs hold the
+        header ``C1 ‖ C2`` alone and the caller keeps the stored third.
         """
         msk, pk = self._require_msk(), self._require_pk()
-        gk = self.track_secret(self.rng.random_bytes(GROUP_KEY_SIZE))
-        # Dropping the revoked user divides C3's exponent by (γ + H(u))
-        # — the only γ-dependent step, so it stays in the enclave; the
-        # per-partition re-keys are public-base work for the engine.
-        host_c3 = ibbe.IbbeCiphertext.decode_c3(self._group,
-                                                hosting_ciphertext)
-        q = self._group.q
-        factor_inv = modinv((msk.gamma + pk.hash_identity(identity)) % q, q)
-        c3_encodings = [(host_c3 ** factor_inv).encode()]
-        for encoded in other_ciphertexts:
-            self._account_epc(len(encoded))
-            c3_encodings.append(
-                ibbe.IbbeCiphertext.encoded_c3(self._group, encoded)
+        partitions = self._checked_partitions(
+            pk, [hosting_members, *other_partitions])
+        if any(identity in members for members in partitions):
+            raise SchemeError(
+                f"refusing to revoke {identity!r}: a partition still lists it"
             )
-        blobs = self._rekey_partitions(pk, c3_encodings, gk, group_id)
-        sealed_gk = self._seal_group_key(group_id, gk)
+        blobs, sealed_gk = self._rotate_group_key(msk, partitions, group_id,
+                                                  "rekey", 1)
         return blobs[0], blobs[1:], sealed_gk
 
     @ecall(batchable=True)
@@ -450,18 +473,15 @@ class IbbeEnclave(Enclave):
         return self._seal_group_key(group_id, gk)
 
     @ecall(batchable=True)
-    def rekey_group(self, group_id: str, ciphertexts: Sequence[bytes],
+    def rekey_group(self, group_id: str,
+                    partitions: Sequence[Sequence[str]],
                     ) -> Tuple[List[PartitionBlob], bytes]:
-        """Refresh ``gk`` for all partitions without membership changes."""
-        pk = self._require_pk()
-        gk = self.track_secret(self.rng.random_bytes(GROUP_KEY_SIZE))
-        c3_encodings = [
-            ibbe.IbbeCiphertext.encoded_c3(self._group, encoded)
-            for encoded in ciphertexts
-        ]
-        blobs = self._rekey_partitions(pk, c3_encodings, gk, group_id)
-        sealed_gk = self._seal_group_key(group_id, gk)
-        return blobs, sealed_gk
+        """Refresh ``gk`` for all partitions without membership changes;
+        every blob holds the header ``C1 ‖ C2`` alone (see
+        :meth:`remove_user`)."""
+        msk, pk = self._require_msk(), self._require_pk()
+        partitions = self._checked_partitions(pk, partitions)
+        return self._rotate_group_key(msk, partitions, group_id, "rekey", 0)
 
     # -- parallel engine (repro.par) ------------------------------------------------
 
@@ -510,74 +530,60 @@ class IbbeEnclave(Enclave):
             )
         return self._pool
 
-    def _build_partitions(self, msk, pk,
-                          partitions: Sequence[Sequence[str]], gk: bytes,
-                          group_id: str) -> List[PartitionBlob]:
-        """Algorithm 1's per-partition loop on the parallel engine.
+    @staticmethod
+    def _checked_partitions(pk, partitions: Sequence[Sequence[str]],
+                            ) -> List[List[str]]:
+        """Host-supplied member lists, copied and each checked as a
+        broadcast set (non-empty, within ``m``, duplicate-free)."""
+        partitions = [list(members) for members in partitions]
+        for members in partitions:
+            ibbe.check_broadcast_set(pk, members)
+        return partitions
+
+    def _rotate_group_key(self, msk, partitions: Sequence[Sequence[str]],
+                          group_id: str, stream: str, with_c3: int,
+                          ) -> Tuple[List[PartitionBlob], bytes]:
+        """A fresh ``gk`` enveloped for every partition, and sealed."""
+        gk = self.track_secret(self.rng.random_bytes(GROUP_KEY_SIZE))
+        blobs = self._build_partitions(msk, partitions, gk, group_id,
+                                       stream, with_c3)
+        return blobs, self._seal_group_key(group_id, gk)
+
+    def _build_partitions(self, msk, partitions: Sequence[Sequence[str]],
+                          gk: bytes, group_id: str, stream: str,
+                          with_c3: int) -> List[PartitionBlob]:
+        """The per-partition loop of Algorithms 1-3 on the parallel
+        engine, over already checked member lists.
 
         Phase 1 (workers, public): hash every member identity.
         Phase 2 (enclave, γ): fold hashes into ``∏(γ + H(u)) mod q``.
-        Phase 3 (workers, public bases): the three exponentiations and
-        the pairing-free broadcast key, randomness derived by partition
-        index from one parent seed (byte-identical at any worker count).
+        Phase 3 (workers, public bases): the exponentiations and the
+        pairing-free broadcast key, randomness derived by partition
+        index from one parent seed under the ``stream`` label
+        (byte-identical at any worker count); the first ``with_c3``
+        partitions also get their aggregate ``C3``.
         Phase 4 (enclave, gk): EPC accounting + envelope wrap, in order.
         """
         with _span("enclave.build_partitions", partitions=len(partitions),
-                   workers=self._workers):
-            for members in partitions:
-                ibbe.check_broadcast_set(pk, list(members))
+                   stream=stream, workers=self._workers):
             pool = self._worker_pool()
             hashes = pool.run(par_kernels.hash_members_task,
                               [tuple(members) for members in partitions])
-            q, gamma = self._group.q, msk.gamma
-            products = []
-            for member_hashes in hashes:
-                product = 1
-                for h in member_hashes:
-                    product = (product * ((gamma + h) % q)) % q
-                products.append(product)
             parent = self.rng.random_bytes(32)
             results = pool.run(par_kernels.build_partition_task, [
-                (products[i], derive_seed(parent, i, "partition"))
-                for i in range(len(partitions))
+                (ibbe.aggregate_exponent(msk, self._group.q, member_hashes),
+                 derive_seed(parent, index, stream), index < with_c3)
+                for index, member_hashes in enumerate(hashes)
             ])
-            return self._assemble_blobs(partitions, results, gk, group_id)
-
-    def _rekey_partitions(self, pk, c3_encodings: Sequence[bytes],
-                          gk: bytes, group_id: str) -> List[PartitionBlob]:
-        """The A-G re-key loop (Algorithm 3 / re-partitioning) on the
-        engine: each partition's fresh ``(C1, C2, bk)`` needs only its
-        public aggregate ``C3`` and the public key."""
-        with _span("enclave.rekey_partitions",
-                   partitions=len(c3_encodings), workers=self._workers):
-            pool = self._worker_pool()
-            parent = self.rng.random_bytes(32)
-            results = pool.run(par_kernels.rekey_partition_task, [
-                (c3_encodings[i], derive_seed(parent, i, "rekey"))
-                for i in range(len(c3_encodings))
-            ])
-            return self._assemble_blobs(None, results, gk, group_id)
-
-    def _assemble_blobs(self, partitions: Optional[Sequence[Sequence[str]]],
-                        results: Sequence[Tuple[bytes, bytes]], gk: bytes,
-                        group_id: str) -> List[PartitionBlob]:
-        """Phase 4: wrap ``gk`` under each partition's broadcast-key
-        digest.  Runs in the enclave (``gk`` never reaches a worker), in
-        task order, drawing envelope nonces from the enclave RNG."""
-        aad = group_id.encode("utf-8")
-        blobs = []
-        for index, (ct_bytes, bk_digest) in enumerate(results):
-            if partitions is not None:
-                members = partitions[index]
-                self._account_epc(
-                    sum(len(m.encode("utf-8")) for m in members) + 256,
-                    write=True,
-                )
-            blobs.append(PartitionBlob(
-                ciphertext=ct_bytes,
-                envelope=wrap_group_key(bk_digest, gk, self.rng, aad=aad),
-            ))
-        return blobs
+            aad = group_id.encode("utf-8")
+            blobs = []
+            for members, (ct_bytes, bk_digest) in zip(partitions, results):
+                self._account_members(members)
+                blobs.append(PartitionBlob(
+                    ciphertext=ct_bytes,
+                    envelope=wrap_group_key(bk_digest, gk, self.rng, aad=aad),
+                ))
+            return blobs
 
     # -- internals -----------------------------------------------------------------
 
@@ -598,10 +604,11 @@ class IbbeEnclave(Enclave):
             self.device.epc.free(handle)
             self._epc_regions.remove(handle)
 
-    def _build_partition(self, msk, pk, members: Sequence[str], gk: bytes,
-                         group_id: str) -> PartitionBlob:
-        return self._build_partitions(msk, pk, [list(members)], gk,
-                                      group_id)[0]
+    def _account_members(self, members: Sequence[str]) -> None:
+        """Charge a member list staged in enclave memory, with the
+        partition state built from it."""
+        self._account_epc(
+            sum(len(m.encode("utf-8")) for m in members) + 256, write=True)
 
     def _seal_group_key(self, group_id: str, gk: bytes) -> bytes:
         """Seal gk with a monotonic version for rollback protection."""

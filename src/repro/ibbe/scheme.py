@@ -18,13 +18,16 @@ the same group G1):
 * **Decrypt** (A-D): quadratic polynomial expansion + multi-exponentiation,
   identical under both usage models.
 * **Add / Remove / Re-key** (A-E/F/G): O(1) ciphertext updates using γ
-  (add, remove) or C3 alone (re-key).
+  (add, remove) or C3 alone (re-key) — the paper's reference forms.  A
+  holder of γ can instead re-derive the aggregate from the member list
+  (:func:`aggregate_exponent`) and stay on fixed bases
+  (:func:`encrypt_aggregate`), which is what the enclave does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Iterable, List, Sequence, Tuple
 
 from repro.crypto.rng import Rng
 from repro.errors import PairingError, ParameterError, SchemeError
@@ -65,10 +68,10 @@ class IbbePublicKey:
         ``h`` (idempotent; tables are cached on the elements, so every
         holder of this key object shares them).
 
-        These three are the only bases ``encrypt_msk`` / ``rekey_from_c3``
-        exponentiate with fresh scalars, so this turns the per-partition
-        cost of Algorithms 1-3 from three full ladders into sparse
-        table lookups.  Called where those run — :func:`setup`, the
+        These three are the only bases :func:`encrypt_aggregate`
+        exponentiates, so this turns the per-partition cost of
+        Algorithms 1-3 from three full ladders into sparse table
+        lookups.  Called where those run — :func:`setup`, the
         enclave installing a master secret, each engine worker process —
         and not by :meth:`decode`: clients never exponentiate the bases.
         """
@@ -171,6 +174,9 @@ class IbbeHeader:
     c1: G1Element  # w^(-k)
     c2: G1Element  # h^(k·∏(γ+H(u)))
 
+    def encode(self) -> bytes:
+        return self.c1.encode() + self.c2.encode()
+
 
 @dataclass(frozen=True)
 class IbbeCiphertext(IbbeHeader):
@@ -183,50 +189,35 @@ class IbbeCiphertext(IbbeHeader):
     c3: G1Element  # h^(∏(γ+H(u)))
 
     def encode(self) -> bytes:
-        return self.c1.encode() + self.c2.encode() + self.c3.encode()
+        return super().encode() + self.c3.encode()
 
     def size_bytes(self) -> int:
         return len(self.encode())
 
     @classmethod
-    def decode(cls, group: PairingGroup, data: bytes) -> "IbbeCiphertext":
-        header = cls.decode_header(group, data)
-        return cls(header.c1, header.c2, cls.decode_c3(group, data))
-
-    @classmethod
-    def decode_header(cls, group: PairingGroup, data: bytes) -> IbbeHeader:
-        """Decode only ``(C1, C2)`` — the decrypt-side twin of
-        :meth:`decode_c3`: decryption never reads C3, so decompressing it
-        (a modular square root) is wasted work on every member's read
-        path."""
-        point_size = len(cls.encoded_c3(group, data))
-        return IbbeHeader(
-            G1Element.decode(group, data[:point_size]),
-            G1Element.decode(group, data[point_size:2 * point_size]),
-        )
-
-    @classmethod
-    def decode_c3(cls, group: PairingGroup, data: bytes) -> G1Element:
-        """Decode only the aggregate C3 component.
-
-        The O(1) re-key and remove operations rebuild C1/C2 from scratch,
-        so decompressing them (a modular square root each) is wasted work
-        on the paper's hottest path — the per-partition re-key loop of
-        Algorithm 3.
-        """
-        return G1Element.decode(group, cls.encoded_c3(group, data))
-
-    @classmethod
-    def encoded_c3(cls, group: PairingGroup, data: bytes) -> bytes:
-        """The still-encoded C3 component of an encoded ciphertext.
-
-        Lets dispatchers (the parallel re-key engine) validate and slice
-        ciphertexts without decompressing any point; the worker that
-        executes the task performs the single C3 decode."""
+    def split(cls, group: PairingGroup,
+              data: bytes) -> Tuple[bytes, bytes, bytes]:
+        """The still-encoded ``(C1, C2, C3)`` of an encoded ciphertext:
+        validates the length and decompresses nothing, so a reader pays
+        a modular square root only for the components it uses."""
         point_size = 1 + (group.p.bit_length() + 7) // 8
         if len(data) != 3 * point_size:
             raise SchemeError("malformed IBBE ciphertext encoding")
-        return data[2 * point_size:]
+        return (data[:point_size], data[point_size:2 * point_size],
+                data[2 * point_size:])
+
+    @classmethod
+    def decode(cls, group: PairingGroup, data: bytes) -> "IbbeCiphertext":
+        return cls(*(G1Element.decode(group, part)
+                     for part in cls.split(group, data)))
+
+    @classmethod
+    def decode_header(cls, group: PairingGroup, data: bytes) -> IbbeHeader:
+        """Decode only ``(C1, C2)``: decryption never reads C3, so
+        decompressing it is wasted work on every member's read path."""
+        c1, c2, _ = cls.split(group, data)
+        return IbbeHeader(G1Element.decode(group, c1),
+                          G1Element.decode(group, c2))
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +307,28 @@ def encrypt_pk(pk: IbbePublicKey, identities: Sequence[str],
     return bk, IbbeCiphertext(c1=c1, c2=c2, c3=c3)
 
 
+def aggregate_exponent(msk: IbbeMasterSecret, q: int,
+                       hashes: Iterable[int]) -> int:
+    """``∏(γ + H(u)) mod q`` over identity hashes ``H(u)`` — the single
+    product in ``Z_q`` that having γ collapses eq. 4's polynomial
+    expansion into (paper §IV-B).  It is the discrete log of ``C3`` and
+    has γ among its roots: as secret as the master secret."""
+    product = 1
+    for h_u in hashes:
+        product = (product * ((msk.gamma + h_u) % q)) % q
+    return product
+
+
+def encrypt_aggregate(pk: IbbePublicKey, product: int,
+                      k: int) -> Tuple[GTElement, IbbeHeader]:
+    """Eq. 3 given the aggregate ``product = ∏(γ + H(u))`` and the
+    randomiser ``k``: ``bk = v^k``, ``C1 = w^(-k)``, ``C2 = h^(k·product)``
+    — fixed (tabled) bases only, whatever the membership history."""
+    q = pk.group.q
+    header = IbbeHeader(c1=pk.w ** (q - k), c2=pk.h ** ((product * k) % q))
+    return pk.v ** k, header
+
+
 def encrypt_msk(msk: IbbeMasterSecret, pk: IbbePublicKey,
                 identities: Sequence[str],
                 rng: Rng) -> Tuple[GTElement, IbbeCiphertext]:
@@ -325,16 +338,11 @@ def encrypt_msk(msk: IbbeMasterSecret, pk: IbbePublicKey,
     Z_q, the complexity cut that makes the scheme practical (paper §IV-B).
     """
     _check_set(pk, identities)
-    q = pk.group.q
     k = pk.group.random_scalar(rng)
-    product = 1
-    for identity in identities:
-        product = (product * ((msk.gamma + pk.hash_identity(identity)) % q)) % q
-    c3 = pk.h ** product
-    c2 = c3 ** k
-    c1 = pk.w ** (q - k)
-    bk = pk.v ** k
-    return bk, IbbeCiphertext(c1=c1, c2=c2, c3=c3)
+    product = aggregate_exponent(
+        msk, pk.group.q, (pk.hash_identity(u) for u in identities))
+    bk, header = encrypt_aggregate(pk, product, k)
+    return bk, IbbeCiphertext(header.c1, header.c2, pk.h ** product)
 
 
 def reencrypt_pk(pk: IbbePublicKey, identities: Sequence[str],
@@ -480,21 +488,9 @@ def remove_user_msk(msk: IbbeMasterSecret, pk: IbbePublicKey,
     ``C3 ← C3^(1/(γ+H(u)))`` divides the removed user out of the aggregate,
     then a fresh ``k`` rebuilds ``(bk, C1, C2)``.
     """
-    return remove_user_from_c3(msk, pk, ciphertext.c3, identity, rng)
-
-
-def remove_user_from_c3(msk: IbbeMasterSecret, pk: IbbePublicKey,
-                        c3: G1Element, identity: str,
-                        rng: Rng) -> Tuple[GTElement, IbbeCiphertext]:
-    """C3-only variant of :func:`remove_user_msk` (C1/C2 are rebuilt, so
-    callers holding encoded ciphertexts need not decompress them)."""
     q = pk.group.q
     factor_inv = modinv((msk.gamma + pk.hash_identity(identity)) % q, q)
-    new_c3 = c3 ** factor_inv
-    k = pk.group.random_scalar(rng)
-    return pk.v ** k, IbbeCiphertext(
-        c1=pk.w ** (q - k), c2=new_c3 ** k, c3=new_c3
-    )
+    return rekey(pk, replace(ciphertext, c3=ciphertext.c3 ** factor_inv), rng)
 
 
 def rekey(pk: IbbePublicKey, ciphertext: IbbeCiphertext,
@@ -502,20 +498,13 @@ def rekey(pk: IbbePublicKey, ciphertext: IbbeCiphertext,
     """Refresh ``bk`` without membership change — **O(1)** (paper A-G).
 
     Needs only C3 and the public key, so it is valid under both usage
-    models; IBBE-SGX uses it to re-key every untouched partition after a
-    revocation (Algorithm 3, lines 6-8).
+    models.  (The enclave, holding γ, re-keys from the member list
+    instead: C3 is a variable base no table serves.)
     """
-    return rekey_from_c3(pk, ciphertext.c3, rng)
-
-
-def rekey_from_c3(pk: IbbePublicKey, c3: G1Element,
-                  rng: Rng) -> Tuple[GTElement, IbbeCiphertext]:
-    """C3-only variant of :func:`rekey`."""
     q = pk.group.q
     k = pk.group.random_scalar(rng)
-    return pk.v ** k, IbbeCiphertext(
-        c1=pk.w ** (q - k), c2=c3 ** k, c3=c3
-    )
+    c3 = ciphertext.c3
+    return pk.v ** k, IbbeCiphertext(c1=pk.w ** (q - k), c2=c3 ** k, c3=c3)
 
 
 # ---------------------------------------------------------------------------

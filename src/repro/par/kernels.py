@@ -7,11 +7,14 @@ and its precomputation tables — are *not* re-shipped per task: they are
 installed once per process by :func:`init_worker` (run as the pool
 initializer) and read from module state.
 
-Only public material ever enters this module.  Partition products are
-γ-aggregates the enclave computes and hands to its in-boundary workers
-(the paper's enclave threads); the genuinely public kernels
-(:func:`hash_members_task`, :func:`prepare_hint_task`) need nothing but
-the public key.  See DESIGN.md ("Parallel engine and the trust split").
+No γ, ``g`` or group key ever enters this module.  A partition
+``product`` does, and it is as secret as γ (the discrete log of ``C3``,
+with γ among its roots — ``γ + H(u)`` itself for a one-member
+partition): :func:`build_partition_task` runs only on the enclave's
+in-boundary workers (the paper's enclave threads).  The genuinely
+public kernels (:func:`hash_members_task`, :func:`prepare_hint_task`)
+need nothing but the public key.  See DESIGN.md ("Parallel engine and
+the trust split").
 """
 
 from __future__ import annotations
@@ -21,11 +24,11 @@ from typing import List, Optional, Tuple
 from repro.crypto.rng import DeterministicRng
 from repro.errors import ParallelError
 from repro.ibbe.scheme import (
-    IbbeCiphertext,
     IbbePublicKey,
+    encrypt_aggregate,
     prepare_decryption_public,
 )
-from repro.pairing.group import G1Element, PairingGroup
+from repro.pairing.group import PairingGroup
 from repro.pairing.params import preset
 
 #: Per-process context: (pairing group, public key).  Populated by
@@ -80,46 +83,30 @@ def hash_members_task(members: Tuple[str, ...]) -> List[int]:
     return [pk.hash_identity(identity) for identity in members]
 
 
-def build_partition_task(task: Tuple[int, bytes]) -> Tuple[bytes, bytes]:
-    """Assemble one partition's broadcast ciphertext and key digest.
+def build_partition_task(task: Tuple[int, bytes, bool]) -> Tuple[bytes, bytes]:
+    """One partition's broadcast ciphertext and key digest — the one
+    kernel behind create, remove and re-key.
 
-    ``task = (product, k_seed)`` where ``product = ∏(γ + H(u)) mod q``
-    is the enclave-computed aggregate and ``k_seed`` the per-partition
-    randomness stream.  Computes (paper eq. 3, using only PK bases)::
+    ``task = (product, k_seed, with_c3)`` where ``product = ∏(γ + H(u))
+    mod q`` is the enclave-computed aggregate and ``k_seed`` the
+    per-partition randomness stream.  Computes eq. 3 on the tabled bases
+    (:func:`~repro.ibbe.scheme.encrypt_aggregate`) and, ``with_c3``, the
+    aggregate ``C3 = h^product`` — wanted when the member set changed
+    (create, the partition a removal shrinks) and skipped by a re-key,
+    which leaves the stored ``C3`` as it is.
 
-        C3 = h^product      C2 = h^(product·k) = C3^k
-        C1 = w^(-k)         bk = v^k
-
-    Returns ``(ciphertext encoding, SHA-256(bk))`` — the digest is what
-    keys the AES envelope, so the broadcast key itself never leaves the
+    Returns ``(C1 ‖ C2 [‖ C3], SHA-256(bk))`` — the digest is what keys
+    the AES envelope, so the broadcast key itself never leaves the
     process that derived it.
     """
     group, pk = _require_context()
-    product, k_seed = task
-    q = group.q
+    product, k_seed, with_c3 = task
     k = group.random_scalar(DeterministicRng(k_seed))
-    c3 = pk.h ** product
-    c2 = pk.h ** ((product * k) % q)
-    c1 = pk.w ** (q - k)
-    bk = pk.v ** k
-    ciphertext = IbbeCiphertext(c1=c1, c2=c2, c3=c3)
-    return ciphertext.encode(), bk.digest()
-
-
-def rekey_partition_task(task: Tuple[bytes, bytes]) -> Tuple[bytes, bytes]:
-    """Re-key one partition from its (public) aggregate ``C3``.
-
-    ``task = (c3 encoding, k_seed)``.  The A-G re-key needs only C3 and
-    the public key: ``C2 = C3^k``, ``C1 = w^(-k)``, ``bk = v^k``.
-    """
-    group, pk = _require_context()
-    c3_bytes, k_seed = task
-    c3 = G1Element.decode(group, c3_bytes)
-    k = group.random_scalar(DeterministicRng(k_seed))
-    ciphertext = IbbeCiphertext(
-        c1=pk.w ** (group.q - k), c2=c3 ** k, c3=c3
-    )
-    return ciphertext.encode(), (pk.v ** k).digest()
+    bk, header = encrypt_aggregate(pk, product, k)
+    encoded = header.encode()
+    if with_c3:
+        encoded += (pk.h ** product).encode()
+    return encoded, bk.digest()
 
 
 def prepare_hint_task(task: Tuple[str, Tuple[str, ...]]) -> Tuple[bytes, int]:
