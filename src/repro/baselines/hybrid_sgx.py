@@ -149,15 +149,6 @@ class HeSgxGroupManager:
             "register_user", identity, private_key.public_key().encode()
         )
 
-    def register_users(self, keys: Dict[str, ecies.EciesPrivateKey]) -> None:
-        """Bulk registration in one boundary crossing (fairness with the
-        IBBE pipeline when comparing bootstrap costs)."""
-        self.user_keys.update(keys)
-        self.enclave.call_batch([
-            ("register_user", (identity, key.public_key().encode()))
-            for identity, key in keys.items()
-        ])
-
     def create_group(self, group_id: str, members: Sequence[str]) -> None:
         self._wrapped[group_id] = self.enclave.call(
             "create_group", group_id, list(members)

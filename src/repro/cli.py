@@ -28,18 +28,14 @@ Usage overview::
                                      [--format table|json|prom] [--out F]
     python -m repro.cli health       --store-url U [--store-url U2 …]
                                      [--timeout T] [--json]
-    python -m repro.cli serve        --cloud C [--state S] [--host H]
-                                     [--port P] [--compact-every N]
+    python -m repro.cli serve        --cloud C [--host H] [--port P]
+                                     [--compact-every N]
                                      [--request-log F] [--slow-ms N]
-                                     [--shards N]
 
 ``serve`` exposes the file-backed store over TCP (``repro.net``
 protocol); every command that takes ``--cloud`` alternatively accepts
 ``--store-url tcp://host:port`` and then operates through a
-:class:`~repro.net.RemoteCloudStore` against the running server.  With
-``--state``, the server also hosts the deployment's administrator and
-forwards the whitelisted group-management operations
-(:data:`repro.net.ADMIN_OPS`) to it.
+:class:`~repro.net.RemoteCloudStore` against the running server.
 
 ``compact`` folds the store's event history into a snapshot manifest and
 truncates the event log (crash-safe; see ``repro.cloud.filestore``), so
@@ -210,7 +206,7 @@ def cmd_create_group(args) -> int:
 
 
 #: Group commands forwarded as-is: subcommand -> (administrator
-#: operation, success message).
+#: operation, success message).  The table is the whitelist.
 _GROUP_COMMANDS = {
     "add-user": ("add_user", "added {user!r} to {group!r}"),
     "remove-user": ("remove_user",
@@ -222,16 +218,13 @@ _GROUP_COMMANDS = {
 
 
 def cmd_group_op(args) -> int:
-    """Run one of :data:`_GROUP_COMMANDS` through the bridge a
-    ``serve``-hosted administrator answers on, which is where a cold
+    """Run one of :data:`_GROUP_COMMANDS`; the administrator of a cold
     process loads the group from the cloud first."""
-    from repro.net import AdminBridge
-
     op, message = _GROUP_COMMANDS[args.command]
-    kwargs = {"group_id": args.group}
-    if hasattr(args, "user"):
-        kwargs["user"] = args.user
-    AdminBridge(_open_system(args).admin).call(op, kwargs)
+    admin = _open_system(args).admin
+    admin.ensure_loaded(args.group)
+    operands = [args.user] if hasattr(args, "user") else []
+    getattr(admin, op)(args.group, *operands)
     print(message.format(**vars(args)))
     return 0
 
@@ -440,73 +433,38 @@ def cmd_compact(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    """Serve the file-backed store (and optionally the admin) over TCP.
+    """Serve the file-backed store over TCP.
 
     Prints the bound URL on the first line (``serving tcp://...``) so a
     supervising process can parse it — an ephemeral ``--port 0`` is the
-    default.  With ``--state``, the deployment's administrator is also
-    hosted and the whitelisted admin operations become callable via
-    ``repro.net.RemoteAdmin``.  With ``--request-log``, every handled
-    request appends one JSONL record (see docs/API.md for the schema);
-    ``--slow-ms`` sets the threshold for the record's ``slow`` flag.
-
-    ``--shards N`` starts ``N`` servers over the same store — one
-    ``serving`` line each, in shard order, so a
-    :class:`repro.net.ShardDirectory` built from those urls routes
-    groups exactly like the deployment's own ring.  With an explicit
-    ``--port`` the shards bind consecutive ports; each server's
-    ``ops.stats`` / ``ops.health`` carries its shard identity.
+    default.  With ``--request-log``, every handled request appends one
+    JSONL record (see docs/API.md for the schema); ``--slow-ms`` sets
+    the threshold for the record's ``slow`` flag.
     """
     import asyncio
 
-    from repro.net import AdminBridge, RequestLog, StoreServer
+    from repro.net import RequestLog, StoreServer
 
-    nshards = max(1, args.shards)
-    if nshards > 1 and args.state:
-        raise ValidationError(
-            "--shards hosts the store fleet only; --state (the hosted "
-            "administrator) requires a single server")
     store = FileCloudStore(Path(args.cloud),
                            compact_every=args.compact_every)
-    bridge = None
-    if args.state:
-        bridge = AdminBridge(open_system(Path(args.state), store).admin)
     request_log = None
     if args.request_log:
         request_log = RequestLog(args.request_log, slow_ms=args.slow_ms)
 
     async def run() -> None:
-        servers = []
-        for index in range(nshards):
-            port = args.port + index if args.port else 0
-            shard_info = None
-            if nshards > 1:
-                shard_info = {"shard_id": f"shard-{index}",
-                              "index": index, "nshards": nshards}
-            server = StoreServer(
-                store, host=args.host, port=port,
-                admin=bridge if index == 0 else None,
-                name=(f"repro-store/shard-{index}" if nshards > 1
-                      else "repro-store"),
-                request_log=request_log, shard_info=shard_info,
-            )
-            await server.start()
-            suffix = f"  (shard {index}/{nshards})" if nshards > 1 else ""
-            print(f"serving {server.url}{suffix}", flush=True)
-            servers.append(server)
-        print(f"admin endpoint: {'enabled' if bridge else 'disabled'}",
-              flush=True)
+        server = StoreServer(store, host=args.host, port=args.port,
+                             request_log=request_log)
+        await server.start()
+        print(f"serving {server.url}", flush=True)
         if request_log is not None:
             print(f"request log: {request_log.path} "
                   f"(slow >= {request_log.slow_ms:g} ms)", flush=True)
         try:
-            await asyncio.gather(*(s.closed.wait() for s in servers))
+            await server.closed.wait()
         finally:
-            for server in servers:
-                await server.stop()
-        for server in servers:
-            if server.crashed is not None:
-                raise server.crashed
+            await server.stop()
+        if server.crashed is not None:
+            raise server.crashed
 
     try:
         asyncio.run(run())
@@ -791,14 +749,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compact)
 
     p = sub.add_parser("serve",
-                       help="serve the file-backed store (and optionally "
-                            "the admin) over TCP for --store-url clients")
+                       help="serve the file-backed store over TCP for "
+                            "--store-url clients")
     p.add_argument("--cloud", required=True,
                    help="cloud directory (file-backed store) to serve")
-    p.add_argument("--state", default=None,
-                   help="state directory; when given, the deployment's "
-                        "administrator is hosted too and remote "
-                        "`repro.net.RemoteAdmin` calls are accepted")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=0,
                    help="TCP port (default 0 = ephemeral; the bound URL "
@@ -813,10 +767,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slow-ms", type=float, default=250.0,
                    help="latency threshold for the request log's `slow` "
                         "flag (default: 250 ms)")
-    p.add_argument("--shards", type=int, default=1, metavar="N",
-                   help="serve N shard endpoints over the same store "
-                        "(one `serving` line each, in shard order; "
-                        "with --port they bind consecutive ports)")
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("stats",

@@ -7,8 +7,6 @@
 * :mod:`repro.core.client` — user API (listen, decrypt).
 * :mod:`repro.core.cache` — admin/client local metadata caches.
 * :mod:`repro.core.adaptive` — dynamic partition sizing (paper future work).
-* :mod:`repro.core.oplog` — hash-chained membership operation log (paper
-  future work, simplified blockchain-like certification).
 """
 
 from repro.core.admin import GroupAdministrator

@@ -24,7 +24,7 @@ microbenchmarks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.admin import GroupAdministrator
@@ -167,13 +167,6 @@ class AdaptivePolicy:
                 "found no marginal cost, so the measurements are noise")
         return cls(c_rekey=rekey_fit.coefficient,
                    c_decrypt=decrypt_fit.coefficient, **overrides)
-
-    def with_capacity_bounds(self, min_capacity: int,
-                             max_capacity: int) -> "AdaptivePolicy":
-        """The same coefficients under different clamps (the calibration
-        report evaluates the cutoff curve unclamped)."""
-        return replace(self, min_capacity=min_capacity,
-                       max_capacity=max_capacity)
 
     def cutoff_curve(self, group_sizes: Sequence[int],
                      revocation_rate: float, decrypt_rate: float,

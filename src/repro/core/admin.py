@@ -718,8 +718,8 @@ class GroupAdministrator:
 
     def ensure_loaded(self, group_id: str) -> AdminGroupState:
         """The group's state, loaded from the cloud on a cold cache — how
-        a freshly started administrator process (every CLI invocation,
-        a ``repro serve``-hosted admin) picks up an existing group."""
+        a freshly started administrator process (every CLI invocation)
+        picks up an existing group."""
         state = self.cache.get(group_id)
         if state is None:
             state = self.load_group_from_cloud(group_id)

@@ -37,10 +37,6 @@ class AdminGroupState:
         """Cryptographic metadata bytes across partitions (Fig. 7 metric)."""
         return sum(r.crypto_bytes() for r in self.records.values())
 
-    def total_footprint(self) -> int:
-        """Full serialized metadata size including member lists."""
-        return sum(len(r.payload()) for r in self.records.values())
-
 
 class AdminCache:
     """All groups managed by one administrator.

@@ -79,9 +79,7 @@ from repro.errors import (
 from repro.faults.retry import RetryPolicy
 from repro.obs.metrics import CounterField, MetricRegistry
 from repro.obs.spans import span as _span
-from repro.pairing.group import G1Element, PairingGroup
-from repro.par import WorkerPool
-from repro.par import kernels as par_kernels
+from repro.pairing.group import PairingGroup
 
 
 class GroupClient:
@@ -94,7 +92,7 @@ class GroupClient:
 
     #: Default hint-cache capacity: one partition's member set per epoch
     #: is live; a tiny window covers moves between partitions without
-    #: unbounded growth.  :meth:`prewarm_hints` raises it as needed.
+    #: unbounded growth.
     HINT_CACHE_CAP = 4
 
     def __init__(self, group_id: str, identity: str,
@@ -103,7 +101,6 @@ class GroupClient:
                  cloud: CloudStore,
                  admin_verification_key: ecdsa.EcdsaPublicKey,
                  enforce_freshness: bool = True,
-                 workers: Optional[int] = None,
                  retry_policy: Optional[RetryPolicy] = None,
                  resume_path: Optional[Union[str, Path]] = None) -> None:
         if user_key.identity != identity:
@@ -128,7 +125,6 @@ class GroupClient:
         #: keeps this far below :attr:`decrypt_count` under re-key churn.
         self.expansion_count = 0
         self._hints: Dict[Tuple[str, ...], ibbe.DecryptionHint] = {}
-        self.hint_cache_cap = self.HINT_CACHE_CAP
         self.registry.gauge("client.hint_cache_size",
                             lambda: len(self._hints))
         #: Per-decrypt latency distribution (Fig. 8b's measured path);
@@ -137,11 +133,6 @@ class GroupClient:
             "client.decrypt.seconds"
         )
         self._highest_epoch = -1
-        # Parallel hint preparation (repro.par).  The hint never involves
-        # the user secret key, so the quadratic expansion can run on
-        # untrusted worker processes; 1 keeps everything in-process.
-        self.workers = workers
-        self._pool = None
         self._bootstraps = self.registry.counter(
             "client.snapshot_bootstraps")
         self._resume_loads = self.registry.counter("client.resume_loads")
@@ -326,59 +317,9 @@ class GroupClient:
 
     def _cache_hint(self, key: Tuple[str, ...],
                     hint: ibbe.DecryptionHint) -> None:
-        if len(self._hints) >= self.hint_cache_cap:
+        if len(self._hints) >= self.HINT_CACHE_CAP:
             self._hints.pop(next(iter(self._hints)))
         self._hints[key] = hint
-
-    # -- parallel hint preparation (repro.par) -----------------------------------
-
-    def prewarm_hints(self, member_sets) -> int:
-        """Precompute decryption hints for many member sets at once.
-
-        A user appearing in several groups (or anticipating partition
-        moves) pays one O(|S|²) expansion per set; with ``workers > 1``
-        the expansions run on a process pool.  The hint is a function of
-        *public* material only (:func:`repro.ibbe.prepare_decryption_public`),
-        so no secret ever reaches a worker.  Sets not containing this
-        client's identity are skipped.  Returns the number of hints added;
-        the cache capacity grows to hold them all.
-        """
-        todo = []
-        for members in member_sets:
-            key = tuple(members)
-            if self.identity in key and key not in self._hints:
-                todo.append(key)
-        if not todo:
-            return 0
-        if self._pool is None:
-            pk, group = self._pk, self.group
-            self._pool = WorkerPool(
-                self.workers,
-                initializer=par_kernels.init_worker,
-                initargs=(group.params.name, pk.encode(), True),
-                inline_initializer=lambda: par_kernels.set_context(group, pk),
-                registry=self.registry,
-            )
-        results = self._pool.run(
-            par_kernels.prepare_hint_task,
-            [(self.identity, key) for key in todo],
-        )
-        self.hint_cache_cap = max(self.hint_cache_cap,
-                                  len(self._hints) + len(todo))
-        for key, (h_pi_bytes, delta_inverse) in zip(todo, results):
-            self._cache_hint(key, ibbe.DecryptionHint(
-                identity=self.identity,
-                member_fingerprint=key,
-                h_pi=G1Element.decode(self.group, h_pi_bytes),
-                delta_inverse=delta_inverse,
-            ))
-        return len(todo)
-
-    def close(self) -> None:
-        """Shut down the hint-preparation worker pool, if any."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
 
     # -- resume persistence --------------------------------------------------------
 

@@ -141,14 +141,6 @@ class PartitionTable:
 
     # -- occupancy heuristic -----------------------------------------------------------
 
-    def occupancy(self) -> float:
-        """Mean fill ratio across partitions (1.0 = all full)."""
-        if not self._partitions:
-            return 1.0
-        return len(self._user_to_partition) / (
-            self.partition_count * self.capacity
-        )
-
     def needs_repartition(self) -> bool:
         """Low-occupancy detector of §V-A.
 

@@ -6,7 +6,6 @@ Contents:
 * :mod:`repro.crypto.aes` — AES-128/192/256 block cipher (FIPS-197).
 * :mod:`repro.crypto.modes` — CTR and GCM modes of operation.
 * :mod:`repro.crypto.kdf` — SHA-256 based HKDF and hashing helpers.
-* :mod:`repro.crypto.rsa` — RSA-OAEP (HE-PKI baseline primitive).
 * :mod:`repro.crypto.ecies` — ECIES over NIST P-256 (HE-PKI baseline primitive).
 * :mod:`repro.crypto.ecdsa` — ECDSA over NIST P-256 (signatures for admins,
   quotes, IAS reports and CA certificates).

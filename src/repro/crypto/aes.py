@@ -48,10 +48,6 @@ def _build_sbox() -> bytes:
 
 
 _SBOX = _build_sbox()
-_INV_SBOX = bytearray(256)
-for _i, _v in enumerate(_SBOX):
-    _INV_SBOX[_v] = _i
-_INV_SBOX = bytes(_INV_SBOX)
 
 
 def _xtime(a: int) -> int:
@@ -154,54 +150,3 @@ class AES:
                 | (_SBOX[(s1 >> 8) & 0xFF] << 8) | _SBOX[s2 & 0xFF]) ^ rk[k + 3]
         return (out0.to_bytes(4, "big") + out1.to_bytes(4, "big")
                 + out2.to_bytes(4, "big") + out3.to_bytes(4, "big"))
-
-    def decrypt_block(self, block: bytes) -> bytes:
-        """Inverse cipher (straightforward, non-table implementation).
-
-        Only CTR/GCM modes are used in the system (which never need the
-        inverse cipher); this is provided for completeness and tests.
-        """
-        if len(block) != 16:
-            raise CryptoError("AES operates on 16-byte blocks")
-        rk = self._round_keys
-        state = [
-            b ^ kb
-            for four, key_word in zip(
-                (block[i:i + 4] for i in range(0, 16, 4)),
-                rk[4 * self.rounds:4 * self.rounds + 4],
-            )
-            for b, kb in zip(four, key_word.to_bytes(4, "big"))
-        ]
-        for rnd in range(self.rounds - 1, -1, -1):
-            state = _inv_shift_rows(state)
-            state = [_INV_SBOX[b] for b in state]
-            key_bytes = b"".join(
-                rk[4 * rnd + i].to_bytes(4, "big") for i in range(4)
-            )
-            state = [b ^ kb for b, kb in zip(state, key_bytes)]
-            if rnd != 0:
-                state = _inv_mix_columns(state)
-        return bytes(state)
-
-
-def _inv_shift_rows(state: List[int]) -> List[int]:
-    out = [0] * 16
-    for col in range(4):
-        for row in range(4):
-            out[4 * ((col + row) % 4) + row] = state[4 * col + row]
-    return out
-
-
-def _inv_mix_columns(state: List[int]) -> List[int]:
-    out = [0] * 16
-    for col in range(4):
-        a = state[4 * col:4 * col + 4]
-        out[4 * col + 0] = (_mul(a[0], 14) ^ _mul(a[1], 11)
-                            ^ _mul(a[2], 13) ^ _mul(a[3], 9))
-        out[4 * col + 1] = (_mul(a[0], 9) ^ _mul(a[1], 14)
-                            ^ _mul(a[2], 11) ^ _mul(a[3], 13))
-        out[4 * col + 2] = (_mul(a[0], 13) ^ _mul(a[1], 9)
-                            ^ _mul(a[2], 14) ^ _mul(a[3], 11))
-        out[4 * col + 3] = (_mul(a[0], 11) ^ _mul(a[1], 13)
-                            ^ _mul(a[2], 9) ^ _mul(a[3], 14))
-    return out

@@ -1,7 +1,7 @@
 """Hashing and key-derivation helpers (SHA-256 based).
 
 ``hashlib`` provides the compression function; everything above it (HMAC,
-HKDF, MGF1) is implemented here so the package carries its own KDF stack.
+HKDF) is implemented here so the package carries its own KDF stack.
 """
 
 from __future__ import annotations
@@ -39,15 +39,5 @@ def hkdf(ikm: bytes, length: int, salt: bytes = b"",
     while len(out) < length:
         block = hmac_sha256(prk, block + info + bytes([counter]))
         out += block
-        counter += 1
-    return out[:length]
-
-
-def mgf1(seed: bytes, length: int) -> bytes:
-    """MGF1 mask generation (PKCS#1), used by RSA-OAEP."""
-    out = b""
-    counter = 0
-    while len(out) < length:
-        out += sha256(seed + counter.to_bytes(4, "big"))
         counter += 1
     return out[:length]

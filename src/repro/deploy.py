@@ -185,11 +185,9 @@ class System:
             self.admin.load_group_from_cloud(group_id)
 
     def close(self) -> None:
-        """Tear the deployment down: closes its clients and destroys the
+        """Tear the deployment down: forgets its clients and destroys the
         enclave, which shuts down its worker pool and scrubs tracked
         secrets.  Idempotent."""
-        for client in self._clients:
-            client.close()
         self._clients.clear()
         self.enclave.destroy()
 

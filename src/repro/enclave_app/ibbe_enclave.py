@@ -205,16 +205,6 @@ class IbbeEnclave(Enclave):
         usk = ibbe.extract(self._require_msk(), self._require_pk(), identity)
         return response_key.encrypt(usk.encode(), self.rng, aad=b"usk-response")
 
-    @ecall
-    def extract_user_key_raw(self, identity: str) -> bytes:
-        """Bootstrap-phase extraction without channel wrapping.
-
-        Used by the Fig. 6b throughput benchmark; in deployment the wrapped
-        :meth:`provision_user_key` path is used instead.
-        """
-        usk = ibbe.extract(self._require_msk(), self._require_pk(), identity)
-        return usk.encode()
-
     # -- master-secret migration: MAGE mutual attestation (§VIII avenue 2) ------
     #
     # The one way an MSK travels between enclaves (a further
@@ -515,16 +505,17 @@ class IbbeEnclave(Enclave):
 
         Worker processes rebuild their context from wire format
         (``init_worker``): the preset name and the *public* key bytes —
-        never γ, ``g`` or any group key.  ``full_pk=False`` skips the
-        h-power ladder the partition kernels don't touch.  The serial
-        path installs this enclave's own objects inline instead.
+        never γ, ``g`` or any group key — of which a worker decodes the
+        bases only, not the h-power ladder the partition kernels don't
+        touch.  The serial path installs this enclave's own objects
+        inline instead.
         """
         if self._pool is None:
             pk, group = self._require_pk(), self._group
             self._pool = WorkerPool(
                 self._workers,
                 initializer=par_kernels.init_worker,
-                initargs=(group.params.name, pk.encode(), False),
+                initargs=(group.params.name, pk.encode()),
                 inline_initializer=lambda: par_kernels.set_context(group, pk),
                 registry=self.meter.registry,
             )

@@ -384,9 +384,7 @@ def prepare_decryption_public(pk: IbbePublicKey, identity: str,
     """:func:`prepare_decryption` from the identity alone.
 
     The hint depends only on public material (the public key and the
-    member identities), never on the user's secret key — which is what
-    lets clients farm the quadratic expansion out to untrusted worker
-    processes (:meth:`repro.core.client.GroupClient.prewarm_hints`).
+    member identities), never on the user's secret key.
     """
     if identity not in identities:
         raise SchemeError(

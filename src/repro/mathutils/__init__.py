@@ -5,16 +5,13 @@ standard library module.
 """
 
 from repro.mathutils.modular import (
-    crt_pair,
     jacobi_symbol,
     modinv,
     modsqrt,
 )
 from repro.mathutils.primes import (
     gen_prime,
-    gen_safe_prime,
     is_probable_prime,
-    next_prime,
 )
 from repro.mathutils.poly import (
     monic_linear_product,
@@ -24,14 +21,11 @@ from repro.mathutils.poly import (
 )
 
 __all__ = [
-    "crt_pair",
     "jacobi_symbol",
     "modinv",
     "modsqrt",
     "gen_prime",
-    "gen_safe_prime",
     "is_probable_prime",
-    "next_prime",
     "monic_linear_product",
     "poly_div_linear",
     "poly_eval",

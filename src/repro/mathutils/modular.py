@@ -1,4 +1,4 @@
-"""Modular arithmetic helpers: inverses, CRT, Jacobi symbol, square roots."""
+"""Modular arithmetic helpers: inverses, Jacobi symbol, square roots."""
 
 from __future__ import annotations
 
@@ -17,16 +17,6 @@ def modinv(a: int, m: int) -> int:
         return pow(a, -1, m)
     except ValueError as exc:
         raise MathError(f"{a} is not invertible modulo {m}") from exc
-
-
-def crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:
-    """Combine ``x ≡ r1 (mod m1)`` and ``x ≡ r2 (mod m2)`` for coprime moduli.
-
-    Returns the unique solution in ``[0, m1*m2)``.
-    """
-    inv = modinv(m1 % m2, m2)
-    t = ((r2 - r1) * inv) % m2
-    return (r1 + m1 * t) % (m1 * m2)
 
 
 def jacobi_symbol(a: int, n: int) -> int:

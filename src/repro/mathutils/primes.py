@@ -68,18 +68,6 @@ def is_probable_prime(n: int, rounds: int = 40,
     return True
 
 
-def next_prime(n: int) -> int:
-    """Return the smallest prime strictly greater than ``n``."""
-    candidate = n + 1
-    if candidate <= 2:
-        return 2
-    if candidate % 2 == 0:
-        candidate += 1
-    while not is_probable_prime(candidate):
-        candidate += 2
-    return candidate
-
-
 def gen_prime(bits: int, rand: Callable[[int], int],
               condition: Optional[Callable[[int], bool]] = None,
               max_tries: int = 100_000) -> int:
@@ -97,14 +85,3 @@ def gen_prime(bits: int, rand: Callable[[int], int],
         if is_probable_prime(candidate):
             return candidate
     raise MathError(f"failed to find a {bits}-bit prime in {max_tries} tries")
-
-
-def gen_safe_prime(bits: int, rand: Callable[[int], int],
-                   max_tries: int = 200_000) -> int:
-    """Generate a safe prime ``p = 2q + 1`` with ``p`` having ``bits`` bits."""
-    for _ in range(max_tries):
-        q = gen_prime(bits - 1, rand)
-        p = 2 * q + 1
-        if is_probable_prime(p):
-            return p
-    raise MathError(f"failed to find a {bits}-bit safe prime")

@@ -7,13 +7,10 @@ real while keeping every store consumer unchanged:
 * :mod:`repro.net.wire` — the frame format, typed request/response
   payloads, protocol version and error-code mapping;
 * :class:`StoreServer` / :class:`ServerThread` — an asyncio server
-  hosting any :class:`~repro.cloud.CloudStoreProtocol` (plus optional
-  :class:`AdminBridge` ecall forwarding);
+  hosting any :class:`~repro.cloud.CloudStoreProtocol`;
 * :class:`RemoteCloudStore` — a client implementing the same protocol
   ABC, so ``GroupAdministrator(cloud=RemoteCloudStore(url))`` just
   works;
-* :class:`RemoteAdmin` — drives a server-hosted administrator through
-  the whitelisted admin endpoint;
 * :class:`RequestLog` — the opt-in JSONL per-request operational log
   servers write (one record per request, slow-request flagging, bounded
   in-memory tail surfaced through ``ops.stats``).
@@ -24,15 +21,10 @@ every server answers the read-only ``ops.stats`` / ``ops.health``
 methods — see ``docs/API.md`` ("Observability over the network").
 """
 
-from repro.net.client import (
-    RemoteAdmin,
-    RemoteCloudStore,
-    connect_store,
-    parse_store_url,
-)
+from repro.net.client import RemoteCloudStore, connect_store, parse_store_url
 from repro.net.reqlog import RequestLog
-from repro.net.router import ShardDirectory, aggregate_health, probe_health
-from repro.net.server import ADMIN_OPS, AdminBridge, ServerThread, StoreServer
+from repro.net.router import aggregate_health, probe_health
+from repro.net.server import ServerThread, StoreServer
 from repro.net.wire import MAX_FRAME_BYTES, PROTOCOL_VERSION
 
 __all__ = [
@@ -40,14 +32,10 @@ __all__ = [
     "MAX_FRAME_BYTES",
     "StoreServer",
     "ServerThread",
-    "AdminBridge",
-    "ADMIN_OPS",
     "RemoteCloudStore",
-    "RemoteAdmin",
     "RequestLog",
     "connect_store",
     "parse_store_url",
-    "ShardDirectory",
     "aggregate_health",
     "probe_health",
 ]

@@ -392,54 +392,6 @@ class RemoteCloudStore(CloudStoreProtocol):
         return f"RemoteCloudStore({self.url!r})"
 
 
-class RemoteAdmin:
-    """Client handle for the server's admin-ecall forwarding endpoint.
-
-    Exposes the whitelisted group-management operations (see
-    :data:`repro.net.server.ADMIN_OPS`) as ordinary methods, each one
-    ``admin.call`` RPC.  Requires a server started with an
-    :class:`~repro.net.AdminBridge`."""
-
-    def __init__(self, store: RemoteCloudStore) -> None:
-        self._store = store
-
-    def call(self, op: str, **kwargs) -> object:
-        if (self._store.server_features
-                and "admin" not in self._store.server_features):
-            raise StorageError(
-                f"server {self._store.url} does not forward admin "
-                "operations")
-        result = self._store._call(wire.AdminCallRequest(
-            op=op, kwargs=kwargs))
-        return wire.AdminCallResponse.from_params(result).result
-
-    def create_group(self, group_id: str, members: List[str]) -> object:
-        return self.call("create_group", group_id=group_id,
-                         members=list(members))
-
-    def add_user(self, group_id: str, user: str) -> object:
-        return self.call("add_user", group_id=group_id, user=user)
-
-    def add_users(self, group_id: str, users: List[str]) -> object:
-        return self.call("add_users", group_id=group_id,
-                         users=list(users))
-
-    def remove_user(self, group_id: str, user: str) -> object:
-        return self.call("remove_user", group_id=group_id, user=user)
-
-    def rekey(self, group_id: str) -> object:
-        return self.call("rekey", group_id=group_id)
-
-    def delete_group(self, group_id: str) -> object:
-        return self.call("delete_group", group_id=group_id)
-
-    def members(self, group_id: str) -> List[str]:
-        return list(self.call("members", group_id=group_id) or [])
-
-    def sync_group(self, group_id: str) -> object:
-        return self.call("sync_group", group_id=group_id)
-
-
 def connect_store(url: str, timeout: float = 30.0,
                   poll_wait_ms: float = 0.0) -> RemoteCloudStore:
     """Connect to a :class:`~repro.net.StoreServer` and verify the

@@ -1,12 +1,4 @@
-"""Client-side routing across a sharded server fleet.
-
-``repro serve --shards N`` hosts one :class:`~repro.net.StoreServer`
-per shard over a common store; this module is the consumer-side
-counterpart.  :class:`ShardDirectory` maps a group id to the serving
-shard with the same rendezvous hash the deployment itself uses
-(:class:`~repro.shard.ring.ShardRing`), so any process holding the url
-list — an admin tool, a syncing client, a health probe — agrees on
-placement with every other, with no coordination service in between.
+"""Health probing across one or more store servers.
 
 :func:`aggregate_health` is the fleet-wide form of the single-server
 ``ops.health`` probe: every endpoint is polled and the verdict is the
@@ -16,66 +8,16 @@ health`` CLI has always used (0 ok, 1 degraded/failing, 2 unreachable).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, Sequence
 
-from repro.errors import ReproError, ValidationError
-from repro.net.client import RemoteCloudStore, connect_store
-from repro.shard.ring import ShardRing
+from repro.errors import ReproError
+from repro.net.client import connect_store
 
 #: ops.health statuses ranked by severity; anything unknown ranks worst.
 _STATUS_RANK = {"ok": 0, "degraded": 1, "failing": 1, "unreachable": 2}
 
 #: status -> ``repro health`` exit code (worst-of across a fleet).
 HEALTH_EXIT_CODES = {"ok": 0, "degraded": 1, "failing": 1, "unreachable": 2}
-
-
-class ShardDirectory:
-    """Deterministic group-to-server routing over a shard url list.
-
-    The url *order* defines shard identity (``urls[i]`` is
-    ``shard-i``), matching the order ``repro serve --shards`` prints
-    its ``serving`` lines in.  Connections are opened lazily and cached
-    per shard; :meth:`close` drops them all.
-    """
-
-    def __init__(self, urls: Sequence[str], timeout: float = 30.0) -> None:
-        if not urls:
-            raise ValidationError("ShardDirectory needs at least one url")
-        self.urls: List[str] = list(urls)
-        self.timeout = timeout
-        self.ring = ShardRing([f"shard-{i}" for i in range(len(urls))])
-        self._stores: Dict[int, RemoteCloudStore] = {}
-
-    @property
-    def nshards(self) -> int:
-        return len(self.urls)
-
-    def owner(self, group_id: str) -> int:
-        """Index of the shard serving ``group_id``."""
-        return self.ring.owner(group_id)
-
-    def url_for(self, group_id: str) -> str:
-        return self.urls[self.owner(group_id)]
-
-    def store_for(self, group_id: str) -> RemoteCloudStore:
-        """A (cached) connection to the store server owning ``group_id``."""
-        return self.store_at(self.owner(group_id))
-
-    def store_at(self, index: int) -> RemoteCloudStore:
-        store = self._stores.get(index)
-        if store is None:
-            store = connect_store(self.urls[index], timeout=self.timeout)
-            self._stores[index] = store
-        return store
-
-    def health(self) -> Dict[str, Any]:
-        """Worst-of fleet health (see :func:`aggregate_health`)."""
-        return aggregate_health(self.urls, timeout=self.timeout)
-
-    def close(self) -> None:
-        for store in self._stores.values():
-            store.close()
-        self._stores.clear()
 
 
 def probe_health(url: str, timeout: float = 5.0) -> Dict[str, Any]:

@@ -1,4 +1,4 @@
-"""Asyncio store/admin server for the :mod:`repro.net` protocol.
+"""Asyncio store server for the :mod:`repro.net` protocol.
 
 :class:`StoreServer` hosts any :class:`~repro.cloud.CloudStoreProtocol`
 implementation — the in-memory :class:`~repro.cloud.CloudStore`, the
@@ -17,12 +17,6 @@ process, so the server records it, aborts every connection mid-flight
 and shuts down.  Clients observe a dropped connection with the request
 outcome unknown — precisely the failure a chaos driver must resolve by
 state inspection after restart.
-
-**Admin forwarding.**  With an :class:`AdminBridge` attached, the
-``admin.call`` method forwards whitelisted, JSON-serializable
-administrative operations (create/rekey/remove...) to a server-hosted
-:class:`~repro.core.GroupAdministrator`, so a remote operator can drive
-the enclave without shipping pairing elements over the wire.
 
 **Operational telemetry.**  The server keeps its own
 :class:`~repro.obs.MetricRegistry` (request/error counters, per-method
@@ -51,7 +45,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.cloud.protocol import CloudStoreProtocol
 from repro.errors import (
-    AccessControlError,
     CrashError,
     ProtocolVersionError,
     ReproError,
@@ -64,24 +57,9 @@ from repro.net.reqlog import RequestLog
 from repro.obs import MetricRegistry, SloWindow, Tracer, span, use_tracer
 from repro.obs.collect import capture_payload
 
-#: Administrative operations the bridge will forward, with the keyword
-#: arguments each accepts.  Everything here is JSON-serializable in both
-#: directions; anything else (key material, pairing elements) stays on
-#: the server side by construction.
-ADMIN_OPS: Dict[str, Tuple[str, ...]] = {
-    "create_group": ("group_id", "members"),
-    "add_user": ("group_id", "user"),
-    "add_users": ("group_id", "users"),
-    "remove_user": ("group_id", "user"),
-    "rekey": ("group_id",),
-    "delete_group": ("group_id",),
-    "members": ("group_id",),
-    "sync_group": ("group_id",),
-}
-
 
 def _json_safe(value: Any) -> Any:
-    """Clamp an admin-op result to JSON-safe data (drop the rest)."""
+    """Clamp shipped span rows to JSON-safe data (drop the rest)."""
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
     if isinstance(value, (list, tuple)):
@@ -91,66 +69,22 @@ def _json_safe(value: Any) -> Any:
     return None
 
 
-class AdminBridge:
-    """Whitelisted ecall forwarding onto a server-hosted administrator.
-
-    The bridge is deliberately *not* a general RPC: only the operations
-    in :data:`ADMIN_OPS` are reachable, and only with their declared
-    keyword arguments, so the network surface of the admin endpoint is
-    exactly the group-management API of the paper.
-
-    Bridge calls run in an executor thread so slow enclave work cannot
-    starve long-pollers.  The hosted administrator normally uses the
-    server's local store directly; if it is instead wired to a loop-back
-    :class:`~repro.net.RemoteCloudStore`, that must be a *dedicated*
-    connection — a ``RemoteCloudStore`` carries one in-flight request at
-    a time, so reusing the operator's connection would deadlock behind
-    the very ``admin.call`` it is serving.
-    """
-
-    def __init__(self, admin: Any) -> None:
-        self.admin = admin
-
-    def call(self, op: str, kwargs: Dict[str, Any]) -> Any:
-        allowed = ADMIN_OPS.get(op)
-        if allowed is None:
-            raise AccessControlError(
-                f"admin operation {op!r} is not forwardable")
-        unknown = set(kwargs) - set(allowed)
-        if unknown:
-            raise AccessControlError(
-                f"unexpected arguments for {op}: {sorted(unknown)}")
-        if op != "create_group" and "group_id" in kwargs:
-            # A hosted administrator starts cold, like every CLI process.
-            self.admin.ensure_loaded(kwargs["group_id"])
-        return _json_safe(getattr(self.admin, op)(**kwargs))
-
-
 class StoreServer:
     """Serve a :class:`~repro.cloud.CloudStoreProtocol` over TCP."""
 
     #: Methods whose successful dispatch mutates the store: the server
-    #: wakes parked ``poll_dir`` long-polls after each one.  (The admin
-    #: handler notifies internally, after its executor hop.)
+    #: wakes parked ``poll_dir`` long-polls after each one.
     NOTIFY_AFTER = frozenset({
         "store.put", "store.delete", "store.commit", "store.compact",
     })
 
     def __init__(self, store: CloudStoreProtocol,
                  host: str = "127.0.0.1", port: int = 0,
-                 admin: Optional[AdminBridge] = None,
                  name: str = "repro-store",
-                 request_log: Optional[RequestLog] = None,
-                 shard_info: Optional[Dict[str, Any]] = None) -> None:
+                 request_log: Optional[RequestLog] = None) -> None:
         self.store = store
-        self.admin = admin
         self.name = name
         self.request_log = request_log
-        #: Placement metadata of a sharded deployment (``shard_id``,
-        #: ``index``, ``nshards``, peer urls …), echoed verbatim in
-        #: ``ops.stats`` and ``ops.health`` so clients and the ``repro
-        #: health`` aggregator can see which shard answered.
-        self.shard_info = dict(shard_info) if shard_info else None
         self._host = host
         self._port = port
         self._server: Optional[asyncio.base_events.Server] = None
@@ -194,7 +128,6 @@ class StoreServer:
             "store.head_sequence": self._h_head_sequence,
             "store.adversary_view": self._h_adversary_view,
             "store.total_stored_bytes": self._h_stored_bytes,
-            "admin.call": self._h_admin_call,
             "ops.stats": self._h_stats,
             "ops.health": self._h_health,
         }
@@ -209,10 +142,6 @@ class StoreServer:
             self._serve_connection, self._host, self._port)
         sock = self._server.sockets[0]
         self._host, self._port = sock.getsockname()[:2]
-        return self._host, self._port
-
-    @property
-    def address(self) -> Tuple[str, int]:
         return self._host, self._port
 
     @property
@@ -393,11 +322,7 @@ class StoreServer:
 
     def features(self) -> List[str]:
         """Capabilities advertised in the hello response."""
-        features = [wire.FEATURE_STORE, wire.FEATURE_TRACE,
-                    wire.FEATURE_OPS]
-        if self.admin is not None:
-            features.append(wire.FEATURE_ADMIN)
-        return features
+        return [wire.FEATURE_STORE, wire.FEATURE_TRACE, wire.FEATURE_OPS]
 
     async def _dispatch(self, request: wire.Request
                         ) -> Tuple[Dict[str, Any],
@@ -434,8 +359,8 @@ class StoreServer:
         plus — for synchronous store handlers, which the event loop
         cannot interleave — every nested ``cloud.*`` span, by swapping
         the capture in as the global tracer for exactly the duration of
-        the call.  Asynchronous handlers (``poll_dir``, ``admin.call``)
-        only record the handler span itself: swapping the global tracer
+        the call.  The asynchronous handler (``poll_dir``)
+        only records the handler span itself: swapping the global tracer
         across an ``await`` would misattribute spans from interleaved
         connections.  Store-registry counter deltas taken around the
         call ship back with the span rows.
@@ -504,7 +429,7 @@ class StoreServer:
         except ReproError as exc:
             store_info["error"] = f"{error_code(exc)}: {exc}"
         store_info["recoveries"] = int(metrics.get("cloud.recoveries", 0))
-        snapshot: Dict[str, Any] = {
+        return {
             "server": self.name,
             "pid": os.getpid(),
             "protocol": wire.PROTOCOL_VERSION,
@@ -528,9 +453,6 @@ class StoreServer:
                             if self.request_log is not None
                             else {"enabled": False}),
         }
-        if self.shard_info is not None:
-            snapshot["shard"] = dict(self.shard_info)
-        return snapshot
 
     def health_snapshot(self) -> Dict[str, Any]:
         """The ``ops.health`` payload: cheap liveness + degradation.
@@ -556,10 +478,6 @@ class StoreServer:
         if (status == "ok" and self._slo_all.window_size >= 20
                 and self._slo_all.error_rate > 0.5):
             status = "degraded"
-        if self.shard_info is not None:
-            # Inside ``checks`` so it survives the typed HealthResponse
-            # round trip unchanged.
-            checks["shard"] = dict(self.shard_info)
         return {
             "status": status,
             "uptime_s": round(time.monotonic() - self._started, 3),
@@ -657,22 +575,6 @@ class StoreServer:
         return wire.StoredBytesResponse(
             total=self.store.total_stored_bytes(req.prefix)).to_params()
 
-    async def _h_admin_call(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        if self.admin is None:
-            raise AccessControlError(
-                "this server does not forward admin operations")
-        req = wire.AdminCallRequest.from_params(params)
-        # Off the event loop: admin operations do enclave ecalls and
-        # pairing math (slow — they must not starve long-pollers), and a
-        # server-hosted admin wired to a loop-back RemoteCloudStore
-        # issues store RPCs *back into this server* mid-operation.
-        loop = asyncio.get_running_loop()
-        result = await loop.run_in_executor(
-            None, self.admin.call, req.op, req.kwargs)
-        # Admin mutations land in the store; wake long-pollers.
-        await self._notify_mutation()
-        return wire.AdminCallResponse(result=result).to_params()
-
     def _h_stats(self, params: Dict[str, Any]) -> Dict[str, Any]:
         wire.StatsRequest.from_params(params)
         return wire.StatsResponse(
@@ -696,18 +598,14 @@ class ServerThread:
     """
 
     def __init__(self, store: CloudStoreProtocol,
-                 admin: Optional[AdminBridge] = None,
                  host: str = "127.0.0.1", port: int = 0,
                  name: str = "repro-store",
-                 request_log: Optional[RequestLog] = None,
-                 shard_info: Optional[Dict[str, Any]] = None) -> None:
+                 request_log: Optional[RequestLog] = None) -> None:
         self._store = store
-        self._admin = admin
         self._host = host
         self._port = port
         self._name = name
         self._request_log = request_log
-        self._shard_info = shard_info
         self._thread: Optional[threading.Thread] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stop_event: Optional[asyncio.Event] = None
@@ -726,19 +624,6 @@ class ServerThread:
         :attr:`StoreServer.poll_waiters`); reading an int across the
         loop thread is atomic under the GIL."""
         return self.server.poll_waiters if self.server is not None else 0
-
-    def wait_for_poll_waiters(self, count: int = 1,
-                              timeout: float = 5.0) -> bool:
-        """Block until at least ``count`` long-polls are parked on the
-        server (or ``timeout`` elapses).  The deterministic handshake
-        tests use instead of sleeping and hoping the poll RPC has
-        arrived — fixed sleeps flake under loaded CI runners."""
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            if self.poll_waiters >= count:
-                return True
-            time.sleep(0.002)
-        return self.poll_waiters >= count
 
     def start(self) -> str:
         self._thread = threading.Thread(
@@ -759,10 +644,8 @@ class ServerThread:
 
     async def _main(self) -> None:
         self.server = StoreServer(self._store, host=self._host,
-                                  port=self._port, admin=self._admin,
-                                  name=self._name,
-                                  request_log=self._request_log,
-                                  shard_info=self._shard_info)
+                                  port=self._port, name=self._name,
+                                  request_log=self._request_log)
         try:
             await self.server.start()
         except BaseException as exc:
@@ -795,17 +678,3 @@ class ServerThread:
                 pass    # loop already gone (crash shutdown)
         self._thread.join(timeout=10)
         self._thread = None
-
-    def join_crashed(self, timeout: float = 10.0) -> CrashError:
-        """Wait for a crash-triggered shutdown and return the crash.
-
-        For tests that schedule an injected crash inside the server:
-        the server aborts itself; this joins the thread and surfaces
-        the :class:`~repro.errors.CrashError` that killed it."""
-        assert self._thread is not None
-        self._thread.join(timeout=timeout)
-        self._thread = None
-        crash = self.crashed
-        if crash is None:
-            raise AssertionError("server did not crash")
-        return crash

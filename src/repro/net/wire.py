@@ -34,9 +34,8 @@ bytes).
 ``hello``: the client sends its :data:`PROTOCOL_VERSION`, the server
 answers with its own plus a feature list (``"store"``; ``"trace"`` for
 trace-context propagation; ``"ops"`` for the read-only ``ops.stats`` /
-``ops.health`` surface; and ``"admin"`` when ecall forwarding is
-enabled).  A version mismatch fails the connection with code
-``protocol_version``.  Versioning rule: additive, backwards-compatible
+``ops.health`` surface).  A version mismatch fails the connection
+with code ``protocol_version``.  Versioning rule: additive, backwards-compatible
 changes (new optional params, new methods, new features) keep the
 version; anything that changes the meaning of an existing field bumps
 it, and servers refuse clients they cannot serve faithfully.
@@ -73,7 +72,6 @@ PROTOCOL_VERSION = 1
 #: Hello feature strings (additive capabilities within one protocol
 #: version).  Clients must treat unknown features as ignorable.
 FEATURE_STORE = "store"
-FEATURE_ADMIN = "admin"
 FEATURE_TRACE = "trace"
 FEATURE_OPS = "ops"
 
@@ -531,22 +529,6 @@ class StoredBytesResponse(_Message):
 
 
 @dataclass
-class AdminCallRequest(_Message):
-    """Admin-ecall forwarding: run one whitelisted administrative
-    operation on the server-hosted enclave/administrator."""
-
-    METHOD: ClassVar[str] = "admin.call"
-    op: str = ""
-    kwargs: Dict[str, Any] = field(default_factory=dict)
-
-
-@dataclass
-class AdminCallResponse(_Message):
-    METHOD: ClassVar[str] = "admin.call"
-    result: Any = None
-
-
-@dataclass
 class StatsRequest(_Message):
     """Read-only operational snapshot of a running server (uptime,
     connection gauges, merged metrics, per-method SLO windows,
@@ -581,7 +563,6 @@ class HealthResponse(_Message):
 #: must NOT map that onto the retry-safe ``unavailable`` code.
 MUTATING_WIRE_METHODS = frozenset({
     "store.put", "store.delete", "store.commit", "store.compact",
-    "admin.call",
 })
 
 #: method string -> (request type, response type); the dispatch table.
@@ -601,7 +582,6 @@ METHODS: Dict[str, Tuple[Type[_Message], Type[_Message]]] = {
         (HeadSequenceRequest, HeadSequenceResponse),
         (AdversaryViewRequest, AdversaryViewResponse),
         (StoredBytesRequest, StoredBytesResponse),
-        (AdminCallRequest, AdminCallResponse),
         (StatsRequest, StatsResponse),
         (HealthRequest, HealthResponse),
     ]

@@ -34,7 +34,6 @@ from repro.obs.export import (
     format_metrics,
     metrics_to_prometheus,
     spans_to_chrome_trace,
-    spans_to_jsonl,
     telemetry_snapshot,
     write_chrome_trace,
     write_jsonl,
@@ -94,7 +93,6 @@ __all__ = [
     "register_worker_source",
     "span",
     "spans_to_chrome_trace",
-    "spans_to_jsonl",
     "telemetry_snapshot",
     "tracer",
     "use_tracer",

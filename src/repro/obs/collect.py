@@ -54,10 +54,6 @@ def register_worker_source(registry: MetricRegistry) -> MetricRegistry:
     return registry
 
 
-def worker_sources() -> List[MetricRegistry]:
-    return list(_WORKER_SOURCES)
-
-
 class TaskCapture:
     """Context manager recording one worker-side task's telemetry.
 

@@ -3,8 +3,8 @@ text exposition, aggregates, breakdown tables.
 
 Consumers and their formats:
 
-* machine post-processing — :func:`spans_to_jsonl` / :func:`write_jsonl`
-  emit one JSON object per span (``id``, ``parent``, ``name``,
+* machine post-processing — :func:`write_jsonl` emits one JSON object
+  per span, in completion order (``id``, ``parent``, ``name``,
   ``category``, ``depth``, ``start``, ``duration``, ``self``, ``error``,
   ``tid``, ``attrs``);
 * trace viewers — :func:`spans_to_chrome_trace` /
@@ -38,12 +38,6 @@ from repro.obs.metrics import MetricSource, merge_snapshots, \
     quantile_from_samples
 from repro.obs.spans import Span, Tracer, tracer as _global_tracer
 from repro.errors import ValidationError
-
-
-def spans_to_jsonl(spans: Iterable[Span]) -> str:
-    """One JSON object per line, in span-completion order."""
-    return "\n".join(json.dumps(span.to_dict(), sort_keys=True)
-                     for span in spans)
 
 
 def write_jsonl(spans: Iterable[Span], path) -> int:

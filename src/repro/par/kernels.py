@@ -12,8 +12,8 @@ No γ, ``g`` or group key ever enters this module.  A partition
 with γ among its roots — ``γ + H(u)`` itself for a one-member
 partition): :func:`build_partition_task` runs only on the enclave's
 in-boundary workers (the paper's enclave threads).  The genuinely
-public kernels (:func:`hash_members_task`, :func:`prepare_hint_task`)
-need nothing but the public key.  See DESIGN.md ("Parallel engine and
+public kernel (:func:`hash_members_task`) needs nothing but the public
+key.  See DESIGN.md ("Parallel engine and
 the trust split").
 """
 
@@ -23,11 +23,7 @@ from typing import List, Optional, Tuple
 
 from repro.crypto.rng import DeterministicRng
 from repro.errors import ParallelError
-from repro.ibbe.scheme import (
-    IbbePublicKey,
-    encrypt_aggregate,
-    prepare_decryption_public,
-)
+from repro.ibbe.scheme import IbbePublicKey, encrypt_aggregate
 from repro.pairing.group import PairingGroup
 from repro.pairing.params import preset
 
@@ -42,22 +38,17 @@ def set_context(group: PairingGroup, pk: IbbePublicKey) -> None:
     _CONTEXT = (group, pk)
 
 
-def init_worker(preset_name: str, pk_bytes: bytes,
-                full_pk: bool = True) -> None:
+def init_worker(preset_name: str, pk_bytes: bytes) -> None:
     """Pool initializer: rebuild the context from wire-format inputs.
 
-    ``full_pk=False`` decodes only the ``(w, v, h)`` bases the
-    partition-build kernels exponentiate — and tables them — skipping
-    the ``m`` point decompressions of the ``h``-power ladder (one modular
-    square root each — seconds for large ``m``).  Hint kernels need the
-    full key and exponentiate none of it.
+    Decodes only the ``(w, v, h)`` bases the partition-build kernels
+    exponentiate — and tables them — skipping the ``m`` point
+    decompressions of the ``h``-power ladder (one modular square root
+    each — seconds for large ``m``).
     """
     group = PairingGroup(preset(preset_name))
-    if full_pk:
-        pk = IbbePublicKey.decode(pk_bytes, group)
-    else:
-        pk = IbbePublicKey.decode_bases(pk_bytes, group)
-        pk.enable_precomputation()
+    pk = IbbePublicKey.decode_bases(pk_bytes, group)
+    pk.enable_precomputation()
     set_context(group, pk)
 
 
@@ -107,17 +98,3 @@ def build_partition_task(task: Tuple[int, bytes, bool]) -> Tuple[bytes, bytes]:
     if with_c3:
         encoded += (pk.h ** product).encode()
     return encoded, bk.digest()
-
-
-def prepare_hint_task(task: Tuple[str, Tuple[str, ...]]) -> Tuple[bytes, int]:
-    """The O(|S|²) decryption-hint expansion for one member set.
-
-    ``task = (identity, members)``.  Public-key-only (the hint never
-    involves the user's secret key), so clients can fan multi-partition
-    hint preparation out to untrusted workers.  Returns
-    ``(h_pi encoding, delta_inverse)``.
-    """
-    _, pk = _require_context()
-    identity, members = task
-    hint = prepare_decryption_public(pk, identity, list(members))
-    return hint.h_pi.encode(), hint.delta_inverse

@@ -7,7 +7,7 @@ equivalent here, preserving the *protocol-level* behaviour the scheme needs:
 SGX capability          Substrate module
 =====================  =======================================================
 Isolated execution      :mod:`repro.sgx.enclave` — data crosses the trust
-                        boundary only through registered ecalls/ocalls; secret
+                        boundary only through registered ecalls; secret
                         attributes live behind the boundary object.
 EPC memory accounting   :mod:`repro.sgx.epc` — 128 MiB limit, page-granular
                         residency, paging penalties (the §III-B argument for

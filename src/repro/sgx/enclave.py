@@ -18,13 +18,13 @@ entry point.  Untrusted code reaches the enclave through two doors:
   earlier call's result, so dependent calls (extend the ciphertext that
   call #0 just produced) need not bounce back across the boundary.
 
-Each real-world ecall/ocall transition costs ~8k cycles (HotCalls); the
+Each real-world ecall transition costs ~8k cycles (HotCalls); the
 :class:`CrossingMeter` on every enclave counts crossings, logical
-ecalls/ocalls and estimated cycles in one place for the benchmarks.
+ecalls and estimated cycles in one place for the benchmarks.
 
 :meth:`Enclave.load` (ECREATE/EINIT) hands untrusted code an
-:class:`EnclaveHandle` — a proxy exposing only the call doors, ocall
-registration, lifecycle and the public identity/meter.  Direct
+:class:`EnclaveHandle` — a proxy exposing only the call doors,
+lifecycle and the public identity/meter.  Direct
 attribute access to anything else raises :class:`EnclaveError`,
 approximating the hardware's memory isolation within the limits of a
 single-process simulation.  Trusted-side tests may unwrap a handle with
@@ -133,11 +133,11 @@ class EcallRegistry:
 
 
 class CrossingMeter:
-    """Boundary-crossing accounting (ecalls, ocalls, estimated cycles).
+    """Boundary-crossing accounting (ecalls, estimated cycles).
 
     One crossing is one accounted enclave transition: a single
-    :meth:`Enclave.call`, one whole :meth:`Enclave.call_batch`, or one
-    ocall.  Benchmarks read crossings and cycle estimates from here
+    :meth:`Enclave.call` or one whole :meth:`Enclave.call_batch`.
+    Benchmarks read crossings and cycle estimates from here
     instead of re-deriving them from per-call counters.
 
     The authoritative values live in a ``repro.obs``
@@ -148,13 +148,11 @@ class CrossingMeter:
 
     crossings = CounterField("sgx.crossings")
     ecalls = CounterField("sgx.ecalls")
-    ocalls = CounterField("sgx.ocalls")
     batches = CounterField("sgx.batches")
 
     def __init__(self, registry: Optional[MetricRegistry] = None) -> None:
         self.registry = registry if registry is not None else MetricRegistry()
-        for name in ("sgx.crossings", "sgx.ecalls", "sgx.ocalls",
-                     "sgx.batches"):
+        for name in ("sgx.crossings", "sgx.ecalls", "sgx.batches"):
             self.registry.counter(name)
         self.registry.gauge(
             "sgx.estimated_cycles",
@@ -170,10 +168,6 @@ class CrossingMeter:
         self.batches += 1
         self.ecalls += n_calls
 
-    def record_ocall(self) -> None:
-        self.crossings += 1
-        self.ocalls += 1
-
     @property
     def estimated_cycles(self) -> int:
         return self.crossings * ECALL_CROSSING_CYCLES
@@ -183,8 +177,7 @@ class CrossingMeter:
 
     def __repr__(self) -> str:
         return (f"CrossingMeter(crossings={self.crossings}, "
-                f"ecalls={self.ecalls}, ocalls={self.ocalls}, "
-                f"batches={self.batches})")
+                f"ecalls={self.ecalls}, batches={self.batches})")
 
 
 @dataclass(frozen=True)
@@ -245,7 +238,6 @@ class Enclave:
         self.meter = CrossingMeter()
         self._secret_values: List[bytes] = []
         self._epc_regions: List[int] = []
-        self._ocall_handlers: Dict[str, Callable[..., Any]] = {}
         self._initialized = False
 
     # -- lifecycle -------------------------------------------------------------
@@ -324,19 +316,6 @@ class Enclave:
 
     def epc_touch(self, handle: int, nbytes: int, write: bool = False) -> None:
         self.device.epc.touch(handle, nbytes, write=write)
-
-    def register_ocall(self, name: str, handler: Callable[..., Any]) -> None:
-        """Untrusted side registers an ocall handler (e.g. persistence)."""
-        self._ocall_handlers[name] = handler
-
-    def ocall(self, name: str, *args: Any) -> Any:
-        """Leave the enclave to run an untrusted service routine."""
-        handler = self._ocall_handlers.get(name)
-        if handler is None:
-            raise EnclaveError(f"no ocall handler registered for {name!r}")
-        self.meter.record_ocall()
-        with _span("sgx.ocall", ocall=name):
-            return handler(*args)
 
     # -- the boundary ------------------------------------------------------------
 
@@ -419,13 +398,13 @@ class Enclave:
 
 
 #: Attributes of the loaded enclave that untrusted code may reach.  The
-#: boundary API (call doors, ocall registration, lifecycle) plus public,
+#: boundary API (call doors, lifecycle) plus public,
 #: non-secret identity and accounting data: the measurement is the
 #: MRENCLAVE value attested in every quote, ``device``/``config`` are
 #: untrusted-side inputs that the untrusted runtime supplied at load, and
 #: the counters/meter exist precisely for untrusted benchmarks.
 HANDLE_ATTRS = frozenset({
-    "call", "call_batch", "register_ocall", "destroy",
+    "call", "call_batch", "destroy",
     "measurement", "enclave_id", "device", "config",
     "meter", "registry",
 })
@@ -450,8 +429,8 @@ class EnclaveHandle:
             return getattr(object.__getattribute__(self, "_enclave"), name)
         raise EnclaveError(
             f"attribute {name!r} is behind the enclave boundary; untrusted "
-            "code may only use call()/call_batch(), register_ocall(), "
-            "destroy() and the public counters"
+            "code may only use call()/call_batch(), destroy() and the "
+            "public counters"
         )
 
     def __setattr__(self, name: str, value: Any) -> None:

@@ -12,6 +12,8 @@ import pytest
 from repro import ibbe, quickstart_system
 from repro.crypto.rng import DeterministicRng
 from repro.pairing import PairingGroup, toy64
+from repro.sgx import Auditor, IntelAttestationService
+from repro.sgx.attestation import provision_user_key, setup_trust
 
 
 @pytest.fixture(scope="session")
@@ -53,6 +55,22 @@ def make_system(seed: str = "sys", capacity: int = 4,
         auto_repartition=auto_repartition,
         system_bound=max(system_bound, capacity),
     )
+
+
+def provisioned_usk(enclave, identity: str) -> bytes:
+    """``identity``'s encoded user key, obtained the way a user obtains
+    it (Fig. 3): a throw-away IAS and Auditor certify ``enclave`` and
+    the key comes back over the certified ECIES channel.  Extraction is
+    deterministic, so enclaves sharing an MSK hand out equal bytes."""
+    rng = DeterministicRng(f"provision:{identity}")
+    ias = IntelAttestationService(rng=rng)
+    device = enclave.device
+    ias.register_device(device.device_id, device.attestation_public_key)
+    auditor = Auditor(ias, rng=rng)
+    auditor.approve_measurement(enclave.measurement)
+    certificate = setup_trust(enclave, auditor)
+    return provision_user_key(enclave, certificate, auditor.ca_public_key,
+                              identity, rng)
 
 
 @pytest.fixture(scope="session")

@@ -63,19 +63,6 @@ class TestSemantics:
         manager.create_group("g", USERS)
         assert trusted_view(manager.enclave)._secret_values
 
-    def test_bulk_registration_single_crossing(self):
-        """`register_users` batches the whole roster into one crossing."""
-        rng = DeterministicRng("he-sgx-bulk")
-        device = SgxDevice(rng=rng)
-        mgr = HeSgxGroupManager(HeSgxEnclave.load(device))
-        keys = {f"b{i}": ecies.generate_keypair(rng) for i in range(12)}
-        mgr.register_users(keys)
-        assert mgr.enclave.meter.crossings == 1
-        assert mgr.enclave.meter.ecalls == 12
-        mgr.create_group("g", list(keys))
-        gks = {mgr.derive_group_key("g", u) for u in keys}
-        assert len(gks) == 1
-
 
 class TestEpcBehaviour:
     def test_revocation_touches_linear_working_set(self):

@@ -157,3 +157,23 @@ class TestStateReuseAcrossInvocations:
             assert run("create-group", "--state", state, "--cloud", cloud,
                        f"g{i}", "a", "b") == 0
         assert run("show", "--state", state, "--cloud", cloud) == 0
+
+
+class TestServeHostsAStoreOnly:
+    def test_removed_doors_refused_and_group_commands_load_cold(
+            self, initialized):
+        """``serve`` lost ``--state`` (a hosted, unauthenticated
+        administrator) and ``--shards``: argparse refuses both.  What
+        the admin bridge carried survives in ``cmd_group_op``: each
+        group command, a cold process, loads the group first."""
+        state, cloud = initialized
+        for removed in (["--state", state], ["--shards", "2"]):
+            with pytest.raises(SystemExit) as refused:
+                run("serve", "--cloud", cloud, *removed)
+            assert refused.value.code == 2
+        run("create-group", "--state", state, "--cloud", cloud,
+            "g", "a", "b")
+        for command in (["add-user", "g", "c"], ["remove-user", "g", "b"],
+                        ["rekey", "g"], ["delete-group", "g"]):
+            assert run(command[0], "--state", state, "--cloud", cloud,
+                       *command[1:]) == 0

@@ -101,29 +101,6 @@ class TestDecryptHintCache:
         assert next(iter(client._hints.values())).h_pi.miller_lines() \
             is hint_lines
 
-    def test_prewarm_workers_see_identities_only(self, world, monkeypatch):
-        """The user key's line table is key-equivalent: what goes to the
-        hint-preparation pool is (identity, member set) and nothing of
-        the key, even once its table exists."""
-        from repro.par import WorkerPool
-        system, client = world
-        client.current_group_key()          # the key's table now exists
-        sent = []
-        real_run = WorkerPool.run
-
-        def recording_run(self, task, items):
-            items = list(items)
-            sent.extend(items)
-            return real_run(self, task, items)
-
-        monkeypatch.setattr(WorkerPool, "run", recording_run)
-        other_set = tuple(MEMBERS[:3])
-        try:
-            assert client.prewarm_hints([other_set]) == 1
-        finally:
-            client.close()
-        assert sent == [("user0", other_set)]
-
 
 class TestFreshness:
     def test_rollback_detected(self, world):

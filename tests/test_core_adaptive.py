@@ -146,14 +146,6 @@ class TestCalibration:
         # m* grows as cbrt(n): the ratio to sqrt(n) must fall with n.
         assert curve[0].ratio > curve[1].ratio > curve[2].ratio
 
-    def test_with_capacity_bounds_keeps_coefficients(self):
-        policy = AdaptivePolicy(c_rekey=1.0, c_decrypt=1.0,
-                                min_capacity=8, max_capacity=64)
-        unclamped = policy.with_capacity_bounds(1, 10**9)
-        assert unclamped.c_rekey == policy.c_rekey
-        assert unclamped.optimal_capacity(2_000, 1.0, 1.0) == round(
-            (2_000 / 2) ** (1 / 3))
-
 
 class TestAdaptiveAdministrator:
     def test_resize_triggered_by_decrypt_heavy_workload(self):

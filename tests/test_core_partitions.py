@@ -117,12 +117,6 @@ class TestOccupancyHeuristic:
         table.remove("u2")
         assert not table.needs_repartition()
 
-    def test_occupancy_value(self):
-        table = PartitionTable.build([f"u{i}" for i in range(4)], 4)
-        assert table.occupancy() == 1.0
-        table.remove("u0")
-        assert table.occupancy() == 0.75
-
 
 @given(
     ops=st.lists(

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.crypto.kdf import hkdf, hmac_sha256, mgf1, sha256
+from repro.crypto.kdf import hkdf, hmac_sha256, sha256
 from repro.errors import ValidationError
 
 
@@ -63,17 +63,6 @@ class TestHkdf:
 
     def test_info_separates(self):
         assert hkdf(b"k", 32, info=b"a") != hkdf(b"k", 32, info=b"b")
-
-
-class TestMgf1:
-    def test_length(self):
-        assert len(mgf1(b"seed", 100)) == 100
-
-    def test_prefix_stability(self):
-        assert mgf1(b"seed", 64)[:32] == mgf1(b"seed", 32)
-
-    def test_seed_sensitivity(self):
-        assert mgf1(b"a", 32) != mgf1(b"b", 32)
 
 
 class TestSha256:

@@ -1,18 +1,13 @@
-"""RSA-OAEP, ECDSA and ECIES tests."""
+"""ECDSA and ECIES tests."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto import ecdsa, ecies, rsa
+from repro.crypto import ecdsa, ecies
 from repro.crypto.rng import DeterministicRng
 from repro.ec import P256
 from repro.errors import AuthenticationError, CryptoError
-
-
-@pytest.fixture(scope="module")
-def rsa_key():
-    return rsa.generate_keypair(1024, DeterministicRng("rsa-fixture"))
 
 
 @pytest.fixture(scope="module")
@@ -23,48 +18,6 @@ def ecdsa_key():
 @pytest.fixture(scope="module")
 def ecies_key():
     return ecies.generate_keypair(DeterministicRng("ecies-fixture"))
-
-
-class TestRsa:
-    def test_roundtrip(self, rsa_key, rng):
-        message = b"the 32-byte group key material!!"
-        ct = rsa_key.public_key().encrypt(message, rng)
-        assert rsa_key.decrypt(ct) == message
-
-    def test_ciphertext_size_matches_modulus(self, rsa_key, rng):
-        ct = rsa_key.public_key().encrypt(b"x", rng)
-        assert len(ct) == rsa_key.public_key().size_bytes == 128
-
-    def test_label_binding(self, rsa_key, rng):
-        ct = rsa_key.public_key().encrypt(b"m", rng, label=b"ctx1")
-        assert rsa_key.decrypt(ct, label=b"ctx1") == b"m"
-        with pytest.raises(CryptoError):
-            rsa_key.decrypt(ct, label=b"ctx2")
-
-    def test_tamper_detected(self, rsa_key, rng):
-        ct = bytearray(rsa_key.public_key().encrypt(b"m", rng))
-        ct[64] ^= 0xFF
-        with pytest.raises(CryptoError):
-            rsa_key.decrypt(bytes(ct))
-
-    def test_message_too_long(self, rsa_key, rng):
-        with pytest.raises(CryptoError):
-            rsa_key.public_key().encrypt(bytes(128 - 2 * 32 - 1), rng)
-
-    def test_wrong_key_fails(self, rsa_key, rng):
-        other = rsa.generate_keypair(1024, DeterministicRng("other"))
-        ct = rsa_key.public_key().encrypt(b"m", rng)
-        with pytest.raises(CryptoError):
-            other.decrypt(ct)
-
-    def test_small_modulus_refused(self, rng):
-        with pytest.raises(CryptoError):
-            rsa.generate_keypair(256, rng)
-
-    def test_randomized_encryption(self, rsa_key, rng):
-        a = rsa_key.public_key().encrypt(b"m", rng)
-        b = rsa_key.public_key().encrypt(b"m", rng)
-        assert a != b
 
 
 class TestEcdsa:

@@ -14,7 +14,7 @@ from repro.errors import EnclaveError, ParameterError, SchemeError
 from repro.pairing import PairingGroup, preset
 from repro.sgx.device import SgxDevice
 from repro.sgx.enclave import trusted_view
-from tests.conftest import make_system
+from tests.conftest import make_system, provisioned_usk
 
 
 @pytest.fixture()
@@ -27,7 +27,7 @@ def loaded(group):
 
 def _decrypt_blob(pk, enclave, blob, members, identity, group_id="g"):
     """Member-side derivation of gk from a partition blob."""
-    usk_raw = enclave.call("extract_user_key_raw", identity)
+    usk_raw = provisioned_usk(enclave, identity)
     from repro.pairing.group import G1Element
     usk = ibbe.IbbeUserKey(identity, G1Element.decode(pk.group, usk_raw))
     ct = ibbe.IbbeCiphertext.decode(pk.group, blob.ciphertext)
@@ -59,15 +59,15 @@ class TestLifecycle:
         device = SgxDevice(rng=DeterministicRng("fresh"))
         enclave = IbbeEnclave.load(device, {"pairing_group": group})
         with pytest.raises(EnclaveError):
-            enclave.call("extract_user_key_raw", "alice")
+            provisioned_usk(enclave, "alice")
 
     def test_restore_from_sealed_msk(self, loaded, group):
         device, enclave, pk, sealed_msk = loaded
-        usk_before = enclave.call("extract_user_key_raw", "alice")
+        usk_before = provisioned_usk(enclave, "alice")
         # A fresh instance of the same enclave code on the same device.
         twin = IbbeEnclave.load(device, {"pairing_group": group})
         twin.call("restore_system", sealed_msk, pk)
-        assert twin.call("extract_user_key_raw", "alice") == usk_before
+        assert provisioned_usk(twin, "alice") == usk_before
 
     def test_restore_on_wrong_device_fails(self, loaded, group):
         _, _, pk, sealed_msk = loaded
@@ -151,7 +151,7 @@ class TestRemoveUser:
         host_blob, _, _ = enclave.call(
             "remove_user", "g", "b", ["a", "c"], []
         )
-        usk_raw = enclave.call("extract_user_key_raw", "b")
+        usk_raw = provisioned_usk(enclave, "b")
         from repro.pairing.group import G1Element
         usk_b = ibbe.IbbeUserKey("b", G1Element.decode(group, usk_raw))
         ct = ibbe.IbbeCiphertext.decode(group, host_blob.ciphertext)

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from repro import ibbe
 from repro.core.metadata import GroupDescriptor, PartitionRecord
-from repro.core.oplog import OpLogEntry
 from repro.crypto import ecdsa, ecies
 from repro.crypto.rng import DeterministicRng
 from repro.ec.curve import Point
@@ -49,11 +48,6 @@ class TestMetadataFuzz:
         _assert_fails_closed(
             lambda d: GroupDescriptor.verify_and_decode(d, KEY), data
         )
-
-    @given(junk)
-    @settings(max_examples=40)
-    def test_oplog_entry(self, data):
-        _assert_fails_closed(OpLogEntry.decode, data)
 
     @given(junk)
     @settings(max_examples=40)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import MathError
-from repro.mathutils.modular import crt_pair, jacobi_symbol, modinv, modsqrt
+from repro.mathutils.modular import jacobi_symbol, modinv, modsqrt
 
 PRIMES = [3, 5, 7, 11, 101, 65537, (1 << 127) - 1]
 
@@ -40,24 +40,6 @@ class TestModinv:
         if a % p == 0:
             return
         assert (a * modinv(a, p)) % p == 1
-
-
-class TestCrt:
-    def test_basic(self):
-        x = crt_pair(2, 3, 3, 5)
-        assert x % 3 == 2 and x % 5 == 3
-
-    @given(st.integers(min_value=0, max_value=10**6),
-           st.sampled_from([(7, 11), (13, 17), (101, 103)]))
-    @settings(max_examples=30)
-    def test_roundtrip(self, x, moduli):
-        m1, m2 = moduli
-        x %= m1 * m2
-        assert crt_pair(x % m1, m1, x % m2, m2) == x
-
-    def test_non_coprime_raises(self):
-        with pytest.raises(MathError):
-            crt_pair(1, 6, 2, 9)
 
 
 class TestJacobi:

@@ -8,9 +8,7 @@ from repro.crypto.rng import DeterministicRng
 from repro.errors import MathError
 from repro.mathutils.primes import (
     gen_prime,
-    gen_safe_prime,
     is_probable_prime,
-    next_prime,
 )
 
 KNOWN_PRIMES = [2, 3, 5, 7, 97, 65537, 2_147_483_647, (1 << 127) - 1]
@@ -44,17 +42,6 @@ class TestIsProbablePrime:
         assert not is_probable_prime(((1 << 521) - 1) * 3)
 
 
-class TestNextPrime:
-    def test_small(self):
-        assert next_prime(0) == 2
-        assert next_prime(2) == 3
-        assert next_prime(7) == 11
-        assert next_prime(89) == 97
-
-    def test_preserves_strictness(self):
-        assert next_prime(97) == 101
-
-
 class TestGenPrime:
     def test_bit_length_exact(self, rng):
         for bits in (16, 32, 64, 128):
@@ -74,10 +61,3 @@ class TestGenPrime:
         a = gen_prime(48, DeterministicRng("x").randint_below)
         b = gen_prime(48, DeterministicRng("x").randint_below)
         assert a == b
-
-
-class TestGenSafePrime:
-    def test_structure(self, rng):
-        p = gen_safe_prime(24, rng.randint_below)
-        assert is_probable_prime(p)
-        assert is_probable_prime((p - 1) // 2)

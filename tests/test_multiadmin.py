@@ -16,7 +16,7 @@ from repro.errors import (
 )
 from repro.sgx.attestation import mutual_attest, provision_master_secret
 from repro.sgx.device import SgxDevice
-from tests.conftest import make_system
+from tests.conftest import make_system, provisioned_usk
 
 
 def make_second_admin(system, seed: str = "admin2"):
@@ -43,9 +43,8 @@ class TestMskMigration:
     def test_migrated_enclave_extracts_identical_keys(self):
         system = make_system("mig1", capacity=4)
         admin2 = make_second_admin(system)
-        a = system.enclave.call("extract_user_key_raw", "alice")
-        b = admin2.enclave.call("extract_user_key_raw", "alice")
-        assert a == b
+        assert (provisioned_usk(system.enclave, "alice")
+                == provisioned_usk(admin2.enclave, "alice"))
 
     def test_migration_requires_same_measurement(self):
         system = make_system("mig2", capacity=4)

@@ -34,8 +34,6 @@ from repro.errors import (
 )
 from repro.faults import FaultInjector, FaultPlan, use_faults
 from repro.net import (
-    AdminBridge,
-    RemoteAdmin,
     RemoteCloudStore,
     ServerThread,
     connect_store,
@@ -222,13 +220,19 @@ def test_first_request_must_be_hello(served):
 
 
 def test_unknown_method_is_wire_error(served):
+    """``admin.call`` was a method once (an unauthenticated door onto
+    the hosted enclave); it is unknown like any other now."""
     _, server, _ = served
     hello = {"id": 1, "method": "hello",
              "params": {"protocol": wire.PROTOCOL_VERSION}}
     replies = _raw_exchange(server.url, [
-        hello, {"id": 2, "method": "store.nonsense", "params": {}},
+        hello,
+        {"id": 2, "method": "store.nonsense", "params": {}},
+        {"id": 3, "method": "admin.call",
+         "params": {"op": "rekey", "kwargs": {"group_id": "g"}}},
     ])
-    assert replies[1]["error"]["code"] == "wire"
+    assert [reply["error"]["code"] for reply in replies[1:]] == \
+        ["wire", "wire"]
 
 
 def test_server_errors_carry_stable_codes(served):
@@ -266,6 +270,19 @@ def test_client_reconnects_after_server_restart(tmp_path, served):
     server2.stop()
 
 
+def wait_for_poll_waiters(server, count=1, timeout=5.0):
+    """Block until at least ``count`` long-polls are parked on the
+    server (or ``timeout`` elapses).  The deterministic handshake used
+    instead of sleeping and hoping the poll RPC has arrived — fixed
+    sleeps flake under loaded CI runners."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if server.poll_waiters >= count:
+            return True
+        time.sleep(0.002)
+    return server.poll_waiters >= count
+
+
 def test_long_poll_wakes_on_mutation(served):
     inner, server, store = served
     watcher = RemoteCloudStore(server.url, poll_wait_ms=10_000)
@@ -281,7 +298,7 @@ def test_long_poll_wakes_on_mutation(served):
     # Condition-wait handshake instead of a fixed sleep: only mutate
     # once the server has actually parked the long-poll (a sleep races
     # the poll RPC's arrival under loaded CI runners).
-    assert server.wait_for_poll_waiters(1, timeout=5.0)
+    assert wait_for_poll_waiters(server, 1, timeout=5.0)
     store.put("/g/new", b"x")
     thread.join(timeout=5)
     assert not thread.is_alive()
@@ -312,32 +329,6 @@ def test_rpc_metrics_accounted(served):
     # The CloudMetrics mirror reports payload volume like a local store.
     assert store.metrics.bytes_in == len(b"payload")
     assert store.metrics.bytes_out == len(b"payload")
-
-
-# ---------------------------------------------------------------------------
-# Admin bridge
-# ---------------------------------------------------------------------------
-
-def test_admin_bridge_whitelist():
-    class Admin:
-        def ensure_loaded(self, group_id):
-            pass
-
-        def rekey(self, group_id):
-            return f"rekeyed {group_id}"
-
-    bridge = AdminBridge(Admin())
-    assert bridge.call("rekey", {"group_id": "g"}) == "rekeyed g"
-    with pytest.raises(AccessControlError):
-        bridge.call("load_group_from_cloud", {"group_id": "g"})
-    with pytest.raises(AccessControlError):
-        bridge.call("rekey", {"group_id": "g", "sneaky": 1})
-
-
-def test_admin_call_without_bridge_is_denied(served):
-    _, _, store = served
-    with pytest.raises(AccessControlError):
-        RemoteAdmin(store).rekey("team")
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +417,17 @@ def test_workload_under_injected_outages_converges():
 # Mid-commit server kill: ambiguous outcome, exactly-once recovery
 # ---------------------------------------------------------------------------
 
+def join_crashed(server, timeout=10.0):
+    """Wait for a crash-triggered shutdown and return the crash: the
+    server aborts itself; this joins its thread and surfaces the
+    :class:`~repro.errors.CrashError` that killed it."""
+    server._thread.join(timeout=timeout)
+    assert not server._thread.is_alive()
+    server._thread = None
+    assert server.crashed is not None, "server did not crash"
+    return server.crashed
+
+
 def test_server_killed_mid_commit_recovers_exactly_once(tmp_path):
     root = tmp_path / "store"
     inner = FileCloudStore(root)
@@ -447,7 +449,7 @@ def test_server_killed_mid_commit_recovers_exactly_once(tmp_path):
     assert not isinstance(excinfo.value, UnavailableError)
     assert "outcome unknown" in str(excinfo.value)
     assert injector.history() == [("crash", "cloud.commit.journaled")]
-    crash = server.join_crashed()
+    crash = join_crashed(server)
     assert crash.point == "cloud.commit.journaled"
 
     # The dead server's connections are gone.

@@ -21,7 +21,6 @@ from repro.obs.collect import (
     merge_task_telemetry,
     merge_traces,
     register_worker_source,
-    worker_sources,
 )
 from repro.obs.metrics import MetricRegistry
 from repro.obs.spans import Tracer, tracer as global_tracer
@@ -230,5 +229,6 @@ class TestMergeTraces:
 class TestPrecompWorkerSource:
     def test_ec_precomp_registry_is_registered(self):
         from repro.ec import precomp_registry
+        from repro.obs import collect
 
-        assert precomp_registry in worker_sources()
+        assert precomp_registry in collect._WORKER_SOURCES

@@ -197,31 +197,6 @@ def test_set_workers_runtime_switch():
         system.close()
 
 
-def test_client_prewarm_hints_parallel_equivalence():
-    system = _build_system(1)
-    try:
-        admin = system.admin
-        admin.create_group("g", [f"u{i}" for i in range(10)])
-        state = admin.group_state("g")
-        member_sets = [tuple(r.members) for r in state.records.values()]
-
-        warmed = system.make_client("g", "u1")
-        warmed.workers = 2
-        added = warmed.prewarm_hints(member_sets)
-        assert added == 1  # only u1's own partition qualifies
-        assert warmed.prewarm_hints(member_sets) == 0  # idempotent
-
-        cold = system.make_client("g", "u1")
-        warmed.sync(), cold.sync()
-        assert warmed.current_group_key() == cold.current_group_key()
-        # the prewarmed client never ran an inline expansion
-        assert warmed.expansion_count == 0
-        assert cold.expansion_count == 1
-        warmed.close()
-    finally:
-        system.close()
-
-
 # ---------------------------------------------------------------------------
 # Fixed-base wNAF correctness
 # ---------------------------------------------------------------------------

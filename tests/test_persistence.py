@@ -9,7 +9,7 @@ from repro.enclave_app import IbbeEnclave
 from repro.errors import ReproError, SchemeError
 from repro.serialize import Writer
 from repro.sgx.device import SgxDevice
-from tests.conftest import make_system
+from tests.conftest import make_system, provisioned_usk
 
 
 class TestPublicKeySerialization:
@@ -104,12 +104,12 @@ class TestDeterministicDevice:
         device_a = SgxDevice(device_secret=secret)
         enclave_a = IbbeEnclave.load(device_a, {"pairing_group": group})
         pk, sealed_msk = enclave_a.call("setup_system", 4)
-        usk = enclave_a.call("extract_user_key_raw", "alice")
+        usk = provisioned_usk(enclave_a, "alice")
 
         device_b = SgxDevice(device_secret=secret)  # "after reboot"
         enclave_b = IbbeEnclave.load(device_b, {"pairing_group": group})
         enclave_b.call("restore_system", sealed_msk, pk)
-        assert enclave_b.call("extract_user_key_raw", "alice") == usk
+        assert provisioned_usk(enclave_b, "alice") == usk
 
 
 class TestAdminRecovery:

@@ -111,19 +111,20 @@ class TestAuditor:
 
 
 class TestProvisioning:
-    def test_user_receives_key(self, world, group):
+    def test_user_receives_key(self, world):
         _, _, enclave, auditor, rng = world
         auditor.approve_measurement(enclave.measurement)
         cert = setup_trust(enclave, auditor)
         enclave.call("setup_system", 8)
         raw = provision_user_key(enclave, cert, auditor.ca_public_key,
                                  "alice", rng)
+        # What crossed the channel is the extraction under this MSK.
         from repro import ibbe
-        from repro.pairing.group import G1Element
-        usk = ibbe.IbbeUserKey("alice", G1Element.decode(group, raw))
-        # The key actually works.
-        msk_raw = enclave.call("extract_user_key_raw", "alice")
-        assert msk_raw == raw
+        from repro.sgx.enclave import trusted_view
+        inside = trusted_view(enclave)
+        usk = ibbe.extract(inside._require_msk(), inside._require_pk(),
+                           "alice")
+        assert usk.element.encode() == raw
 
     def test_mismatched_certificate_rejected(self, world, group):
         device, ias, enclave, auditor, rng = world

@@ -46,10 +46,6 @@ class ToyEnclave(Enclave):
     def sealed_secret(self):
         return self.seal_data(self.secret)
 
-    @ecall
-    def uses_ocall(self):
-        return self.ocall("persist", b"payload")
-
     def hidden(self):
         return self.secret
 
@@ -180,8 +176,7 @@ class TestIsolation:
 
     def test_secret_attributes_unreachable(self, enclave):
         for name in ("secret", "_secret_values", "seal_data", "unseal_data",
-                     "track_secret", "epc_allocate", "rng", "ocall",
-                     "_ocall_handlers", "hidden"):
+                     "track_secret", "epc_allocate", "rng", "hidden"):
             with pytest.raises(EnclaveError, match="boundary"):
                 getattr(enclave, name)
 
@@ -229,19 +224,6 @@ class TestMeasurement:
         a = ToyEnclave.load(device, {"x": 1})
         b = ToyEnclave.load(device, {"x": 2})
         assert a.measurement != b.measurement
-
-
-class TestOcalls:
-    def test_registered_handler_invoked(self, enclave):
-        calls = []
-        enclave.register_ocall("persist", lambda data: calls.append(data) or "ok")
-        assert enclave.call("uses_ocall") == "ok"
-        assert calls == [b"payload"]
-        assert enclave.meter.registry.snapshot()["sgx.ocalls"] == 1
-
-    def test_missing_handler_raises(self, enclave):
-        with pytest.raises(EnclaveError):
-            enclave.call("uses_ocall")
 
 
 class TestSealingIntegration:

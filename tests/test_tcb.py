@@ -2,7 +2,7 @@
 
 Everything ``repro.enclave_app.ibbe_enclave`` imports would be linked
 into a real enclave and is trusted with the master secret; every
-registered ecall is a door into it.  Four things are asserted:
+registered ecall is a door into it.  Five things are asserted:
 
 * **The closure.**  Importing the enclave in a fresh interpreter loads
   at most ``MAX_ENCLAVE_MODULES`` ``repro.*`` modules, none of them from
@@ -24,6 +24,11 @@ registered ecall is a door into it.  Four things are asserted:
   ``.call(`` or puts in a ``call_batch`` request is one some enclave
   under ``src/`` registers, so a deleted ecall cannot linger as a string
   that fails only when its rare path next runs.
+* **No islands.**  Every module under ``src/repro`` is in the import
+  closure of something that runs: the CLI, the composition root, a
+  workload's ``__main__``, a benchmark, an example or the package
+  root's lazy table.  A module only its own tests import is not part of
+  the system.  Module level only, and no allow-list.
 
 Moved a module or added an import?  This file, ~2 s.
 """
@@ -41,6 +46,7 @@ from repro.enclave_app import IbbeEnclave
 from repro.sgx import EcallRegistry
 
 SRC = Path(repro.__file__).resolve().parents[1]
+REPO = SRC.parent
 
 #: ``repro.*`` modules loaded by importing the enclave in a fresh
 #: interpreter: sgx 11 (its enclave runtime imports the device / EPC /
@@ -48,7 +54,7 @@ SRC = Path(repro.__file__).resolve().parents[1]
 #: pairing 4, par 4, fields 3, ibbe 2, enclave_app 2, the package root
 #: and the leaves errors, serialize, faulthook.
 MAX_ENCLAVE_MODULES = 53
-ECALLS = 21
+ECALLS = 20
 
 #: The package graph, bottom-up.  A unit is a first-level name under
 #: ``repro`` (a sub-package or a single module); units sharing a row do
@@ -66,11 +72,10 @@ LAYERS = [
     {"par"},
     {"sgx"},
     {"enclave_app", "cloud"},       # the trusted half ends here
-    {"faults"},
+    {"faults", "net"},
     {"core"},
     {"baselines", "deploy"},
     {"shard"},
-    {"net"},
     {"bench"},
     {"workloads"},
     {"cli"},
@@ -108,8 +113,10 @@ def tree_of(path):
 
 
 def repro_imports(path):
-    """``(line, imported module, inside a function?)`` for every
-    ``repro.*`` import statement in ``path``."""
+    """``(line, imported name, inside a function?)`` for every
+    ``repro.*`` import statement in ``path``.  ``from repro.a import b``
+    gives ``repro.a`` and ``repro.a.b`` — ``b`` may be a sub-module; both
+    are in the same unit."""
     found = []
 
     def walk(node, deferred):
@@ -122,8 +129,10 @@ def repro_imports(path):
                 assert child.level == 0, (
                     f"{path}:{child.lineno}: relative import — the layer "
                     "check reads absolute names")
-                targets = ([f"repro.{alias.name}" for alias in child.names]
-                           if child.module == "repro" else [child.module])
+                targets = [f"{child.module}.{alias.name}"
+                           for alias in child.names]
+                if child.module != "repro":
+                    targets.append(child.module)
             else:
                 walk(child, deferred)
                 continue
@@ -187,6 +196,54 @@ def test_trusted_half_defers_no_import():
     assert not deferred, "\n".join(deferred)
 
 
+def module_files():
+    """``{dotted name: path}`` for every module under ``src/repro``."""
+    files = {}
+    for path in (SRC / "repro").rglob("*.py"):
+        parts = path.relative_to(SRC).with_suffix("").parts
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        files[".".join(parts)] = path
+    return files
+
+
+def entry_points(files):
+    """The names something outside ``tests/`` runs or imports: the CLI,
+    the composition root, each workload with a ``__main__`` block, what
+    the benchmarks and examples import, and the lazy root's table."""
+    roots = {"repro.cli", "repro.deploy", *repro._HOME.values()}
+    roots.update(
+        name for name, path in files.items()
+        if name.startswith("repro.workloads.")
+        and '__name__ == "__main__"' in path.read_text("utf-8"))
+    for script in [*(REPO / "benchmarks").rglob("*.py"),
+                   *(REPO / "examples").glob("*.py")]:
+        roots.update(name for _, name, _ in repro_imports(script))
+    return roots
+
+
+def test_every_module_is_reachable_from_an_entry_point():
+    files = module_files()
+    reached, frontier = set(), entry_points(files)
+    while frontier:
+        name = frontier.pop()
+        if not name or name in reached:
+            continue
+        # Importing a module runs its parent packages first; a name
+        # that is no module is a function or class inside its parent.
+        frontier.add(name.rpartition(".")[0])
+        if name in files:
+            reached.add(name)
+            frontier.update(
+                target for _, target, _ in repro_imports(files[name]))
+    islands = sorted(set(files) - reached)
+    assert not islands, (
+        "modules under src/repro that no entry point imports (delete "
+        "them, or make them part of something that runs):\n" + "\n".join(
+            f"  {name} ({line_count([files[name]])} lines)"
+            for name in islands))
+
+
 def test_registered_ecall_count():
     assert len(EcallRegistry.for_class(IbbeEnclave).names()) == ECALLS
 
@@ -243,9 +300,8 @@ def test_every_ecall_name_in_src_is_registered():
     assert set(EcallRegistry.for_class(IbbeEnclave).names()) <= registered
     assert {"setup_system", "create_group", "register_user",
             "import_master_secret_from_peer"} <= set(called)
-    # Kept for the Fig. 6b bench and the tests: no deployment path hands
-    # a user key to the host in the clear.
-    assert "extract_user_key_raw" not in called
+    # No ecall hands a user key to the host in the clear.
+    assert "extract_user_key_raw" not in registered
     dangling = {name: where for name, where in called.items()
                 if name not in registered}
     assert not dangling, f"calls to ecalls no enclave registers: {dangling}"
