@@ -28,7 +28,11 @@ Two hardening extensions beyond the paper:
   by ``bench_ablation_client_cache``).  The Miller line tables of that
   product ride on the cached hint's element (public) and on the user
   key's (as secret as the key; it stays on this client's key object), so
-  a re-key performs no point arithmetic either.
+  a re-key performs no point arithmetic either.  A member set one added
+  and / or one removed identity away from the hint last used gets its
+  hint by :func:`repro.ibbe.update_decryption` from that hint and the
+  records' ``C3`` — a few ladders whatever the partition size — and is
+  kept only if the record then decrypts; otherwise the expansion runs.
 * **Freshness tracking** — the client remembers the highest group epoch it
   has observed (from the signed descriptor); a cloud serving older
   metadata raises :class:`~repro.errors.StaleMetadataError` instead of
@@ -73,6 +77,7 @@ from repro.crypto.envelope import unwrap_group_key
 from repro.errors import (
     AccessControlError,
     NotFoundError,
+    ReproError,
     RevokedError,
     StaleMetadataError,
 )
@@ -89,6 +94,8 @@ class GroupClient:
     #: names are the historical API, kept working via the descriptors.
     decrypt_count = CounterField("client.decrypts")
     expansion_count = CounterField("client.expansions")
+    hint_updates = CounterField("client.hint_updates")
+    hint_fallbacks = CounterField("client.hint_fallbacks")
 
     #: Default hint-cache capacity: one partition's member set per epoch
     #: is live; a tiny window covers moves between partitions without
@@ -121,10 +128,19 @@ class GroupClient:
         self.retry = retry_policy or RetryPolicy(
             seed=f"client-retry:{identity}", registry=self.registry)
         self.decrypt_count = 0
-        #: Expansions actually computed (cache misses) — the hint cache
-        #: keeps this far below :attr:`decrypt_count` under re-key churn.
+        #: Multi-exponentiations actually run (from-scratch hints and
+        #: witnesses) — the hint cache keeps this far below
+        #: :attr:`decrypt_count` under re-key churn, the hint update
+        #: under membership churn.
         self.expansion_count = 0
+        #: Hints obtained by update, and updates discarded because the
+        #: record did not decrypt under them (0 against honest records).
+        self.hint_updates = 0
+        self.hint_fallbacks = 0
         self._hints: Dict[Tuple[str, ...], ibbe.DecryptionHint] = {}
+        #: The hint last decrypted with and that record's ciphertext
+        #: (whose ``C3`` the next update reads).
+        self._last: Optional[Tuple[ibbe.DecryptionHint, bytes]] = None
         self.registry.gauge("client.hint_cache_size",
                             lambda: len(self._hints))
         #: Per-decrypt latency distribution (Fig. 8b's measured path);
@@ -293,15 +309,51 @@ class GroupClient:
                    partition_size=len(record.members)):
             header = ibbe.IbbeCiphertext.decode_header(self.group,
                                                        record.ciphertext)
-            hint = self._hint_for(record.members)
-            bk = ibbe.decrypt_with_hint(self._pk, self._user_key, hint,
-                                        header)
-            self.decrypt_count += 1
-            group_key = unwrap_group_key(
-                bk.digest(), record.envelope,
-                aad=self.group_id.encode("utf-8"),
-            )
+            key = tuple(record.members)
+            group_key = None
+            if key not in self._hints:
+                group_key = self._decrypt_by_update(key, header, record)
+            if group_key is None:
+                group_key = self._unwrap(self._hint_for(key), header, record)
         self._decrypt_seconds.observe(time.perf_counter() - start)
+        return group_key
+
+    def _unwrap(self, hint: ibbe.DecryptionHint, header: ibbe.IbbeHeader,
+                record: PartitionRecord) -> bytes:
+        bk = ibbe.decrypt_with_hint(self._pk, self._user_key, hint, header)
+        self.decrypt_count += 1
+        group_key = unwrap_group_key(bk.digest(), record.envelope,
+                                     aad=self.group_id.encode("utf-8"))
+        self._last = (hint, record.ciphertext)
+        return group_key
+
+    def _decrypt_by_update(self, key: Tuple[str, ...],
+                           header: ibbe.IbbeHeader,
+                           record: PartitionRecord) -> Optional[bytes]:
+        """``gk`` under a hint for ``key`` updated from the one last
+        used, or ``None``: ``key`` is not one change away, or ``record``
+        does not decrypt under the result.  The update is only as good
+        as the two ``C3`` it read, so any failure discards it and the
+        from-scratch path — whose verdict on the record is the final
+        one — runs instead."""
+        if self._last is None:
+            return None
+        last, ciphertext = self._last
+        try:
+            hint = ibbe.update_decryption(
+                self._pk, last, key,
+                ibbe.IbbeCiphertext.split(self.group, ciphertext)[2],
+                ibbe.IbbeCiphertext.split(self.group, record.ciphertext)[2])
+            if hint is None:
+                return None
+            self.expansion_count += (last.witness is None
+                                     and hint.witness is not None)
+            group_key = self._unwrap(hint, header, record)
+        except ReproError:
+            self.hint_fallbacks += 1
+            return None
+        self.hint_updates += 1
+        self._cache_hint(key, hint)
         return group_key
 
     def _hint_for(self, members: Tuple[str, ...]) -> ibbe.DecryptionHint:

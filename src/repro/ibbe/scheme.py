@@ -27,7 +27,7 @@ the same group G1):
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.crypto.rng import Rng
 from repro.errors import PairingError, ParameterError, SchemeError
@@ -371,12 +371,38 @@ class DecryptionHint:
     change and only one two-term product pairing over cached Miller lines
     per re-key — an optimization on top of the paper quantified by the
     ablation benchmarks.
+
+    ``witness`` is ``h^{P(γ)}``, ``P(x) = ∏_{j≠i}(x + H_j)``: the
+    member's witness in the accumulator ``C3 = witness^{γ+H_i}``.
+    :func:`update_decryption` builds it at the first membership change
+    and carries it from then on; a from-scratch hint has none.
     """
 
     identity: str
     member_fingerprint: Tuple[str, ...]
     h_pi: G1Element
     delta_inverse: int
+    witness: Optional[G1Element] = None
+
+
+def _others_polynomial(pk: IbbePublicKey, identity: str,
+                       identities: Sequence[str]) -> List[int]:
+    """Coefficients ``[Δ, a1, ..., 1]`` of ``∏_{j≠i}(x + H_j)`` — O(n²)."""
+    if identity not in identities:
+        raise SchemeError(f"user {identity!r} is not in the broadcast set")
+    others = [u for u in identities if u != identity]
+    if len(others) > pk.m:
+        raise ParameterError("broadcast set exceeds the system bound m")
+    return monic_linear_product(
+        [pk.hash_identity(u) for u in others], pk.group.q)
+
+
+def decryption_witness(pk: IbbePublicKey, identity: str,
+                       identities: Sequence[str]) -> G1Element:
+    """``h^{P(γ)}`` from the public key — the same expansion as the
+    hint's, one term longer."""
+    coeffs = _others_polynomial(pk, identity, identities)
+    return pk.group.multi_mul_g1(zip(coeffs, pk.h_powers))
 
 
 def prepare_decryption_public(pk: IbbePublicKey, identity: str,
@@ -386,16 +412,8 @@ def prepare_decryption_public(pk: IbbePublicKey, identity: str,
     The hint depends only on public material (the public key and the
     member identities), never on the user's secret key.
     """
-    if identity not in identities:
-        raise SchemeError(
-            f"user {identity!r} is not in the broadcast set"
-        )
     q = pk.group.q
-    others = [u for u in identities if u != identity]
-    if len(others) > pk.m:
-        raise ParameterError("broadcast set exceeds the system bound m")
-    hashes = [pk.hash_identity(u) for u in others]
-    coeffs = monic_linear_product(hashes, q)  # O(n²); [Δ, a1, ..., 1]
+    coeffs = _others_polynomial(pk, identity, identities)
     delta = coeffs[0]
     # h^{p_i(γ)} = ∏_{t>=1} (h^{γ^(t-1)})^{a_t}
     h_pi = pk.group.multi_mul_g1(
@@ -413,6 +431,50 @@ def prepare_decryption(pk: IbbePublicKey, user_key: IbbeUserKey,
                        identities: Sequence[str]) -> DecryptionHint:
     """The O(|S|²) part of decryption, reusable across re-keys."""
     return prepare_decryption_public(pk, user_key.identity, identities)
+
+
+def update_decryption(pk: IbbePublicKey, hint: DecryptionHint,
+                      identities: Sequence[str], c3_old: bytes,
+                      c3_new: bytes) -> Optional[DecryptionHint]:
+    """The hint for ``identities`` from the hint for a set one added
+    and / or one removed identity away — **O(1)**: two variable-base
+    ladders and one point decompression per changed identity, whatever
+    the set size.  ``None`` when that is not the relation between the
+    sets (or the hint's owner is not in the new one); the caller then
+    prepares from scratch.
+
+    ``C3`` is a bilinear accumulator of the set and the hint's
+    ``W = h^{P(γ)}`` the member's witness in it, so this is the witness
+    update of Nguyen (CT-RSA 2005) applied to ``W`` and to
+    ``A = h_pi = h^{(P(γ)−Δ)/γ}``.  Adding *a*: ``A' = W·A^{H_a}``,
+    ``W' = C3_old·W^{H_a−H_i}``.  Removing *r*:
+    ``W' = (W/C3_new)^{1/(H_r−H_i)}``, ``A' = (A/W')^{1/H_r}``.  ``c3_old``
+    and ``c3_new`` are the encoded ``C3`` of the old and the new set's
+    ciphertexts; every operand is public.  The result is right only if
+    they are: the caller confirms it by decrypting (the Miller lines of
+    ``A'`` are its subgroup test, the envelope's tag the rest).
+    """
+    old, new = set(hint.member_fingerprint), set(identities)
+    added, removed = new - old, old - new
+    if (hint.identity not in new or len(added) > 1 or len(removed) > 1
+            or len(new) != len(identities) or len(new) > pk.m + 1
+            or len(old) != len(hint.member_fingerprint)):
+        return None
+    group, q = pk.group, pk.group.q
+    h_i = pk.hash_identity(hint.identity)
+    a, delta_inverse = hint.h_pi, hint.delta_inverse
+    w = hint.witness
+    if w is None and (added or removed):
+        w = decryption_witness(pk, hint.identity, hint.member_fingerprint)
+    for h_a in map(pk.hash_identity, added):
+        a, w = w * a ** h_a, G1Element.decode(group, c3_old) * w ** (h_a - h_i)
+        delta_inverse = delta_inverse * modinv(h_a, q) % q
+    for h_r in map(pk.hash_identity, removed):
+        w = (w / G1Element.decode(group, c3_new)) ** modinv(h_r - h_i, q)
+        a = (a / w) ** modinv(h_r, q)
+        delta_inverse = delta_inverse * h_r % q
+    return DecryptionHint(hint.identity, tuple(identities), a,
+                          delta_inverse, w)
 
 
 def decrypt_with_hint(pk: IbbePublicKey, user_key: IbbeUserKey,

@@ -35,7 +35,11 @@ from tests.conftest import make_system
 #: only one is the ``C2`` ladder of an extension (``k`` is not kept);
 #: ``fig7.add_user`` adds to a full group, so it opens a partition and
 #: runs none.  (Before PR 21 a removal or re-key ran one per partition
-#: and an extension two; EXPERIMENTS.md has the numbers.)
+#: and an extension two; EXPERIMENTS.md has the numbers.)  The two
+#: ``client.*`` refresh rows carry that number for the *member* and a
+#: fourth: multi-exponentiations (the ``client.expansions`` delta).  One
+#: ladder of each is the ``^Δ⁻¹`` in GT every decrypt ends with, so a
+#: hint hit runs nothing else and a hint update two ``G1`` ladders.
 PINNED = {
     "fig2.encrypt": (39, 0),
     "fig6.create_group": (2108, 1, 0),
@@ -44,6 +48,8 @@ PINNED = {
     "fig8.extend_partition": (689, 1, 1),
     "fig8.decrypt": (99, 0),
     "client.sync": (697, 0),
+    "client.member_change": (681, 0, 3, 0),
+    "client.rekey": (673, 0, 1, 0),
     "cold_start.replay": (2221, 0),
     "cold_start.snapshot": (2221, 0),
     "net.rpc.get": (5615.8125, 0),
@@ -154,6 +160,66 @@ def client_sync():
         with spent(system) as cost:
             client.sync()
     return cost["read"], 0
+
+
+def warm_refreshes(system, client, changes):
+    """What ``client`` spends following ``changes`` (callables, one
+    membership write each), per change: bytes read, crossings,
+    variable-base exponentiations, multi-exponentiations."""
+    totals = dict.fromkeys(("read", "crossings", "ladders"), 0)
+    expansions = client.expansion_count
+    for change in changes:
+        change()
+        with spent(system) as cost:
+            client.sync()
+            client.current_group_key()
+        for name in totals:
+            totals[name] += cost[name]
+    assert client.hint_fallbacks == 0
+    return (*(totals[name] / len(changes) for name in totals),
+            (client.expansion_count - expansions) / len(changes))
+
+
+def warm_member(system):
+    """A member of a group of 32 holding the key, hint and — after one
+    change in its partition, which costs exactly one multi-exponentiation
+    — witness."""
+    admin = system.admin
+    admin.create_group("g", users(32))
+    client = system.make_client("g", "u0")
+    client.sync()
+    client.current_group_key()
+    first = warm_refreshes(system, client,
+                           [lambda: admin.remove_user("g", "u1")])
+    assert first[2:] == (3, 1) and client.hint_updates == 1
+    return client
+
+
+def client_member_change():
+    """A warm member's refresh after one member of its partition left
+    or joined, over 8 alternating changes: no expansion, two ``G1``
+    ladders (and the decrypt's GT power)."""
+    with gate_system("member-change", capacity=8) as system:
+        admin = system.admin
+        client = warm_member(system)
+        changes = []
+        for i in range(4):
+            changes.append(lambda i=i: admin.add_user("g", f"w{i}"))
+            changes.append(lambda i=i: admin.remove_user("g", f"u{i + 2}"))
+        cost = warm_refreshes(system, client, changes)
+        assert client.hint_updates == 1 + len(changes)
+    return cost
+
+
+def client_rekey():
+    """A warm member's refresh after a re-key, over 8: a hint hit reads
+    no ``C3`` and runs no ladder, witness or not."""
+    with gate_system("member-rekey", capacity=8) as system:
+        client = warm_member(system)
+        cost = warm_refreshes(system, client,
+                              [lambda: system.admin.rekey("g")] * 8)
+        assert client.hint_updates == 1
+    return cost
 
 
 def history_store(root, events):
@@ -308,6 +374,8 @@ OPS = {
     "fig8.extend_partition": fig8_extend_partition,
     "fig8.decrypt": fig8_decrypt,
     "client.sync": client_sync,
+    "client.member_change": client_member_change,
+    "client.rekey": client_rekey,
     "cold_start.replay": lambda: cold_start_op(compacted=False),
     "cold_start.snapshot": lambda: cold_start_op(compacted=True),
     "net.rpc.get": net_rpc_get,

@@ -1,6 +1,8 @@
 """Unit tests for the Delerablée IBBE scheme and the IBBE-SGX fast paths."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import ibbe
 from repro.crypto.rng import DeterministicRng
@@ -210,6 +212,119 @@ class TestMembershipUpdates:
         bk2, _ = ibbe.remove_user_msk(msk, pk, ct, "user1", rng)
         old = ibbe.decrypt(pk, user_keys["user1"], USERS[:4], ct)
         assert old == bk and old != bk2
+
+
+class TestHintUpdate:
+    """:func:`ibbe.update_decryption` against the from-scratch values."""
+
+    ME = "me"
+    POOL = [f"p{i}" for i in range(16)]
+    BOUND = 12
+
+    @pytest.fixture(scope="class")
+    def world(self, group):
+        rng = DeterministicRng("hint-update")
+        msk, pk = ibbe.setup(group, m=self.BOUND, rng=rng)
+
+        def encrypt(members):
+            return ibbe.encrypt_msk(msk, pk, members, rng)
+
+        return pk, ibbe.extract(msk, pk, self.ME), encrypt
+
+    def step(self, world, hint, old_ct, members):
+        """Update ``hint`` to ``members``; everything it returns must
+        equal what the quadratic path computes, and must decrypt."""
+        pk, usk, encrypt = world
+        bk, ct = encrypt(members)
+        updated = ibbe.update_decryption(
+            pk, hint, members, old_ct.c3.encode(), ct.c3.encode())
+        fresh = ibbe.prepare_decryption_public(pk, self.ME, members)
+        assert fresh.witness is None
+        assert updated == ibbe.DecryptionHint(
+            self.ME, tuple(members), fresh.h_pi, fresh.delta_inverse,
+            ibbe.decryption_witness(pk, self.ME, members))
+        assert ibbe.decrypt_with_hint(pk, usk, updated, ct) == bk
+        return updated, ct
+
+    def start(self, world, members):
+        pk, _, encrypt = world
+        return (ibbe.prepare_decryption_public(pk, self.ME, members),
+                encrypt(members)[1])
+
+    @settings(max_examples=15, deadline=None)
+    @given(size=st.integers(1, 12),
+           moves=st.lists(st.integers(0, 2 ** 16), max_size=40))
+    def test_single_changes_track_the_quadratic_path(self, world, size,
+                                                     moves):
+        members = [self.ME] + self.POOL[:size - 1]
+        hint, ct = self.start(world, members)
+        for move in moves:
+            outside = [u for u in self.POOL if u not in members]
+            grow = len(members) == 1 or (move % 2 and
+                                         len(members) < self.BOUND)
+            if grow:
+                members = members + [outside[(move // 2) % len(outside)]]
+            else:
+                # Never the hint's owner; any position, so order moves.
+                members = list(members)
+                del members[1 + (move // 2) % (len(members) - 1)]
+            hint, ct = self.step(world, hint, ct, members)
+
+    def test_one_add_and_one_remove_compose(self, world):
+        hint, ct = self.start(world, [self.ME, "p0", "p1", "p2"])
+        self.step(world, hint, ct, ["p3", "p2", self.ME, "p0"])
+
+    def test_reordering_alone_costs_nothing(self, world, monkeypatch):
+        hint, ct = self.start(world, [self.ME, "p0", "p1"])
+        monkeypatch.setattr(type(world[0].group), "multi_mul_g1", None)
+        c3 = ct.c3.encode()
+        members = ("p1", self.ME, "p0")
+        assert ibbe.update_decryption(world[0], hint, members, c3, c3) \
+            == ibbe.DecryptionHint(self.ME, members, hint.h_pi,
+                                   hint.delta_inverse)
+
+    def test_singleton_edges(self, world):
+        pk = world[0]
+        hint, ct = self.start(world, [self.ME, "p0"])
+        alone, ct = self.step(world, hint, ct, [self.ME])
+        assert alone.h_pi.is_identity() and alone.witness == pk.h
+        assert alone.delta_inverse == 1
+        self.step(world, alone, ct, [self.ME, "p1"])
+
+    def test_witness_is_carried_not_rebuilt(self, world, monkeypatch):
+        hint, ct = self.start(world, [self.ME, "p0", "p1"])
+        warm, ct = self.step(world, hint, ct, [self.ME, "p0"])
+        monkeypatch.setattr(type(world[0].group), "multi_mul_g1", None)
+        pk, _, encrypt = world
+        members = [self.ME, "p0", "p2"]
+        grown = ibbe.update_decryption(pk, warm, members, ct.c3.encode(),
+                                       encrypt(members)[1].c3.encode())
+        assert grown.witness is not None and grown.witness != warm.witness
+
+    @pytest.mark.parametrize("members", [
+        ["me", "p0", "p1", "p2", "p3"],     # two adds
+        ["me"],                             # two removes
+        ["me", "p0", "p1", "p1"],           # a duplicate
+        ["p0", "p1"],                       # the owner removed
+        ["p0", "p1", "p2"],                 # ... and replaced
+    ])
+    def test_not_applicable(self, world, members):
+        """Above all for the owner's own removal: ``H_r − H_i = 0`` has
+        no inverse — a revoked member cannot follow the group."""
+        hint, ct = self.start(world, [self.ME, "p0", "p1"])
+        c3 = ct.c3.encode()
+        assert ibbe.update_decryption(world[0], hint, members, c3, c3) is None
+
+    def test_not_applicable_where_the_quadratic_path_refuses(self, world):
+        """One identity past ``m`` others: both paths say no."""
+        pk = world[0]
+        members = [self.ME] + self.POOL[:self.BOUND]
+        hint = ibbe.prepare_decryption_public(pk, self.ME, members)
+        c3 = pk.h.encode()
+        assert ibbe.update_decryption(pk, hint, members + ["p15"],
+                                      c3, c3) is None
+        with pytest.raises(ParameterError):
+            ibbe.prepare_decryption_public(pk, self.ME, members + ["p15"])
 
 
 class TestCiphertextSerialization:

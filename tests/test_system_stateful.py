@@ -9,6 +9,11 @@ after every step:
 * every revoked/never-added identity is locked out;
 * the plaintext group key never appears in any cloud object;
 * the admin's partition table matches the reference membership.
+
+The sampled clients are kept across steps, so they follow their
+partitions by hint update under whatever interleaving the machine
+draws; a client built from nothing at every step is their oracle, and
+no update may ever have been discarded.
 """
 
 from hypothesis import settings
@@ -26,6 +31,9 @@ from repro.errors import RevokedError
 from tests.conftest import make_system
 
 USER_POOL = [f"user{i}" for i in range(14)]
+
+#: ``client.hint_updates`` of every warm client of every example.
+UPDATES = []
 
 
 class AccessControlMachine(RuleBasedStateMachine):
@@ -86,6 +94,10 @@ class AccessControlMachine(RuleBasedStateMachine):
             client = self._client(user)
             client.sync()
             keys.add(client.current_group_key())
+        if sample:
+            cold = self.system.make_client("g", sample[0])
+            cold.sync()
+            keys.add(cold.current_group_key())
         assert len(keys) <= 1
         revoked = sorted(self.ever_member - self.members)
         if revoked:
@@ -113,8 +125,19 @@ class AccessControlMachine(RuleBasedStateMachine):
             self.clients[user] = self.system.make_client("g", user)
         return self.clients[user]
 
+    def teardown(self):
+        clients = self.clients.values()
+        assert sum(client.hint_fallbacks for client in clients) == 0
+        UPDATES.extend(client.hint_updates for client in clients)
 
-TestAccessControlMachine = AccessControlMachine.TestCase
-TestAccessControlMachine.settings = settings(
+
+AccessControlMachine.TestCase.settings = settings(
     max_examples=12, stateful_step_count=12, deadline=None
 )
+
+
+class TestAccessControlMachine(AccessControlMachine.TestCase):
+    def runTest(self):
+        UPDATES.clear()
+        super().runTest()
+        assert sum(UPDATES) > 0
