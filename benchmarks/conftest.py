@@ -140,6 +140,7 @@ def traced_breakdown(sink, title: str, action) -> None:
     Always a *separate* rerun, never the timed measurement — tracing
     overhead must not contaminate the numbers the assertions check."""
     from repro import obs
+    from repro.obs.export import breakdown_table, write_chrome_trace
 
     tr = obs.tracer()
     was_enabled = tr.enabled
@@ -151,12 +152,12 @@ def traced_breakdown(sink, title: str, action) -> None:
         if not was_enabled:
             tr.disable()
     sink.line(f"\n  {title} (traced rerun):")
-    for line in obs.breakdown_table(tr.spans()):
+    for line in breakdown_table(tr.spans()):
         sink.line(f"    {line}")
     # Persist the spans as a Chrome trace next to the text results, so a
     # reviewer can open the run in chrome://tracing / Perfetto.
     slug = "".join(c if c.isalnum() else "-" for c in title.lower())
-    obs.write_chrome_trace(
+    write_chrome_trace(
         tr.spans(), RESULTS_DIR / f"{sink.name}.{slug}.trace.json"
     )
     tr.reset()

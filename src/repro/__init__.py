@@ -24,7 +24,8 @@ from importlib import import_module
 
 __version__ = "1.0.0"
 
-#: Every public name and the sub-package that exports it, in documented
+#: Every public name and the sub-package (or, for a name the trusted
+#: half's packages do not export, the module) that holds it, in documented
 #: order.  Nothing is imported until a name is first used (PEP 562), so
 #: ``import repro`` — which every ``import repro.x.y`` runs first — loads
 #: this file alone: the enclave's import closure (``tests/test_tcb.py``)
@@ -45,8 +46,8 @@ _HOME = {
     "toy64": "repro.pairing",
     "std160": "repro.pairing",
     "SgxDevice": "repro.sgx",
-    "IntelAttestationService": "repro.sgx",
-    "Auditor": "repro.sgx",
+    "IntelAttestationService": "repro.sgx.ias",
+    "Auditor": "repro.sgx.auditor",
     "System": "repro.deploy",
     "assemble_system": "repro.deploy",
     "quickstart_system": "repro.deploy",
@@ -56,7 +57,7 @@ _HOME = {
     "Span": "repro.obs",
     "Tracer": "repro.obs",
     "merge_snapshots": "repro.obs",
-    "telemetry_snapshot": "repro.obs",
+    "telemetry_snapshot": "repro.obs.export",
     "tracer": "repro.obs",
 }
 

@@ -21,7 +21,6 @@ Usage overview::
     python -m repro.cli gen-trace    --kind {synthetic,kernel} --out F …
     python -m repro.cli replay       --state S --cloud C --trace F [--workers N]
                                      [--telemetry] [--trace-out F.json]
-                                     [--profile [--profile-hz N]]
                                      [--faults SEED] [--compact N]
     python -m repro.cli compact      --cloud C
     python -m repro.cli stats        (--state S --cloud C | --store-url U)
@@ -71,7 +70,9 @@ from repro.deploy import System, assemble_system, fresh_setup, unseal
 from repro.errors import ReproError, ValidationError
 from repro.pairing import PairingGroup, preset
 from repro.pairing.group import G1Element
-from repro.sgx import Auditor, IntelAttestationService, SgxDevice
+from repro.sgx import SgxDevice
+from repro.sgx.auditor import Auditor
+from repro.sgx.ias import IntelAttestationService
 
 _CONFIG = "config.json"
 _DEVICE_SECRET = "device-secret.bin"
@@ -344,6 +345,7 @@ def cmd_replay(args) -> int:
     """Replay a trace file against this deployment and report costs."""
     from repro import obs
     from repro.bench import format_seconds
+    from repro.obs import export as obs_export
     from repro.workloads import ReplayEngine, load_trace
     from repro.workloads.replay import IbbeSgxReplayAdapter
 
@@ -368,15 +370,7 @@ def cmd_replay(args) -> int:
     engine = ReplayEngine(IbbeSgxReplayAdapter(system),
                           group_id=args.group,
                           decrypt_sample_every=args.sample_every)
-    profiler = None
-    if args.profile:
-        profiler = obs.SamplingProfiler(hz=args.profile_hz)
-        profiler.start()
-    try:
-        report = engine.run(trace)
-    finally:
-        if profiler is not None:
-            profiler.stop()
+    report = engine.run(trace)
     print(f"replayed {report.operations_applied} operations "
           f"({report.adds} add / {report.removes} rm, "
           f"{report.skipped} skipped)")
@@ -396,25 +390,20 @@ def cmd_replay(args) -> int:
         sources = system.metric_sources() + [engine.registry]
         print()
         print("== metrics ==")
-        for line in obs.format_metrics(obs.merge_snapshots(sources)):
+        for line in obs_export.format_metrics(obs.merge_snapshots(sources)):
             print(line)
         print()
         print("== time breakdown (self time per category) ==")
-        for line in obs.breakdown_table(spans):
-            print(line)
-    if profiler is not None:
-        print()
-        print("== sampling profile ==")
-        for line in profiler.report_lines():
+        for line in obs_export.breakdown_table(spans):
             print(line)
     if args.trace_out:
         recorded = obs.tracer().spans()
         if args.trace_out.endswith(".json"):
-            written = obs.write_chrome_trace(recorded, args.trace_out)
+            written = obs_export.write_chrome_trace(recorded, args.trace_out)
             print(f"wrote {written} trace events -> {args.trace_out} "
                   "(load in chrome://tracing or ui.perfetto.dev)")
         else:
-            written = obs.write_jsonl(recorded, args.trace_out)
+            written = obs_export.write_jsonl(recorded, args.trace_out)
             print(f"wrote {written} spans -> {args.trace_out}")
     return 0
 
@@ -478,7 +467,7 @@ def cmd_serve(args) -> int:
 
 def _server_stats_table(stats: dict) -> list:
     """Human-readable rendering of an ``ops.stats`` snapshot."""
-    from repro import obs
+    from repro.obs import export as obs_export
 
     conns = stats.get("connections", {})
     reqs = stats.get("requests", {})
@@ -528,7 +517,7 @@ def _server_stats_table(stats: dict) -> list:
     metrics = stats.get("metrics", {})
     if metrics:
         lines.append("")
-        lines.extend(obs.format_metrics(metrics))
+        lines.extend(obs_export.format_metrics(metrics))
     return lines
 
 
@@ -537,6 +526,7 @@ def cmd_stats(args) -> int:
     (``--state``), or a live server's operational snapshot fetched over
     the wire via ``ops.stats`` (``--store-url`` alone)."""
     from repro import obs
+    from repro.obs import export as obs_export
 
     if args.store_url and not args.state:
         from repro.net import connect_store
@@ -549,7 +539,7 @@ def cmd_stats(args) -> int:
         if args.format == "json":
             text = json.dumps(stats, indent=2, sort_keys=True)
         elif args.format == "prom":
-            text = obs.metrics_to_prometheus(
+            text = obs_export.metrics_to_prometheus(
                 stats.get("metrics", {})).rstrip("\n")
         else:
             text = "\n".join(_server_stats_table(stats))
@@ -569,9 +559,9 @@ def cmd_stats(args) -> int:
         if args.format == "json":
             text = json.dumps(metrics, indent=2, sort_keys=True)
         elif args.format == "prom":
-            text = obs.metrics_to_prometheus(metrics).rstrip("\n")
+            text = obs_export.metrics_to_prometheus(metrics).rstrip("\n")
         else:
-            text = "\n".join(obs.format_metrics(metrics))
+            text = "\n".join(obs_export.format_metrics(metrics))
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")
         print(f"wrote {len(text.splitlines())} lines -> {args.out}")
@@ -726,11 +716,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the recorded spans to this file: Chrome "
                         "trace_event JSON when it ends in .json "
                         "(chrome://tracing / Perfetto), JSONL otherwise")
-    p.add_argument("--profile", action="store_true",
-                   help="run the stdlib sampling profiler during the "
-                        "replay and print a span-attributed report")
-    p.add_argument("--profile-hz", type=int, default=97,
-                   help="profiler sampling rate (default: 97 Hz)")
     p.add_argument("--faults", default=None, metavar="SEED",
                    help="inject seeded transient store faults during the "
                         "replay (outages, read timeouts, latency spikes); "

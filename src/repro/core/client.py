@@ -107,14 +107,12 @@ class GroupClient:
                  public_key: ibbe.IbbePublicKey,
                  cloud: CloudStore,
                  admin_verification_key: ecdsa.EcdsaPublicKey,
-                 enforce_freshness: bool = True,
                  retry_policy: Optional[RetryPolicy] = None,
                  resume_path: Optional[Union[str, Path]] = None) -> None:
         if user_key.identity != identity:
             raise AccessControlError("user key does not match the identity")
         self.group_id = group_id
         self.identity = identity
-        self.enforce_freshness = enforce_freshness
         self._user_key = user_key
         self._pk = public_key
         self._cloud = cloud
@@ -272,8 +270,7 @@ class GroupClient:
         descriptor = GroupDescriptor.verify_and_decode(data, self._admin_key)
         if descriptor.group_id != self.group_id:
             raise AccessControlError("descriptor for a different group")
-        if (self.enforce_freshness
-                and descriptor.epoch < self._highest_epoch):
+        if descriptor.epoch < self._highest_epoch:
             raise StaleMetadataError(
                 f"cloud served group epoch {descriptor.epoch} after epoch "
                 f"{self._highest_epoch} was observed — possible rollback"

@@ -17,9 +17,9 @@ realizes that with optimistic concurrency control:
   retry loop;
 * administrators share the IBBE master secret by *mutually attested
   migration* between their enclaves (``System.join``; see
-  :func:`repro.sgx.provision_master_secret`) and sign metadata with a
-  shared organisational role key so clients keep a single verification
-  anchor.
+  :func:`repro.sgx.attestation.provision_master_secret`) and sign
+  metadata with a shared organisational role key so clients keep a
+  single verification anchor.
 
 The retry loop re-validates the operation against the refreshed state, so
 semantically-conflicting operations (e.g. both admins removing the same

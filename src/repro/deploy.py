@@ -8,8 +8,8 @@ the **master-secret source** (:func:`fresh_setup`, :func:`unseal`, or
 attested hand-over from a peer, :meth:`System.join`).  Trust is
 established one way: every enclave pins the IAS report key in its
 measured configuration (what peers attest each other under, MAGE), and
-every deployment has an :class:`~repro.sgx.Auditor` whose certificate
-users check before asking the enclave for their key (Fig. 3).
+every deployment has an :class:`~repro.sgx.auditor.Auditor` whose
+certificate users check before asking the enclave for their key (Fig. 3).
 """
 
 from __future__ import annotations
@@ -24,19 +24,19 @@ from repro.crypto import Rng, SystemRng, ecdsa
 from repro.ec import precomp_registry
 from repro.enclave_app import IbbeEnclave
 from repro.faults.retry import RetryPolicy
-from repro.obs import MetricSource, telemetry_snapshot
+from repro.obs import MetricSource
+from repro.obs.export import telemetry_snapshot
 from repro.pairing import PairingGroup, preset
 from repro.pairing.group import G1Element
 from repro.par import resolve_workers
-from repro.sgx import (
-    Auditor,
-    EnclaveCertificate,
-    IntelAttestationService,
-    SgxDevice,
+from repro.sgx import SgxDevice
+from repro.sgx.attestation import (
     provision_master_secret,
     provision_user_key,
     setup_trust,
 )
+from repro.sgx.auditor import Auditor, EnclaveCertificate
+from repro.sgx.ias import IntelAttestationService
 
 #: How the master secret reaches a freshly loaded enclave: called with
 #: the enclave, returns ``(public key, this enclave's sealed MSK copy)``.

@@ -36,6 +36,7 @@ threads (see DESIGN.md, "Parallel engine and the trust split").
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -53,11 +54,9 @@ from repro.obs.spans import span as _span
 from repro.pairing.group import G1Element, PairingGroup
 from repro.par import WorkerPool, derive_seed, resolve_workers
 from repro.par import kernels as par_kernels
-from repro.sgx.attestation import parse_provision_request
 from repro.sgx.counters import MonotonicCounterService
 from repro.sgx.enclave import Enclave, ecall
-from repro.sgx.ias import AttestationReport, IntelAttestationService
-from repro.sgx.quote import Quote
+from repro.sgx.quote import AttestationReport, Quote
 
 
 @dataclass(frozen=True)
@@ -68,6 +67,21 @@ class PartitionBlob:
     #: ``c1 || c2`` alone where a re-key left the stored ``c3`` as it is.
     ciphertext: bytes
     envelope: bytes     # y_p = nonce || GCM(SHA-256(bk_p), gk)
+
+
+def parse_provision_request(request: bytes) -> Tuple[str, ecies.EciesPublicKey]:
+    """Decode the body of a Fig. 3 step 4 provisioning request."""
+    try:
+        body = json.loads(request.decode("utf-8"))
+        identity = body["identity"]
+        response_key = ecies.EciesPublicKey.decode(
+            bytes.fromhex(body["response_key"])
+        )
+    except (ValueError, KeyError, TypeError) as exc:
+        raise AttestationError("malformed provisioning request") from exc
+    if not isinstance(identity, str) or not identity:
+        raise AttestationError("provisioning request lacks an identity")
+    return identity, response_key
 
 
 class IbbeEnclave(Enclave):
@@ -191,9 +205,15 @@ class IbbeEnclave(Enclave):
         return self._identity_key.public_key().encode()
 
     @ecall
-    def get_attestation_quote(self) -> Quote:
+    def get_attestation_quote(self, nonce: bytes = b"") -> Quote:
+        """The one quote: its 64-byte report data commits to this
+        enclave's identity key (first half) and echoes a peer's
+        challenge ``nonce`` (second half; zeros without one — the quote
+        the Auditor certifies, which no :meth:`register_peer` admits)."""
+        if not isinstance(nonce, bytes) or len(nonce) not in (0, 32):
+            raise AttestationError("peer nonce must be 32 bytes")
         commitment = sha256(self._identity_key.public_key().encode())
-        return self.get_quote(commitment)
+        return self.get_quote(commitment + nonce)
 
     @ecall
     def provision_user_key(self, sealed_request: bytes) -> bytes:
@@ -219,8 +239,9 @@ class IbbeEnclave(Enclave):
     def peer_offer(self) -> Dict[str, bytes]:
         """Step 1 of the peer handshake: this enclave's identity public
         key plus a fresh nonce the *peer* must echo inside its quote's
-        report data (freshness: a replayed quote carries a nonce this
-        enclave never issued, or one already consumed)."""
+        report data — step 2, :meth:`get_attestation_quote` with that
+        nonce (freshness: a replayed quote carries a nonce this enclave
+        never issued, or one already consumed)."""
         nonce = self.rng.random_bytes(32)
         self._peer_nonces[nonce] = True
         if len(self._peer_nonces) > self.MAX_PEER_CHALLENGES:
@@ -229,16 +250,6 @@ class IbbeEnclave(Enclave):
             "public_key": self._identity_key.public_key().encode(),
             "nonce": nonce,
         }
-
-    @ecall
-    def peer_quote(self, peer_nonce: bytes) -> Quote:
-        """Step 2: a quote whose 64-byte report data commits to this
-        enclave's identity key (first half) and echoes the peer's
-        challenge nonce (second half)."""
-        if not isinstance(peer_nonce, bytes) or len(peer_nonce) != 32:
-            raise AttestationError("peer nonce must be 32 bytes")
-        commitment = sha256(self._identity_key.public_key().encode())
-        return self.get_quote(commitment + peer_nonce)
 
     @ecall
     def register_peer(self, report, peer_public_key: bytes) -> None:
@@ -264,7 +275,7 @@ class IbbeEnclave(Enclave):
         if not isinstance(peer_public_key, bytes):
             raise AttestationError("peer public key must be bytes")
         ias_key = ecdsa.EcdsaPublicKey.decode(bytes.fromhex(str(pinned_hex)))
-        IntelAttestationService.verify_report(report, ias_key)
+        report.verify(ias_key)
         if not report.is_ok:
             raise AttestationError(
                 f"peer quote rejected by IAS: {report.quote_status}"

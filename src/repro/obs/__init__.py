@@ -4,22 +4,24 @@ One API for the two questions the paper's evaluation asks of every
 component: *how many* (counters and histograms in a
 :class:`MetricRegistry`, consumed through the :class:`MetricSource`
 protocol) and *how long* (hierarchical :class:`Span` traces collected by
-the process-wide :class:`Tracer`).  Around those two primitives:
+the process-wide :class:`Tracer`).  This package is the
+*instrumentation* half — what instrumented code, the enclave included,
+links: those two primitives and cross-process collection
+(:mod:`repro.obs.collect` — worker-side capture and parent-side merge,
+so the parallel engine's traces and counters survive the process
+boundary).
 
-* cross-process collection (:mod:`repro.obs.collect`) — worker-side
-  capture and parent-side merge, so the parallel engine's traces and
-  counters survive the process boundary;
-* a sampling profiler (:mod:`repro.obs.profile`) — flame-style
-  attribution to the innermost active span without per-function probes;
-* exporters (:mod:`repro.obs.export`) — JSONL dumps, Chrome
-  ``trace_event`` JSON for ``chrome://tracing``/Perfetto, Prometheus
-  text exposition, aggregated ``System.telemetry()`` snapshots, and the
-  per-phase breakdown tables printed by ``repro replay --telemetry``
-  and the Fig. 7/8 benchmark reports.
+The *reporting* half is :mod:`repro.obs.export` — JSONL dumps, Chrome
+``trace_event`` JSON for ``chrome://tracing``/Perfetto, Prometheus text
+exposition, aggregated ``System.telemetry()`` snapshots, and the
+per-phase breakdown tables printed by ``repro replay --telemetry`` and
+the Fig. 7/8 benchmark reports.  It is named by the code that reports
+and not loaded with this package: a writer the trusted half cannot
+import is an egress channel it does not have.
 
-The package imports nothing from the rest of ``repro`` so any module —
-including the lowest-level crypto kernels — can instrument itself
-without creating an import cycle.
+The instrumentation half imports nothing from the rest of ``repro`` so
+any module — including the lowest-level crypto kernels — can instrument
+itself without creating an import cycle.
 """
 
 from repro.obs.collect import (
@@ -27,17 +29,6 @@ from repro.obs.collect import (
     merge_task_telemetry,
     merge_traces,
     register_worker_source,
-)
-from repro.obs.export import (
-    aggregate_spans,
-    breakdown_table,
-    format_metrics,
-    metrics_to_prometheus,
-    spans_to_chrome_trace,
-    telemetry_snapshot,
-    write_chrome_trace,
-    write_jsonl,
-    write_prometheus,
 )
 from repro.obs.metrics import (
     Counter,
@@ -49,7 +40,6 @@ from repro.obs.metrics import (
     merge_snapshots,
     quantile_from_samples,
 )
-from repro.obs.profile import SamplingProfiler, profile
 from repro.obs.spans import (
     NULL_SPAN,
     Span,
@@ -71,32 +61,21 @@ __all__ = [
     "MetricRegistry",
     "MetricSource",
     "NULL_SPAN",
-    "SamplingProfiler",
     "SloWindow",
     "Span",
     "Tracer",
-    "aggregate_spans",
-    "breakdown_table",
     "capture_task",
     "current_span",
     "disable",
     "enable",
     "enabled",
-    "format_metrics",
     "merge_snapshots",
     "merge_task_telemetry",
     "merge_traces",
-    "metrics_to_prometheus",
     "new_trace_id",
-    "profile",
     "quantile_from_samples",
     "register_worker_source",
     "span",
-    "spans_to_chrome_trace",
-    "telemetry_snapshot",
     "tracer",
     "use_tracer",
-    "write_chrome_trace",
-    "write_jsonl",
-    "write_prometheus",
 ]

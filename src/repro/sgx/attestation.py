@@ -17,7 +17,8 @@ The enclave side of steps 1 and 4 is part of the enclave application's
 ecall contract (see :mod:`repro.enclave_app.ibbe_enclave`):
 
 * ``get_public_key() -> bytes``
-* ``get_attestation_quote() -> Quote``
+* ``get_attestation_quote(nonce=b"") -> Quote`` — the Auditor's quote
+  carries no nonce, a peer's (MAGE, below) echoes the peer's challenge
 * ``provision_user_key(request: bytes) -> bytes`` — ECIES envelope in,
   ECIES envelope out.
 """
@@ -25,7 +26,6 @@ ecall contract (see :mod:`repro.enclave_app.ibbe_enclave`):
 from __future__ import annotations
 
 import json
-from typing import Tuple
 
 from repro import faulthook
 from repro.crypto import ecdsa, ecies
@@ -109,8 +109,8 @@ def mutual_attest(enclave_a: Enclave, enclave_b: Enclave, ias) -> None:
     _attestation_fault("peer-offer")
     offer_a = enclave_a.call("peer_offer")
     offer_b = enclave_b.call("peer_offer")
-    quote_a = enclave_a.call("peer_quote", offer_b["nonce"])
-    quote_b = enclave_b.call("peer_quote", offer_a["nonce"])
+    quote_a = enclave_a.call("get_attestation_quote", offer_b["nonce"])
+    quote_b = enclave_b.call("get_attestation_quote", offer_a["nonce"])
     _attestation_fault("ias-report")
     report_a = ias.verify_quote(quote_a)
     report_b = ias.verify_quote(quote_b)
@@ -133,18 +133,3 @@ def provision_master_secret(source: Enclave, target: Enclave, ias,
     blob = source.call("export_master_secret_to_peer", target_key)
     return target.call("import_master_secret_from_peer", blob, public_key,
                        source_key)
-
-
-def parse_provision_request(request: bytes) -> Tuple[str, ecies.EciesPublicKey]:
-    """Enclave-side helper: decode a provisioning request body."""
-    try:
-        body = json.loads(request.decode("utf-8"))
-        identity = body["identity"]
-        response_key = ecies.EciesPublicKey.decode(
-            bytes.fromhex(body["response_key"])
-        )
-    except (ValueError, KeyError, TypeError) as exc:
-        raise AttestationError("malformed provisioning request") from exc
-    if not isinstance(identity, str) or not identity:
-        raise AttestationError("provisioning request lacks an identity")
-    return identity, response_key

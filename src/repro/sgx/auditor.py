@@ -81,9 +81,7 @@ class Auditor:
         (SHA-256), binding the key to the attested enclave instance.
         """
         report = self._ias.verify_quote(quote)
-        IntelAttestationService.verify_report(
-            report, self._ias.report_public_key
-        )
+        report.verify(self._ias.report_public_key)
         if not report.is_ok:
             raise AttestationError(
                 f"IAS rejected the quote: {report.quote_status}"

@@ -4,50 +4,21 @@ The real IAS verifies EPID quote signatures against Intel's provisioning
 records and returns a signed attestation verification report.  This
 simulation keeps the same interface: devices are registered at
 "manufacturing" time (their attestation public keys deposited here), quotes
-are checked against the registry and a revocation list, and reports are
-signed with the IAS report key so relying parties (the Auditor) can verify
+are checked against the registry and a revocation list, and reports
+(:class:`repro.sgx.quote.AttestationReport`) are signed with the IAS
+report key so relying parties (the Auditor, a peer enclave) can verify
 their provenance offline.
 """
 
 from __future__ import annotations
 
-import json
 import time
-from dataclasses import dataclass
 from typing import Dict, Set
 
 from repro.crypto import ecdsa
 from repro.crypto.rng import Rng, SystemRng
 from repro.errors import AttestationError
-from repro.sgx.quote import Quote
-
-
-@dataclass(frozen=True)
-class AttestationReport:
-    """Signed verdict over a quote (ISV enclave quote status)."""
-
-    quote_status: str          # "OK" | rejection reason
-    measurement: bytes
-    report_data: bytes
-    device_id: str
-    timestamp: float
-    signature: bytes           # by the IAS report key
-
-    def signed_payload(self) -> bytes:
-        body = {
-            "status": self.quote_status,
-            "measurement": self.measurement.hex(),
-            "report_data": self.report_data.hex(),
-            "device_id": self.device_id,
-            "timestamp": self.timestamp,
-        }
-        return b"repro:ias-report:v1\x00" + json.dumps(
-            body, sort_keys=True
-        ).encode("utf-8")
-
-    @property
-    def is_ok(self) -> bool:
-        return self.quote_status == "OK"
+from repro.sgx.quote import AttestationReport, Quote
 
 
 class IntelAttestationService:
@@ -107,12 +78,3 @@ class IntelAttestationService:
             timestamp=report.timestamp,
             signature=signature,
         )
-
-    @staticmethod
-    def verify_report(report: AttestationReport,
-                      report_public_key: ecdsa.EcdsaPublicKey) -> None:
-        """Relying-party check of a report's signature."""
-        try:
-            report_public_key.verify(report.signed_payload(), report.signature)
-        except Exception as exc:
-            raise AttestationError("IAS report signature invalid") from exc

@@ -8,10 +8,10 @@ partitions groups across them by rendezvous hash
 
 **Provisioning.**  Shard 0 runs IBBE system setup; every other shard
 receives the master secret through the MAGE-style mutual-attestation
-exchange of :func:`repro.sgx.provision_master_secret` — each enclave
-checks the peer's IAS-signed report against the pinned IAS key in its
-*measured* configuration and requires the peer's measurement to equal
-its own.  Each shard then holds the MSK sealed under its own device
+exchange of :func:`repro.sgx.attestation.provision_master_secret` — each
+enclave checks the peer's IAS-signed report against the pinned IAS key
+in its *measured* configuration and requires the peer's measurement to
+equal its own.  Each shard then holds the MSK sealed under its own device
 fuse key, so it can restart without repeating the migration.  The
 deployment's one Auditor certifies every shard's enclave, and users get
 their keys from any of them over the certified channel of Fig. 3.
@@ -56,14 +56,13 @@ from repro.crypto import ecdsa
 from repro.deploy import System, assemble_system, fresh_setup
 from repro.errors import EnclaveError, ValidationError
 from repro.faults.retry import RetryPolicy
-from repro.obs import MetricSource, telemetry_snapshot
+from repro.obs import MetricSource
+from repro.obs.export import telemetry_snapshot
 from repro.pairing import PairingGroup, preset
-from repro.sgx import (
-    Auditor,
-    IntelAttestationService,
-    SgxDevice,
-    mutual_attest,
-)
+from repro.sgx import SgxDevice
+from repro.sgx.attestation import mutual_attest
+from repro.sgx.auditor import Auditor
+from repro.sgx.ias import IntelAttestationService
 from repro.shard.ring import ShardRing
 from repro.shard.rng import GroupRoutedRng
 

@@ -112,7 +112,7 @@ from repro.workloads.synthetic import OP_ADD, OP_REMOVE, Operation
 
 
 # ---------------------------------------------------------------------------
-# Convergence primitives (shared with the scale suite and net_smoke)
+# Convergence primitives (shared with the scale suite)
 # ---------------------------------------------------------------------------
 
 def cloud_digest(store) -> str:

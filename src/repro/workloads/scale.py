@@ -14,7 +14,7 @@ bottlenecks:
   aimed at size-weighted groups, with a configurable revocation mix and
   a decrypt-rate signal feeding the adaptive partition policy;
 * **multi-admin OCC contention** — a second administrator (attested MSK
-  migration, as in ``net_smoke``) deliberately races stale views through
+  migration, ``System.join``) deliberately races stale views through
   :class:`~repro.core.multiadmin.ConcurrentAdministrator`;
 * **read-heavy sync/resume traffic** — a bounded fleet of clients syncs,
   derives keys, then re-syncs incrementally after more churn (the
@@ -31,9 +31,9 @@ model's coefficients from live runs instead of trusting the
 microbenchmark defaults: ``c_rekey`` from revocation wall times across
 partition counts, ``c_decrypt`` from decrypt wall times across partition
 sizes (both via :func:`repro.core.adaptive.fit_linear_cost`), attributes
-where the time goes with span aggregation and the sampling profiler, and
-emits the recommended cutoff curve ``m*(n)`` for n ∈ {10⁴, 10⁵, 10⁶}
-against the paper's ``sqrt(n)`` rule (§IV-C/§VIII).
+where the time goes with span aggregation, and emits the recommended
+cutoff curve ``m*(n)`` for n ∈ {10⁴, 10⁵, 10⁶} against the paper's
+``sqrt(n)`` rule (§IV-C/§VIII).
 
 Run headlessly::
 
@@ -787,7 +787,6 @@ class CalibrationReport:
     default_c_rekey: float = 0.0
     default_c_decrypt: float = 0.0
     span_breakdown: List[Dict[str, Any]] = field(default_factory=list)
-    profile_top: List[str] = field(default_factory=list)
     wall_seconds: float = 0.0
 
     def summary(self) -> Dict[str, Any]:
@@ -808,7 +807,6 @@ class CalibrationReport:
                 for p in self.curve
             ],
             "span_breakdown": self.span_breakdown,
-            "profile_top": self.profile_top,
             "wall_seconds": round(self.wall_seconds, 3),
         }
 
@@ -821,7 +819,7 @@ def run_calibration(seed: str = "scale-cal",
                     revocation_rate: float = 0.35,
                     decrypt_rate: float = 2.0,
                     curve_sizes: Sequence[int] = CURVE_SIZES,
-                    profile_hz: int = 97) -> CalibrationReport:
+                    ) -> CalibrationReport:
     """Measure ``c_rekey`` and ``c_decrypt`` from live operations.
 
     * ``c_rekey``: revoke one member from groups of ``rekey_sizes``
@@ -833,14 +831,14 @@ def run_calibration(seed: str = "scale-cal",
       measurement so the hint cache never amortizes the quadratic
       work); the slope against m² is the per-member² cost.
 
-    Span aggregation (``repro.obs``) and the sampling profiler both run
-    across the measurement so the report can attribute *where* the time
-    goes, then the recommended cutoff curve is evaluated at
-    ``curve_sizes`` (defaults 10⁴–10⁶, the paper's regime) for the given
-    workload mix and compared against sqrt(n).
+    Span aggregation (``repro.obs``) runs across the measurement so the
+    report can attribute *where* the time goes, then the recommended
+    cutoff curve is evaluated at ``curve_sizes`` (defaults 10⁴–10⁶, the
+    paper's regime) for the given workload mix and compared against
+    sqrt(n).
     """
     from repro import obs
-    from repro.obs.profile import SamplingProfiler
+    from repro.obs.export import aggregate_spans
 
     start = time.perf_counter()
     bound = max(max(decrypt_sizes), rekey_capacity) * 2
@@ -852,11 +850,9 @@ def run_calibration(seed: str = "scale-cal",
     tracer = obs.tracer()
     tracer.reset()
     obs.enable()
-    profiler = SamplingProfiler(hz=profile_hz)
     rekey_samples: List[Tuple[float, float]] = []
     decrypt_samples: List[Tuple[float, float]] = []
     try:
-        profiler.start()
         admin = system.admin
         for size in rekey_sizes:
             gid = f"cal-r{size}"
@@ -886,10 +882,9 @@ def run_calibration(seed: str = "scale-cal",
                 decrypt_samples.append(
                     (float(m) ** 2, time.perf_counter() - t0))
     finally:
-        profiler.stop()
         obs.disable()
     spans = tracer.spans()
-    aggregated = obs.aggregate_spans(spans) if spans else {"names": {}}
+    aggregated = aggregate_spans(spans) if spans else {"names": {}}
     tracer.reset()
     system.close()
 
@@ -911,7 +906,6 @@ def run_calibration(seed: str = "scale-cal",
         default_c_rekey=defaults.c_rekey,
         default_c_decrypt=defaults.c_decrypt,
         span_breakdown=breakdown,
-        profile_top=profiler.report_lines(10),
     )
     report.wall_seconds = time.perf_counter() - start
     return report
@@ -962,10 +956,6 @@ def add_scale_arguments(parser) -> None:
     parser.add_argument("--prom-out", default=None, metavar="PATH",
                         help="write the final metric snapshot as "
                              "Prometheus text exposition here")
-    parser.add_argument("--profile-out", default=None, metavar="PATH",
-                        help="run the sampling profiler across the "
-                             "scenario; write top-lines + collapsed "
-                             "stacks here")
 
 
 def config_from_args(args) -> ScaleConfig:
@@ -987,18 +977,13 @@ def run_from_args(args) -> int:
     import os
 
     from repro import obs
+    from repro.obs.export import write_chrome_trace, write_prometheus
 
     trace_out = getattr(args, "trace_out", None)
     prom_out = getattr(args, "prom_out", None)
-    profile_out = getattr(args, "profile_out", None)
-    for path in (args.json_out, trace_out, prom_out, profile_out):
+    for path in (args.json_out, trace_out, prom_out):
         if path and os.path.dirname(path):
             os.makedirs(os.path.dirname(path), exist_ok=True)
-    profiler = None
-    if profile_out:
-        from repro.obs.profile import SamplingProfiler
-
-        profiler = SamplingProfiler().start()
     tracing = bool(trace_out)
     if tracing:
         obs.tracer().reset()
@@ -1012,8 +997,6 @@ def run_from_args(args) -> int:
         else:
             report = run_scale(config_from_args(args))
     finally:
-        if profiler is not None:
-            profiler.stop()
         if tracing:
             obs.disable()
     payload = report.summary()
@@ -1024,17 +1007,11 @@ def run_from_args(args) -> int:
         with open(args.json_out, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
     if trace_out:
-        obs.write_chrome_trace(obs.tracer().spans(), trace_out)
+        write_chrome_trace(obs.tracer().spans(), trace_out)
         obs.tracer().reset()
     if prom_out:
         metrics = getattr(report, "metrics", None) or {}
-        obs.write_prometheus(metrics, prom_out)
-    if profile_out:
-        with open(profile_out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(profiler.report_lines(25)))
-            fh.write("\n\n# collapsed stacks\n")
-            fh.write("\n".join(profiler.collapsed()))
-            fh.write("\n")
+        write_prometheus(metrics, prom_out)
     if args.calibrate:
         return 0
     return 0 if report.converged else 1

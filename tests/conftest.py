@@ -12,8 +12,9 @@ import pytest
 from repro import ibbe, quickstart_system
 from repro.crypto.rng import DeterministicRng
 from repro.pairing import PairingGroup, toy64
-from repro.sgx import Auditor, IntelAttestationService
 from repro.sgx.attestation import provision_user_key, setup_trust
+from repro.sgx.auditor import Auditor
+from repro.sgx.ias import IntelAttestationService
 
 
 @pytest.fixture(scope="session")

@@ -2,10 +2,21 @@
 like deployment from the state directory)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main
+from repro.cloud import CloudStore
+from repro.core.multiadmin import ConcurrentAdministrator
+from repro.crypto.rng import DeterministicRng
+from repro.net import RemoteCloudStore
+from repro.sgx import SgxDevice
+from repro.workloads.chaos import cloud_digest
 
 
 @pytest.fixture()
@@ -177,3 +188,68 @@ class TestServeHostsAStoreOnly:
                         ["rekey", "g"], ["delete-group", "g"]):
             assert run(command[0], "--state", state, "--cloud", cloud,
                        *command[1:]) == 0
+
+
+def two_admin_workload(store, seed: str = "served-store") -> bytes:
+    """Seeded two-administrator churn and a late client's sync against
+    ``store``: the second administrator (own enclave on its own device,
+    MSK by ``System.join``) refreshes between operations, then the first
+    operates on a stale view, so the OCC retry path runs over whatever
+    store is plugged in.  Returns the surviving member's group key."""
+    system = repro.quickstart_system(
+        partition_capacity=4, params="toy64", rng=DeterministicRng(seed),
+        cloud=store, auto_repartition=False)
+    second = system.join(
+        SgxDevice(rng=DeterministicRng(f"{seed}-b-device")),
+        rng=DeterministicRng(f"{seed}-b"))
+    try:
+        admin1 = ConcurrentAdministrator(system.admin)
+        admin2 = ConcurrentAdministrator(second.admin)
+        admin1.create_group("team", ["alice", "bob", "carol", "dave"])
+        admin2.refresh("team")
+        admin2.add_user("team", "erin")
+        admin1.add_user("team", "frank")     # stale view -> conflict retry
+        admin2.refresh("team")
+        admin2.remove_user("team", "bob")
+        admin1.rekey("team")                 # stale again -> conflict retry
+        client = system.make_client("team", "alice")
+        client.sync()
+        assert set(system.admin.members("team")) == {
+            "alice", "carol", "dave", "erin", "frank"}
+        return client.current_group_key()
+    finally:
+        system.close()
+        second.close()
+
+
+class TestServeSubprocess:
+    def test_served_store_is_byte_identical_and_healthy(self, tmp_path):
+        """What only a live server adds to the in-thread identity tests
+        (``tests/test_net.py``): a real ``repro.cli serve`` process on an
+        ephemeral port, found by its ``serving tcp://…`` banner, hosts
+        the two-administrator workload to the same key and cloud bytes
+        as an in-process ``CloudStore``, and ``health`` exits 0."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve",
+             "--cloud", str(tmp_path / "served"), "--port", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            env={**os.environ, "PYTHONPATH": src})
+        try:
+            banner = server.stdout.readline()
+            assert banner.startswith("serving tcp://"), banner
+            url = banner.split()[1]
+            remote = RemoteCloudStore(url)
+            try:
+                remote_key = two_admin_workload(remote)
+                remote_digest = cloud_digest(remote)
+            finally:
+                remote.close()
+            local = CloudStore()
+            assert two_admin_workload(local) == remote_key
+            assert cloud_digest(local) == remote_digest
+            assert run("health", "--store-url", url) == 0
+        finally:
+            server.terminate()
+            server.wait(timeout=10)
+            server.stdout.close()

@@ -233,18 +233,6 @@ class TestFreshness:
         system.cloud.put(path, current)  # same epoch: no rollback
         client.sync()
 
-    def test_enforcement_can_be_disabled(self, world):
-        system, _ = world
-        relaxed = system.make_client("g", "user2")
-        relaxed.enforce_freshness = False
-        relaxed.sync()
-        path = descriptor_path("g")
-        old_descriptor = system.cloud.get(path).data
-        system.admin.remove_user("g", "user3")
-        relaxed.sync()
-        system.cloud.put(path, old_descriptor)
-        relaxed.sync()  # tolerated when explicitly disabled
-
     def test_epoch_progresses_across_operations(self, world):
         system, client = world
         assert client._highest_epoch == 0

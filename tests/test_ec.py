@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.rng import DeterministicRng
-from repro.ec import P256, Curve, Point, hash_to_point
+from repro.ec import P256, Curve, Point
+from repro.ec.hashing import hash_to_point
 from repro.errors import CurveError, ParameterError
 
 scalars = st.integers(min_value=0, max_value=P256.order - 1)

@@ -19,10 +19,12 @@ from repro.obs import (
     MetricSource,
     Span,
     Tracer,
+    merge_snapshots,
+)
+from repro.obs.export import (
     aggregate_spans,
     breakdown_table,
     format_metrics,
-    merge_snapshots,
     telemetry_snapshot,
     write_jsonl,
 )
@@ -387,7 +389,7 @@ class TestExporters:
         assert "p50" in lines[0] and "p95" in lines[0]
 
     def test_prometheus_exposition(self):
-        from repro.obs import metrics_to_prometheus
+        from repro.obs.export import metrics_to_prometheus
 
         metrics = {
             "sgx.crossings": 5,
@@ -416,7 +418,7 @@ class TestExporters:
         assert text.endswith("\n")
 
     def test_chrome_trace_object_format(self):
-        from repro.obs import spans_to_chrome_trace
+        from repro.obs.export import spans_to_chrome_trace
 
         tr = _make_trace()
         trace = spans_to_chrome_trace(tr.spans(), process_name="demo")
@@ -436,7 +438,7 @@ class TestExporters:
 
 class TestExporterEdgeCases:
     def test_prometheus_empty_registry(self):
-        from repro.obs import metrics_to_prometheus
+        from repro.obs.export import metrics_to_prometheus
 
         text = metrics_to_prometheus({})
         assert text == "\n"
@@ -498,7 +500,7 @@ class TestExporterEdgeCases:
 
     def test_chrome_trace_connection_lanes(self):
         """Negative tids render as conn-N lanes, positive as worker-N."""
-        from repro.obs import spans_to_chrome_trace
+        from repro.obs.export import spans_to_chrome_trace
 
         tr = Tracer(enabled=True)
         with tr.span("net.rpc.store.get", "net"):

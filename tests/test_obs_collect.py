@@ -22,6 +22,7 @@ from repro.obs.collect import (
     merge_traces,
     register_worker_source,
 )
+from repro.obs.export import write_chrome_trace
 from repro.obs.metrics import MetricRegistry
 from repro.obs.spans import Tracer, tracer as global_tracer
 
@@ -98,7 +99,7 @@ class TestWorkerParity:
         ``trace_event`` JSON (object format, complete events)."""
         (_, _, _, _), (_, par_tids, _, spans) = runs
         path = tmp_path / "trace.json"
-        written = obs.write_chrome_trace(spans, path)
+        written = write_chrome_trace(spans, path)
         assert written == len(spans)
         trace = json.loads(path.read_text("utf-8"))
         assert set(trace) == {"traceEvents", "displayTimeUnit"}

@@ -32,7 +32,7 @@ class TestQuotes:
         quote = enclave.call("get_attestation_quote")
         report = ias.verify_quote(quote)
         assert report.is_ok
-        IntelAttestationService.verify_report(report, ias.report_public_key)
+        report.verify(ias.report_public_key)
 
     def test_unknown_device_rejected(self, world, group):
         _, ias, _, _, rng = world
@@ -64,7 +64,13 @@ class TestQuotes:
         report = ias.verify_quote(enclave.call("get_attestation_quote"))
         wrong_key = ecdsa.generate_keypair(rng).public_key()
         with pytest.raises(AttestationError):
-            IntelAttestationService.verify_report(report, wrong_key)
+            report.verify(wrong_key)
+
+    def test_nonce_is_absent_or_32_bytes(self, world):
+        _, _, enclave, _, _ = world
+        for junk in (b"short", bytes(33), "0" * 32, 32):
+            with pytest.raises(AttestationError, match="32 bytes"):
+                enclave.call("get_attestation_quote", junk)
 
     def test_double_registration_rejected(self, world):
         device, ias, _, _, _ = world
@@ -92,6 +98,18 @@ class TestAuditor:
         quote = enclave.call("get_attestation_quote")
         with pytest.raises(AttestationError, match="commit"):
             auditor.attest_and_certify(quote, b"some other key")
+
+    def test_nonce_carrying_quote_is_certified(self, world):
+        """One quote ecall serves both verifiers: the Auditor reads the
+        key commitment only, so a peer's challenge in the second half of
+        the report data does not disturb it."""
+        _, _, enclave, auditor, _ = world
+        auditor.approve_measurement(enclave.measurement)
+        quote = enclave.call("get_attestation_quote", bytes(range(32)))
+        assert quote.report_data[32:] == bytes(range(32))
+        cert = auditor.attest_and_certify(
+            quote, enclave.call("get_public_key"))
+        cert.verify(auditor.ca_public_key)
 
     def test_cert_tamper_detected(self, world):
         _, _, enclave, auditor, _ = world
@@ -188,7 +206,7 @@ class PeerWorld:
         ``(report, key)`` pair ``prover`` would present to ``verifier``."""
         nonce = verifier.call("peer_offer")["nonce"]
         report = (ias or self.ias).verify_quote(
-            prover.call("peer_quote", nonce))
+            prover.call("get_attestation_quote", nonce))
         return report, prover.call("get_public_key")
 
 
@@ -209,7 +227,7 @@ def unpinned_ias_key(w):
 
 def report_is_not_a_report(w):
     nonce = w.source.call("peer_offer")["nonce"]
-    quote = w.target.call("peer_quote", nonce)
+    quote = w.target.call("get_attestation_quote", nonce)
     return w.source, w.target, _register(
         w.source, quote, w.target.call("get_public_key"))
 
@@ -238,6 +256,16 @@ def substituted_key(w):
     mallory = w.load(w.device())
     return w.source, mallory, _register(
         w.source, report, mallory.call("get_public_key"))
+
+
+def nonceless_quote(w):
+    """The quote the Auditor certifies answers no challenge: its zero
+    second half is never a nonce ``peer_offer`` issued."""
+    w.source.call("peer_offer")
+    report = w.ias.verify_quote(w.target.call("get_attestation_quote"))
+    assert report.is_ok and report.report_data[32:] == bytes(32)
+    return w.source, w.target, _register(
+        w.source, report, w.target.call("get_public_key"))
 
 
 def replayed_report(w):
@@ -297,6 +325,7 @@ MAGE_REFUSALS = [
     (revoked_platform, "rejected by IAS: DEVICE_REVOKED"),
     (different_measured_config, "runs different code"),
     (substituted_key, "does not commit to the presented key"),
+    (nonceless_quote, "outstanding challenge"),
     (replayed_report, "outstanding challenge"),
     (export_to_unregistered_key, "not a mutually attested peer"),
     (import_from_unregistered_sender, "not a mutually attested peer"),
@@ -347,7 +376,7 @@ class TestPeerRefusals:
         key = w.target.call("get_public_key")
 
         def answer(nonce):
-            return w.ias.verify_quote(w.target.call("peer_quote", nonce))
+            return w.ias.verify_quote(w.target.call("get_attestation_quote", nonce))
 
         with pytest.raises(AttestationError,
                            match="does not answer an outstanding challenge"):

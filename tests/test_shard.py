@@ -215,7 +215,7 @@ class TestFailover:
         each — fewer than a table takes to pay back — and nobody marks
         them long-lived, so re-attestation leaves the table count alone."""
         from repro.ec import precomp_registry
-        from repro.sgx import mutual_attest
+        from repro.sgx.attestation import mutual_attest
         system = build(2)
         try:
             first, second = (shard.enclave for shard in system.shards)
