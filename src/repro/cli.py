@@ -219,11 +219,10 @@ _GROUP_COMMANDS = {
 
 
 def cmd_group_op(args) -> int:
-    """Run one of :data:`_GROUP_COMMANDS`; the administrator of a cold
-    process loads the group from the cloud first."""
+    """Run one of :data:`_GROUP_COMMANDS`; the operation loads the group
+    from the cloud on first use."""
     op, message = _GROUP_COMMANDS[args.command]
     admin = _open_system(args).admin
-    admin.ensure_loaded(args.group)
     operands = [args.user] if hasattr(args, "user") else []
     getattr(admin, op)(args.group, *operands)
     print(message.format(**vars(args)))

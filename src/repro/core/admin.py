@@ -37,6 +37,7 @@ from repro.crypto.rng import Rng, SystemRng
 from repro.enclave_app.ibbe_enclave import IbbeEnclave, PartitionBlob
 from repro.errors import (
     AccessControlError,
+    ConflictError,
     MembershipError,
     NotFoundError,
     SealingError,
@@ -579,27 +580,38 @@ class GroupAdministrator:
         group key was produced by another admin's enclave — the group key
         is recovered and re-sealed and the plan is rebuilt against the
         fresh ``state.sealed_group_key``, then re-run.
+
+        Only committed state stays cached: a plan that fails for any
+        reason but a lost race drops its group, which the next operation
+        reloads; a :class:`ConflictError` keeps it, stale-versioned, for
+        :meth:`sync_group` to adopt the winner's descriptor.
         """
-        plan = make_plan()
-        start = time.perf_counter()
-        with _span("admin.plan", group=state.group_id,
-                   op=plan.describe()):
-            crash_point("admin.plan.pre_ecalls")
-            try:
-                results = self._run_ecalls(plan.ecalls)
-            except SealingError:
-                state.sealed_group_key = self._recover_sealed_gk(state)
-                plan = make_plan()
-                results = self._run_ecalls(plan.ecalls)
-            effects = plan.effects(results)
-            if effects.sealed_gk is not None:
-                state.sealed_group_key = effects.sealed_gk
-            if plan.bump_epoch:
-                state.epoch += 1
-            crash_point("admin.plan.pre_commit")
-            self._commit_effects(state, effects)
-            crash_point("admin.plan.post_commit")
-            self.metrics.plans_committed += 1
+        try:
+            plan = make_plan()
+            start = time.perf_counter()
+            with _span("admin.plan", group=state.group_id,
+                       op=plan.describe()):
+                crash_point("admin.plan.pre_ecalls")
+                try:
+                    results = self._run_ecalls(plan.ecalls)
+                except SealingError:
+                    state.sealed_group_key = self._recover_sealed_gk(state)
+                    plan = make_plan()
+                    results = self._run_ecalls(plan.ecalls)
+                effects = plan.effects(results)
+                if effects.sealed_gk is not None:
+                    state.sealed_group_key = effects.sealed_gk
+                if plan.bump_epoch:
+                    state.epoch += 1
+                crash_point("admin.plan.pre_commit")
+                self._commit_effects(state, effects)
+                crash_point("admin.plan.post_commit")
+                self.metrics.plans_committed += 1
+        except ConflictError:
+            raise
+        except BaseException:
+            self.cache.drop(state.group_id)
+            raise
         self.metrics.op_seconds.observe(time.perf_counter() - start)
 
     def _run_ecalls(self, ecalls: Sequence[EcallOp]) -> List[Any]:
@@ -717,9 +729,10 @@ class GroupAdministrator:
             return state
 
     def ensure_loaded(self, group_id: str) -> AdminGroupState:
-        """The group's state, loaded from the cloud on a cold cache — how
-        a freshly started administrator process (every CLI invocation)
-        picks up an existing group."""
+        """The group's state, loaded from the cloud on a cold cache.
+        Every operation goes through this loader, so a fresh process
+        (every CLI invocation) picks up an existing group on first use,
+        and a group dropped by a failed plan is reloaded alone."""
         state = self.cache.get(group_id)
         if state is None:
             state = self.load_group_from_cloud(group_id)
@@ -866,7 +879,7 @@ class GroupAdministrator:
         )
 
     def _require_group(self, group_id: str) -> AdminGroupState:
-        state = self.cache.get(group_id)
-        if state is None:
-            raise AccessControlError(f"unknown group {group_id!r}")
-        return state
+        try:
+            return self.ensure_loaded(group_id)
+        except NotFoundError as exc:
+            raise AccessControlError(f"unknown group {group_id!r}") from exc

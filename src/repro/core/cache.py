@@ -68,11 +68,6 @@ class AdminCache:
     def drop(self, group_id: str) -> None:
         self._groups.pop(group_id, None)
 
-    def group_ids(self) -> list:
-        """Ids of every cached group (used by enclave-restart recovery to
-        know which groups to reload from the cloud)."""
-        return sorted(self._groups)
-
     def __contains__(self, group_id: str) -> bool:
         return group_id in self._groups
 

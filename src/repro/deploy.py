@@ -162,27 +162,25 @@ class System:
         return count
 
     def restart_enclave(self) -> None:
-        """Full enclave restart: destroy → fresh load → unseal → reload.
+        """Full enclave restart: destroy → fresh load → unseal.
 
         Models the recovery a real deployment runs after an enclave
         crash, host reboot, or migration (the seamless-restart story of
         ReplicaTEE): the running enclave is torn down, a new one is
-        loaded with the *same measured configuration*, the sealed MSK is
-        unsealed back into it, and the administrator's cached group
-        state is rebuilt from cloud metadata.  Sealing and the attested
-        identity key are bound to the measurement, not the instance, so
-        the existing certificate remains valid and no re-attestation is
-        needed.
+        loaded with the *same measured configuration* and the sealed MSK
+        is unsealed back into it.  The administrator's group cache is
+        kept as it is: it holds only committed state (a failed plan drops
+        its group), a restart changes neither the cloud nor host memory,
+        and the cached sealed group keys unseal on the same device and
+        measurement.  Sealing and the attested identity key are bound to
+        the measurement, not the instance, so the existing certificate
+        remains valid and no re-attestation is needed.
         """
-        group_ids = self.admin.cache.group_ids()
         self.enclave.destroy()
         enclave = IbbeEnclave.load(self.device, self.enclave_config)
         enclave.call("restore_system", self.sealed_msk, self.public_key)
         self.enclave = enclave
         self.admin.enclave = enclave
-        for group_id in group_ids:
-            self.admin.cache.drop(group_id)
-            self.admin.load_group_from_cloud(group_id)
 
     def close(self) -> None:
         """Tear the deployment down: forgets its clients and destroys the

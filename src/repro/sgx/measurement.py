@@ -6,13 +6,25 @@ implementing it plus a declared code version and configuration, hashed into
 a 32-byte measurement.  Changing any of these (i.e. running different code)
 changes the measurement, which is what the Auditor checks before certifying
 an enclave (Fig. 3, step 2-3).
+
+A class's source is read once per class object, so every later load
+hashes the same bytes without re-parsing the module.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import inspect
 from typing import Mapping
+
+
+@functools.lru_cache(maxsize=None)
+def _class_source(enclave_class: type) -> bytes:
+    try:
+        return inspect.getsource(enclave_class).encode("utf-8")
+    except (OSError, TypeError):
+        return b""
 
 
 def measure_enclave(enclave_class: type, version: str,
@@ -27,11 +39,7 @@ def measure_enclave(enclave_class: type, version: str,
     hasher.update(enclave_class.__module__.encode("utf-8") + b"\x00")
     hasher.update(enclave_class.__qualname__.encode("utf-8") + b"\x00")
     hasher.update(version.encode("utf-8") + b"\x00")
-    try:
-        source = inspect.getsource(enclave_class)
-    except (OSError, TypeError):
-        source = ""
-    hasher.update(source.encode("utf-8"))
+    hasher.update(_class_source(enclave_class))
     for key in sorted(config or {}):
         hasher.update(f"{key}={config[key]!r}\x00".encode("utf-8"))
     return hasher.digest()

@@ -34,8 +34,9 @@ counters guarding sealed-blob freshness — survives, as on real
 hardware.  The router detects the dead shard on the next routed
 operation (or an explicit :meth:`health` probe) and respawns it:
 :meth:`repro.System.restart_enclave` reloads the measured
-configuration, unseals the MSK, and rolls the administrator's cached
-group state forward from the cloud journal; then the shard
+configuration and unseals the MSK, keeping the administrator's group
+cache — it holds committed state only, since a plan the death
+interrupted dropped its group for the retry to reload; then the shard
 *re-attests* to a live peer (retried through a
 :class:`~repro.faults.RetryPolicy`, since injected ``attest.fail``
 faults raise the retryable
@@ -260,8 +261,9 @@ class ShardedSystem:
 
     def respawn_shard(self, index: int) -> Shard:
         """Bring a dead shard back: restart the enclave from its measured
-        config + sealed MSK, roll cached group state forward from the
-        cloud journal, and re-attest to a live peer before serving."""
+        config + sealed MSK (the committed group cache is kept, nothing
+        is read from the store) and re-attest to a live peer before
+        serving."""
         shard = self.shards[index]
         shard.system.restart_enclave()
         shard.alive = True

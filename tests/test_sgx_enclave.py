@@ -1,10 +1,16 @@
 """Enclave boundary tests: typed dispatch, batching, leak scanning,
 isolation enforcement, lifecycle."""
 
+import hashlib
+import inspect
+import types
+
 import pytest
 
 from repro.crypto.rng import DeterministicRng
+from repro.enclave_app import IbbeEnclave
 from repro.errors import EnclaveError
+from repro.sgx import measurement
 from repro.sgx.device import SgxDevice
 from repro.sgx.enclave import (
     ECALL_CROSSING_CYCLES,
@@ -224,6 +230,34 @@ class TestMeasurement:
         a = ToyEnclave.load(device, {"x": 1})
         b = ToyEnclave.load(device, {"x": 2})
         assert a.measurement != b.measurement
+
+    def test_memoised_source_hashes_the_same_bytes(self):
+        expected = hashlib.sha256(b"repro:mrenclave:v1\x00")
+        for part in (IbbeEnclave.__module__, IbbeEnclave.__qualname__,
+                     IbbeEnclave.VERSION):
+            expected.update(part.encode("utf-8") + b"\x00")
+        expected.update(inspect.getsource(IbbeEnclave).encode("utf-8"))
+        expected.update(b"x=1\x00")
+        for _ in range(2):
+            assert (measurement.measure_enclave(
+                IbbeEnclave, IbbeEnclave.VERSION, {"x": 1})
+                == expected.digest())
+
+    def test_source_is_read_once_per_class(self, device, monkeypatch):
+        class Fresh(ToyEnclave):
+            VERSION = "toy-1"
+
+        reads = []
+
+        def getsource(obj):
+            reads.append(obj)
+            return inspect.getsource(obj)
+
+        monkeypatch.setattr(measurement, "inspect",
+                            types.SimpleNamespace(getsource=getsource))
+        first, second = Fresh.load(device), Fresh.load(device)
+        assert first.measurement == second.measurement
+        assert reads == [Fresh]
 
 
 class TestSealingIntegration:

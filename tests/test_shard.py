@@ -11,6 +11,7 @@ from repro import obs
 from repro.errors import (
     AttestationError,
     EnclaveError,
+    StorageError,
     TransientAttestationError,
     UnavailableError,
     ValidationError,
@@ -242,6 +243,80 @@ class TestFailover:
                 system.close()
         finally:
             install(None)
+
+
+def die_in_ecalls(system, shard):
+    """The shard dies as its plan enters the enclave: the dead enclave
+    refuses the batch (:class:`EnclaveError`)."""
+    admin = shard.admin
+
+    def dying(ecalls):
+        del admin._run_ecalls          # one death only
+        system.kill_shard(shard.index)
+        return admin._run_ecalls(ecalls)
+
+    admin._run_ecalls = dying
+
+
+def die_in_commit(system, shard):
+    """The shard dies with its commit in flight and the store refuses it
+    (a non-conflict :class:`StorageError`)."""
+    admin = shard.admin
+
+    def dying(state, effects):
+        del admin._commit_effects      # one death only
+        system.kill_shard(shard.index)
+        raise StorageError("connection dropped mid-commit")
+
+    admin._commit_effects = dying
+
+
+class TestMidOperationDeath:
+    """A shard that dies inside a routed operation leaves no half-applied
+    state in its administrator's cache: the failed plan drops its group,
+    and the retry — after the RNG rewind ``workloads.chaos.drive`` does —
+    respawns the shard and reloads that group alone."""
+
+    @pytest.mark.parametrize("die, error", [
+        (die_in_ecalls, EnclaveError), (die_in_commit, StorageError)],
+        ids=["ecalls", "commit"])
+    def test_failed_add_drops_its_group_and_retry_reloads_only_it(
+            self, die, error):
+        gid = "galois"
+        reference = build(1)
+        try:
+            for group in sorted(GROUPS):
+                reference.create_group(group, GROUPS[group])
+            reference.add_user(gid, "galois.dave")
+            expected = cloud_digest(reference.cloud)
+        finally:
+            reference.close()
+
+        system = build(2)
+        try:
+            for group in sorted(GROUPS):
+                system.create_group(group, GROUPS[group])
+            shard = system.shards[system.owner(gid)]
+            assert sum(system.owner(g) == shard.index for g in GROUPS) >= 2
+            admin = shard.admin
+            die(system, shard)
+            snapshot = system.rng.getstate()
+            with pytest.raises(error):
+                system.add_user(gid, "galois.dave")
+            # The add had already placed the user in the table.
+            assert gid not in admin.cache
+
+            system.rng.setstate(snapshot)
+            loads = []
+            load = admin.load_group_from_cloud
+            admin.load_group_from_cloud = (
+                lambda group: loads.append(group) or load(group))
+            system.add_user(gid, "galois.dave")
+            assert shard.respawns == 1
+            assert loads == [gid]
+            assert cloud_digest(system.cloud) == expected
+        finally:
+            system.close()
 
 
 class TestShardTrust:
