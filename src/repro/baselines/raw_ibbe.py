@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro import ibbe
-from repro.cloud.store import CloudStore
+from repro.cloud import CloudBatch, CloudStore
 from repro.crypto.envelope import (
     GROUP_KEY_SIZE,
     unwrap_group_key,
@@ -75,7 +75,8 @@ class RawIbbeGroupManager:
         if not remaining:
             del self._groups[group_id]
             if self.cloud is not None:
-                self.cloud.delete(f"/{group_id}/ibbe-metadata")
+                self.cloud.commit(
+                    CloudBatch().delete(f"/{group_id}/ibbe-metadata"))
             return
         new_state = self._encrypt(group_id, remaining)
         self._groups[group_id] = new_state

@@ -2,22 +2,22 @@
 
 The cloud stores group metadata under the bi-level hierarchy
 ``/<group>/p<k>`` and doubles as the broadcast channel for membership
-changes: administrators PUT partition objects, clients long-poll the group
-directory (Dropbox long polling works at directory level, paper §V-A).
+changes: administrators commit partition objects, clients long-poll the
+group directory (Dropbox long polling works at directory level, paper
+§V-A).
 """
 
 from repro.cloud.filestore import FileCloudStore
 from repro.cloud.latency import LatencyModel
 from repro.cloud.protocol import (
     INSPECTION_METHODS,
-    MUTATING_METHODS,
     ROUND_TRIP_METHODS,
-    CloudStoreProtocol,
-)
-from repro.cloud.store import (
     BatchDelete,
     BatchPut,
     CloudBatch,
+    CloudStoreProtocol,
+)
+from repro.cloud.store import (
     CloudObject,
     CloudStore,
     DirectoryEvent,
@@ -29,7 +29,6 @@ __all__ = [
     "CloudStoreProtocol",
     "ROUND_TRIP_METHODS",
     "INSPECTION_METHODS",
-    "MUTATING_METHODS",
     "CloudStore",
     "FileCloudStore",
     "CloudObject",

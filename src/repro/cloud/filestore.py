@@ -12,8 +12,8 @@ Concurrency model: single-writer-at-a-time per object (the paper's single
 administrator; the multi-admin extension layers optimistic concurrency on
 top via conditional puts, which this store honours).
 
-Crash consistency: every mutation — single put/delete or batch commit —
-is first recorded in a ``commit.journal`` written with temp-file +
+Crash consistency: every mutation — a commit, of one op or many — is
+first recorded in a ``commit.journal`` written with temp-file +
 ``os.replace``, then applied (each data/meta file itself replaced
 atomically), then logged to the event file, then the journal is removed.
 A process killed anywhere in that sequence leaves either no journal (the
@@ -50,11 +50,13 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.cloud.latency import LatencyModel
-from repro.cloud.protocol import CloudStoreProtocol
-from repro.cloud.store import (
+from repro.cloud.protocol import (
     BatchDelete,
     BatchPut,
     CloudBatch,
+    CloudStoreProtocol,
+)
+from repro.cloud.store import (
     CloudMetrics,
     CloudObject,
     DirectoryEvent,
@@ -127,22 +129,6 @@ class FileCloudStore(CloudStoreProtocol):
 
     # -- object API -----------------------------------------------------------
 
-    def put(self, path: str, data: bytes,
-            expected_version: Optional[int] = None) -> int:
-        path = _normalize(path)
-        with _span("cloud.put", path=path, bytes=len(data)) as sp:
-            sp.set(latency_ms=self._account(bytes_in=len(data)))
-            current = self._current_version(path)
-            if expected_version is not None and current != expected_version:
-                raise ConflictError(
-                    f"version conflict on {path}: have {current}, "
-                    f"expected {expected_version}"
-                )
-            version = current + 1
-            self._journaled_apply([("put", path, data, version)])
-            self._note_mutation()
-            return version
-
     def get(self, path: str) -> CloudObject:
         path = _normalize(path)
         with _span("cloud.get", path=path) as sp:
@@ -173,19 +159,6 @@ class FileCloudStore(CloudStoreProtocol):
             sp.set(objects=len(found), bytes=payload,
                    latency_ms=self._account(bytes_out=payload))
             return found
-
-    def exists(self, path: str) -> bool:
-        return (self._objects_dir / _slug(_normalize(path))).exists()
-
-    def delete(self, path: str) -> None:
-        path = _normalize(path)
-        object_path = self._objects_dir / _slug(path)
-        if not object_path.exists():
-            raise NotFoundError(f"no object at {path}")
-        version = self._read_version(object_path.with_suffix(".meta"))
-        self._account()
-        self._journaled_apply([("delete", path, None, version)])
-        self._note_mutation()
 
     def commit(self, batch: CloudBatch) -> Dict[str, int]:
         """Atomic multi-object write; see :meth:`CloudStore.commit`.
@@ -361,13 +334,6 @@ class FileCloudStore(CloudStoreProtocol):
                 version=self._read_version(entry.with_suffix(".meta")),
             )
 
-    def total_stored_bytes(self, prefix: str = "/") -> int:
-        prefix = _normalize(prefix)
-        return sum(
-            len(obj.data) for obj in self.adversary_view()
-            if obj.path.startswith(prefix)
-        )
-
     # -- internals -----------------------------------------------------------------
 
     def _current_version(self, path: str) -> int:
@@ -390,7 +356,7 @@ class FileCloudStore(CloudStoreProtocol):
         None, version)`` ops under the journal protocol (see the module
         docstring).  Versions are absolute, making roll-forward
         idempotent."""
-        first_seq = self._last_sequence() + 1
+        first_seq = self._last_seq + 1
         records = []
         events = []
         for offset, (kind, path, data, version) in enumerate(ops):
@@ -546,10 +512,7 @@ class FileCloudStore(CloudStoreProtocol):
         self._meta_rebuilds.add()
         return version
 
-    def _last_sequence(self) -> int:
-        return self._last_seq
-
-    def _note_mutation(self, count: int = 1) -> None:
+    def _note_mutation(self, count: int) -> None:
         """Advance the auto-compaction policy by ``count`` committed
         mutations, compacting when the interval elapses."""
         if self._compact_every is None:

@@ -10,18 +10,26 @@ conformance suite over all of them, and the wire schema in
 :mod:`repro.net.wire` maps the contract one method per RPC, so "what a
 store is" is checked in exactly one place.
 
-The contract splits into two method classes:
+**Every write is a commit.**  :meth:`CloudStoreProtocol.commit` of a
+:class:`CloudBatch` is the one mutation a store implements; it validates,
+charges, journals and serves a write set as one request.  :meth:`put` is
+a one-op commit written once, here, so a single put is guarded, counted
+and crash-consistent exactly as any batch is.  A delete is
+``commit(CloudBatch().delete(path))``, and whether a path is live is
+``path in get_many([path])``.
+
+The contract names only what something calls, in two method classes:
 
 * **round trips** (:data:`ROUND_TRIP_METHODS`) — operations a remote
   store pays a network request for, and therefore the operations the
   fault layer injects outages/timeouts into and the metrics layer counts
   as requests;
 * **inspection** (:data:`INSPECTION_METHODS`) — local accessors
-  (`snapshot_horizon`, `head_sequence`) and test-only interfaces
-  (`adversary_view`, `total_stored_bytes`) that are *not* charged as
-  round trips by the in-process stores.  The remote store necessarily
-  pays a request for them too, but fault decorators leave them
-  unguarded so chaos schedules stay aligned with the in-process runs.
+  (`snapshot_horizon`, `head_sequence`) and the test-only
+  `adversary_view` that are *not* charged as round trips by the
+  in-process stores.  The remote store necessarily pays a request for
+  them too, but fault decorators leave them unguarded so chaos schedules
+  stay aligned with the in-process runs.
 
 ``ROUND_TRIP_METHODS`` maps each method name to the index of its path
 (or directory) argument, ``None`` when the operation has no single path
@@ -33,16 +41,14 @@ pass-throughs that silently rot when the contract grows.
 from __future__ import annotations
 
 import abc
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 #: Round-trip method name -> index of the positional path/directory
 #: argument consulted by fault injection (``None``: no single path).
 ROUND_TRIP_METHODS: Dict[str, Optional[int]] = {
-    "put": 0,
     "get": 0,
     "get_many": None,
-    "exists": 0,
-    "delete": 0,
     "commit": None,
     "list_dir": 0,
     "poll_dir": 0,
@@ -55,13 +61,64 @@ INSPECTION_METHODS: Tuple[str, ...] = (
     "snapshot_horizon",
     "head_sequence",
     "adversary_view",
-    "total_stored_bytes",
 )
 
-#: Round trips that mutate store state.  A request that fails *before*
-#: reaching the store (an injected outage) is safe to retry for every
-#: method; a mutating request whose *response* is lost is not.
-MUTATING_METHODS: Tuple[str, ...] = ("put", "delete", "commit", "compact")
+
+@dataclass(frozen=True)
+class BatchPut:
+    """One put inside a :class:`CloudBatch` (conditional iff
+    ``expected_version`` is set)."""
+
+    path: str
+    data: bytes
+    expected_version: Optional[int] = None
+
+
+@dataclass(frozen=True)
+class BatchDelete:
+    """One delete inside a :class:`CloudBatch`.
+
+    ``ignore_missing`` makes the delete a no-op when the object is absent
+    (garbage that another admin may already have collected).
+    """
+
+    path: str
+    ignore_missing: bool = False
+
+
+BatchOp = Union[BatchPut, BatchDelete]
+
+
+@dataclass
+class CloudBatch:
+    """An ordered multi-object write, committed atomically in one request.
+
+    Build with :meth:`put` / :meth:`delete` (chainable) or pass operations
+    directly.  Operation order matters: events are emitted in it, and a
+    put after a delete of the same path restarts the version at 1, exactly
+    as sequential commits would.
+    """
+
+    ops: List[BatchOp] = field(default_factory=list)
+
+    def put(self, path: str, data: bytes,
+            expected_version: Optional[int] = None) -> "CloudBatch":
+        self.ops.append(BatchPut(path, data, expected_version))
+        return self
+
+    def delete(self, path: str, ignore_missing: bool = False) -> "CloudBatch":
+        self.ops.append(BatchDelete(path, ignore_missing))
+        return self
+
+    def __len__(self) -> int:
+        return len(self.ops)
+
+    def __bool__(self) -> bool:
+        return bool(self.ops)
+
+    @property
+    def payload_bytes(self) -> int:
+        return sum(len(op.data) for op in self.ops if isinstance(op, BatchPut))
 
 
 class CloudStoreProtocol(abc.ABC):
@@ -78,14 +135,6 @@ class CloudStoreProtocol(abc.ABC):
     # -- round trips --------------------------------------------------------
 
     @abc.abstractmethod
-    def put(self, path: str, data: bytes,
-            expected_version: Optional[int] = None) -> int:
-        """Store an object, returning its new version (1 for a fresh
-        path).  With ``expected_version`` the put is conditional and
-        raises :class:`~repro.errors.ConflictError` on a version
-        mismatch (0 = "must not exist")."""
-
-    @abc.abstractmethod
     def get(self, path: str) -> Any:
         """Fetch one :class:`~repro.cloud.CloudObject`;
         :class:`~repro.errors.NotFoundError` if absent."""
@@ -96,20 +145,14 @@ class CloudStoreProtocol(abc.ABC):
         silently skipped.  Returns ``{normalized path: CloudObject}``."""
 
     @abc.abstractmethod
-    def exists(self, path: str) -> bool:
-        """Whether a live object sits at ``path``."""
-
-    @abc.abstractmethod
-    def delete(self, path: str) -> None:
-        """Delete the object at ``path``;
-        :class:`~repro.errors.NotFoundError` if absent."""
-
-    @abc.abstractmethod
-    def commit(self, batch: Any) -> Dict[str, int]:
-        """Apply a :class:`~repro.cloud.CloudBatch` atomically as ONE
-        request: all operations validate against the projected state
-        before anything mutates.  Returns ``{path: new version}`` for
-        the puts."""
+    def commit(self, batch: CloudBatch) -> Dict[str, int]:
+        """Apply a :class:`CloudBatch` atomically as ONE request: all
+        operations validate against the projected state before anything
+        mutates — a failed conditional put raises
+        :class:`~repro.errors.ConflictError`, a delete of a missing
+        object (without ``ignore_missing``)
+        :class:`~repro.errors.NotFoundError`.  Returns ``{normalized
+        path: new version}`` for the puts."""
 
     @abc.abstractmethod
     def list_dir(self, directory: str) -> List[str]:
@@ -130,6 +173,17 @@ class CloudStoreProtocol(abc.ABC):
         returns the number of event records truncated (idempotent: 0 on
         an empty log)."""
 
+    def put(self, path: str, data: bytes,
+            expected_version: Optional[int] = None) -> int:
+        """Store one object, returning its new version (1 for a fresh
+        path): a one-op :meth:`commit`.  With ``expected_version`` the
+        put is conditional and raises
+        :class:`~repro.errors.ConflictError` on a version mismatch (0 =
+        "must not exist")."""
+        (version,) = self.commit(
+            CloudBatch().put(path, data, expected_version)).values()
+        return version
+
     # -- inspection ---------------------------------------------------------
 
     @abc.abstractmethod
@@ -146,12 +200,9 @@ class CloudStoreProtocol(abc.ABC):
         """Everything the honest-but-curious provider can inspect (used
         by the security tests and the chaos digests)."""
 
-    @abc.abstractmethod
-    def total_stored_bytes(self, prefix: str = "/") -> int:
-        """Total payload bytes stored under ``prefix``."""
-
 
 def contract_methods() -> Tuple[str, ...]:
-    """Every method of the contract, round trips first — the single
-    source the conformance suite and generated decorators iterate."""
+    """Every abstract method of the contract, round trips first — the
+    single source the conformance suite and generated decorators
+    iterate."""
     return tuple(ROUND_TRIP_METHODS) + INSPECTION_METHODS

@@ -10,10 +10,11 @@ Semantics follow what the paper uses from Dropbox:
   bi-level hierarchy");
 * an atomic multi-object :meth:`CloudStore.commit` — the server-side batch
   endpoint every real object store offers (Dropbox ``/files/upload_session
-  /finish_batch``, S3 multi-object ops).  One round trip carries a
-  conditional descriptor put plus all partition puts/deletes; per-object
-  versions and directory events are preserved exactly as if the operations
-  had been issued one by one.
+  /finish_batch``, S3 multi-object ops) and the store's one write.  One
+  round trip carries a conditional descriptor put plus all partition
+  puts/deletes; per-object versions and directory events are preserved
+  exactly as if the operations had been committed one by one.  A single
+  put is a one-op commit (:meth:`~repro.cloud.CloudStoreProtocol.put`).
 
 The store is honest-but-curious: it faithfully executes requests while
 keeping everything it has seen readable through :meth:`adversary_view`,
@@ -21,9 +22,10 @@ which the security tests use to verify that stored metadata never reveals
 group keys.
 
 Metrics: each API call counts one request; ``bytes_in`` is upload volume
-(put payloads), ``bytes_out`` is download volume (get payloads).  A batch
-commit counts one request (that is the point) and increments
-``batch_commits`` so benchmarks can report round-trip savings.
+(put payloads), ``bytes_out`` is download volume (get payloads).  A
+commit counts one request however many objects it writes (that is the
+point) and increments ``batch_commits``, so ``batch_commits`` counts
+write requests.
 
 Snapshot compaction: the event log is the cold-start replay source, so an
 append-only log makes reconnect O(history).  :meth:`CloudStore.compact`
@@ -43,11 +45,17 @@ automatically after every K committed mutations.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.cloud.latency import LatencyModel
-from repro.cloud.protocol import CloudStoreProtocol
+from repro.cloud.protocol import (
+    BatchDelete,
+    BatchOp,
+    BatchPut,
+    CloudBatch,
+    CloudStoreProtocol,
+)
 from repro.errors import ConflictError, NotFoundError, StorageError
 from repro.obs.metrics import CounterField, MetricRegistry
 from repro.obs.spans import span as _span
@@ -170,63 +178,6 @@ class CloudMetrics:
                 f"batch_commits={self.batch_commits})")
 
 
-@dataclass(frozen=True)
-class BatchPut:
-    """One put inside a :class:`CloudBatch` (conditional iff
-    ``expected_version`` is set)."""
-
-    path: str
-    data: bytes
-    expected_version: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class BatchDelete:
-    """One delete inside a :class:`CloudBatch`.
-
-    ``ignore_missing`` makes the delete a no-op when the object is absent
-    (garbage that another admin may already have collected).
-    """
-
-    path: str
-    ignore_missing: bool = False
-
-
-BatchOp = Union[BatchPut, BatchDelete]
-
-
-@dataclass
-class CloudBatch:
-    """An ordered multi-object write, committed atomically in one request.
-
-    Build with :meth:`put` / :meth:`delete` (chainable) or pass operations
-    directly.  Operation order matters: events are emitted in it, and a
-    put after a delete of the same path restarts the version at 1, exactly
-    as sequential calls would.
-    """
-
-    ops: List[BatchOp] = field(default_factory=list)
-
-    def put(self, path: str, data: bytes,
-            expected_version: Optional[int] = None) -> "CloudBatch":
-        self.ops.append(BatchPut(path, data, expected_version))
-        return self
-
-    def delete(self, path: str, ignore_missing: bool = False) -> "CloudBatch":
-        self.ops.append(BatchDelete(path, ignore_missing))
-        return self
-
-    def __len__(self) -> int:
-        return len(self.ops)
-
-    def __bool__(self) -> bool:
-        return bool(self.ops)
-
-    @property
-    def payload_bytes(self) -> int:
-        return sum(len(op.data) for op in self.ops if isinstance(op, BatchPut))
-
-
 class CloudStore(CloudStoreProtocol):
     """The storage + broadcast substrate (in-memory reference
     implementation of :class:`~repro.cloud.CloudStoreProtocol`)."""
@@ -249,27 +200,10 @@ class CloudStore(CloudStoreProtocol):
 
     # -- object API -----------------------------------------------------------
 
-    def put(self, path: str, data: bytes,
-            expected_version: Optional[int] = None) -> int:
-        """Store an object; returns its new version.
-
-        With ``expected_version`` set, the put is conditional (used by
-        multi-admin setups to detect lost updates)."""
-        path = _normalize(path)
-        with _span("cloud.put", path=path, bytes=len(data)) as sp:
-            sp.set(latency_ms=self._account(bytes_in=len(data)))
-            current = self._objects.get(path)
-            if expected_version is not None:
-                have = current.version if current else 0
-                if have != expected_version:
-                    raise ConflictError(
-                        f"version conflict on {path}: have {have}, "
-                        f"expected {expected_version}"
-                    )
-            version = (current.version if current else 0) + 1
-            self._apply_put(path, data, version)
-            self._note_mutation()
-            return version
+    #: The inherited one-op commit, bound in this class's own namespace:
+    #: ``benchmarks/ledger`` times ``CloudStore.put`` by wrapping the
+    #: class attribute.
+    put = CloudStoreProtocol.put
 
     def get(self, path: str) -> CloudObject:
         path = _normalize(path)
@@ -300,18 +234,6 @@ class CloudStore(CloudStoreProtocol):
                    latency_ms=self._account(bytes_out=payload))
             return found
 
-    def exists(self, path: str) -> bool:
-        return _normalize(path) in self._objects
-
-    def delete(self, path: str) -> None:
-        path = _normalize(path)
-        obj = self._objects.get(path)
-        if obj is None:
-            raise NotFoundError(f"no object at {path}")
-        self._account()
-        self._apply_delete(path, obj.version)
-        self._note_mutation()
-
     def commit(self, batch: CloudBatch) -> Dict[str, int]:
         """Apply a :class:`CloudBatch` atomically, charged as ONE request.
 
@@ -321,7 +243,7 @@ class CloudStore(CloudStoreProtocol):
         raises :class:`ConflictError` / :class:`NotFoundError` and leaves
         the store untouched.  On success the operations apply in order,
         each emitting its ordinary directory event with the same version
-        numbers sequential calls would have produced.
+        numbers sequential commits would have produced.
 
         Returns ``{normalized path: new version}`` for the puts.
         """
@@ -442,13 +364,6 @@ class CloudStore(CloudStoreProtocol):
         """Everything the curious cloud can inspect (for security tests)."""
         return iter(list(self._objects.values()))
 
-    def total_stored_bytes(self, prefix: str = "/") -> int:
-        prefix = _normalize(prefix)
-        return sum(
-            len(obj.data) for path, obj in self._objects.items()
-            if path.startswith(prefix)
-        )
-
     # -- internals -----------------------------------------------------------------
 
     def _apply_put(self, path: str, data: bytes, version: int) -> None:
@@ -465,7 +380,7 @@ class CloudStore(CloudStoreProtocol):
             version=version,
         ))
 
-    def _note_mutation(self, count: int = 1) -> None:
+    def _note_mutation(self, count: int) -> None:
         """Advance the auto-compaction policy by ``count`` committed
         mutations, compacting when the interval elapses."""
         if self._compact_every is None:

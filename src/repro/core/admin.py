@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.cloud.store import CloudBatch, CloudStore
+from repro.cloud import CloudBatch, CloudStore
 from repro.core.cache import AdminCache, AdminGroupState
 from repro.core.metadata import (
     GroupDescriptor,
@@ -676,7 +676,7 @@ class GroupAdministrator:
         # is race-free in this in-process simulation — commits are
         # synchronous; a distributed store would need the commit call to
         # return its own event sequences instead.)
-        state.sync_cursor = max(state.sync_cursor, self._head_sequence())
+        state.sync_cursor = max(state.sync_cursor, self.cloud.head_sequence())
 
     def _encode_descriptor(self, state: AdminGroupState) -> bytes:
         return GroupDescriptor(
@@ -713,7 +713,7 @@ class GroupAdministrator:
             # will be re-observed by the next sync_group poll, which is
             # idempotent; anything at or below it is covered by the
             # object reads that follow.
-            sync_cursor = self._head_sequence()
+            sync_cursor = self.cloud.head_sequence()
             descriptor_obj = self.retry.run(
                 lambda: self.cloud.get(descriptor_path(group_id)),
                 label="admin.load.descriptor",
@@ -791,12 +791,6 @@ class GroupAdministrator:
             )
             self.cache.put(fresh)
             return True
-
-    def _head_sequence(self) -> int:
-        """The store's newest committed sequence (0 for stores without
-        the inspection accessor)."""
-        accessor = getattr(self.cloud, "head_sequence", None)
-        return accessor() if callable(accessor) else 0
 
     def _assemble_state(self, group_id: str, descriptor: GroupDescriptor,
                         descriptor_version: int,

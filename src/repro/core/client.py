@@ -176,7 +176,7 @@ class GroupClient:
             return changed
 
     def _sync(self) -> bool:
-        horizon = self._snapshot_horizon()
+        horizon = self._cloud.snapshot_horizon()
         # A cursor inside the compacted prefix: the history it points
         # into no longer exists, so poll the suffix only and rebuild our
         # view whatever the suffix holds.
@@ -195,11 +195,6 @@ class GroupClient:
             return False
         return self._materialise(
             None if compacted else {event.path for event in events})
-
-    def _snapshot_horizon(self) -> int:
-        """The store's compaction horizon (0 for stores without one)."""
-        accessor = getattr(self._cloud, "snapshot_horizon", None)
-        return accessor() if callable(accessor) else 0
 
     def _materialise(self, changed: Optional[Set[str]]) -> bool:
         """Rebuild our view from the signed descriptor plus *our own*

@@ -42,7 +42,7 @@ from repro.obs.metrics import MetricRegistry
 #: Store operations that only read; timeouts are injected on these alone
 #: (a timed-out write would leave the outcome ambiguous, which the
 #: retry layer must never have to guess about).
-READ_OPS = frozenset({"get", "get_many", "poll_dir", "list_dir", "exists"})
+READ_OPS = frozenset({"get", "get_many", "poll_dir", "list_dir"})
 
 
 @dataclass(frozen=True)

@@ -19,11 +19,12 @@ in :data:`~repro.cloud.INSPECTION_METHODS` gets an unguarded
 pass-through.  A method added to :class:`~repro.cloud.CloudStoreProtocol`
 is therefore either classified in the protocol module or the decorator
 fails to instantiate (abstract method) — the fault layer can no longer
-silently drift from the store API.
+silently drift from the store API.  ``put`` is the contract's own
+one-op commit, so a put is guarded as the ``commit`` it is.
 
 Latency spikes returned by the injector are accounted on the span, never
-slept.  ``adversary_view`` and ``total_stored_bytes`` are inspection
-interfaces, not round trips, and pass through unguarded.
+slept.  ``adversary_view`` is an inspection interface, not a round trip,
+and passes through unguarded.
 """
 
 from __future__ import annotations

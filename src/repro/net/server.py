@@ -72,12 +72,6 @@ def _json_safe(value: Any) -> Any:
 class StoreServer:
     """Serve a :class:`~repro.cloud.CloudStoreProtocol` over TCP."""
 
-    #: Methods whose successful dispatch mutates the store: the server
-    #: wakes parked ``poll_dir`` long-polls after each one.
-    NOTIFY_AFTER = frozenset({
-        "store.put", "store.delete", "store.commit", "store.compact",
-    })
-
     def __init__(self, store: CloudStoreProtocol,
                  host: str = "127.0.0.1", port: int = 0,
                  name: str = "repro-store",
@@ -115,11 +109,8 @@ class StoreServer:
         self._slo: Dict[str, SloWindow] = {}
         self._slo_all = SloWindow("all")
         self._handlers: Dict[str, Callable[[Dict[str, Any]], Any]] = {
-            "store.put": self._h_put,
             "store.get": self._h_get,
             "store.get_many": self._h_get_many,
-            "store.exists": self._h_exists,
-            "store.delete": self._h_delete,
             "store.commit": self._h_commit,
             "store.list_dir": self._h_list_dir,
             "store.poll_dir": self._h_poll_dir,
@@ -127,7 +118,6 @@ class StoreServer:
             "store.snapshot_horizon": self._h_horizon,
             "store.head_sequence": self._h_head_sequence,
             "store.adversary_view": self._h_adversary_view,
-            "store.total_stored_bytes": self._h_stored_bytes,
             "ops.stats": self._h_stats,
             "ops.health": self._h_health,
         }
@@ -340,7 +330,8 @@ class StoreServer:
                 result = handler(request.params)
                 if asyncio.iscoroutine(result):
                     result = await result
-        if request.method in self.NOTIFY_AFTER:
+        if request.method in wire.MUTATING_WIRE_METHODS:
+            # Wake the parked ``poll_dir`` long-polls.
             await self._notify_mutation()
         return result, telemetry
 
@@ -491,12 +482,6 @@ class StoreServer:
 
     # -- store method handlers --------------------------------------------
 
-    def _h_put(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        req = wire.PutRequest.from_params(params)
-        version = self.store.put(req.path, wire.b64d(req.data),
-                                 req.expected_version)
-        return wire.PutResponse(version=version).to_params()
-
     def _h_get(self, params: Dict[str, Any]) -> Dict[str, Any]:
         req = wire.GetRequest.from_params(params)
         obj = self.store.get(req.path)
@@ -508,16 +493,6 @@ class StoreServer:
         return wire.GetManyResponse(
             objects=[wire.encode_object(o) for o in found.values()]
         ).to_params()
-
-    def _h_exists(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        req = wire.ExistsRequest.from_params(params)
-        return wire.ExistsResponse(
-            exists=self.store.exists(req.path)).to_params()
-
-    def _h_delete(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        req = wire.DeleteRequest.from_params(params)
-        self.store.delete(req.path)
-        return wire.DeleteResponse().to_params()
 
     def _h_commit(self, params: Dict[str, Any]) -> Dict[str, Any]:
         req = wire.CommitRequest.from_params(params)
@@ -569,11 +544,6 @@ class StoreServer:
         return wire.AdversaryViewResponse(
             objects=[wire.encode_object(o)
                      for o in self.store.adversary_view()]).to_params()
-
-    def _h_stored_bytes(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        req = wire.StoredBytesRequest.from_params(params)
-        return wire.StoredBytesResponse(
-            total=self.store.total_stored_bytes(req.prefix)).to_params()
 
     def _h_stats(self, params: Dict[str, Any]) -> Dict[str, Any]:
         wire.StatsRequest.from_params(params)

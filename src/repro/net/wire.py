@@ -8,7 +8,7 @@ cannot make the other side buffer gigabytes).  Binary payloads travel as
 base64 strings inside the JSON body.
 
 **Envelopes.**  A request frame decodes to :class:`Request` —
-``{"id": n, "method": "store.put", "params": {...}}`` — and a response
+``{"id": n, "method": "store.get", "params": {...}}`` — and a response
 frame to :class:`Response` — ``{"id": n, "ok": true, "result": {...}}``
 or ``{"id": n, "ok": false, "error": {"code": ..., "message": ...}}``.
 ``id`` echoes the request so a client can pipeline; it must be a JSON
@@ -41,7 +41,8 @@ version; anything that changes the meaning of an existing field bumps
 it, and servers refuse clients they cannot serve faithfully.
 
 **Method payloads.**  One typed request/response dataclass pair per
-contract method (``PutRequest``/``PutResponse``, ...), each knowing its
+contract method (``CommitRequest``/``CommitResponse``, ...) — the store
+writes only through ``store.commit`` — each knowing its
 ``METHOD`` string and its ``to_params``/``from_params`` codec.
 :data:`METHODS` maps the method string to the pair — the server
 dispatches and the client marshals through that single table, so a
@@ -56,13 +57,8 @@ import struct
 from dataclasses import dataclass, field
 from typing import Any, ClassVar, Dict, List, Optional, Tuple, Type
 
-from repro.cloud.store import (
-    BatchDelete,
-    BatchPut,
-    CloudBatch,
-    CloudObject,
-    DirectoryEvent,
-)
+from repro.cloud.protocol import BatchDelete, BatchPut, CloudBatch
+from repro.cloud.store import CloudObject, DirectoryEvent
 from repro.errors import ReproError, ValidationError, WireError, \
     error_code, error_for_code
 
@@ -365,20 +361,6 @@ class HelloResponse(_Message):
 
 
 @dataclass
-class PutRequest(_Message):
-    METHOD: ClassVar[str] = "store.put"
-    path: str = ""
-    data: str = ""                       # base64
-    expected_version: Optional[int] = None
-
-
-@dataclass
-class PutResponse(_Message):
-    METHOD: ClassVar[str] = "store.put"
-    version: int = 0
-
-
-@dataclass
 class GetRequest(_Message):
     METHOD: ClassVar[str] = "store.get"
     path: str = ""
@@ -400,29 +382,6 @@ class GetManyRequest(_Message):
 class GetManyResponse(_Message):
     METHOD: ClassVar[str] = "store.get_many"
     objects: List[Dict[str, Any]] = field(default_factory=list)
-
-
-@dataclass
-class ExistsRequest(_Message):
-    METHOD: ClassVar[str] = "store.exists"
-    path: str = ""
-
-
-@dataclass
-class ExistsResponse(_Message):
-    METHOD: ClassVar[str] = "store.exists"
-    exists: bool = False
-
-
-@dataclass
-class DeleteRequest(_Message):
-    METHOD: ClassVar[str] = "store.delete"
-    path: str = ""
-
-
-@dataclass
-class DeleteResponse(_Message):
-    METHOD: ClassVar[str] = "store.delete"
 
 
 @dataclass
@@ -517,18 +476,6 @@ class AdversaryViewResponse(_Message):
 
 
 @dataclass
-class StoredBytesRequest(_Message):
-    METHOD: ClassVar[str] = "store.total_stored_bytes"
-    prefix: str = "/"
-
-
-@dataclass
-class StoredBytesResponse(_Message):
-    METHOD: ClassVar[str] = "store.total_stored_bytes"
-    total: int = 0
-
-
-@dataclass
 class StatsRequest(_Message):
     """Read-only operational snapshot of a running server (uptime,
     connection gauges, merged metrics, per-method SLO windows,
@@ -558,22 +505,19 @@ class HealthResponse(_Message):
     checks: Dict[str, Any] = field(default_factory=dict)
 
 
-#: Wire methods whose request mutates store state.  A connection lost
-#: after sending one of these leaves the outcome ambiguous — the client
-#: must NOT map that onto the retry-safe ``unavailable`` code.
-MUTATING_WIRE_METHODS = frozenset({
-    "store.put", "store.delete", "store.commit", "store.compact",
-})
+#: Wire methods whose request mutates store state: every store write is
+#: a commit.  A connection lost after sending one of these leaves the
+#: outcome ambiguous — the client must NOT map that onto the retry-safe
+#: ``unavailable`` code — and the server wakes parked long-polls after
+#: each one.
+MUTATING_WIRE_METHODS = frozenset({"store.commit", "store.compact"})
 
 #: method string -> (request type, response type); the dispatch table.
 METHODS: Dict[str, Tuple[Type[_Message], Type[_Message]]] = {
     cls.METHOD: (cls, resp) for cls, resp in [
         (HelloRequest, HelloResponse),
-        (PutRequest, PutResponse),
         (GetRequest, GetResponse),
         (GetManyRequest, GetManyResponse),
-        (ExistsRequest, ExistsResponse),
-        (DeleteRequest, DeleteResponse),
         (CommitRequest, CommitResponse),
         (ListDirRequest, ListDirResponse),
         (PollDirRequest, PollDirResponse),
@@ -581,7 +525,6 @@ METHODS: Dict[str, Tuple[Type[_Message], Type[_Message]]] = {
         (HorizonRequest, HorizonResponse),
         (HeadSequenceRequest, HeadSequenceResponse),
         (AdversaryViewRequest, AdversaryViewResponse),
-        (StoredBytesRequest, StoredBytesResponse),
         (StatsRequest, StatsResponse),
         (HealthRequest, HealthResponse),
     ]

@@ -75,9 +75,8 @@ class TestBatchAdd:
 class TestDeleteGroup:
     def test_delete_removes_all_objects(self, system):
         system.admin.delete_group("g")
-        assert not system.cloud.exists("/g/p0")
-        assert not system.cloud.exists(descriptor_path("g"))
-        assert not system.cloud.exists(sealed_key_path("g"))
+        assert system.cloud.get_many(
+            ["/g/p0", descriptor_path("g"), sealed_key_path("g")]) == {}
         with pytest.raises(AccessControlError):
             system.admin.group_state("g")
 

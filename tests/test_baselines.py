@@ -86,7 +86,7 @@ class TestHePki:
         cloud = CloudStore()
         mgr = pki_manager(cloud=cloud)
         mgr.create_group("g", USERS)
-        assert cloud.exists("/g/he-metadata")
+        assert list(cloud.get_many(["/g/he-metadata"])) == ["/g/he-metadata"]
         from repro.baselines.hybrid import HybridGroupState
         decoded = HybridGroupState.decode(cloud.get("/g/he-metadata").data)
         assert set(decoded.wrapped_keys) == set(USERS)
@@ -166,4 +166,4 @@ class TestRawIbbe:
         mgr.remove_user("g", "user0")
         with pytest.raises(AccessControlError):
             mgr.members("g")
-        assert not cloud.exists("/g/ibbe-metadata")
+        assert cloud.get_many(["/g/ibbe-metadata"]) == {}

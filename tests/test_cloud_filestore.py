@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cloud import FileCloudStore
+from repro.cloud import CloudBatch, FileCloudStore
 from repro.errors import ConflictError, NotFoundError, StorageError
 
 
@@ -32,10 +32,10 @@ class TestObjects:
 
     def test_delete(self, store):
         store.put("/g/p0", b"x")
-        store.delete("/g/p0")
-        assert not store.exists("/g/p0")
+        store.commit(CloudBatch().delete("/g/p0"))
+        assert store.get_many(["/g/p0"]) == {}
         with pytest.raises(NotFoundError):
-            store.delete("/g/p0")
+            store.commit(CloudBatch().delete("/g/p0"))
 
     def test_conditional_put(self, store):
         store.put("/g/p0", b"v1")
@@ -70,7 +70,7 @@ class TestDirectoriesAndPolling:
 
     def test_delete_event(self, store):
         store.put("/g/p0", b"a")
-        store.delete("/g/p0")
+        store.commit(CloudBatch().delete("/g/p0"))
         events, _ = store.poll_dir("/g")
         assert [e.kind for e in events] == ["put", "delete"]
 
@@ -81,12 +81,6 @@ class TestAdversaryView:
         store.put("/g/p1", b"y")
         view = {obj.path: obj.data for obj in store.adversary_view()}
         assert view == {"/g/p0": b"x", "/g/p1": b"y"}
-
-    def test_total_bytes(self, store):
-        store.put("/g/p0", bytes(10))
-        store.put("/h/p0", bytes(30))
-        assert store.total_stored_bytes("/g") == 10
-        assert store.total_stored_bytes() == 40
 
 
 class TestSystemOnFileStore:
@@ -131,7 +125,6 @@ class TestCrashRecovery:
     (journal roll-forward), never losing an acknowledged commit."""
 
     def crash_batch_at(self, tmp_path, point):
-        from repro.cloud.store import CloudBatch
         from repro.errors import CrashError
         from repro.faults import install
 
@@ -158,7 +151,7 @@ class TestCrashRecovery:
         recovered = self.crash_batch_at(tmp_path, point)
         assert recovered.get("/g/p0").data == b"zero"
         assert recovered.get("/g/p1").data == b"one"
-        assert not recovered.exists("/g/stale")
+        assert recovered.get_many(["/g/stale"]) == {}
         assert recovered.metrics.registry.snapshot()["cloud.recoveries"] == 1
         # The journal is consumed; a third open has nothing to replay.
         assert not (tmp_path / "cloud" / "commit.journal").exists()

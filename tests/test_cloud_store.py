@@ -31,10 +31,10 @@ class TestObjects:
 
     def test_delete(self, store):
         store.put("/g/p0", b"x")
-        store.delete("/g/p0")
-        assert not store.exists("/g/p0")
+        store.commit(CloudBatch().delete("/g/p0"))
+        assert store.get_many(["/g/p0"]) == {}
         with pytest.raises(NotFoundError):
-            store.delete("/g/p0")
+            store.commit(CloudBatch().delete("/g/p0"))
 
     def test_path_normalization(self, store):
         store.put("g//p0", b"x")
@@ -66,13 +66,6 @@ class TestDirectories:
         store.put("/other/p0", b"d")
         assert store.list_dir("/g") == ["/g/p0", "/g/p1", "/g/sub"]
 
-    def test_total_stored_bytes(self, store):
-        store.put("/g/p0", bytes(10))
-        store.put("/g/p1", bytes(20))
-        store.put("/h/p0", bytes(40))
-        assert store.total_stored_bytes("/g") == 30
-        assert store.total_stored_bytes() == 70
-
 
 class TestLongPolling:
     def test_events_in_order(self, store):
@@ -100,7 +93,7 @@ class TestLongPolling:
 
     def test_delete_events(self, store):
         store.put("/g/p0", b"a")
-        store.delete("/g/p0")
+        store.commit(CloudBatch().delete("/g/p0"))
         events, _ = store.poll_dir("/g")
         assert [e.kind for e in events] == ["put", "delete"]
 
@@ -227,6 +220,7 @@ class TestMetricsAndLatency:
         store.get("/g/p0")
         snap = store.metrics.registry.snapshot()
         assert snap["cloud.requests"] == 2
+        assert snap["cloud.batch_commits"] == 1   # a put is a commit
         assert snap["cloud.bytes_in"] == 100   # upload volume (put payloads)
         assert snap["cloud.bytes_out"] == 100  # download volume (get payloads)
 

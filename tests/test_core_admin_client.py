@@ -31,10 +31,8 @@ class TestCreateGroup:
         assert len(state.records) == 3
 
     def test_cloud_objects_written(self, populated):
-        cloud = populated.cloud
-        assert cloud.exists("/team/p0")
-        assert cloud.exists("/team/p2")
-        assert cloud.exists("/team/descriptor")
+        wanted = ["/team/p0", "/team/p2", "/team/descriptor"]
+        assert sorted(populated.cloud.get_many(wanted)) == sorted(wanted)
 
     def test_duplicate_group_rejected(self, populated):
         with pytest.raises(AccessControlError):
@@ -126,7 +124,7 @@ class TestRemoveUser:
         system.admin.remove_user("solo", "only")
         state = system.admin.group_state("solo")
         assert len(state.table) == 0
-        assert not system.cloud.exists(partition_path("solo", 0))
+        assert system.cloud.get_many([partition_path("solo", 0)]) == {}
 
     def test_empty_partition_deleted_and_rest_rekeyed(self):
         system = make_system("empties", capacity=2, auto_repartition=False)
@@ -135,7 +133,7 @@ class TestRemoveUser:
         survivor.sync()
         gk_before = survivor.current_group_key()
         system.admin.remove_user("g", "c")  # hosting partition empties
-        assert not system.cloud.exists(partition_path("g", 1))
+        assert system.cloud.get_many([partition_path("g", 1)]) == {}
         survivor.sync()
         assert survivor.current_group_key() != gk_before
 

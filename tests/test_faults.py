@@ -3,8 +3,7 @@ FaultyCloudStore decorator, RetryPolicy, and worker-kill recovery."""
 
 import pytest
 
-from repro.cloud import CloudStore
-from repro.cloud.store import CloudBatch
+from repro.cloud import CloudBatch, CloudStore
 from repro.errors import (
     CrashError,
     NotFoundError,
@@ -113,7 +112,7 @@ class TestFaultInjector:
             with pytest.raises(StoreTimeoutError):
                 injector.store_fault(op, "/p")
         # Writes are never ambiguous: no timeout may be injected there.
-        for op in ("put", "delete", "commit"):
+        for op in ("commit", "compact"):
             assert injector.store_fault(op, "/p") == 0.0
 
     def test_latency_spikes_accounted_not_slept(self):
@@ -163,18 +162,18 @@ class TestFaultyCloudStore:
         store, inner, _ = self.make(FaultPlan.disabled())
         store.put("/g/a", b"data")
         assert store.get("/g/a").data == b"data"
-        assert store.exists("/g/a")
+        assert list(store.get_many(["/g/a"])) == ["/g/a"]
         assert store.list_dir("/g") == ["/g/a"]
         events, cursor = store.poll_dir("/g")
         assert len(events) == 1 and cursor == 1
-        store.delete("/g/a")
-        assert not inner.exists("/g/a")
+        store.commit(CloudBatch().delete("/g/a"))
+        assert inner.get_many(["/g/a"]) == {}
 
     def test_injected_outage_never_reaches_the_store(self):
         store, inner, _ = self.make(FaultPlan(seed="s", store_error_rate=1.0))
         with pytest.raises(UnavailableError):
             store.put("/g/a", b"data")
-        assert not inner.exists("/g/a")
+        assert inner.get_many(["/g/a"]) == {}
 
     def test_injected_timeout_on_reads(self):
         store, inner, _ = self.make(FaultPlan(seed="s", store_timeout_rate=1.0))
@@ -185,7 +184,7 @@ class TestFaultyCloudStore:
             store.poll_dir("/g")
         # Writes still go through (timeouts are read-only faults).
         store.put("/g/b", b"more")
-        assert inner.exists("/g/b")
+        assert inner.get("/g/b").data == b"more"
 
     def test_commit_guarded_as_one_round_trip(self):
         store, inner, injector = self.make(
@@ -195,14 +194,13 @@ class TestFaultyCloudStore:
         batch.put("/g/b", b"two")
         with pytest.raises(UnavailableError):
             store.commit(batch)
-        assert not inner.exists("/g/a") and not inner.exists("/g/b")
+        assert inner.get_many(["/g/a", "/g/b"]) == {}
         assert injector.history() == [("store.unavailable", "commit")]
 
     def test_inspection_interfaces_unguarded(self):
         store, inner, _ = self.make(FaultPlan(seed="s", store_error_rate=1.0))
         inner.put("/g/a", b"data")
         assert [o.path for o in store.adversary_view()] == ["/g/a"]
-        assert store.total_stored_bytes() == 4
         assert store.metrics is inner.metrics
 
 
@@ -291,7 +289,9 @@ class TestRetryPolicy:
         policy = RetryPolicy(max_attempts=10, seed="absorb")
         for i in range(20):
             policy.run(lambda i=i: store.put(f"/g/p{i}", b"x"))
-        assert store.inner.total_stored_bytes("/g") == 20
+        assert sorted((o.path, o.version)
+                      for o in store.inner.adversary_view()) == sorted(
+            (f"/g/p{i}", 1) for i in range(20))
 
 
 class TestWorkerKillRecovery:

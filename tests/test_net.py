@@ -12,6 +12,8 @@ The headline assertions mirror the serving-layer contract:
   journal roll-forward on restart resolves it to exactly-once.
 """
 
+import ast
+import inspect
 import socket
 import threading
 import time
@@ -39,7 +41,9 @@ from repro.net import (
     connect_store,
     parse_store_url,
 )
+from repro.net import client as client_module
 from repro.net import wire
+from repro.net.server import StoreServer
 from repro.workloads.chaos import cloud_digest
 
 
@@ -69,7 +73,7 @@ def test_frame_rejects_oversize_and_garbage():
 
 
 def test_envelope_roundtrip():
-    req = wire.Request(id=3, method="store.put", params={"path": "/x"})
+    req = wire.Request(id=3, method="store.get", params={"path": "/x"})
     assert wire.Request.from_wire(req.to_wire()) == req
     ok = wire.Response(id=3, result={"version": 1})
     parsed = wire.Response.from_wire(ok.to_wire())
@@ -154,6 +158,21 @@ def test_batch_codec_roundtrip():
              .put("/c", b""))
     decoded = wire.decode_batch(wire.encode_batch(batch))
     assert decoded.ops == batch.ops
+
+
+def test_server_answers_exactly_what_the_client_sends():
+    """One wire method per thing a client calls: the request types
+    ``RemoteCloudStore`` builds, the server's handlers (plus the
+    ``hello`` handshake) and the schema's dispatch table are one set."""
+    tree = ast.parse(inspect.getsource(client_module))
+    sent = {getattr(wire, node.attr).METHOD
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr.endswith("Request")
+            and isinstance(getattr(wire, node.attr, None), type)
+            and issubclass(getattr(wire, node.attr), wire._Message)}
+    served = set(StoreServer(CloudStore())._handlers) | {"hello"}
+    assert sent == served == set(wire.METHODS)
 
 
 def test_parse_store_url():

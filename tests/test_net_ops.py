@@ -13,7 +13,7 @@ import json
 import pytest
 
 from repro import obs
-from repro.cloud import CloudStore
+from repro.cloud import CloudBatch, CloudStore
 from repro.errors import NotFoundError
 from repro.net import RemoteCloudStore, RequestLog, ServerThread
 from repro.net import wire
@@ -70,7 +70,7 @@ class TestOpsSurface:
         assert stats["requests"]["bytes_out"] > 0
         # Rolling SLO windows, per method and combined.
         methods = stats["slo"]["methods"]
-        assert "store.put" in methods and "store.get" in methods
+        assert "store.commit" in methods and "store.get" in methods
         get_window = methods["store.get"]
         assert get_window["count"] == 2 and get_window["errors"] == 1
         assert get_window["p50_ms"] >= 0.0
@@ -205,7 +205,7 @@ class TestTraceStitching:
                 clean_tracer.enable()
             store.put("/g/a", b"one")
             store.put("/g/b", b"two")
-            store.delete("/g/a")
+            store.commit(CloudBatch().delete("/g/a"))
             store.put("/g/c", b"three", expected_version=0)
             if traced:
                 clean_tracer.disable()
@@ -239,7 +239,7 @@ class TestRequestLog:
         rows = [json.loads(line)
                 for line in log_path.read_text().splitlines()]
         methods = [r["method"] for r in rows]
-        assert "store.put" in methods and "store.get" in methods
+        assert "store.commit" in methods and "store.get" in methods
         failed = next(r for r in rows if r["outcome"] == "not_found")
         assert failed["method"] == "store.get"
         assert failed["bytes_in"] > 0 and failed["bytes_out"] > 0
@@ -271,7 +271,7 @@ class TestRequestLog:
         clean_tracer.disable()
         store.close()
         server.stop()
-        puts = [r for r in log.tail() if r["method"] == "store.put"]
+        puts = [r for r in log.tail() if r["method"] == "store.commit"]
         assert puts and puts[0]["trace_id"] == clean_tracer.trace_id
 
 
@@ -288,7 +288,7 @@ class TestCli:
 
         assert main(["stats", "--store-url", server.url]) == 0
         out = capsys.readouterr().out
-        assert "repro-store" in out and "store.put" in out
+        assert "repro-store" in out and "store.commit" in out
 
         assert main(["stats", "--store-url", server.url,
                      "--format", "json"]) == 0

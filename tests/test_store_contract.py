@@ -9,8 +9,12 @@ unchanged — that equivalence is exactly what lets the administrator,
 clients, chaos harness and benchmarks run against any of them.
 """
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cloud import (
     CloudBatch,
     CloudStore,
@@ -71,7 +75,7 @@ def test_put_get_roundtrip_and_versions(store):
 def test_path_normalization(store):
     store.put("g//a", b"x")
     assert store.get("/g/a").data == b"x"
-    assert store.exists("g/a")
+    assert list(store.get_many(["g/a"])) == ["/g/a"]
 
 
 def test_invalid_path_rejected(store):
@@ -95,12 +99,30 @@ def test_get_missing_raises_not_found(store):
 
 
 def test_exists_and_delete(store):
+    """Existence is a ``get_many`` and a delete is a commit; neither is
+    a method of its own."""
     store.put("/g/a", b"x")
-    assert store.exists("/g/a")
-    store.delete("/g/a")
-    assert not store.exists("/g/a")
+    assert "/g/a" in store.get_many(["/g/a"])
+    assert store.commit(CloudBatch().delete("/g/a")) == {}
+    assert store.get_many(["/g/a"]) == {}
     with pytest.raises(NotFoundError):
-        store.delete("/g/a")
+        store.commit(CloudBatch().delete("/g/a"))
+
+
+def test_put_is_a_one_op_commit(store):
+    """A put is charged, versioned and broadcast exactly as the one-op
+    commit it is."""
+    store.put("/g/a", b"one")
+    before = (store.metrics.requests, store.metrics.batch_commits,
+              store.metrics.bytes_in)
+    assert store.put("/g/a", b"four") == 2
+    assert (store.metrics.requests, store.metrics.batch_commits,
+            store.metrics.bytes_in) == (before[0] + 1, before[1] + 1,
+                                        before[2] + 4)
+    assert store.commit(CloudBatch().put("/g/a", b"three")) == {"/g/a": 3}
+    events, _ = store.poll_dir("/g")
+    assert [(e.kind, e.version) for e in events] == [
+        ("put", 1), ("put", 2), ("put", 3)]
 
 
 def test_get_many_skips_missing(store):
@@ -129,7 +151,7 @@ def test_commit_rolls_back_on_conflict(store):
     with pytest.raises(ConflictError):
         store.commit(batch)
     # Nothing from the failed batch landed.
-    assert not store.exists("/g/b")
+    assert store.get_many(["/g/b"]) == {}
     assert store.get("/g/a").data == b"one"
 
 
@@ -138,7 +160,7 @@ def test_poll_dir_orders_events_and_advances_cursor(store):
     assert events == []
     store.put("/g/a", b"one")
     store.put("/g/b", b"two")
-    store.delete("/g/a")
+    store.commit(CloudBatch().delete("/g/a"))
     events, cursor = store.poll_dir("/g", cursor)
     assert [(e.path, e.kind) for e in events] == [
         ("/g/a", "put"), ("/g/b", "put"), ("/g/a", "delete")]
@@ -167,7 +189,7 @@ def test_list_dir_immediate_children(store):
 def test_compact_preserves_stale_cursor_view(store):
     store.put("/g/a", b"one")
     store.put("/g/b", b"two")
-    store.delete("/g/a")
+    store.commit(CloudBatch().delete("/g/a"))
     head = store.head_sequence()
     truncated = store.compact()
     assert truncated == 3
@@ -186,10 +208,30 @@ def test_compact_preserves_stale_cursor_view(store):
 def test_inspection_surface(store):
     store.put("/g/a", b"12345")
     store.put("/h/b", b"67")
-    assert store.total_stored_bytes() == 7
-    assert store.total_stored_bytes("/g") == 5
     view = {obj.path: obj.data for obj in store.adversary_view()}
     assert view == {"/g/a": b"12345", "/h/b": b"67"}
+
+
+def test_every_contract_method_has_a_caller():
+    """The store serves only what something calls: each contract method
+    is called somewhere outside the stores — in ``src/repro`` beyond
+    ``cloud``, ``net`` and the fault decorator, in a benchmark or in an
+    example.  Matched by attribute name, like ``test_tcb``'s ecall check,
+    so a same-named method of another class also counts."""
+    src = Path(repro.__file__).resolve().parent
+    repo = src.parents[1]
+    stores = (src / "cloud", src / "net", src / "faults" / "store.py")
+    files = [path for path in src.rglob("*.py")
+             if not any(path == s or s in path.parents for s in stores)]
+    files += [*(repo / "benchmarks").rglob("*.py"),
+              *(repo / "examples").glob("*.py")]
+    called = {node.func.attr
+              for path in files
+              for node in ast.walk(ast.parse(path.read_text("utf-8")))
+              if isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)}
+    uncalled = sorted({*contract_methods(), "put"} - called)
+    assert not uncalled, f"contract methods nothing calls: {uncalled}"
 
 
 def test_metrics_account_requests_and_bytes(store):

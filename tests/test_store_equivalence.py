@@ -69,7 +69,7 @@ def _apply(store, op):
             obj = store.get(op[1])
             return ("object", obj.data, obj.version)
         if kind == "delete":
-            store.delete(op[1])
+            store.commit(CloudBatch().delete(op[1]))
             return ("deleted",)
         if kind == "list":
             return ("listing", tuple(store.list_dir(op[1])))
