@@ -46,7 +46,6 @@ from repro.faulthook import crash_point
 from repro.faults.retry import RetryPolicy
 from repro.obs.metrics import CounterField, MetricRegistry
 from repro.obs.spans import span as _span
-from repro.sgx.enclave import ResultRef
 
 
 class AdminMetrics:
@@ -86,7 +85,7 @@ class AdminMetrics:
 class _Placement:
     """Where a batch-add routed users: one entry per touched partition.
     ``members`` is what the partition holds before the batch extends it
-    by ``users`` — for a ``fresh`` one, the user it is created around."""
+    by ``users``; a ``fresh`` one is created around its ``users``."""
 
     fresh: bool
     members: List[str]
@@ -95,10 +94,8 @@ class _Placement:
 
 @dataclass(frozen=True)
 class EcallOp:
-    """One enclave entry in a plan (positional args only).  Arguments may
-    be :class:`~repro.sgx.enclave.ResultRef` placeholders referencing
-    earlier results, so dependent calls (extend the ciphertext a previous
-    entry created) batch into the same crossing."""
+    """One enclave entry in a plan: a registered name and its positional
+    arguments, all plain values."""
 
     name: str
     args: Tuple[Any, ...]
@@ -262,67 +259,30 @@ class GroupAdministrator:
     # -- Algorithm 2: add user ---------------------------------------------------------
 
     def add_user(self, group_id: str, user: str) -> None:
-        """Add ``user``: random open partition, or a fresh one when all are
-        full (the two CDF modes of Fig. 8a)."""
-        state = self._require_group(group_id)
-        if user in state.table:
-            raise MembershipError(f"user {user!r} is already a member")
-        pid = state.table.pick_open_partition(self._rng)
-        if pid is None:
-            pid = state.table.add_new_partition(user)
-            fresh_pid = pid
-
-            def make_plan() -> OpPlan:
-                return OpPlan(
-                    ecalls=[EcallOp("create_partition",
-                                    (group_id, [user],
-                                     state.sealed_group_key))],
-                    effects=lambda results: PlanEffects(
-                        actions=[InstallPartition(fresh_pid, results[0])]
-                    ),
-                )
-        else:
-            members = state.table.members_of(pid)
-            state.table.add_to_partition(pid, user)
-            record = state.records[pid]
-            host_pid = pid
-
-            def make_plan() -> OpPlan:
-                # The broadcast key is unchanged: y_p is carried over
-                # verbatim (Algorithm 2 pushes only members + ciphertext).
-                return OpPlan(
-                    ecalls=[EcallOp("add_user_to_partition",
-                                    (record.ciphertext, members, user))],
-                    effects=lambda results: PlanEffects(actions=[
-                        InstallPartition(host_pid, PartitionBlob(
-                            ciphertext=results[0],
-                            envelope=record.envelope,
-                        ))
-                    ]),
-                )
-
-        self._commit_plan(state, make_plan)
-        self.metrics.users_added += 1
+        """Add ``user``: a one-user :meth:`add_users` batch."""
+        self.add_users(group_id, [user])
 
     def add_users(self, group_id: str, users: Sequence[str]) -> None:
-        """Batch addition: one crossing + one commit for the whole batch.
+        """Add ``users``: each goes to a random open partition, or to a
+        fresh one when all are full (the two CDF modes of Fig. 8a).
 
-        Amortizes the enclave crossing and the cloud round trip over many
-        joins (administrators "perform membership changes for multiple
-        groups at a time", §II — bulk on-boarding is the common case this
-        serves).  The broadcast keys are unchanged throughout, exactly as
-        in repeated single adds; ciphertext extension inside the enclave
-        is deterministic, so the result is byte-identical to the
-        one-call-per-user sequence.
+        One crossing and one commit for the whole batch, one ecall per
+        touched partition: an existing one is extended by its joiners
+        (Algorithm 2 line 11, ``y_p`` carried over), a fresh one is
+        created around all of its joiners under the current ``gk``
+        (lines 4-6).  ``k`` does not depend on the member list, so the
+        records are byte-identical to the one-call-per-user sequence.
         """
         state = self._require_group(group_id)
         users = list(users)
+        if not users:
+            return
         seen: set = set()
         for user in users:
-            if user in state.table or user in seen:
-                raise MembershipError(
-                    f"user {user!r} is already a member or duplicated"
-                )
+            if user in state.table:
+                raise MembershipError(f"user {user!r} is already a member")
+            if user in seen:
+                raise MembershipError(f"user {user!r} is listed twice")
             seen.add(user)
 
         # Placement phase: route every user (mutating the table and
@@ -332,8 +292,8 @@ class GroupAdministrator:
             pid = state.table.pick_open_partition(self._rng)
             if pid is None:
                 pid = state.table.add_new_partition(user)
-                placements[pid] = _Placement(fresh=True, members=[user],
-                                             users=[])
+                placements[pid] = _Placement(fresh=True, members=[],
+                                             users=[user])
             else:
                 if pid not in placements:
                     placements[pid] = _Placement(
@@ -343,53 +303,26 @@ class GroupAdministrator:
                 placements[pid].users.append(user)
 
         def make_plan() -> OpPlan:
-            ecalls: List[EcallOp] = []
-            # (pid, envelope_source, ciphertext_index) where the envelope
-            # source is either a create-partition result index (fresh) or
-            # the existing record's envelope bytes.
-            spec: List[Tuple[int, Any, int]] = []
-            for pid, placement in placements.items():
-                if placement.fresh:
-                    create_index = len(ecalls)
-                    ecalls.append(EcallOp(
-                        "create_partition",
-                        (group_id, placement.members,
-                         state.sealed_group_key),
-                    ))
-                    ct_index = create_index
-                    if placement.users:
-                        ct_index = len(ecalls)
-                        ecalls.append(EcallOp(
-                            "add_users_to_partition",
-                            (ResultRef(create_index, "ciphertext"),
-                             placement.members, placement.users),
-                        ))
-                    spec.append((pid, create_index, ct_index))
-                else:
-                    record = state.records[pid]
-                    index = len(ecalls)
-                    ecalls.append(EcallOp(
-                        "add_users_to_partition",
-                        (record.ciphertext, placement.members,
-                         placement.users),
-                    ))
-                    spec.append((pid, record.envelope, index))
+            ecalls = [
+                EcallOp("create_partition",
+                        (group_id, placement.users, state.sealed_group_key))
+                if placement.fresh else
+                EcallOp("add_user_to_partition",
+                        (state.records[pid].ciphertext, placement.members,
+                         placement.users))
+                for pid, placement in placements.items()
+            ]
 
             def effects(results: Sequence[Any]) -> PlanEffects:
                 actions = []
-                for pid, envelope_source, ct_index in spec:
-                    if isinstance(envelope_source, int):
-                        envelope = results[envelope_source].envelope
-                        if ct_index == envelope_source:
-                            ciphertext = results[ct_index].ciphertext
-                        else:
-                            ciphertext = results[ct_index]
-                    else:
-                        envelope = envelope_source
-                        ciphertext = results[ct_index]
-                    actions.append(InstallPartition(pid, PartitionBlob(
-                        ciphertext=ciphertext, envelope=envelope,
-                    )))
+                for (pid, placement), blob in zip(placements.items(),
+                                                  results):
+                    if not placement.fresh:
+                        # bk is unchanged: y_p is carried over verbatim.
+                        blob = PartitionBlob(
+                            ciphertext=blob,
+                            envelope=state.records[pid].envelope)
+                    actions.append(InstallPartition(pid, blob))
                 return PlanEffects(actions=actions)
 
             return OpPlan(ecalls=ecalls, effects=effects)

@@ -375,32 +375,18 @@ class IbbeEnclave(Enclave):
                                       "partition", 1)[0]
 
     @ecall(batchable=True)
-    def add_user_to_partition(self, partition_ciphertext: bytes,
+    def add_user_to_partition(self, ciphertext: bytes,
                               members: Sequence[str],
-                              identity: str) -> bytes:
+                              identities: Sequence[str]) -> bytes:
         """Algorithm 2 line 11: extend the ciphertext of the partition
-        holding ``members`` by ``identity``; ``bk`` is unchanged."""
-        return self._extend_partition(partition_ciphertext, members,
-                                      [identity])
+        holding ``members`` by ``identities``; ``bk`` is unchanged.
 
-    @ecall(batchable=True)
-    def add_users_to_partition(self, partition_ciphertext: bytes,
-                               members: Sequence[str],
-                               identities: Sequence[str]) -> bytes:
-        """Algorithm 2 line 11 for a whole batch inside one entry: the
-        new factors fold in ``Z_q`` and ``C2`` is raised once, so the
-        ciphertext is byte-identical to applying
-        :meth:`add_user_to_partition` once per identity — without the
-        per-user boundary crossing or the per-user ladder."""
-        return self._extend_partition(partition_ciphertext, members,
-                                      identities)
-
-    def _extend_partition(self, ciphertext: bytes, members: Sequence[str],
-                          identities: Sequence[str]) -> bytes:
-        """``C1`` passes through as bytes; ``C2`` is raised to the product
-        of the new factors — the one variable-base ladder left, because
-        ``k`` is not kept after creation and a fresh ``k`` would change
-        ``bk``; ``C3 = h^{∏ all}`` comes off the table."""
+        ``C1`` passes through as bytes; ``C2`` is raised once to the
+        product of the new factors, folded in ``Z_q`` — the one
+        variable-base ladder left, because ``k`` is not kept after
+        creation and a fresh ``k`` would change ``bk``; ``C3 = h^{∏ all}``
+        comes off the table.  The result is byte-identical to extending
+        by one identity at a time."""
         msk, pk = self._require_msk(), self._require_pk()
         c1, c2, _ = ibbe.IbbeCiphertext.split(self._group, ciphertext)
         members, identities = list(members), list(identities)

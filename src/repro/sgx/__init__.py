@@ -36,7 +36,6 @@ from repro.sgx.enclave import (
     Enclave,
     EnclaveHandle,
     EcallRegistry,
-    ResultRef,
     ecall,
     trusted_view,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "EnclaveHandle",
     "EcallRegistry",
     "CrossingMeter",
-    "ResultRef",
     "trusted_view",
     "ecall",
     "EpcModel",

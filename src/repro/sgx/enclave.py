@@ -14,9 +14,6 @@ entry point.  Untrusted code reaches the enclave through two doors:
   the HotCalls-style amortization the paper's §III-B boundary-cost
   argument calls for.  Only descriptors marked ``batchable`` may ride in
   a batch, and the leak scanner still runs on every individual result.
-  Within a batch, an argument may be a :class:`ResultRef` referencing an
-  earlier call's result, so dependent calls (extend the ciphertext that
-  call #0 just produced) need not bounce back across the boundary.
 
 Each real-world ecall transition costs ~8k cycles (HotCalls); the
 :class:`CrossingMeter` on every enclave counts crossings, logical
@@ -180,32 +177,8 @@ class CrossingMeter:
                 f"ecalls={self.ecalls}, batches={self.batches})")
 
 
-@dataclass(frozen=True)
-class ResultRef:
-    """Placeholder argument inside a batch: 'the result of call #i'.
-
-    ``attr`` optionally selects an attribute of that result (e.g. the
-    ``ciphertext`` field of a partition blob), so a dependent call can be
-    expressed without leaving the enclave between the two.
-    """
-
-    index: int
-    attr: Optional[str] = None
-
-    def resolve(self, results: Sequence[Any]) -> Any:
-        if not 0 <= self.index < len(results):
-            raise EnclaveError(
-                f"batch argument references call #{self.index}, which has "
-                "not executed yet"
-            )
-        value = results[self.index]
-        if self.attr is not None:
-            value = getattr(value, self.attr)
-        return value
-
-
-#: A batch entry: ``(name, args)`` or ``(name, args, kwargs)``.
-BatchRequest = Tuple[Any, ...]
+#: A batch entry: ``(name, args)``, the arguments positional plain values.
+BatchRequest = Tuple[str, Sequence[Any]]
 
 
 class Enclave:
@@ -336,37 +309,32 @@ class Enclave:
     def call_batch(self, requests: Sequence[BatchRequest]) -> List[Any]:
         """Execute N batchable ecalls in ONE accounted boundary crossing.
 
-        ``requests`` is a sequence of ``(name, args)`` or
-        ``(name, args, kwargs)`` entries.  All targets are validated (and
-        must be declared ``batchable``) before anything executes; the
-        calls then run in order inside the boundary, each result passing
-        through the leak scanner individually.  Positional arguments may
-        be :class:`ResultRef` placeholders referencing earlier results.
+        ``requests`` is a sequence of ``(name, args)`` entries.  All
+        targets are validated (and must be declared ``batchable``) before
+        anything executes; the calls then run in order inside the
+        boundary, each result passing through the leak scanner
+        individually.
 
         Returns the per-call results in request order.
         """
         self._require_initialized()
-        ops: List[Tuple[EcallDescriptor, Tuple[Any, ...], Dict[str, Any]]] = []
+        ops: List[Tuple[EcallDescriptor, Tuple[Any, ...]]] = []
         for request in requests:
-            name, args, kwargs = _unpack_request(request)
+            name, args = _unpack_request(request)
             descriptor = self.registry.resolve(name)
             if not descriptor.batchable:
                 raise EnclaveError(
                     f"ecall {name!r} is not batchable; invoke it through "
                     "call() instead"
                 )
-            ops.append((descriptor, args, kwargs))
+            ops.append((descriptor, args))
         if not ops:
             return []
         self.meter.record_batch(len(ops))
         results: List[Any] = []
         with _span("sgx.batch", ops=len(ops)):
-            for descriptor, args, kwargs in ops:
-                # Materialize ResultRef placeholders against prior results.
-                resolved = [arg.resolve(results)
-                            if isinstance(arg, ResultRef) else arg
-                            for arg in args]
-                result = descriptor.handler(self, *resolved, **kwargs)
+            for descriptor, args in ops:
+                result = descriptor.handler(self, *args)
                 self._scan_for_leaks(result, descriptor.name)
                 results.append(result)
         return results
@@ -457,20 +425,12 @@ def trusted_view(enclave: Any) -> Enclave:
     raise EnclaveError(f"not an enclave or enclave handle: {enclave!r}")
 
 
-def _unpack_request(request: BatchRequest) -> Tuple[str, Tuple[Any, ...],
-                                                    Dict[str, Any]]:
-    if not isinstance(request, (tuple, list)) or not request:
+def _unpack_request(request: BatchRequest) -> Tuple[str, Tuple[Any, ...]]:
+    if (not isinstance(request, (tuple, list)) or len(request) != 2
+            or not isinstance(request[0], str)
+            or not isinstance(request[1], (tuple, list))):
         raise EnclaveError(f"malformed batch request: {request!r}")
-    name = request[0]
-    args: Tuple[Any, ...] = ()
-    kwargs: Dict[str, Any] = {}
-    if len(request) >= 2:
-        args = tuple(request[1])
-    if len(request) == 3:
-        kwargs = dict(request[2])
-    if len(request) > 3 or not isinstance(name, str):
-        raise EnclaveError(f"malformed batch request: {request!r}")
-    return name, args, kwargs
+    return request[0], tuple(request[1])
 
 
 def _iter_bytes(value: Any):

@@ -204,11 +204,6 @@ class ShardedSystem:
         with self.rng.scoped(f"group:{group_id}"):
             return shard.admin.add_user(group_id, identity)
 
-    def add_users(self, group_id: str, identities: List[str]):
-        shard = self._serving_shard(group_id)
-        with self.rng.scoped(f"group:{group_id}"):
-            return shard.admin.add_users(group_id, identities)
-
     def remove_user(self, group_id: str, identity: str):
         shard = self._serving_shard(group_id)
         with self.rng.scoped(f"group:{group_id}"):

@@ -41,6 +41,17 @@ class TestBatchAdd:
         client.sync()
         assert client.current_group_key() == gk
 
+    def test_empty_batch_is_a_no_op(self, system):
+        state = system.admin.group_state("g")
+        before = (state.epoch, state.descriptor_version,
+                  system.enclave.meter.crossings,
+                  system.cloud.metrics.batch_commits)
+        system.admin.add_users("g", [])
+        state = system.admin.group_state("g")
+        assert (state.epoch, state.descriptor_version,
+                system.enclave.meter.crossings,
+                system.cloud.metrics.batch_commits) == before
+
     def test_duplicate_in_batch_rejected(self, system):
         with pytest.raises(MembershipError):
             system.admin.add_users("g", ["x", "x"])

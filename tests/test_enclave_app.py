@@ -112,7 +112,7 @@ class TestAddUser:
         _, enclave, pk, _ = loaded
         blobs, sealed_gk = enclave.call("create_group", "g", [["a", "b"]])
         new_ct = enclave.call(
-            "add_user_to_partition", blobs[0].ciphertext, ["a", "b"], "c"
+            "add_user_to_partition", blobs[0].ciphertext, ["a", "b"], ["c"]
         )
         blob = PartitionBlob(ciphertext=new_ct, envelope=blobs[0].envelope)
         gk_new = _decrypt_blob(pk, enclave, blob, ["a", "b", "c"], "c")
@@ -236,24 +236,25 @@ REFUSALS = {
     "rekey: list over m":
         ("rekey_group", lambda b: ("g", [FULL + ["t"]]), ParameterError),
     "add: identity already listed":
-        ("add_user_to_partition", lambda b: (_ct(b), PARTS[0], "b"),
+        ("add_user_to_partition", lambda b: (_ct(b), PARTS[0], ["b"]),
          SchemeError),
     "add: result over m":
-        ("add_user_to_partition", lambda b: (_ct(b), FULL, "t"),
+        ("add_user_to_partition", lambda b: (_ct(b), FULL, ["t"]),
          ParameterError),
     "add: empty member list":
-        ("add_user_to_partition", lambda b: (_ct(b), [], "t"), SchemeError),
+        ("add_user_to_partition", lambda b: (_ct(b), [], ["t"]),
+         SchemeError),
     "add: ciphertext of the wrong length":
-        ("add_user_to_partition", lambda b: (_ct(b)[:-1], PARTS[0], "t"),
+        ("add_user_to_partition", lambda b: (_ct(b)[:-1], PARTS[0], ["t"]),
          SchemeError),
     "batch add: identity repeated":
-        ("add_users_to_partition", lambda b: (_ct(b), ["a"], ["t", "t"]),
+        ("add_user_to_partition", lambda b: (_ct(b), ["a"], ["t", "t"]),
          SchemeError),
     "batch add: result over m":
-        ("add_users_to_partition",
+        ("add_user_to_partition",
          lambda b: (_ct(b), PARTS[0], ["t", "u"]), ParameterError),
     "batch add: ciphertext of the wrong length":
-        ("add_users_to_partition",
+        ("add_user_to_partition",
          lambda b: (_ct(b) + b"\x00", PARTS[0], ["t"]), SchemeError),
 }
 
@@ -279,8 +280,8 @@ class TestRefusalLeavesNoTrace:
 
 
 class TestBatchAdd:
-    #: SHA-256 of ``add_users_to_partition``'s output for the scenario
-    #: below at commit 83b1f06, which ran two ladders per user.
+    #: SHA-256 of a batch extension's output for the scenario below at
+    #: commit 83b1f06, which ran two ladders per user.
     PARENT = {
         ("toy64", 1): "04032724108f9143fdab624da3701ac7"
                       "4388683b244050b17c0e549364e1607f",
@@ -305,7 +306,7 @@ class TestBatchAdd:
         blobs, _ = enclave.call("create_group", "g", [["a", "b"]])
         joiners = [f"n{i}" for i in range(n)]
         ladders = precomp_registry.snapshot()["ec.precomp.misses"]
-        batch = enclave.call("add_users_to_partition", blobs[0].ciphertext,
+        batch = enclave.call("add_user_to_partition", blobs[0].ciphertext,
                              ["a", "b"], joiners)
         ladders = precomp_registry.snapshot()["ec.precomp.misses"] - ladders
         assert ladders == 1
@@ -313,13 +314,13 @@ class TestBatchAdd:
         one_by_one, members = blobs[0].ciphertext, ["a", "b"]
         for joiner in joiners:
             one_by_one = enclave.call("add_user_to_partition", one_by_one,
-                                      members, joiner)
+                                      members, [joiner])
             members = members + [joiner]
         assert batch == one_by_one
 
     def test_admin_batch_on_fresh_partitions_matches_single_adds(self):
-        """Seven joiners to a full group: two fresh partitions, each a
-        ``create_partition`` extended through a ``ResultRef``."""
+        """Seven joiners to a full group: two fresh partitions, each one
+        ``create_partition`` around all of its joiners."""
         joiners = [f"n{i}" for i in range(7)]
         batched, single = (make_system("fresh-batch", capacity=4)
                            for _ in range(2))
@@ -347,7 +348,7 @@ def test_ciphertext_points_decoded(loaded, monkeypatch):
     monkeypatch.setattr(
         Point, "decode",
         classmethod(lambda cls, *a: decodes.append(1) or real(cls, *a)))
-    enclave.call("add_user_to_partition", _ct(blobs), PARTS[0], "t")
+    enclave.call("add_user_to_partition", _ct(blobs), PARTS[0], ["t"])
     assert len(decodes) == 1
     enclave.call("remove_user", "g", "b", ["a", "c"], [PARTS[1]])
     enclave.call("rekey_group", "g", [["a", "c"], PARTS[1]])

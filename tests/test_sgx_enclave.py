@@ -16,7 +16,6 @@ from repro.sgx.enclave import (
     ECALL_CROSSING_CYCLES,
     Enclave,
     EnclaveHandle,
-    ResultRef,
     ecall,
     trusted_view,
 )
@@ -149,29 +148,26 @@ class TestBatching:
             enclave.call_batch([("double", (1,)), ("nope", ())])
         assert enclave.meter.ecalls == 0
 
+    @pytest.mark.parametrize("request_", [
+        ("double", (), {"x": 4}),
+        ("double",),
+        ("double", 4),
+        (7, ()),
+    ])
+    def test_malformed_request_rejected_up_front(self, enclave, request_):
+        """An entry is exactly ``(name, args)``: anything else is refused
+        before the well-formed entry ahead of it runs."""
+        with pytest.raises(EnclaveError, match="malformed batch request"):
+            enclave.call_batch([("double", (1,)), request_])
+        assert enclave.meter.ecalls == 0
+
     def test_empty_batch_is_free(self, enclave):
         assert enclave.call_batch([]) == []
         assert enclave.meter.crossings == 0
 
-    def test_result_ref_chains_dependent_calls(self, enclave):
-        results = enclave.call_batch([
-            ("double", (3,)),
-            ("double", (ResultRef(0),)),
-            ("box", (ResultRef(1),)),
-        ])
-        assert results == [6, 12, {"value": 12}]
-
-    def test_result_ref_forward_reference_rejected(self, enclave):
-        with pytest.raises(EnclaveError, match="not executed yet"):
-            enclave.call_batch([("double", (ResultRef(1),)),
-                                ("double", (4,))])
-
     def test_leak_scanner_runs_per_call_inside_batch(self, enclave):
         with pytest.raises(EnclaveError, match="leak"):
             enclave.call_batch([("double", (1,)), ("leaky_batchable", ())])
-
-    def test_kwargs_supported(self, enclave):
-        assert enclave.call_batch([("double", (), {"x": 4})]) == [8]
 
 
 class TestIsolation:

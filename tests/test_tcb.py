@@ -58,10 +58,10 @@ REPO = SRC.parent
 #: enclave_app 2, the package root and the leaves errors, serialize,
 #: faulthook.
 MAX_ENCLAVE_MODULES = 47
-#: Their line count (6 977 when pinned): headroom for ordinary edits,
+#: Their line count (6 929 when pinned): headroom for ordinary edits,
 #: not for a module.
-MAX_ENCLAVE_LINES = 7000
-ECALLS = 19
+MAX_ENCLAVE_LINES = 6950
+ECALLS = 18
 
 #: The package graph, bottom-up.  A unit is a first-level name under
 #: ``repro`` (a sub-package or a single module); units sharing a row do
