@@ -8,9 +8,23 @@ daemons) share one storage substrate:
 * the event log (long-polling source) is an append-only JSONL file;
 * metrics are process-local (not persisted).
 
+What a commit, a poll and a compaction *mean* is written once, in
+:class:`~repro.cloud.store.CloudStore`; :class:`FileCloudStore` inherits
+every contract method and implements only the six storage hooks over
+the directory (``_lookup`` / ``_version_of`` read the data and ``.meta``
+files, ``_live_paths`` lists ``objects/``, ``_log`` reads
+``events.jsonl``, ``_write`` is the commit journal below and ``_fold``
+the compaction journal), plus the durability code this module alone
+needs.
+
 Concurrency model: single-writer-at-a-time per object (the paper's single
 administrator; the multi-admin extension layers optimistic concurrency on
-top via conditional puts, which this store honours).
+top via conditional puts, which this store honours).  Several live
+handles may share one directory: a handle caches the snapshot manifest
+and the log head, and re-reads both whenever ``events.jsonl`` or
+``snapshot.json`` no longer has the inode, size and modification time it
+last wrote or read, so it adopts other handles' commits and compactions
+before it polls, writes or reports a sequence number.
 
 Crash consistency: every mutation — a commit, of one op or many — is
 first recorded in a ``commit.journal`` written with temp-file +
@@ -27,18 +41,15 @@ of raising ``StorageError``.  Recovery increments ``cloud.recoveries``
 and ``cloud.meta_rebuilds``.
 
 Snapshot compaction reuses the same journal machinery under a second
-journal file: :meth:`FileCloudStore.compact` folds ``events.jsonl`` into
-``snapshot.json`` (the serialized :class:`~repro.cloud.store
-.StoreSnapshot` manifest) by writing the folded manifest to
-``compact.journal`` first, then atomically replacing ``snapshot.json``,
-then rewriting the event file with only the suffix past the snapshot
-horizon, then unlinking the journal.  Every step is idempotent, so a
-crash anywhere rolls the compaction *forward* on the next open — the
-store never has to undo a half-written snapshot, and mutations are
-strictly serialized with compactions so at most one journal kind exists
-at any crash.  ``poll_dir`` merges synthetic snapshot events ahead of
-the surviving suffix (see :mod:`repro.cloud.store`), keeping stale
-cursors exact across truncations.
+journal file: a compaction folds ``events.jsonl`` into ``snapshot.json``
+(the serialized :class:`~repro.cloud.store.StoreSnapshot` manifest) by
+writing the folded manifest to ``compact.journal`` first, then
+atomically replacing ``snapshot.json``, then rewriting the event file
+with only the suffix past the snapshot horizon, then unlinking the
+journal.  Every step is idempotent, so a crash anywhere rolls the
+compaction *forward* on the next open — the store never has to undo a
+half-written snapshot, and mutations are strictly serialized with
+compactions so at most one journal kind exists at any crash.
 """
 
 from __future__ import annotations
@@ -50,25 +61,17 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.cloud.latency import LatencyModel
-from repro.cloud.protocol import (
-    BatchDelete,
-    BatchPut,
-    CloudBatch,
-    CloudStoreProtocol,
-)
+from repro.cloud.protocol import CloudStoreProtocol
 from repro.cloud.store import (
-    CloudMetrics,
     CloudObject,
+    CloudStore,
     DirectoryEvent,
     SnapshotEntry,
+    StagedWrite,
     StoreSnapshot,
-    _normalize,
-    fold_snapshot,
-    snapshot_events,
 )
-from repro.errors import ConflictError, NotFoundError, StorageError
+from repro.errors import StorageError
 from repro.faulthook import crash_point
-from repro.obs.spans import span as _span
 
 
 def _encode_snapshot(snapshot: StoreSnapshot) -> bytes:
@@ -90,14 +93,13 @@ def _unslug(name: str) -> str:
     return base64.urlsafe_b64decode(name.encode("ascii")).decode("utf-8")
 
 
-class FileCloudStore(CloudStoreProtocol):
+class FileCloudStore(CloudStore):
     """Drop-in replacement for :class:`CloudStore` backed by a directory."""
 
     def __init__(self, root: str | Path,
                  latency: Optional[LatencyModel] = None,
                  compact_every: Optional[int] = None) -> None:
-        if compact_every is not None and compact_every < 1:
-            raise StorageError("compact_every must be a positive interval")
+        super().__init__(latency, compact_every)
         self.root = Path(root)
         self._objects_dir = self.root / "objects"
         self._events_path = self.root / "events.jsonl"
@@ -107,183 +109,123 @@ class FileCloudStore(CloudStoreProtocol):
         self._objects_dir.mkdir(parents=True, exist_ok=True)
         if not self._events_path.exists():
             self._events_path.write_text("", encoding="utf-8")
-        self._latency = latency or LatencyModel.disabled()
-        self._compact_every = compact_every
-        self._mutations_since_compact = 0
-        self.metrics = CloudMetrics()
         self._recoveries = self.metrics.registry.counter("cloud.recoveries")
         self._meta_rebuilds = self.metrics.registry.counter(
             "cloud.meta_rebuilds")
-        self._compactions = self.metrics.registry.counter("cloud.compactions")
-        self._events_truncated = self.metrics.registry.counter(
-            "cloud.events_truncated")
-        self._snapshot: Optional[StoreSnapshot] = None
-        self._last_seq = 0
         self._recover()
-        self._snapshot = self._load_snapshot()
-        # Cached so mutations stop paying an O(history) scan per call.
-        self._last_seq = max(
-            [self.snapshot_horizon()]
-            + [event.sequence for event in self._read_events()]
-        )
+        # Cached so mutations stop paying an O(history) scan per call;
+        # _adopt refreshes both when another handle moved the files.
+        self._last_seq = 0
+        self._stamp: Optional[Tuple] = None
+        self._adopt()
 
-    # -- object API -----------------------------------------------------------
-
-    def get(self, path: str) -> CloudObject:
-        path = _normalize(path)
-        with _span("cloud.get", path=path) as sp:
-            object_path = self._objects_dir / _slug(path)
-            if not object_path.exists():
-                raise NotFoundError(f"no object at {path}")
-            data = object_path.read_bytes()
-            sp.set(bytes=len(data),
-                   latency_ms=self._account(bytes_out=len(data)))
-            version = self._read_version(object_path.with_suffix(".meta"))
-            return CloudObject(path=path, data=data, version=version)
-
-    def get_many(self, paths: Iterable[str]) -> Dict[str, CloudObject]:
-        """Fetch several objects in one round trip (missing paths skipped)."""
-        with _span("cloud.get_many") as sp:
-            found: Dict[str, CloudObject] = {}
-            for raw in paths:
-                path = _normalize(raw)
-                object_path = self._objects_dir / _slug(path)
-                if not object_path.exists():
-                    continue
-                found[path] = CloudObject(
-                    path=path,
-                    data=object_path.read_bytes(),
-                    version=self._read_version(object_path.with_suffix(".meta")),
-                )
-            payload = sum(len(o.data) for o in found.values())
-            sp.set(objects=len(found), bytes=payload,
-                   latency_ms=self._account(bytes_out=payload))
-            return found
-
-    def commit(self, batch: CloudBatch) -> Dict[str, int]:
-        """Atomic multi-object write; see :meth:`CloudStore.commit`.
-
-        All-or-nothing with respect to validation (no partial application
-        on a version conflict) *and* crash-consistent: the whole batch is
-        journalled before the first file is touched, so a process killed
-        mid-apply rolls the batch forward on the next open (the module
-        docstring describes the journal protocol).
-        """
-        with _span("cloud.commit", ops=len(batch.ops),
-                   bytes=batch.payload_bytes) as sp:
-            staged = []
-            projected: Dict[str, Optional[int]] = {}
-
-            def current(path: str) -> int:
-                if path in projected:
-                    return projected[path] or 0
-                return self._current_version(path)
-
-            for op in batch.ops:
-                path = _normalize(op.path)
-                have = current(path)
-                if isinstance(op, BatchPut):
-                    if op.expected_version is not None and have != op.expected_version:
-                        raise ConflictError(
-                            f"version conflict on {path}: have {have}, "
-                            f"expected {op.expected_version}"
-                        )
-                    version = have + 1
-                    projected[path] = version
-                    staged.append((op, path, version))
-                elif isinstance(op, BatchDelete):
-                    if have == 0:
-                        if op.ignore_missing:
-                            continue
-                        raise NotFoundError(f"no object at {path}")
-                    projected[path] = None
-                    staged.append((op, path, have))
-                else:  # pragma: no cover - defensive
-                    raise StorageError(f"unknown batch operation {op!r}")
-
-            sp.set(latency_ms=self._account(bytes_in=batch.payload_bytes))
-            self.metrics.batch_commits += 1
-            versions: Dict[str, int] = {}
-            ops = []
-            for op, path, version in staged:
-                if isinstance(op, BatchPut):
-                    ops.append(("put", path, op.data, version))
-                    versions[path] = version
-                else:
-                    ops.append(("delete", path, None, version))
-            self._journaled_apply(ops)
-            self._note_mutation(len(ops))
-            return versions
-
-    def list_dir(self, directory: str) -> List[str]:
-        directory = _normalize(directory).rstrip("/") + "/"
-        self._account(0)
-        children = set()
-        for entry in self._objects_dir.iterdir():
-            if entry.suffix in (".meta", ".tmp"):
-                continue
-            path = _unslug(entry.name)
-            if path.startswith(directory):
-                remainder = path[len(directory):]
-                children.add(directory + remainder.split("/")[0])
-        return sorted(children)
-
-    # -- long polling ------------------------------------------------------------
-
-    def poll_dir(self, directory: str, after_sequence: int = 0,
-                 ) -> Tuple[List[DirectoryEvent], int]:
-        directory = _normalize(directory).rstrip("/") + "/"
-        with _span("cloud.poll_dir", dir=directory) as sp:
-            sp.set(latency_ms=self._account(0))
-            events = snapshot_events(self._snapshot, directory,
-                                     after_sequence)
-            cursor = max(after_sequence, self.snapshot_horizon())
-            for event in self._read_events():
-                cursor = max(cursor, event.sequence)
-                if event.sequence <= after_sequence:
-                    continue
-                if event.path.startswith(directory) or event.path == directory[:-1]:
-                    events.append(event)
-            sp.set(events=len(events))
-            return events, cursor
-
-    # -- snapshot compaction -----------------------------------------------------
-
-    def compact(self) -> int:
-        """Fold ``events.jsonl`` into ``snapshot.json`` and truncate it.
-
-        Crash-consistent via ``compact.journal`` (module docstring);
-        counts one request.  Returns the number of event records
-        truncated (0 when the log is already empty, making repeated
-        compaction idempotent).
-        """
-        with _span("cloud.compact") as sp:
-            self._account()
-            events = self._read_events()
-            if not events:
-                sp.set(truncated=0, horizon=self.snapshot_horizon())
-                return 0
-            snapshot = fold_snapshot(self._snapshot, events)
-            payload = _encode_snapshot(snapshot)
-            self._write_atomic(self._compact_journal_path, payload)
-            crash_point("cloud.compact.journaled")
-            self._apply_compaction(payload, inject=True)
-            self._compact_journal_path.unlink()
-            self._snapshot = snapshot
-            self._last_seq = max(self._last_seq, snapshot.horizon)
-            self._compactions.add()
-            self._events_truncated.add(len(events))
-            sp.set(truncated=len(events), horizon=snapshot.horizon)
-            return len(events)
+    # The shared bodies, bound in this class's own namespace:
+    # ``benchmarks/ledger`` times the file store's calls by wrapping
+    # these attributes, apart from the in-memory store's.
+    get = CloudStore.get
+    put = CloudStoreProtocol.put
+    get_many = CloudStore.get_many
+    commit = CloudStore.commit
+    poll_dir = CloudStore.poll_dir
+    compact = CloudStore.compact
 
     def snapshot_horizon(self) -> int:
-        """Highest sequence folded into the snapshot (0 = never compacted).
-        Inspection only — no round trip is charged."""
-        return self._snapshot.horizon if self._snapshot is not None else 0
+        self._adopt()
+        return super().snapshot_horizon()
 
     def head_sequence(self) -> int:
-        """Sequence of the newest committed mutation (inspection only)."""
+        self._adopt()
         return self._last_seq
+
+    # -- storage hooks -------------------------------------------------------------
+
+    def _lookup(self, path: str) -> Optional[CloudObject]:
+        object_path = self._objects_dir / _slug(path)
+        if not object_path.exists():
+            return None
+        data = object_path.read_bytes()
+        return CloudObject(
+            path=path, data=data,
+            version=self._read_version(object_path.with_suffix(".meta")))
+
+    def _version_of(self, path: str) -> int:
+        object_path = self._objects_dir / _slug(path)
+        if not object_path.exists():
+            return 0
+        return self._read_version(object_path.with_suffix(".meta"))
+
+    def _live_paths(self) -> List[str]:
+        # Sorted: the order of a directory listing is arbitrary.
+        return [_unslug(entry.name)
+                for entry in sorted(self._objects_dir.iterdir())
+                if entry.suffix not in (".meta", ".tmp")]
+
+    def _log(self) -> List[DirectoryEvent]:
+        self._adopt()
+        return self._read_events()
+
+    def _write(self, staged: Sequence[StagedWrite]) -> None:
+        """Apply a validated write set under the journal protocol (see
+        the module docstring).  Versions and sequence numbers are
+        absolute, making roll-forward idempotent."""
+        self._adopt()
+        sequence = self._last_seq
+        records = []
+        events = []
+        for kind, path, data, version in staged:
+            record = {"kind": kind, "path": path, "version": version}
+            if kind == "put":
+                record["data"] = base64.b64encode(data).decode("ascii")
+            records.append(record)
+            sequence += 1
+            events.append({"seq": sequence, "path": path,
+                           "kind": kind, "version": version})
+        journal = {"ops": records, "events": events}
+        self._write_atomic(self._journal_path,
+                           json.dumps(journal).encode("utf-8"))
+        crash_point("cloud.commit.journaled")
+        self._apply_records(records, inject=True)
+        self._append_event_lines(events)
+        self._journal_path.unlink()
+        self._last_seq = sequence
+        self._stamp = self._file_stamp()
+
+    def _fold(self, snapshot: StoreSnapshot) -> None:
+        payload = _encode_snapshot(snapshot)
+        self._write_atomic(self._compact_journal_path, payload)
+        crash_point("cloud.compact.journaled")
+        self._apply_compaction(payload, inject=True)
+        self._compact_journal_path.unlink()
+        self._last_seq = max(self._last_seq, snapshot.horizon)
+        self._stamp = self._file_stamp()
+
+    # -- other handles ---------------------------------------------------------------
+
+    def _file_stamp(self) -> Tuple:
+        stamp = []
+        for path in (self._events_path, self._snapshot_path):
+            try:
+                info = path.stat()
+            except FileNotFoundError:
+                stamp.append(None)
+            else:
+                stamp.append((info.st_ino, info.st_size, info.st_mtime_ns))
+        return tuple(stamp)
+
+    def _adopt(self) -> None:
+        """Re-read the snapshot manifest and the log head if another
+        handle has committed or compacted since this one last wrote or
+        read them."""
+        stamp = self._file_stamp()
+        if stamp == self._stamp:
+            return
+        self._snapshot = self._load_snapshot()
+        self._last_seq = max(
+            [self._snapshot.horizon if self._snapshot is not None else 0]
+            + [event.sequence for event in self._read_events()])
+        self._stamp = stamp
+
+    # -- durability ------------------------------------------------------------------
 
     def _apply_compaction(self, payload: bytes, inject: bool) -> None:
         """Execute (or re-execute, during recovery) a journalled
@@ -294,13 +236,8 @@ class FileCloudStore(CloudStoreProtocol):
         if inject:
             crash_point("cloud.compact.snapshot_written")
         horizon = json.loads(payload.decode("utf-8"))["horizon"]
-        kept = [e for e in self._read_events() if e.sequence > horizon]
-        lines = "".join(
-            json.dumps({"seq": e.sequence, "path": e.path,
-                        "kind": e.kind, "version": e.version}) + "\n"
-            for e in kept
-        )
-        self._write_atomic(self._events_path, lines.encode("utf-8"))
+        self._rewrite_events(
+            e for e in self._read_events() if e.sequence > horizon)
 
     def _load_snapshot(self) -> Optional[StoreSnapshot]:
         if not self._snapshot_path.exists():
@@ -321,28 +258,6 @@ class FileCloudStore(CloudStoreProtocol):
             # parse failure means tampering, not a crash artifact.
             raise StorageError("corrupt snapshot manifest") from exc
 
-    # -- adversary interface -------------------------------------------------------
-
-    def adversary_view(self):
-        for entry in sorted(self._objects_dir.iterdir()):
-            if entry.suffix in (".meta", ".tmp"):
-                continue
-            path = _unslug(entry.name)
-            yield CloudObject(
-                path=path,
-                data=entry.read_bytes(),
-                version=self._read_version(entry.with_suffix(".meta")),
-            )
-
-    # -- internals -----------------------------------------------------------------
-
-    def _current_version(self, path: str) -> int:
-        """Version of the live object at ``path`` (0 if absent)."""
-        object_path = self._objects_dir / _slug(path)
-        if not object_path.exists():
-            return 0
-        return self._read_version(object_path.with_suffix(".meta"))
-
     @staticmethod
     def _write_atomic(target: Path, data: bytes) -> None:
         """Temp-file + ``os.replace``: the target is always either the
@@ -350,29 +265,6 @@ class FileCloudStore(CloudStoreProtocol):
         tmp = target.with_name(target.name + ".tmp")
         tmp.write_bytes(data)
         os.replace(tmp, target)
-
-    def _journaled_apply(self, ops: Sequence[Tuple]) -> None:
-        """Apply ``("put", path, data, version)`` / ``("delete", path,
-        None, version)`` ops under the journal protocol (see the module
-        docstring).  Versions are absolute, making roll-forward
-        idempotent."""
-        first_seq = self._last_seq + 1
-        records = []
-        events = []
-        for offset, (kind, path, data, version) in enumerate(ops):
-            record = {"kind": kind, "path": path, "version": version}
-            if kind == "put":
-                record["data"] = base64.b64encode(data).decode("ascii")
-            records.append(record)
-            events.append({"seq": first_seq + offset, "path": path,
-                           "kind": kind, "version": version})
-        journal = {"ops": records, "events": events}
-        self._write_atomic(self._journal_path,
-                           json.dumps(journal).encode("utf-8"))
-        crash_point("cloud.commit.journaled")
-        self._apply_records(records, inject=True)
-        self._append_event_lines(events)
-        self._journal_path.unlink()
 
     def _apply_records(self, records: Sequence[Dict], inject: bool) -> None:
         for index, record in enumerate(records):
@@ -405,9 +297,14 @@ class FileCloudStore(CloudStoreProtocol):
         with self._events_path.open("a", encoding="utf-8") as handle:
             for record in events:
                 handle.write(json.dumps(record) + "\n")
-        if events:
-            self._last_seq = max(self._last_seq,
-                                 max(e["seq"] for e in events))
+
+    def _rewrite_events(self, events: Iterable[DirectoryEvent]) -> None:
+        lines = "".join(
+            json.dumps({"seq": e.sequence, "path": e.path,
+                        "kind": e.kind, "version": e.version}) + "\n"
+            for e in events
+        )
+        self._write_atomic(self._events_path, lines.encode("utf-8"))
 
     def _recover(self) -> None:
         """Roll an interrupted mutation forward from ``commit.journal``.
@@ -439,13 +336,8 @@ class FileCloudStore(CloudStoreProtocol):
         events = journal["events"]
         if events:
             first_seq = events[0]["seq"]
-            kept = [e for e in self._read_events() if e.sequence < first_seq]
-            lines = "".join(
-                json.dumps({"seq": e.sequence, "path": e.path,
-                            "kind": e.kind, "version": e.version}) + "\n"
-                for e in kept
-            )
-            self._write_atomic(self._events_path, lines.encode("utf-8"))
+            self._rewrite_events(
+                e for e in self._read_events() if e.sequence < first_seq)
         self._apply_records(journal["ops"], inject=False)
         self._append_event_lines(events)
         self._journal_path.unlink()
@@ -512,16 +404,6 @@ class FileCloudStore(CloudStoreProtocol):
         self._meta_rebuilds.add()
         return version
 
-    def _note_mutation(self, count: int) -> None:
-        """Advance the auto-compaction policy by ``count`` committed
-        mutations, compacting when the interval elapses."""
-        if self._compact_every is None:
-            return
-        self._mutations_since_compact += count
-        if self._mutations_since_compact >= self._compact_every:
-            self._mutations_since_compact = 0
-            self.compact()
-
     def _read_events(self) -> List[DirectoryEvent]:
         lines = self._events_path.read_text("utf-8").splitlines()
         events = []
@@ -541,11 +423,3 @@ class FileCloudStore(CloudStoreProtocol):
                     continue
                 raise StorageError("corrupt event log") from exc
         return events
-
-    def _account(self, bytes_in: int = 0, bytes_out: int = 0) -> float:
-        latency_ms = self._latency.sample(bytes_in + bytes_out)
-        self.metrics.requests += 1
-        self.metrics.bytes_in += bytes_in
-        self.metrics.bytes_out += bytes_out
-        self.metrics.simulated_latency_ms += latency_ms
-        return latency_ms

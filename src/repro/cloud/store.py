@@ -44,14 +44,12 @@ automatically after every K committed mutations.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.cloud.latency import LatencyModel
 from repro.cloud.protocol import (
     BatchDelete,
-    BatchOp,
     BatchPut,
     CloudBatch,
     CloudStoreProtocol,
@@ -76,6 +74,11 @@ class DirectoryEvent:
     path: str
     kind: str        # "put" | "delete"
     version: int
+
+
+#: One validated write handed to a store's ``_write`` hook:
+#: ``(kind "put" | "delete", normalized path, data or None, version)``.
+StagedWrite = Tuple[str, str, Optional[bytes], int]
 
 
 @dataclass(frozen=True)
@@ -180,7 +183,18 @@ class CloudMetrics:
 
 class CloudStore(CloudStoreProtocol):
     """The storage + broadcast substrate (in-memory reference
-    implementation of :class:`~repro.cloud.CloudStoreProtocol`)."""
+    implementation of :class:`~repro.cloud.CloudStoreProtocol`).
+
+    Every contract method is written once, here, and reaches storage
+    only through six private hooks: :meth:`_lookup` (the live object at a
+    normalized path, or ``None``), :meth:`_version_of` (its version, 0 if
+    absent), :meth:`_live_paths`, :meth:`_log` (the events past the
+    snapshot, in order), :meth:`_write` (apply a validated write set of
+    ``(kind, path, data, version)`` tuples, emitting one event each) and
+    :meth:`_fold` (truncate the log into a folded snapshot).  This class
+    implements them over a dict and a list; :class:`~repro.cloud
+    .FileCloudStore` implements them over a directory.
+    """
 
     def __init__(self, latency: Optional[LatencyModel] = None,
                  compact_every: Optional[int] = None) -> None:
@@ -189,7 +203,6 @@ class CloudStore(CloudStoreProtocol):
         self._objects: Dict[str, CloudObject] = {}
         self._latency = latency or LatencyModel.disabled()
         self._event_log: List[DirectoryEvent] = []
-        self._sequence = itertools.count(1)
         self._snapshot: Optional[StoreSnapshot] = None
         self._compact_every = compact_every
         self._mutations_since_compact = 0
@@ -208,7 +221,7 @@ class CloudStore(CloudStoreProtocol):
     def get(self, path: str) -> CloudObject:
         path = _normalize(path)
         with _span("cloud.get", path=path) as sp:
-            obj = self._objects.get(path)
+            obj = self._lookup(path)
             if obj is None:
                 raise NotFoundError(f"no object at {path}")
             sp.set(bytes=len(obj.data),
@@ -226,7 +239,7 @@ class CloudStore(CloudStoreProtocol):
         with _span("cloud.get_many") as sp:
             found: Dict[str, CloudObject] = {}
             for path in paths:
-                obj = self._objects.get(_normalize(path))
+                obj = self._lookup(_normalize(path))
                 if obj is not None:
                     found[obj.path] = obj
             payload = sum(len(o.data) for o in found.values())
@@ -249,59 +262,44 @@ class CloudStore(CloudStoreProtocol):
         """
         with _span("cloud.commit", ops=len(batch.ops),
                    bytes=batch.payload_bytes) as sp:
-            staged: List[Tuple[BatchOp, str, int]] = []
+            staged: List[StagedWrite] = []
             projected: Dict[str, Optional[int]] = {}
-
-            def current_version(path: str) -> int:
-                if path in projected:
-                    return projected[path] or 0
-                obj = self._objects.get(path)
-                return obj.version if obj else 0
-
             for op in batch.ops:
                 path = _normalize(op.path)
-                have = current_version(path)
+                have = ((projected[path] or 0) if path in projected
+                        else self._version_of(path))
                 if isinstance(op, BatchPut):
                     if op.expected_version is not None and have != op.expected_version:
                         raise ConflictError(
                             f"version conflict on {path}: have {have}, "
                             f"expected {op.expected_version}"
                         )
-                    version = have + 1
-                    projected[path] = version
-                    staged.append((op, path, version))
+                    projected[path] = have + 1
+                    staged.append(("put", path, op.data, have + 1))
                 elif isinstance(op, BatchDelete):
                     if have == 0:
                         if op.ignore_missing:
                             continue
                         raise NotFoundError(f"no object at {path}")
                     projected[path] = None
-                    staged.append((op, path, have))
+                    staged.append(("delete", path, None, have))
                 else:  # pragma: no cover - defensive
                     raise StorageError(f"unknown batch operation {op!r}")
 
             sp.set(latency_ms=self._account(bytes_in=batch.payload_bytes))
             self.metrics.batch_commits += 1
-            versions: Dict[str, int] = {}
-            for op, path, version in staged:
-                if isinstance(op, BatchPut):
-                    self._apply_put(path, op.data, version)
-                    versions[path] = version
-                else:
-                    self._apply_delete(path, version)
+            self._write(staged)
             self._note_mutation(len(staged))
-            return versions
+            return {path: version for kind, path, _, version in staged
+                    if kind == "put"}
 
     def list_dir(self, directory: str) -> List[str]:
         """Immediate children (paths) under a directory."""
         directory = _normalize(directory).rstrip("/") + "/"
         self._account()
-        children = set()
-        for path in self._objects:
-            if path.startswith(directory):
-                remainder = path[len(directory):]
-                children.add(directory + remainder.split("/")[0])
-        return sorted(children)
+        return sorted({directory + path[len(directory):].split("/")[0]
+                       for path in self._live_paths()
+                       if path.startswith(directory)})
 
     # -- long polling ------------------------------------------------------------
 
@@ -316,10 +314,13 @@ class CloudStore(CloudStoreProtocol):
         directory = _normalize(directory).rstrip("/") + "/"
         with _span("cloud.poll_dir", dir=directory) as sp:
             sp.set(latency_ms=self._account())
+            # The log first: a persistent store adopts another handle's
+            # compaction there, before the snapshot is read.
+            log = self._log()
             events = snapshot_events(self._snapshot, directory,
                                      after_sequence)
             events += [
-                ev for ev in self._event_log
+                ev for ev in log
                 if ev.sequence > after_sequence
                 and (ev.path.startswith(directory) or ev.path == directory[:-1])
             ]
@@ -337,15 +338,15 @@ class CloudStore(CloudStoreProtocol):
         """
         with _span("cloud.compact") as sp:
             self._account()
-            truncated = len(self._event_log)
-            if truncated:
-                self._snapshot = fold_snapshot(self._snapshot,
-                                               self._event_log)
-                self._event_log.clear()
+            events = list(self._log())    # _fold may clear the list
+            if events:
+                snapshot = fold_snapshot(self._snapshot, events)
+                self._fold(snapshot)
+                self._snapshot = snapshot
                 self._compactions.add()
-                self._events_truncated.add(truncated)
-            sp.set(truncated=truncated, horizon=self.snapshot_horizon())
-            return truncated
+                self._events_truncated.add(len(events))
+            sp.set(truncated=len(events), horizon=self.snapshot_horizon())
+            return len(events)
 
     def snapshot_horizon(self) -> int:
         """Highest sequence folded into the snapshot (0 = never compacted).
@@ -362,23 +363,38 @@ class CloudStore(CloudStoreProtocol):
 
     def adversary_view(self) -> Iterator[CloudObject]:
         """Everything the curious cloud can inspect (for security tests)."""
-        return iter(list(self._objects.values()))
+        return iter([self._lookup(path) for path in self._live_paths()])
+
+    # -- storage hooks -------------------------------------------------------------
+
+    def _lookup(self, path: str) -> Optional[CloudObject]:
+        return self._objects.get(path)
+
+    def _version_of(self, path: str) -> int:
+        obj = self._objects.get(path)
+        return obj.version if obj else 0
+
+    def _live_paths(self) -> Iterable[str]:
+        return self._objects.keys()
+
+    def _log(self) -> Sequence[DirectoryEvent]:
+        return self._event_log
+
+    def _write(self, staged: Sequence[StagedWrite]) -> None:
+        sequence = self.head_sequence()
+        for kind, path, data, version in staged:
+            if kind == "put":
+                self._objects[path] = CloudObject(path, data, version)
+            else:
+                del self._objects[path]
+            sequence += 1
+            self._event_log.append(
+                DirectoryEvent(sequence, path, kind, version))
+
+    def _fold(self, snapshot: StoreSnapshot) -> None:
+        self._event_log.clear()
 
     # -- internals -----------------------------------------------------------------
-
-    def _apply_put(self, path: str, data: bytes, version: int) -> None:
-        self._objects[path] = CloudObject(path=path, data=data, version=version)
-        self._event_log.append(DirectoryEvent(
-            sequence=next(self._sequence), path=path, kind="put",
-            version=version,
-        ))
-
-    def _apply_delete(self, path: str, version: int) -> None:
-        self._objects.pop(path, None)
-        self._event_log.append(DirectoryEvent(
-            sequence=next(self._sequence), path=path, kind="delete",
-            version=version,
-        ))
 
     def _note_mutation(self, count: int) -> None:
         """Advance the auto-compaction policy by ``count`` committed

@@ -68,6 +68,30 @@ class TestDirectoriesAndPolling:
         events, _ = store.poll_dir("/g", cursor)
         assert [e.path for e in events] == ["/g/p1"]
 
+    def test_live_handle_adopts_another_handles_compaction(
+            self, store, tmp_path):
+        store.put("/g/p0", b"a")
+        store.put("/g/p1", b"b")
+        other = FileCloudStore(tmp_path / "cloud")
+        assert other.compact() == 2
+        events, cursor = store.poll_dir("/g")
+        assert [(e.path, e.sequence) for e in events] == \
+            [("/g/p0", 1), ("/g/p1", 2)]
+        assert cursor == 2
+        assert store.snapshot_horizon() == store.head_sequence() == 2
+
+    def test_live_handles_never_reuse_a_sequence(self, store, tmp_path):
+        store.put("/g/p0", b"a")
+        other = FileCloudStore(tmp_path / "cloud")
+        other.put("/g/p1", b"b")
+        store.put("/g/p2", b"c")
+        events, cursor = FileCloudStore(tmp_path / "cloud").poll_dir("/g")
+        assert [e.sequence for e in events] == [1, 2, 3]
+        assert cursor == store.head_sequence() == 3
+        # A watcher at cursor 2 still sees the third write.
+        events, _ = other.poll_dir("/g", 2)
+        assert [e.path for e in events] == ["/g/p2"]
+
     def test_delete_event(self, store):
         store.put("/g/p0", b"a")
         store.commit(CloudBatch().delete("/g/p0"))

@@ -1,8 +1,10 @@
 """Model-based equivalence of the in-memory and file-backed cloud stores.
 
-Random operation sequences must produce identical observable behaviour
-(results, errors, event streams) from :class:`CloudStore` and
-:class:`FileCloudStore` — the system code treats them interchangeably.
+Random operation sequences, compactions and polls from mid-history
+cursors included, must produce identical observable behaviour (results,
+errors, event streams with their sequence numbers) from
+:class:`CloudStore` and :class:`FileCloudStore` — the system code treats
+them interchangeably.
 """
 
 import pytest
@@ -35,7 +37,9 @@ operations = st.lists(
         st.tuples(st.just("get"), st.sampled_from(PATHS)),
         st.tuples(st.just("delete"), st.sampled_from(PATHS)),
         st.tuples(st.just("list"), st.sampled_from(["/g", "/h"])),
-        st.tuples(st.just("poll"), st.sampled_from(["/g", "/h"])),
+        st.tuples(st.just("poll"), st.sampled_from(["/g", "/h"]),
+                  st.integers(min_value=0, max_value=12)),
+        st.tuples(st.just("compact")),
         st.tuples(st.just("commit"), batch_ops),
         st.tuples(st.just("get_many"),
                   st.lists(st.sampled_from(PATHS), max_size=4)),
@@ -74,10 +78,14 @@ def _apply(store, op):
         if kind == "list":
             return ("listing", tuple(store.list_dir(op[1])))
         if kind == "poll":
-            events, cursor = store.poll_dir(op[1])
+            events, cursor = store.poll_dir(op[1], op[2])
             return ("events",
-                    tuple((e.path, e.kind, e.version) for e in events),
+                    tuple((e.sequence, e.path, e.kind, e.version)
+                          for e in events),
                     cursor)
+        if kind == "compact":
+            return ("compacted", store.compact(), store.snapshot_horizon(),
+                    store.head_sequence())
         if kind == "commit":
             versions = store.commit(_build_batch(op[1]))
             return ("committed", tuple(sorted(versions.items())))
