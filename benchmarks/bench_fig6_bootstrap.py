@@ -89,9 +89,9 @@ def test_fig6b_extract_throughput(std_group, sink, benchmark):
 def test_fig6c_parallel_bootstrap_sweep(sink, benchmark):
     """Group-creation scaling across engine worker counts (paper Fig. 5).
 
-    One std160 deployment bootstraps the same large group at each worker
-    count; the device RNG is reset between rounds so every round consumes
-    an identical randomness stream.  Two properties are checked:
+    Each worker count gets its own std160 deployment, built from the
+    same seed, which bootstraps the same large group: every round
+    consumes an identical randomness stream.  Two properties are checked:
 
     * partition metadata (ciphertext + envelope) is byte-identical at
       every worker count — the engine's determinism contract;
@@ -101,19 +101,22 @@ def test_fig6c_parallel_bootstrap_sweep(sink, benchmark):
     users = scaled(BOOTSTRAP_USERS)
     capacity = scaled(BOOTSTRAP_CAPACITY)
     members = [f"user{i:05d}" for i in range(users)]
-    system = make_bench_system("fig6c", capacity, params="std160")
 
     rows, timings, reference = [], {}, None
     for workers in WORKER_COUNTS:
-        system.device.rng = DeterministicRng("fig6c-round")
-        system.set_workers(workers)
-        system.admin.warm_enclave_workers()
-        start = time.perf_counter()
-        system.admin.create_group("boot", members)
-        elapsed = time.perf_counter() - start
+        system = make_bench_system("fig6c", capacity, params="std160",
+                                   workers=workers)
+        try:
+            system.admin.warm_enclave_workers()
+            start = time.perf_counter()
+            system.admin.create_group("boot", members)
+            elapsed = time.perf_counter() - start
+            state = system.admin.group_state("boot")
+            snapshot = system.telemetry()["metrics"]
+        finally:
+            system.close()
         timings[workers] = elapsed
 
-        state = system.admin.group_state("boot")
         blobs = {
             pid: (state.records[pid].ciphertext, state.records[pid].envelope)
             for pid in state.table.partition_ids
@@ -124,12 +127,9 @@ def test_fig6c_parallel_bootstrap_sweep(sink, benchmark):
             assert blobs == reference, (
                 f"group metadata diverged at workers={workers}"
             )
-        snapshot = system.telemetry()["metrics"]
         rows.append([workers, format_seconds(elapsed),
                      f"{timings[1] / elapsed:.2f}x",
                      int(snapshot["par.tasks"])])
-        system.admin.delete_group("boot")
-        system.reset_metrics()
 
     sink.table(
         f"Fig 6c: {users}-user bootstrap vs engine worker count "
@@ -150,7 +150,7 @@ def test_fig6c_parallel_bootstrap_sweep(sink, benchmark):
         sink.line(f"  (speedup assertion skipped: {cores} cores, "
                   f"scale {bench_scale()})")
 
-    system.set_workers(1)
+    system = make_bench_system("fig6c", capacity, params="std160")
     benchmark.pedantic(
         lambda: (system.admin.create_group("boot", members[:capacity]),
                  system.admin.delete_group("boot")),

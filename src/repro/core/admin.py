@@ -6,11 +6,13 @@ cryptographic step, signs the resulting metadata, and pushes it to the
 cloud.  At no point does it see a plaintext group or broadcast key — the
 zero-knowledge tests run these exact code paths.
 
-Every mutation is expressed as an :class:`OpPlan` (enclave batch +
-ordered cloud effects) executed by one shared
-:meth:`GroupAdministrator._commit_plan` path: the enclave work runs in a
-single :meth:`~repro.sgx.enclave.Enclave.call_batch` crossing and the
-cloud writes land in a single atomic
+Every mutation updates the cached bookkeeping, then hands
+:meth:`GroupAdministrator._commit_plan` two callables: one builds the
+``(name, args)`` ecall batch, the other turns the batch's results into
+the partitions to install and drop and the new sealed group key.  The
+enclave work runs in a single
+:meth:`~repro.sgx.enclave.Enclave.call_batch` crossing and the cloud
+writes land in a single atomic
 :meth:`~repro.cloud.store.CloudStore.commit` round trip (descriptor
 conditional-put first).
 """
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cloud import CloudBatch, CloudStore
 from repro.core.cache import AdminCache, AdminGroupState
@@ -92,84 +94,32 @@ class _Placement:
     users: List[str]
 
 
-@dataclass(frozen=True)
-class EcallOp:
-    """One enclave entry in a plan: a registered name and its positional
-    arguments, all plain values."""
-
-    name: str
-    args: Tuple[Any, ...]
-
-
-@dataclass(frozen=True)
-class InstallPartition:
-    """Sign and push the record for partition ``pid`` holding ``blob``."""
-
-    pid: int
-    blob: PartitionBlob
-
-
-@dataclass(frozen=True)
-class DropPartition:
-    """Delete partition ``pid``'s cloud object (tolerating absence)."""
-
-    pid: int
-
-
-@dataclass(frozen=True)
-class PushSealedKey:
-    """Push the state's (possibly freshly rotated) sealed group key."""
-
-
-PlanAction = Union[InstallPartition, DropPartition, PushSealedKey]
+#: One enclave crossing's requests: ``(ecall name, positional args)``.
+_Batch = List[Tuple[str, Tuple[Any, ...]]]
 
 
 @dataclass
-class PlanEffects:
-    """Cloud-visible outcome of a plan's enclave phase, in commit order."""
+class _WriteSet:
+    """What one mutation commits beside its descriptor: the partition
+    blobs to install, the partitions to drop and the new sealed group
+    key (``None`` when the operation kept the old one)."""
 
-    actions: List[PlanAction]
-    #: New sealed group key (``None`` when the operation kept the old one).
+    installs: Dict[int, PartitionBlob]
+    drops: Sequence[int] = ()
     sealed_gk: Optional[bytes] = None
 
 
-@dataclass
-class OpPlan:
-    """One group mutation: enclave batch + cloud effects.
-
-    ``effects`` receives the ecall results in request order.  Plans are
-    produced by zero-argument builder closures so the executor can rebuild
-    them after recovering a foreign sealed group key (multi-admin
-    :class:`~repro.errors.SealingError` path) — the builder re-reads the
-    refreshed ``state.sealed_group_key``.
-
-    ``bump_epoch`` is False for operations that preset the epoch on a
-    fresh state object (group creation, re-partitioning).
-    """
-
-    ecalls: List[EcallOp]
-    effects: Callable[[Sequence[Any]], PlanEffects]
-    bump_epoch: bool = True
-
-    def describe(self) -> str:
-        """Short trace label for this plan (``admin.plan`` spans)."""
-        if not self.ecalls:
-            return "noop"
-        return "+".join(op.name for op in self.ecalls)
-
-
 def _rekeyed(state: AdminGroupState, pids: Sequence[int],
-             blobs: Sequence[PartitionBlob]) -> List[InstallPartition]:
+             blobs: Sequence[PartitionBlob]) -> Dict[int, PartitionBlob]:
     """Installs for partitions a re-key left the members of: the enclave
     returns their fresh header ``C1 ‖ C2`` alone — ``C3`` depends on the
     member set only — so the stored record's last third is spliced back,
     as ``add_user`` carries the envelope over."""
-    return [
-        InstallPartition(pid, replace(
-            blob, ciphertext=blob.ciphertext
-            + state.records[pid].ciphertext[len(blob.ciphertext):]))
+    return {
+        pid: replace(blob, ciphertext=blob.ciphertext
+                     + state.records[pid].ciphertext[len(blob.ciphertext):])
         for pid, blob in zip(pids, blobs)
-    ]
+    }
 
 
 class GroupAdministrator:
@@ -179,8 +129,7 @@ class GroupAdministrator:
                  signing_key: ecdsa.EcdsaPrivateKey,
                  partition_capacity: int,
                  rng: Optional[Rng] = None,
-                 auto_repartition: bool = True,
-                 retry_policy: Optional[RetryPolicy] = None) -> None:
+                 auto_repartition: bool = True) -> None:
         if partition_capacity < 1:
             raise AccessControlError("partition capacity must be >= 1")
         self.enclave = enclave
@@ -197,8 +146,8 @@ class GroupAdministrator:
         # Transient-outage retries (UnavailableError only — requests that
         # never reached the store); version conflicts are the multi-admin
         # layer's business and pass straight through.
-        self.retry = retry_policy or RetryPolicy(
-            seed="admin-retry", registry=self.metrics.registry)
+        self.retry = RetryPolicy(seed="admin-retry",
+                                 registry=self.metrics.registry)
         # One registry per administrator: operation counters and cache
         # hit/miss accounting share the admin.* namespace.
         self.cache = AdminCache(registry=self.metrics.registry)
@@ -236,24 +185,12 @@ class GroupAdministrator:
         state = AdminGroupState(group_id=group_id, table=table, epoch=epoch,
                                 descriptor_version=descriptor_version)
 
-        def make_plan() -> OpPlan:
-            def effects(results: Sequence[Any]) -> PlanEffects:
-                blobs, sealed_gk = results[0]
-                actions = [
-                    InstallPartition(pid, blob)
-                    for pid, blob in zip(pids, blobs)
-                ]
-                actions.append(PushSealedKey())
-                actions.extend(DropPartition(pid) for pid in drop_pids)
-                return PlanEffects(actions=actions, sealed_gk=sealed_gk)
+        def writes(results: Sequence[Any]) -> _WriteSet:
+            blobs, sealed_gk = results[0]
+            return _WriteSet(dict(zip(pids, blobs)), drop_pids, sealed_gk)
 
-            return OpPlan(
-                ecalls=[EcallOp("create_group", (group_id, partition_members))],
-                effects=effects,
-                bump_epoch=False,
-            )
-
-        self._commit_plan(state, make_plan)
+        self._commit_plan(state, lambda: [
+            ("create_group", (group_id, partition_members))], writes)
         return state
 
     # -- Algorithm 2: add user ---------------------------------------------------------
@@ -302,32 +239,28 @@ class GroupAdministrator:
                 state.table.add_to_partition(pid, user)
                 placements[pid].users.append(user)
 
-        def make_plan() -> OpPlan:
-            ecalls = [
-                EcallOp("create_partition",
-                        (group_id, placement.users, state.sealed_group_key))
-                if placement.fresh else
-                EcallOp("add_user_to_partition",
-                        (state.records[pid].ciphertext, placement.members,
-                         placement.users))
-                for pid, placement in placements.items()
-            ]
+        state.epoch += 1
 
-            def effects(results: Sequence[Any]) -> PlanEffects:
-                actions = []
+        def writes(results: Sequence[Any]) -> _WriteSet:
+            # An extended partition keeps its bk: y_p is carried over.
+            return _WriteSet({
+                pid: blob if placement.fresh else PartitionBlob(
+                    ciphertext=blob, envelope=state.records[pid].envelope)
                 for (pid, placement), blob in zip(placements.items(),
-                                                  results):
-                    if not placement.fresh:
-                        # bk is unchanged: y_p is carried over verbatim.
-                        blob = PartitionBlob(
-                            ciphertext=blob,
-                            envelope=state.records[pid].envelope)
-                    actions.append(InstallPartition(pid, blob))
-                return PlanEffects(actions=actions)
+                                                  results)
+            })
 
-            return OpPlan(ecalls=ecalls, effects=effects)
-
-        self._commit_plan(state, make_plan)
+        # ``create_partition`` reads the sealed gk when the batch is
+        # built, so a rebuild after its recovery picks up the fresh one.
+        self._commit_plan(state, lambda: [
+            ("create_partition",
+             (group_id, placement.users, state.sealed_group_key))
+            if placement.fresh else
+            ("add_user_to_partition",
+             (state.records[pid].ciphertext, placement.members,
+              placement.users))
+            for pid, placement in placements.items()
+        ], writes)
         self.metrics.users_added += len(users)
 
     def delete_group(self, group_id: str) -> None:
@@ -374,52 +307,33 @@ class GroupAdministrator:
         state.table.remove(user)
         other_pids = [pid for pid in state.table.partition_ids
                       if pid != host_pid]
+        others = [state.table.members_of(pid) for pid in other_pids]
+        state.epoch += 1
 
         if len(state.table) == 0:
             # Last member left: drop all metadata; no re-key needed since
             # nobody may read the group any longer.
-            def make_plan() -> OpPlan:
-                return OpPlan(
-                    ecalls=[],
-                    effects=lambda results: PlanEffects(
-                        actions=[DropPartition(host_pid)]
-                    ),
-                )
+            self._commit_plan(state, lambda: [],
+                              lambda results: _WriteSet({}, [host_pid]))
         elif host_pid in state.table.partition_ids:
-            def make_plan() -> OpPlan:
-                def effects(results: Sequence[Any]) -> PlanEffects:
-                    host_blob, other_blobs, sealed_gk = results[0]
-                    actions = [InstallPartition(host_pid, host_blob)]
-                    actions.extend(_rekeyed(state, other_pids, other_blobs))
-                    actions.append(PushSealedKey())
-                    return PlanEffects(actions=actions, sealed_gk=sealed_gk)
+            def writes(results: Sequence[Any]) -> _WriteSet:
+                host_blob, other_blobs, sealed_gk = results[0]
+                installs = {host_pid: host_blob}
+                installs.update(_rekeyed(state, other_pids, other_blobs))
+                return _WriteSet(installs, sealed_gk=sealed_gk)
 
-                return OpPlan(
-                    ecalls=[EcallOp("remove_user", (
-                        group_id, user, state.table.members_of(host_pid),
-                        [state.table.members_of(pid) for pid in other_pids],
-                    ))],
-                    effects=effects,
-                )
+            self._commit_plan(state, lambda: [("remove_user", (
+                group_id, user, state.table.members_of(host_pid), others,
+            ))], writes)
         else:
             # Hosting partition became empty: drop it and re-key the rest.
-            def make_plan() -> OpPlan:
-                def effects(results: Sequence[Any]) -> PlanEffects:
-                    other_blobs, sealed_gk = results[0]
-                    actions: List[Any] = [DropPartition(host_pid)]
-                    actions.extend(_rekeyed(state, other_pids, other_blobs))
-                    actions.append(PushSealedKey())
-                    return PlanEffects(actions=actions, sealed_gk=sealed_gk)
+            def writes(results: Sequence[Any]) -> _WriteSet:
+                other_blobs, sealed_gk = results[0]
+                return _WriteSet(_rekeyed(state, other_pids, other_blobs),
+                                 [host_pid], sealed_gk)
 
-                return OpPlan(
-                    ecalls=[EcallOp("rekey_group", (
-                        group_id,
-                        [state.table.members_of(pid) for pid in other_pids],
-                    ))],
-                    effects=effects,
-                )
-
-        self._commit_plan(state, make_plan)
+            self._commit_plan(state, lambda: [
+                ("rekey_group", (group_id, others))], writes)
         self.metrics.users_removed += 1
 
         if self.auto_repartition and state.table.needs_repartition():
@@ -439,22 +353,15 @@ class GroupAdministrator:
         """Refresh the group key without membership changes (A-G)."""
         state = self._require_group(group_id)
         pids = state.table.partition_ids
+        state.epoch += 1
 
-        def make_plan() -> OpPlan:
-            def effects(results: Sequence[Any]) -> PlanEffects:
-                blobs, sealed_gk = results[0]
-                actions: List[Any] = _rekeyed(state, pids, blobs)
-                actions.append(PushSealedKey())
-                return PlanEffects(actions=actions, sealed_gk=sealed_gk)
+        def writes(results: Sequence[Any]) -> _WriteSet:
+            blobs, sealed_gk = results[0]
+            return _WriteSet(_rekeyed(state, pids, blobs), sealed_gk=sealed_gk)
 
-            return OpPlan(
-                ecalls=[EcallOp("rekey_group", (
-                    group_id, [state.table.members_of(pid) for pid in pids],
-                ))],
-                effects=effects,
-            )
-
-        self._commit_plan(state, make_plan)
+        self._commit_plan(state, lambda: [("rekey_group", (
+            group_id, [state.table.members_of(pid) for pid in pids],
+        ))], writes)
         self.metrics.rekeys += 1
 
     def repartition(self, group_id: str,
@@ -505,14 +412,17 @@ class GroupAdministrator:
     # -- the shared plan executor ---------------------------------------------------------
 
     def _commit_plan(self, state: AdminGroupState,
-                     make_plan: Callable[[], OpPlan]) -> None:
+                     ecalls: Callable[[], _Batch],
+                     writes: Callable[[List[Any]], _WriteSet]) -> None:
         """Run one mutation end to end: enclave phase, then cloud commit.
 
-        ``make_plan`` must be a pure function of the (already mutated)
-        bookkeeping state: on a :class:`SealingError` — the cached sealed
-        group key was produced by another admin's enclave — the group key
-        is recovered and re-sealed and the plan is rebuilt against the
-        fresh ``state.sealed_group_key``, then re-run.
+        ``ecalls`` builds the ``(name, args)`` batch and must be a pure
+        function of the (already mutated) bookkeeping state: on a
+        :class:`SealingError` — the cached sealed group key was produced
+        by another admin's enclave — the group key is recovered and
+        re-sealed and the batch is rebuilt against the fresh
+        ``state.sealed_group_key``, then re-run.  ``writes`` turns the
+        batch's results, in request order, into the cloud write set.
 
         Only committed state stays cached: a plan that fails for any
         reason but a lost race drops its group, which the next operation
@@ -520,24 +430,21 @@ class GroupAdministrator:
         :meth:`sync_group` to adopt the winner's descriptor.
         """
         try:
-            plan = make_plan()
+            batch = ecalls()
             start = time.perf_counter()
             with _span("admin.plan", group=state.group_id,
-                       op=plan.describe()):
+                       op="+".join(name for name, _ in batch) or "noop"):
                 crash_point("admin.plan.pre_ecalls")
                 try:
-                    results = self._run_ecalls(plan.ecalls)
+                    results = self._run_ecalls(batch)
                 except SealingError:
                     state.sealed_group_key = self._recover_sealed_gk(state)
-                    plan = make_plan()
-                    results = self._run_ecalls(plan.ecalls)
-                effects = plan.effects(results)
-                if effects.sealed_gk is not None:
-                    state.sealed_group_key = effects.sealed_gk
-                if plan.bump_epoch:
-                    state.epoch += 1
+                    results = self._run_ecalls(ecalls())
+                write_set = writes(results)
+                if write_set.sealed_gk is not None:
+                    state.sealed_group_key = write_set.sealed_gk
                 crash_point("admin.plan.pre_commit")
-                self._commit_effects(state, effects)
+                self._commit_effects(state, write_set)
                 crash_point("admin.plan.post_commit")
                 self.metrics.plans_committed += 1
         except ConflictError:
@@ -547,14 +454,13 @@ class GroupAdministrator:
             raise
         self.metrics.op_seconds.observe(time.perf_counter() - start)
 
-    def _run_ecalls(self, ecalls: Sequence[EcallOp]) -> List[Any]:
-        if not ecalls:
-            return []
-        return self.enclave.call_batch([(op.name, op.args) for op in ecalls])
+    def _run_ecalls(self, batch: _Batch) -> List[Any]:
+        return self.enclave.call_batch(batch) if batch else []
 
     def _commit_effects(self, state: AdminGroupState,
-                        effects: PlanEffects) -> None:
-        """Apply a plan's cloud actions in one atomic batch.
+                        writes: _WriteSet) -> None:
+        """Write one mutation in one atomic batch: the descriptor, the
+        drops, the signed partition records, then the sealed key.
 
         The descriptor put goes first and is conditional on the version
         this administrator last observed: it is the commit point — a
@@ -567,39 +473,29 @@ class GroupAdministrator:
         batch.put(dpath, descriptor_data,
                   expected_version=state.descriptor_version)
         pushed = len(descriptor_data)
-        installed: Dict[int, PartitionRecord] = {}
-        dropped: List[int] = []
-        for action in effects.actions:
-            if isinstance(action, InstallPartition):
-                record = PartitionRecord(
-                    group_id=state.group_id,
-                    partition_id=action.pid,
-                    members=tuple(state.table.members_of(action.pid)),
-                    ciphertext=action.blob.ciphertext,
-                    envelope=action.blob.envelope,
-                )
-                installed[action.pid] = record
-                data = record.signed(self._signing_key)
-                batch.put(partition_path(state.group_id, action.pid), data)
-                pushed += len(data)
-            elif isinstance(action, DropPartition):
-                dropped.append(action.pid)
-                batch.delete(partition_path(state.group_id, action.pid),
-                             ignore_missing=True)
-            elif isinstance(action, PushSealedKey):
-                if state.sealed_group_key:
-                    batch.put(sealed_key_path(state.group_id),
-                              state.sealed_group_key)
-                    pushed += len(state.sealed_group_key)
-            else:  # pragma: no cover - defensive
-                raise AccessControlError(f"unknown plan action {action!r}")
+        for pid in writes.drops:
+            batch.delete(partition_path(state.group_id, pid),
+                         ignore_missing=True)
+        installed = {
+            pid: PartitionRecord(
+                group_id=state.group_id, partition_id=pid,
+                members=tuple(state.table.members_of(pid)),
+                ciphertext=blob.ciphertext, envelope=blob.envelope)
+            for pid, blob in writes.installs.items()
+        }
+        for pid, record in installed.items():
+            data = record.signed(self._signing_key)
+            batch.put(partition_path(state.group_id, pid), data)
+            pushed += len(data)
+        if writes.sealed_gk is not None:
+            batch.put(sealed_key_path(state.group_id), writes.sealed_gk)
+            pushed += len(writes.sealed_gk)
         versions = self.retry.run(lambda: self.cloud.commit(batch),
                                   label="admin.commit")
         state.descriptor_version = versions[dpath]
 
-        for pid, record in installed.items():
-            state.records[pid] = record
-        for pid in dropped:
+        state.records.update(installed)
+        for pid in writes.drops:
             state.records.pop(pid, None)
         self.metrics.bytes_pushed += pushed
         self.metrics.partitions_written += len(installed)

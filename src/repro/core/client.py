@@ -107,7 +107,6 @@ class GroupClient:
                  public_key: ibbe.IbbePublicKey,
                  cloud: CloudStore,
                  admin_verification_key: ecdsa.EcdsaPublicKey,
-                 retry_policy: Optional[RetryPolicy] = None,
                  resume_path: Optional[Union[str, Path]] = None) -> None:
         if user_key.identity != identity:
             raise AccessControlError("user key does not match the identity")
@@ -123,8 +122,8 @@ class GroupClient:
         # Long-poll rounds retry through the shared policy: both the poll
         # and the snapshot fetch are reads, so UnavailableError *and*
         # injected read timeouts are safe to reissue.
-        self.retry = retry_policy or RetryPolicy(
-            seed=f"client-retry:{identity}", registry=self.registry)
+        self.retry = RetryPolicy(seed=f"client-retry:{identity}",
+                                 registry=self.registry)
         self.decrypt_count = 0
         #: Multi-exponentiations actually run (from-scratch hints and
         #: witnesses) — the hint cache keeps this far below

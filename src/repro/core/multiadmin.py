@@ -28,7 +28,7 @@ user) surface as :class:`MembershipError` rather than clobbering state.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 from repro.core.admin import GroupAdministrator
 from repro.errors import AccessControlError, ConflictError
@@ -50,8 +50,7 @@ class ConcurrentAdministrator:
     """
 
     def __init__(self, admin: GroupAdministrator,
-                 max_retries: int = 8,
-                 retry_policy: Optional[RetryPolicy] = None) -> None:
+                 max_retries: int = 8) -> None:
         if max_retries < 1:
             raise AccessControlError("max_retries must be >= 1")
         self.admin = admin
@@ -60,7 +59,7 @@ class ConcurrentAdministrator:
         registry = admin.metrics.registry
         # max_retries counts *retries* (the historical contract: the
         # budget is on re-attempts after the first try).
-        self.retry = retry_policy or RetryPolicy(
+        self.retry = RetryPolicy(
             max_attempts=max_retries + 1, base_ms=25.0,
             seed="admin-conflict", registry=registry)
         self._conflict_retries = registry.counter("admin.conflict.retries")

@@ -154,13 +154,6 @@ class System:
         sources.extend(client.registry for client in self._clients)
         return sources
 
-    def set_workers(self, workers: int) -> int:
-        """Reconfigure the enclave's parallel-engine worker count at
-        runtime (the pool restarts lazily).  Returns the new count."""
-        count = self.enclave.call("set_workers", workers)
-        self.workers = count
-        return count
-
     def restart_enclave(self) -> None:
         """Full enclave restart: destroy → fresh load → unseal.
 

@@ -479,24 +479,6 @@ class IbbeEnclave(Enclave):
         group operation.  Returns the worker count."""
         return self._worker_pool().warm()
 
-    @ecall
-    def set_workers(self, workers: Optional[int]) -> int:
-        """Reconfigure the engine's worker count at runtime.
-
-        The current pool (if any) is shut down; the next parallel
-        operation starts a fresh one.  Worker count never affects
-        results, only wall-clock — see the module docstring.
-        """
-        count = resolve_workers(workers)
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-        self._workers = count
-        # Re-point the gauge at the live setting (a closed pool's gauge
-        # registration would otherwise report the stale count).
-        self.meter.registry.gauge("par.workers", lambda: self._workers)
-        return count
-
     def _worker_pool(self) -> WorkerPool:
         """The lazily-created engine pool (needs the public key).
 

@@ -91,7 +91,6 @@ class RemoteCloudStore(CloudStoreProtocol):
 
     def __init__(self, url: str, timeout: float = 30.0,
                  poll_wait_ms: float = 0.0,
-                 client_name: str = "repro",
                  trace_propagation: bool = True) -> None:
         self._host, self._port = parse_store_url(url)
         self.url = f"tcp://{self._host}:{self._port}"
@@ -99,7 +98,6 @@ class RemoteCloudStore(CloudStoreProtocol):
         #: Server-side long-poll budget attached to every ``poll_dir``;
         #: 0 keeps the immediate-return contract semantics.
         self.poll_wait_ms = poll_wait_ms
-        self._client_name = client_name
         #: Attach trace contexts when the global tracer is enabled and
         #: the server advertised ``"trace"`` (off: never touch the
         #: envelope, whatever the tracer state).
@@ -137,7 +135,7 @@ class RemoteCloudStore(CloudStoreProtocol):
         self._sock = sock
         self._rpc_reconnects.add()
         hello = wire.HelloRequest(protocol=wire.PROTOCOL_VERSION,
-                                  client=self._client_name)
+                                  client="repro")
         try:
             reply = self._roundtrip_raw(hello.METHOD, hello.to_params())
         except (UnavailableError, WireError):

@@ -22,8 +22,11 @@ property the CI determinism gate (serial-vs-parallel byte equivalence)
 enforces.
 
 Trust boundary: see DESIGN.md ("Parallel engine and the trust split").
-Worker processes only ever receive public-key material; γ, user keys,
-group keys and sealing material never serialize into task payloads.
+γ, user keys, group keys and sealing material never serialize into task
+payloads, but the partition kernel receives a member product
+``∏(γ + H(u)) mod q`` and a ``k_seed``, both MSK-equivalent: the
+workers that run it stand for the enclave's own threads, inside the
+boundary.  Identity hashing (``hash_members_task``) is the public work.
 """
 
 from repro.par.pool import ENV_WORKERS, WorkerPool, resolve_workers

@@ -106,8 +106,7 @@ class ShardedSystem:
                  cloud: Optional[CloudStoreProtocol] = None,
                  auto_repartition: bool = True,
                  system_bound: Optional[int] = None,
-                 workers: Optional[int] = None,
-                 retry_policy: Optional[RetryPolicy] = None) -> None:
+                 workers: Optional[int] = None) -> None:
         if nshards < 1:
             raise ValidationError("nshards must be >= 1")
         self.seed = seed
@@ -128,8 +127,8 @@ class ShardedSystem:
         # Attestation handshakes consult the ambient fault injector at
         # several sites per attempt, so give the exchange more headroom
         # than cloud I/O gets: an exhausted handshake aborts deployment.
-        self.retry_policy = retry_policy or RetryPolicy(
-            max_attempts=8, seed=f"shard:{seed}")
+        self.retry_policy = RetryPolicy(max_attempts=8,
+                                        seed=f"shard:{seed}")
         self._groups: Dict[str, int] = {}
 
         with self.rng.scoped("setup"):

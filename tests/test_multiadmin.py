@@ -183,6 +183,54 @@ class TestCrossEnclaveSealedKey:
         client_old.sync(); client_new.sync()
         assert client_old.current_group_key() == client_new.current_group_key()
 
+    def test_batch_add_rebuilds_its_whole_batch_after_recovery(self):
+        # B revokes "b", so the sealed gk is B's.  A's three joiners fill
+        # the partition {a} and open a fresh one: the batch extends one
+        # partition and creates another, and only the second ecall needs
+        # the gk.  Its SealingError rebuilds the whole batch.
+        system = make_system("xseal-batch", capacity=2)
+        admin_a = system.admin
+        admin_b = make_second_admin(system, "xseal-batch-b")
+        admin_a.create_group("g", ["a", "b", "c", "d"])
+        admin_b.load_group_from_cloud("g")
+        admin_b.remove_user("g", "b")
+        admin_a.load_group_from_cloud("g")
+
+        enclave, requests = admin_a.enclave, []
+
+        class Recording:
+            def call(self, name, *args):
+                requests.append((name, args))
+                return enclave.call(name, *args)
+
+            def call_batch(self, batch):
+                requests.append(list(batch))
+                return enclave.call_batch(batch)
+
+        admin_a.enclave = Recording()
+        crossings = enclave.meter.crossings
+        try:
+            admin_a.add_users("g", ["e", "f", "h"])
+        finally:
+            admin_a.enclave = enclave
+        assert enclave.meter.crossings - crossings == 3
+        first, recovery, rebuilt = requests
+        batch = ["add_user_to_partition", "create_partition"]
+        assert [name for name, _ in first] == batch
+        assert recovery[0] == "recover_and_reseal"
+        assert [name for name, _ in rebuilt] == batch
+        # The rebuilt create_partition carries A's own re-sealed gk.
+        resealed = admin_a.group_state("g").sealed_group_key
+        assert first[1][1][2] != resealed == rebuilt[1][1][2]
+
+        keys = set()
+        for member in admin_a.members("g"):
+            client = system.make_client("g", member)
+            client.sync()
+            keys.add(client.current_group_key())
+        assert sorted(admin_a.members("g")) == ["a", "c", "d", "e", "f", "h"]
+        assert len(keys) == 1
+
     def test_recover_and_reseal_matches_original_gk(self):
         system = make_system("xseal2", capacity=4)
         system.admin.create_group("g", ["a", "b"])

@@ -183,20 +183,6 @@ def test_parallel_engine_metrics(equivalence_runs):
     assert metrics["par.failures"] == 0
 
 
-def test_set_workers_runtime_switch():
-    system = _build_system(1)
-    try:
-        assert system.workers == 1
-        assert system.set_workers(2) == 2
-        assert system.workers == 2
-        system.admin.create_group("g", [f"u{i}" for i in range(6)])
-        assert system.telemetry()["metrics"]["par.workers"] == 2
-        with pytest.raises(ParallelError):
-            system.set_workers(0)
-    finally:
-        system.close()
-
-
 # ---------------------------------------------------------------------------
 # Fixed-base wNAF correctness
 # ---------------------------------------------------------------------------
