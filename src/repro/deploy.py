@@ -166,8 +166,13 @@ class System:
         its group), a restart changes neither the cloud nor host memory,
         and the cached sealed group keys unseal on the same device and
         measurement.  Sealing and the attested identity key are bound to
-        the measurement, not the instance, so the existing certificate
-        remains valid and no re-attestation is needed.
+        the measurement, not the instance, so the Auditor's certificate
+        remains valid and users need no re-attestation.  A shard still
+        re-attests to a peer
+        (:meth:`repro.shard.ShardedSystem.respawn_shard`): a new instance
+        starts with an empty peer registry.  The new enclave tables
+        ``w``, ``v`` and ``h`` and leaves ``g``'s table to its first
+        user-key extraction.
         """
         self.enclave.destroy()
         enclave = IbbeEnclave.load(self.device, self.enclave_config)

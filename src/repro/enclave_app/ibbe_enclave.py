@@ -119,6 +119,10 @@ class IbbeEnclave(Enclave):
             "big",
         ) % (P256.order - 1)
         self._identity_key = ecies.EciesPrivateKey(scalar)
+        # Derived once: each derivation is a P-256 generator multiplication.
+        self._identity_public = self._identity_key.public_key().encode()
+        # The pinned IAS report key, decoded by the first register_peer.
+        self._ias_key: Optional[ecdsa.EcdsaPublicKey] = None
         # Monotonic counters are a *platform* service: use the device's
         # registry (when present) so sealed-blob versions keep advancing
         # across enclave restarts — a restarted enclave must still detect
@@ -173,10 +177,10 @@ class IbbeEnclave(Enclave):
                      pk: ibbe.IbbePublicKey) -> None:
         self._msk = msk
         self._pk = pk
-        # This enclave exponentiates w, v, h (Algorithms 1-3) and g
-        # (extract) for as long as it lives: table them once.
+        # Algorithms 1-3 exponentiate w, v and h: table them now.  Only
+        # extract raises g, and it tables g on first use (a failover
+        # extracts nothing).
         pk.enable_precomputation()
-        msk.g.enable_precomputation()
         self.track_secret(msk.gamma.to_bytes(32, "big"))
         self.track_secret(msk.g.encode())
 
@@ -202,7 +206,7 @@ class IbbeEnclave(Enclave):
 
     @ecall
     def get_public_key(self) -> bytes:
-        return self._identity_key.public_key().encode()
+        return self._identity_public
 
     @ecall
     def get_attestation_quote(self, nonce: bytes = b"") -> Quote:
@@ -212,7 +216,7 @@ class IbbeEnclave(Enclave):
         the Auditor certifies, which no :meth:`register_peer` admits)."""
         if not isinstance(nonce, bytes) or len(nonce) not in (0, 32):
             raise AttestationError("peer nonce must be 32 bytes")
-        commitment = sha256(self._identity_key.public_key().encode())
+        commitment = sha256(self._identity_public)
         return self.get_quote(commitment + nonce)
 
     @ecall
@@ -247,7 +251,7 @@ class IbbeEnclave(Enclave):
         if len(self._peer_nonces) > self.MAX_PEER_CHALLENGES:
             del self._peer_nonces[next(iter(self._peer_nonces))]
         return {
-            "public_key": self._identity_key.public_key().encode(),
+            "public_key": self._identity_public,
             "nonce": nonce,
         }
 
@@ -274,8 +278,10 @@ class IbbeEnclave(Enclave):
             raise AttestationError("malformed attestation report")
         if not isinstance(peer_public_key, bytes):
             raise AttestationError("peer public key must be bytes")
-        ias_key = ecdsa.EcdsaPublicKey.decode(bytes.fromhex(str(pinned_hex)))
-        report.verify(ias_key)
+        if self._ias_key is None:
+            self._ias_key = ecdsa.EcdsaPublicKey.decode(
+                bytes.fromhex(str(pinned_hex)))
+        report.verify(self._ias_key)
         if not report.is_ok:
             raise AttestationError(
                 f"peer quote rejected by IAS: {report.quote_status}"

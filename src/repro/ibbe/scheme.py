@@ -233,9 +233,9 @@ def setup(group: PairingGroup, m: int, rng: Rng
     size (paper §IV-C).
 
     The returned keys carry fixed-base tables for the long-lived elements
-    every membership operation exponentiates (``w``, ``v``, ``h`` and the
-    master secret's ``g``); ``h``'s serves the ``m`` exponentiations
-    below first.
+    every membership operation exponentiates (``w``, ``v``, ``h``) and
+    for the master secret's ``g``, which :func:`extract` raises per
+    user; ``h``'s serves the ``m`` exponentiations below first.
     """
     if m < 1:
         raise ParameterError("maximal broadcast size m must be >= 1")
@@ -257,9 +257,15 @@ def setup(group: PairingGroup, m: int, rng: Rng
 
 def extract(msk: IbbeMasterSecret, pk: IbbePublicKey,
             identity: str) -> IbbeUserKey:
-    """Extract ``USK_u = g^(1/(γ+H(u)))`` — O(1)."""
+    """Extract ``USK_u = g^(1/(γ+H(u)))`` — O(1).
+
+    After :func:`setup` this is the only exponentiation of ``g``, so a
+    master secret that arrives untabled (unsealed or imported by an
+    enclave) gets ``g``'s fixed-base table here, on the first call.
+    """
     h_u = pk.hash_identity(identity)
     exponent = modinv((msk.gamma + h_u) % pk.group.q, pk.group.q)
+    msk.g.enable_precomputation()
     return IbbeUserKey(identity=identity, element=msk.g ** exponent)
 
 

@@ -159,11 +159,12 @@ class G1Element:
         of a full wNAF ladder (about 4× on the std160 preset, for a table
         that costs about three ladders to build).
 
-        Used for the long-lived elements every membership operation
-        exponentiates (the public key's w, v, h and the master secret's
-        g; paper Algorithms 1-3) where they are exponentiated: system
-        setup, the enclave holding the master secret and the parallel
-        engine's worker processes."""
+        Used for the long-lived elements exponentiated again and again,
+        where they are exponentiated: the public key's w, v and h
+        (paper Algorithms 1-3) by system setup, the enclave installing a
+        master secret and the parallel engine's worker processes; the
+        master secret's g by system setup and by the first user-key
+        extraction that finds it untabled (``ibbe.extract``)."""
         if self._table is None and not self.point.is_infinity():
             self._table = FixedBaseWnaf(
                 self.group.curve, self.point, bits=self.group.q.bit_length(),

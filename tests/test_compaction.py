@@ -13,7 +13,6 @@ import base64
 import copy
 import json
 import shutil
-import time
 
 import pytest
 
@@ -382,23 +381,33 @@ class TestAdminIncrementalSync:
 
 
 class TestColdStartPerformance:
-    def test_snapshot_cold_start_beats_full_replay(self, tmp_path):
-        """Bootstrapping from a compacted store must be faster than
-        replaying the full event history (min-of-3 to shrug off
-        scheduler noise).  The bytes read are pinned, and shown equal on
-        both stores, in ``tests/test_footprint.py``."""
-        def restart_seconds(root):
+    def test_snapshot_cold_start_beats_full_replay(self, tmp_path,
+                                                   monkeypatch):
+        """Bootstrapping from a compacted store parses none of the event
+        history that a full replay parses: the event records the cold
+        start reads out of ``events.jsonl`` are counted, not timed.  The
+        bytes read are pinned, and shown equal on both stores, in
+        ``tests/test_footprint.py``."""
+        parsed = []
+        read_events = FileCloudStore._read_events
+
+        def counted(store):
+            events = read_events(store)
+            parsed.append(len(events))
+            return events
+
+        def records_parsed(root):
             with gate_system("cold", capacity=8) as system:
-                system.user_key("u0")   # provision outside the timer
-                start = time.perf_counter()
+                system.user_key("u0")   # provisioning is not a restart
+                parsed.clear()
                 cold_start(system, root)
-                return time.perf_counter() - start
+                return sum(parsed)
 
         history_store(tmp_path / "replay", 3000)
         shutil.copytree(tmp_path / "replay", tmp_path / "snapshot")
         FileCloudStore(tmp_path / "snapshot").compact()
-        replay = min(restart_seconds(tmp_path / "replay")
-                     for _ in range(3))
-        snapshot = min(restart_seconds(tmp_path / "snapshot")
-                       for _ in range(3))
-        assert snapshot < replay
+        monkeypatch.setattr(FileCloudStore, "_read_events", counted)
+        # 3 000 filler events and the group's 6, read twice: for the log
+        # head when the store opens, and by the new client's one poll.
+        assert records_parsed(tmp_path / "replay") == 2 * 3006
+        assert records_parsed(tmp_path / "snapshot") == 0

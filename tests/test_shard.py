@@ -8,6 +8,7 @@ import hashlib
 import pytest
 
 from repro import obs
+from repro.ec import P256, Curve, Point, precomp_registry
 from repro.errors import (
     AttestationError,
     EnclaveError,
@@ -50,6 +51,31 @@ def churn(system):
     system.rekey("noether")
     system.add_user("abel", "abel.ivan")
     system.remove_user("abel", "abel.frank")
+
+
+def tables():
+    return precomp_registry.snapshot()["ec.precomp.tables"]
+
+
+def count_p256(monkeypatch):
+    """Count P-256 generator multiplications and point decodes from
+    here on, wrapping them as ``test_ciphertext_points_decoded`` wraps
+    :meth:`Point.decode`."""
+    counts = {"mul_generator": 0, "decode": 0}
+    mul_generator = Curve.mul_generator
+    decode = Point.decode.__func__
+
+    def counted_mul_generator(curve, k):
+        counts["mul_generator"] += curve is P256
+        return mul_generator(curve, k)
+
+    def counted_decode(cls, curve, data):
+        counts["decode"] += curve is P256
+        return decode(cls, curve, data)
+
+    monkeypatch.setattr(Curve, "mul_generator", counted_mul_generator)
+    monkeypatch.setattr(Point, "decode", classmethod(counted_decode))
+    return counts
 
 
 def key_hashes(system):
@@ -224,6 +250,67 @@ class TestFailover:
             mutual_attest(first, second, system.ias)
             mutual_attest(second, first, system.ias)
             assert precomp_registry.snapshot()["ec.precomp.tables"] == before
+        finally:
+            system.close()
+
+    def test_failover_builds_only_what_its_operation_uses(self,
+                                                          monkeypatch):
+        """Kill a shard, then its first routed add (respawn, MAGE
+        re-attestation, the add): no fixed-base table, 7 P-256 generator
+        multiplications, 1 P-256 point decode.  The parent commit read
+        1 table (``restore_system`` tabled the secret ``g``, which only
+        ``extract`` raises to a power), 10 multiplications (both
+        enclaves' ``peer_offer`` and ``get_attestation_quote`` re-derived
+        the identity public key) and 2 decodes (both ``register_peer``
+        calls decoded the pinned IAS report key)."""
+        system = build(2)
+        try:
+            for gid in sorted(GROUPS):
+                system.create_group(gid, GROUPS[gid])
+            victim = system.owner("galois")
+            system.kill_shard(victim)
+            counts = count_p256(monkeypatch)
+            before = tables()
+            system.add_user("galois", "galois.dave")
+            assert system.shards[victim].respawns == 1
+            assert tables() - before == 0
+            assert counts == {"mul_generator": 7, "decode": 1}
+        finally:
+            system.close()
+
+    def test_mutual_attestation_derives_no_identity_key(self, monkeypatch):
+        """Between two live enclaves the handshake's generator
+        multiplications are its four signatures (two quotes, two IAS
+        reports) and it decodes no P-256 point: 4 and 0, where the
+        parent commit ran 8 and 2 (each side's identity public key
+        twice, the pinned IAS report key once)."""
+        from repro.sgx.attestation import mutual_attest
+        system = build(2)
+        try:
+            first, second = (shard.enclave for shard in system.shards)
+            counts = count_p256(monkeypatch)
+            mutual_attest(first, second, system.ias)
+            assert counts == {"mul_generator": 4, "decode": 0}
+        finally:
+            system.close()
+
+    def test_first_extraction_after_respawn_tables_g(self):
+        """A respawned enclave leaves ``g``'s table to its first user-key
+        extraction, which builds exactly that one table and returns the
+        key the other shard extracts; the next extraction builds none."""
+        system = build(2)
+        try:
+            system.kill_shard(1)
+            system.respawn_shard(1)
+            respawned, other = system.shards[1].system, system.shards[0].system
+            before = tables()
+            key = respawned.user_key("fresh.alice")
+            assert tables() - before == 1
+            assert (key.element.encode()
+                    == other.user_key("fresh.alice").element.encode())
+            before = tables()
+            respawned.user_key("fresh.bob")
+            assert tables() == before
         finally:
             system.close()
 
