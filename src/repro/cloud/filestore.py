@@ -221,9 +221,25 @@ class FileCloudStore(CloudStore):
             return
         self._snapshot = self._load_snapshot()
         self._last_seq = max(
-            [self._snapshot.horizon if self._snapshot is not None else 0]
-            + [event.sequence for event in self._read_events()])
+            self._snapshot.horizon if self._snapshot is not None else 0,
+            self._log_head())
         self._stamp = stamp
+
+    def _log_head(self) -> int:
+        """The sequence of the last event line that parses, 0 for an
+        empty log.  Lines are appended in sequence order, so only the
+        tail is parsed; a torn tail is skipped as :meth:`_read_events`
+        skips it."""
+        lines = self._events_path.read_text("utf-8").splitlines()
+        for index in range(len(lines) - 1, -1, -1):
+            if not lines[index].strip():
+                continue
+            try:
+                return int(json.loads(lines[index])["seq"])
+            except (ValueError, KeyError) as exc:
+                if index < len(lines) - 1:
+                    raise StorageError("corrupt event log") from exc
+        return 0
 
     # -- durability ------------------------------------------------------------------
 

@@ -32,6 +32,7 @@ from repro.core.metadata import (
     group_dir,
     partition_path,
     sealed_key_path,
+    sign_all,
 )
 from repro.core.partitions import PartitionTable
 from repro.crypto import ecdsa
@@ -460,14 +461,24 @@ class GroupAdministrator:
     def _commit_effects(self, state: AdminGroupState,
                         writes: _WriteSet) -> None:
         """Write one mutation in one atomic batch: the descriptor, the
-        drops, the signed partition records, then the sealed key.
+        drops, the signed partition records, then the sealed key.  The
+        descriptor and every record are signed by one ``sign_many``
+        call.
 
         The descriptor put goes first and is conditional on the version
         this administrator last observed: it is the commit point — a
         lost multi-admin race raises :class:`ConflictError` before any
         object is touched.
         """
-        descriptor_data = self._encode_descriptor(state)
+        installed = {
+            pid: PartitionRecord(
+                group_id=state.group_id, partition_id=pid,
+                members=tuple(state.table.members_of(pid)),
+                ciphertext=blob.ciphertext, envelope=blob.envelope)
+            for pid, blob in writes.installs.items()
+        }
+        descriptor_data, *records_data = sign_all(
+            self._signing_key, [self._descriptor(state), *installed.values()])
         dpath = descriptor_path(state.group_id)
         batch = CloudBatch()
         batch.put(dpath, descriptor_data,
@@ -476,15 +487,7 @@ class GroupAdministrator:
         for pid in writes.drops:
             batch.delete(partition_path(state.group_id, pid),
                          ignore_missing=True)
-        installed = {
-            pid: PartitionRecord(
-                group_id=state.group_id, partition_id=pid,
-                members=tuple(state.table.members_of(pid)),
-                ciphertext=blob.ciphertext, envelope=blob.envelope)
-            for pid, blob in writes.installs.items()
-        }
-        for pid, record in installed.items():
-            data = record.signed(self._signing_key)
+        for pid, data in zip(installed, records_data):
             batch.put(partition_path(state.group_id, pid), data)
             pushed += len(data)
         if writes.sealed_gk is not None:
@@ -507,7 +510,8 @@ class GroupAdministrator:
         # return its own event sequences instead.)
         state.sync_cursor = max(state.sync_cursor, self.cloud.head_sequence())
 
-    def _encode_descriptor(self, state: AdminGroupState) -> bytes:
+    @staticmethod
+    def _descriptor(state: AdminGroupState) -> GroupDescriptor:
         return GroupDescriptor(
             group_id=state.group_id,
             partition_capacity=state.table.capacity,
@@ -517,7 +521,7 @@ class GroupAdministrator:
             },
             epoch=state.epoch,
             next_partition_id=state.table.next_partition_id,
-        ).signed(self._signing_key)
+        )
 
     # -- persistence / recovery ------------------------------------------------
 

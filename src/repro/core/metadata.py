@@ -18,7 +18,7 @@ metadata.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, List, Sequence, Tuple, Union
 
 from repro.crypto import ecdsa
 from repro.errors import AuthenticationError, StorageError
@@ -52,8 +52,7 @@ class PartitionRecord:
         return writer.getvalue()
 
     def signed(self, key: ecdsa.EcdsaPrivateKey) -> bytes:
-        payload = self.payload()
-        return join_signed(payload, key.sign(payload))
+        return sign_all(key, [self])[0]
 
     @classmethod
     def verify_and_decode(cls, data: bytes,
@@ -110,8 +109,7 @@ class GroupDescriptor:
         return writer.getvalue()
 
     def signed(self, key: ecdsa.EcdsaPrivateKey) -> bytes:
-        payload = self.payload()
-        return join_signed(payload, key.sign(payload))
+        return sign_all(key, [self])[0]
 
     @classmethod
     def verify_and_decode(cls, data: bytes,
@@ -142,6 +140,17 @@ class GroupDescriptor:
             user_to_partition=mapping, epoch=epoch,
             next_partition_id=next_pid,
         )
+
+
+def sign_all(key: ecdsa.EcdsaPrivateKey,
+             records: Sequence[Union[PartitionRecord, GroupDescriptor]],
+             ) -> List[bytes]:
+    """Each record's :meth:`~PartitionRecord.signed` bytes, every
+    signature from one :meth:`~repro.crypto.ecdsa.EcdsaPrivateKey.sign_many`
+    call — how one membership commit signs its descriptor and records."""
+    payloads = [record.payload() for record in records]
+    return [join_signed(payload, signature) for payload, signature
+            in zip(payloads, key.sign_many(payloads))]
 
 
 def partition_path(group_id: str, partition_id: int) -> str:

@@ -10,7 +10,7 @@ certificates (Fig. 3).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.crypto.kdf import hmac_sha256, sha256
 from repro.crypto.rng import Rng
@@ -96,16 +96,31 @@ class EcdsaPrivateKey:
 
     def sign(self, message: bytes) -> bytes:
         """Deterministic ECDSA (RFC 6979-style HMAC nonce derivation)."""
+        return self.sign_many([message])[0]
+
+    def sign_many(self, messages: Sequence[bytes]) -> List[bytes]:
+        """:meth:`sign` for every message, byte for byte, with all the
+        nonce points ``k·G`` from one
+        :meth:`~repro.ec.curve.Curve.tabled_sums` batch, so the
+        signatures share its inversions."""
+        nonces = [_deterministic_nonce(self.scalar, m) for m in messages]
+        table = P256.generator_table()
+        points = P256.tabled_sums([[(k, table)] for k in nonces])
+        return [self._finish(message, k, point.x)
+                for message, k, point in zip(messages, nonces, points)]
+
+    def _finish(self, message: bytes, k: int, x: Optional[int]) -> bytes:
+        """``r ‖ s`` from the nonce ``k`` and the x of ``k·G``; a zero
+        ``r`` or ``s`` re-derives the nonce (never seen in practice)."""
         z = _hash_to_int(message)
-        k = _deterministic_nonce(self.scalar, message)
         for attempt in range(64):
-            x = P256.mul_generator(k).x
             r = 0 if x is None else x % _N
             if r != 0:
                 s = (modinv(k, _N) * (z + r * self.scalar)) % _N
                 if s != 0:
                     return r.to_bytes(32, "big") + s.to_bytes(32, "big")
             k = (k * 2 + 1 + attempt) % _N or 1
+            x = P256.mul_generator(k).x
         raise CryptoError("failed to produce an ECDSA signature")
 
 

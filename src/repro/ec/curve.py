@@ -5,21 +5,25 @@ runs on Jacobian coordinates internally to avoid a modular inversion per
 group operation.  This module serves both the NIST P-256 curve (baselines,
 signatures) and the supersingular pairing curve ``y² = x³ + x``.
 
-Every scalar multiplication is one signed-window engine built from four
-primitives: Jacobian doubling, *mixed* addition (Jacobian accumulator
-plus affine operand), Montgomery batch normalisation (many Jacobian
-points to affine for one inversion) and the digit recoder of
-:mod:`repro.ec.wnaf`.  ``Point.__mul__`` and :meth:`Curve.multi_mul` are
-the interleaved width-5 wNAF sum (Straus) over one or many bases.  A
-base may also be a :class:`FixedBaseWnaf` table (the curve generators,
-the long-lived IBBE bases, a pinned ECDSA key): its term needs no
-doublings, only one mixed addition per non-zero digit into the same
-accumulator, and :meth:`FixedBaseWnaf.mul` is the one-term case.
+Scalar multiplication has two engines.  One for ladders: ``Point.__mul__``
+and the plain bases of :meth:`Curve.multi_mul` are the interleaved
+width-5 wNAF sum (Straus) over one or many bases, built from Jacobian
+doubling, *mixed* addition (Jacobian accumulator plus affine operand),
+Montgomery batch normalisation (many Jacobian points to affine for one
+inversion) and the digit recoder of :mod:`repro.ec.wnaf`.  One for
+tabled sums: :meth:`Curve.tabled_sums` evaluates many sums of
+:class:`FixedBaseWnaf` terms (the curve generators, the long-lived IBBE
+bases, a pinned ECDSA key) at once — each term's digits select affine
+table entries, needing no doublings, and every sum's entries are added
+pairwise, level by level, in affine coordinates, all sums of the batch
+sharing one batch inversion per level.  :meth:`FixedBaseWnaf.mul` is its
+batch of one, and the tabled part of a mixed :meth:`Curve.multi_mul`
+comes from it too, folded into the ladder with one mixed addition.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.ec.wnaf import (
     HITS,
@@ -41,6 +45,10 @@ Base = Union["Point", "FixedBaseWnaf"]
 _INFINITY: Jacobian = (1, 1, 0)
 #: Odd multiples ``P, 3P, …`` a wNAF ladder keeps per base.
 _ODD_MULTIPLES = 1 << (WNAF_WIDTH - 2)
+#: Fewest pairs a level of :meth:`Curve.tabled_sums` must add to pay for
+#: its inversion: one costs about four mixed additions on P-256 and at
+#: ``std160``, and an affine addition saves about a third of one.
+_TREE_MIN_PAIRS = 12
 
 
 class Curve:
@@ -181,36 +189,19 @@ class Curve:
         xy = self._normalise([pt])[0]
         return self.infinity() if xy is None else Point(self, *xy)
 
-    def _wnaf_sum(self, terms: Iterable[Tuple[int, Base]]) -> "Point":
-        """``Σ k_i · B_i`` by interleaved width-5 wNAF (Straus), with
-        tabled bases folded into the same accumulator.
+    def _wnaf_sum(self, terms: Iterable[Tuple[int, "Point"]]) -> Jacobian:
+        """``Σ k_i · P_i`` by interleaved width-5 wNAF (Straus).
 
-        Each :class:`Point` base contributes its odd multiples ``P, 3P,
-        …, 15P``; all of them are normalised together, so the whole sum
-        costs one inversion for its tables and one for the result.  The
-        doublings are shared: one per bit of the longest scalar, plus one
-        mixed addition per non-zero digit (≈ bits/6 per term).  A
-        :class:`FixedBaseWnaf` base already holds every multiple its
-        radix-16 digits select, so its term joins after the last doubling
-        and costs ≈ bits/4 mixed additions and nothing else.
+        Each base contributes its odd multiples ``P, 3P, …, 15P``; all of
+        them are normalised together, so the whole sum costs one
+        inversion for its tables.  The doublings are shared: one per bit
+        of the longest scalar, plus one mixed addition per non-zero digit
+        (≈ bits/6 per term).  The result stays Jacobian.
         """
         p = self.p
         odd_multiples: List[Jacobian] = []
         recodings: List[List[int]] = []
-        tabled: List[Affine] = []
         for k, base in terms:
-            if isinstance(base, FixedBaseWnaf):
-                HITS.add()
-                digits = wnaf_digits(abs(k), base.width, base.width)
-                if len(digits) > len(base.rows):
-                    raise CurveError("scalar exceeds the fixed-base table")
-                for row, digit in zip(base.rows, digits):
-                    entry = row[abs(digit) - 1] if digit else None
-                    if entry is not None:
-                        x, y = entry
-                        tabled.append(
-                            (x, -y % p if (digit < 0) != (k < 0) else y))
-                continue
             xy = base._xy()
             if k == 0 or xy is None:
                 continue
@@ -234,9 +225,110 @@ class Curve:
             acc = self._double(acc)
             for x, y in column:
                 acc = self._add_affine(acc, x, y)
-        for x, y in tabled:
+        return acc
+
+    def _accumulate(self, points: Sequence[Affine]) -> Jacobian:
+        """``Σ points`` by mixed additions into one Jacobian accumulator,
+        which any pair of operands may share an ``x`` in."""
+        acc = _INFINITY
+        for x, y in points:
             acc = self._add_affine(acc, x, y)
-        return self._to_affine(acc)
+        return acc
+
+    def _table_entries(self, k: int, table: "FixedBaseWnaf") -> List[Affine]:
+        """The affine table entries whose sum is ``k · B``: one per
+        non-zero radix-``2^width`` digit, negated where the digit's sign
+        and ``k``'s differ."""
+        HITS.add()
+        digits = wnaf_digits(abs(k), table.width, table.width)
+        if len(digits) > len(table.rows):
+            raise CurveError("scalar exceeds the fixed-base table")
+        p = self.p
+        flip = k < 0
+        entries: List[Affine] = []
+        for row, digit in zip(table.rows, digits):
+            if digit:
+                entry = row[abs(digit) - 1]
+                if entry is not None:
+                    if (digit < 0) != flip:
+                        entry = (entry[0], -entry[1] % p)
+                    entries.append(entry)
+        return entries
+
+    def tabled_sums(self, sums: Sequence[Sequence[Tuple[int, "FixedBaseWnaf"]]]
+                    ) -> List["Point"]:
+        """``[Σ k_i · B_i for each sum]`` over fixed-base tables, in one
+        batch.
+
+        Every term's digits select its affine table entries (one per
+        non-zero digit, no doublings); each sum's entries are then added
+        pairwise, level by level, in affine coordinates
+        (``λ = Δy / Δx``), and every sum of the batch shares one
+        Montgomery batch inversion per level: ≈ log₂(entries) inversions
+        for the whole batch, and six field multiplications an addition
+        against a mixed addition's eleven.  Two cases go to the Jacobian
+        mixed-addition accumulation instead, all of them normalised
+        together at the end: a sum with a pair of equal ``x`` (a doubling
+        or a cancellation), and every sum still open once a level has
+        fewer than ``_TREE_MIN_PAIRS`` pairs to share its inversion.
+        Every result is the same point either way.  A scalar beyond its
+        table is a :class:`~repro.errors.CurveError`.
+        """
+        p = self.p
+        levels = [[entry for k, table in terms
+                   for entry in self._table_entries(k, table)]
+                  for terms in sums]
+        jacobian: Dict[int, Jacobian] = {}
+        active = [i for i, points in enumerate(levels) if len(points) > 1]
+        while active:
+            if sum(len(levels[i]) // 2 for i in active) < _TREE_MIN_PAIRS:
+                for i in active:
+                    jacobian[i] = self._accumulate(levels[i])
+                    levels[i] = []
+                break
+            deltas: List[int] = []
+            pairing: List[int] = []
+            for i in active:
+                points = levels[i]
+                level = [(right[0] - left[0]) % p for left, right
+                         in zip(points[::2], points[1::2])]
+                if 0 in level:
+                    jacobian[i] = self._accumulate(points)
+                    levels[i] = []
+                else:
+                    deltas += level
+                    pairing.append(i)
+            # Montgomery's trick: one inversion for every Δx of the level.
+            prefixes: List[int] = []
+            running = 1
+            for delta in deltas:
+                prefixes.append(running)
+                running = running * delta % p
+            inverse = modinv(running, p)
+            inverses = [0] * len(deltas)
+            for j in range(len(deltas) - 1, -1, -1):
+                inverses[j] = inverse * prefixes[j] % p
+                inverse = inverse * deltas[j] % p
+            slopes = iter(inverses)
+            for i in pairing:
+                points = levels[i]
+                added: List[Affine] = []
+                for (x1, y1), (x2, y2) in zip(points[::2], points[1::2]):
+                    slope = (y2 - y1) * next(slopes) % p
+                    x3 = (slope * slope - x1 - x2) % p
+                    added.append((x3, (slope * (x1 - x3) - y1) % p))
+                if len(points) % 2:
+                    added.append(points[-1])
+                levels[i] = added
+            active = [i for i in pairing if len(levels[i]) > 1]
+        normalised = dict(zip(jacobian,
+                              self._normalise(list(jacobian.values()))))
+        results: List[Point] = []
+        for i, points in enumerate(levels):
+            xy = normalised[i] if i in jacobian else (
+                points[0] if points else None)
+            results.append(self.infinity() if xy is None else Point(self, *xy))
+        return results
 
     # -- scalar multiplication -------------------------------------------------
 
@@ -260,17 +352,31 @@ class Curve:
         return table.mul(k % self.order if self.order is not None else k)
 
     def multi_mul(self, pairs: Iterable[Tuple[int, Base]]) -> "Point":
-        """Compute ``Σ k_i · B_i`` in one accumulator with one final
-        normalisation.
+        """Compute ``Σ k_i · B_i`` with one final normalisation.
 
         ``pairs`` is an iterable of ``(scalar, base)``; a base is a
         :class:`Point` (interleaved wNAF, shared doublings) or a
-        :class:`FixedBaseWnaf` built for this curve (table lookups; a
-        scalar beyond the table is a :class:`~repro.errors.CurveError`).
-        Used by the IBBE decrypt multi-exponentiation and by every ECDSA
-        verification.
+        :class:`FixedBaseWnaf` built for this curve (a scalar beyond the
+        table is a :class:`~repro.errors.CurveError`).  The tabled terms
+        are one sum of :meth:`tabled_sums`, folded into the ladder's
+        accumulator with one mixed addition.  Used by the IBBE decrypt
+        multi-exponentiation and by every ECDSA verification.
         """
-        return self._wnaf_sum(pairs)
+        plain: List[Tuple[int, Point]] = []
+        tabled: List[Tuple[int, FixedBaseWnaf]] = []
+        for k, base in pairs:
+            if isinstance(base, FixedBaseWnaf):
+                tabled.append((k, base))
+            else:
+                plain.append((k, base))
+        folded = self.tabled_sums([tabled])[0] if tabled else None
+        if not plain and folded is not None:
+            return folded
+        acc = self._wnaf_sum(plain)
+        xy = None if folded is None else folded._xy()
+        if xy is not None:
+            acc = self._add_affine(acc, *xy)
+        return self._to_affine(acc)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -336,7 +442,7 @@ class Point:
     def __mul__(self, k: int) -> "Point":
         if not isinstance(k, int):
             return NotImplemented
-        return self.curve._wnaf_sum([(k, self)])
+        return self.curve._to_affine(self.curve._wnaf_sum([(k, self)]))
 
     __rmul__ = __mul__
 
@@ -419,5 +525,6 @@ class FixedBaseWnaf:
 
     def mul(self, k: int) -> Point:
         """``k · B`` for ``|k| < 2^bits``; a scalar beyond the table is a
-        :class:`~repro.errors.CurveError`."""
-        return self.curve._wnaf_sum([(k, self)])
+        :class:`~repro.errors.CurveError`; the batch of one of
+        :meth:`Curve.tabled_sums`."""
+        return self.curve.tabled_sums([[(k, self)]])[0]

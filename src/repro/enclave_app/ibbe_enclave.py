@@ -537,7 +537,9 @@ class IbbeEnclave(Enclave):
         pairing-free broadcast key, randomness derived by partition
         index from one parent seed under the ``stream`` label
         (byte-identical at any worker count); the first ``with_c3``
-        partitions also get their aggregate ``C3``.
+        partitions also get their aggregate ``C3``.  The tasks go out
+        as ``workers`` contiguous chunks, each one tabled-sum batch —
+        one batch for the whole operation on the serial path.
         Phase 4 (enclave, gk): EPC accounting + envelope wrap, in order.
         """
         with _span("enclave.build_partitions", partitions=len(partitions),
@@ -546,11 +548,17 @@ class IbbeEnclave(Enclave):
             hashes = pool.run(par_kernels.hash_members_task,
                               [tuple(members) for members in partitions])
             parent = self.rng.random_bytes(32)
-            results = pool.run(par_kernels.build_partition_task, [
+            tasks = [
                 (ibbe.aggregate_exponent(msk, self._group.q, member_hashes),
                  derive_seed(parent, index, stream), index < with_c3)
                 for index, member_hashes in enumerate(hashes)
-            ])
+            ]
+            bounds = [len(tasks) * i // self._workers
+                      for i in range(self._workers + 1)]
+            results = [result for chunk in pool.run(
+                par_kernels.build_partition_task,
+                [tasks[lo:hi] for lo, hi in zip(bounds, bounds[1:]) if hi > lo],
+            ) for result in chunk]
             aad = group_id.encode("utf-8")
             blobs = []
             for members, (ct_bytes, bk_digest) in zip(partitions, results):

@@ -1,6 +1,5 @@
-"""Finite fields used by the elliptic-curve and pairing substrates."""
+"""Finite fields used by the elliptic-curve and pairing substrates.
 
-from repro.fields.fp import Fp, FpElement
-from repro.fields.fp2 import Fp2, Fp2Element
-
-__all__ = ["Fp", "FpElement", "Fp2", "Fp2Element"]
+:mod:`repro.fields.fp2` is the raw-tuple F_p² arithmetic the Miller loop
+and GT run on; F_p is plain integer arithmetic modulo ``p``.
+"""

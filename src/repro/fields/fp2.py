@@ -5,16 +5,17 @@ Requires ``p ≡ 3 (mod 4)`` so that ``-1`` is a non-residue and the polynomial
 (supersingular, embedding degree 2) pairing used throughout the paper's
 implementation via PBC.
 
-Elements are ``a + b·i``.  A raw-tuple fast path (:func:`fp2_mul`,
-:func:`fp2_sqr`, ...) is provided for the Miller-loop inner code; the
-:class:`Fp2Element` wrapper offers the ergonomic interface.
+Elements are ``a + b·i`` as raw ``(a, b)`` tuples: the fast path
+(:func:`fp2_mul`, :func:`fp2_sqr`, ...) of the Miller loop and GT.  No
+library code needs an operator-overloaded wrapper, so the one the field
+tests use lives beside them.
 """
 
 from __future__ import annotations
 
-from typing import Tuple, Union
+from typing import Tuple
 
-from repro.errors import MathError, ParameterError
+from repro.errors import MathError
 from repro.mathutils.modular import modinv
 
 RawFp2 = Tuple[int, int]
@@ -102,150 +103,3 @@ def fp2_lucas_pow(x: RawFp2, e: int, p: int) -> RawFp2:
             lo, hi = (2 * lo * lo - 1) % p, (2 * lo * hi - a) % p
     # c_e+1 = a·c_e - b·Im(x^e)
     return (lo, (a * lo - hi) * pow(b, -1, p) % p)
-
-
-# ---------------------------------------------------------------------------
-# Wrapper classes
-# ---------------------------------------------------------------------------
-
-IntoFp2 = Union["Fp2Element", int, RawFp2]
-
-
-class Fp2:
-    """The field F_p² for ``p ≡ 3 (mod 4)``."""
-
-    __slots__ = ("p",)
-
-    def __init__(self, p: int) -> None:
-        if p % 4 != 3:
-            raise ParameterError(
-                f"F_p2 with i²=-1 requires p ≡ 3 (mod 4); got p % 4 = {p % 4}"
-            )
-        self.p = p
-
-    def __call__(self, value: IntoFp2) -> "Fp2Element":
-        if isinstance(value, Fp2Element):
-            if value.field.p != self.p:
-                raise MathError("element belongs to a different field")
-            return value
-        if isinstance(value, int):
-            return Fp2Element(self, (value % self.p, 0))
-        a, b = value
-        return Fp2Element(self, (a % self.p, b % self.p))
-
-    def zero(self) -> "Fp2Element":
-        return Fp2Element(self, (0, 0))
-
-    def one(self) -> "Fp2Element":
-        return Fp2Element(self, (1, 0))
-
-    def i(self) -> "Fp2Element":
-        return Fp2Element(self, (0, 1))
-
-    def random(self, rng) -> "Fp2Element":
-        return Fp2Element(
-            self, (rng.randint_below(self.p), rng.randint_below(self.p))
-        )
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Fp2) and other.p == self.p
-
-    def __hash__(self) -> int:
-        return hash(("Fp2", self.p))
-
-    def __repr__(self) -> str:
-        return f"Fp2({self.p})"
-
-
-class Fp2Element:
-    """An element ``a + b·i`` of F_p²."""
-
-    __slots__ = ("field", "raw")
-
-    def __init__(self, field: Fp2, raw: RawFp2) -> None:
-        self.field = field
-        self.raw = raw
-
-    @property
-    def a(self) -> int:
-        return self.raw[0]
-
-    @property
-    def b(self) -> int:
-        return self.raw[1]
-
-    def _coerce(self, other: IntoFp2) -> "Fp2Element":
-        if isinstance(other, Fp2Element):
-            if other.field.p != self.field.p:
-                raise MathError("mixed-field arithmetic")
-            return other
-        if isinstance(other, int):
-            return Fp2Element(self.field, (other % self.field.p, 0))
-        return NotImplemented  # type: ignore[return-value]
-
-    def __add__(self, other: IntoFp2) -> "Fp2Element":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Fp2Element(self.field, fp2_add(self.raw, o.raw, self.field.p))
-
-    __radd__ = __add__
-
-    def __sub__(self, other: IntoFp2) -> "Fp2Element":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Fp2Element(self.field, fp2_sub(self.raw, o.raw, self.field.p))
-
-    def __rsub__(self, other: IntoFp2) -> "Fp2Element":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Fp2Element(self.field, fp2_sub(o.raw, self.raw, self.field.p))
-
-    def __mul__(self, other: IntoFp2) -> "Fp2Element":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Fp2Element(self.field, fp2_mul(self.raw, o.raw, self.field.p))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: IntoFp2) -> "Fp2Element":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __neg__(self) -> "Fp2Element":
-        return Fp2Element(self.field, fp2_neg(self.raw, self.field.p))
-
-    def __pow__(self, exponent: int) -> "Fp2Element":
-        return Fp2Element(self.field, fp2_pow(self.raw, exponent, self.field.p))
-
-    def inverse(self) -> "Fp2Element":
-        return Fp2Element(self.field, fp2_inv(self.raw, self.field.p))
-
-    def conjugate(self) -> "Fp2Element":
-        return Fp2Element(self.field, fp2_conj(self.raw, self.field.p))
-
-    def is_zero(self) -> bool:
-        return self.raw == (0, 0)
-
-    def is_one(self) -> bool:
-        return self.raw == (1, 0)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            return self.raw == (other % self.field.p, 0)
-        return (
-            isinstance(other, Fp2Element)
-            and other.field.p == self.field.p
-            and other.raw == self.raw
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.field.p, self.raw))
-
-    def __repr__(self) -> str:
-        return f"Fp2Element({self.raw[0]} + {self.raw[1]}i mod {self.field.p})"

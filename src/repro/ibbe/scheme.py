@@ -325,14 +325,28 @@ def aggregate_exponent(msk: IbbeMasterSecret, q: int,
     return product
 
 
-def encrypt_aggregate(pk: IbbePublicKey, product: int,
-                      k: int) -> Tuple[GTElement, IbbeHeader]:
-    """Eq. 3 given the aggregate ``product = ∏(γ + H(u))`` and the
-    randomiser ``k``: ``bk = v^k``, ``C1 = w^(-k)``, ``C2 = h^(k·product)``
-    — fixed (tabled) bases only, whatever the membership history."""
-    q = pk.group.q
-    header = IbbeHeader(c1=pk.w ** (q - k), c2=pk.h ** ((product * k) % q))
-    return pk.v ** k, header
+def encrypt_aggregate(pk: IbbePublicKey,
+                      requests: Sequence[Tuple[int, int, bool]],
+                      ) -> List[Tuple[GTElement, IbbeHeader,
+                                      Optional[G1Element]]]:
+    """Eq. 3 for many partitions at once.  Each request is the aggregate
+    ``product = ∏(γ + H(u))``, the randomiser ``k`` and ``with_c3``; its
+    result is ``bk = v^k``, the header ``C1 = w^(-k)``,
+    ``C2 = h^(k·product)`` and, ``with_c3``, ``C3 = h^product`` (else
+    ``None``) — fixed (tabled) bases only, whatever the membership
+    history, and every ``C1``, ``C2`` and ``C3`` of the call from one
+    :meth:`~repro.pairing.group.PairingGroup.pow_many` batch."""
+    group = pk.group
+    q = group.q
+    powers: List[Tuple[G1Element, int]] = []
+    for product, k, with_c3 in requests:
+        powers += [(pk.w, q - k), (pk.h, product * k % q)]
+        if with_c3:
+            powers.append((pk.h, product))
+    points = iter(group.pow_many(powers))
+    return [(pk.v ** k, IbbeHeader(c1=next(points), c2=next(points)),
+             next(points) if with_c3 else None)
+            for _, k, with_c3 in requests]
 
 
 def encrypt_msk(msk: IbbeMasterSecret, pk: IbbePublicKey,
@@ -347,8 +361,9 @@ def encrypt_msk(msk: IbbeMasterSecret, pk: IbbePublicKey,
     k = pk.group.random_scalar(rng)
     product = aggregate_exponent(
         msk, pk.group.q, (pk.hash_identity(u) for u in identities))
-    bk, header = encrypt_aggregate(pk, product, k)
-    return bk, IbbeCiphertext(header.c1, header.c2, pk.h ** product)
+    [(bk, header, c3)] = encrypt_aggregate(pk, [(product, k, True)])
+    assert c3 is not None
+    return bk, IbbeCiphertext(header.c1, header.c2, c3)
 
 
 def reencrypt_pk(pk: IbbePublicKey, identities: Sequence[str],

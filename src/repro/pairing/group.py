@@ -9,7 +9,7 @@ interface, matching the paper's use of PBC.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from repro.ec.curve import Curve, FixedBaseWnaf, Point
 from repro.ec.wnaf import HITS as _precomp_hits
@@ -127,6 +127,20 @@ class PairingGroup:
             (k % self.q, el.point) for k, el in pairs
         )
         return G1Element(self, point)
+
+    def pow_many(self, powers: Sequence[Tuple["G1Element", int]]
+                 ) -> List["G1Element"]:
+        """``[base ** e for base, e in powers]``, with every tabled base's
+        power from one :meth:`~repro.ec.curve.Curve.tabled_sums` batch;
+        an untabled base takes its ladder, as ``**`` does."""
+        tables = [base._table for base, _ in powers]
+        points = iter(self.curve.tabled_sums([
+            [(exponent % self.q, table)]
+            for (_, exponent), table in zip(powers, tables)
+            if table is not None]))
+        return [base ** exponent if table is None
+                else G1Element(self, next(points))
+                for (base, exponent), table in zip(powers, tables)]
 
     def __repr__(self) -> str:
         return f"PairingGroup({self.params.describe()})"

@@ -19,7 +19,7 @@ the trust split").
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.crypto.rng import DeterministicRng
 from repro.errors import ParallelError
@@ -74,27 +74,30 @@ def hash_members_task(members: Tuple[str, ...]) -> List[int]:
     return [pk.hash_identity(identity) for identity in members]
 
 
-def build_partition_task(task: Tuple[int, bytes, bool]) -> Tuple[bytes, bytes]:
-    """One partition's broadcast ciphertext and key digest — the one
-    kernel behind create, remove and re-key.
+def build_partition_task(chunk: Sequence[Tuple[int, bytes, bool]]
+                         ) -> List[Tuple[bytes, bytes]]:
+    """A chunk of partitions' broadcast ciphertexts and key digests — the
+    one kernel behind create, remove and re-key.
 
-    ``task = (product, k_seed, with_c3)`` where ``product = ∏(γ + H(u))
-    mod q`` is the enclave-computed aggregate and ``k_seed`` the
-    per-partition randomness stream.  Computes eq. 3 on the tabled bases
-    (:func:`~repro.ibbe.scheme.encrypt_aggregate`) and, ``with_c3``, the
-    aggregate ``C3 = h^product`` — wanted when the member set changed
+    Each task is ``(product, k_seed, with_c3)`` where ``product =
+    ∏(γ + H(u)) mod q`` is the enclave-computed aggregate and ``k_seed``
+    the per-partition randomness stream.  Computes eq. 3 on the tabled
+    bases (:func:`~repro.ibbe.scheme.encrypt_aggregate`) and, ``with_c3``,
+    the aggregate ``C3 = h^product`` — wanted when the member set changed
     (create, the partition a removal shrinks) and skipped by a re-key,
-    which leaves the stored ``C3`` as it is.
+    which leaves the stored ``C3`` as it is.  The whole chunk is one
+    ``encrypt_aggregate`` call, so all its ``C1``, ``C2`` and ``C3``
+    share one tabled-sum batch; each partition's output is still a pure
+    function of its own task.
 
-    Returns ``(C1 ‖ C2 [‖ C3], SHA-256(bk))`` — the digest is what keys
-    the AES envelope, so the broadcast key itself never leaves the
-    process that derived it.
+    Returns ``(C1 ‖ C2 [‖ C3], SHA-256(bk))`` per task — the digest is
+    what keys the AES envelope, so the broadcast key itself never leaves
+    the process that derived it.
     """
     group, pk = _require_context()
-    product, k_seed, with_c3 = task
-    k = group.random_scalar(DeterministicRng(k_seed))
-    bk, header = encrypt_aggregate(pk, product, k)
-    encoded = header.encode()
-    if with_c3:
-        encoded += (pk.h ** product).encode()
-    return encoded, bk.digest()
+    built = encrypt_aggregate(pk, [
+        (product, group.random_scalar(DeterministicRng(k_seed)), with_c3)
+        for product, k_seed, with_c3 in chunk])
+    return [(header.encode() + (b"" if c3 is None else c3.encode()),
+             bk.digest())
+            for bk, header, c3 in built]

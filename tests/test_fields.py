@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.crypto.rng import DeterministicRng
 from repro.errors import MathError, ParameterError
-from repro.fields import Fp, Fp2
 from repro.fields.fp2 import (
     fp2_conj,
     fp2_inv,
@@ -15,6 +14,7 @@ from repro.fields.fp2 import (
     fp2_pow,
     fp2_sqr,
 )
+from tests.field_wrappers import Fp, Fp2
 
 P = (1 << 127) - 1  # Mersenne prime, ≡ 3 (mod 4)
 F = Fp(P)

@@ -59,6 +59,11 @@ def _traced_create_group(workers: int):
         system.close()
 
 
+#: Pool tasks of the 1000-user create at capacity 100, by worker count:
+#: one hash task per partition, one build chunk per worker.
+TASKS = {workers: Multiset({"par.task": 10 + workers}) for workers in (1, 2)}
+
+
 class TestWorkerParity:
     """Acceptance: traced create_group at workers=2 matches serial."""
 
@@ -69,14 +74,18 @@ class TestWorkerParity:
         return serial, parallel
 
     def test_span_name_multisets_identical(self, runs):
+        """Every span but the per-task one is identical; the task spans
+        are all there, workers' included: ten hash tasks, then one
+        partition-build chunk per worker."""
         (serial_names, _, _, _), (par_names, _, _, _) = runs
-        assert serial_names == par_names
-        # The partition-build tasks themselves are visible.
-        assert serial_names["par.task"] >= 10
+        assert serial_names - TASKS[1] == par_names - TASKS[2]
+        assert serial_names["par.task"] == TASKS[1]["par.task"]
+        assert par_names["par.task"] == TASKS[2]["par.task"]
 
-    def test_par_task_totals_identical(self, runs):
+    def test_par_task_totals_count_the_chunks(self, runs):
         (_, _, serial_metrics, _), (_, _, par_metrics, _) = runs
-        assert serial_metrics["par.tasks"] == par_metrics["par.tasks"]
+        assert serial_metrics["par.tasks"] == TASKS[1]["par.task"]
+        assert par_metrics["par.tasks"] == TASKS[2]["par.task"]
         # Every dispatched task produced one latency observation.
         assert par_metrics["par.task.seconds.count"] == \
             par_metrics["par.tasks"]

@@ -145,8 +145,11 @@ def _cloud_bytes(system):
 
 @pytest.fixture(scope="module")
 def equivalence_runs():
-    """The same operation sequence under serial and 2-worker engines."""
-    systems = [_build_system(1), _build_system(2)]
+    """The same operation sequence under serial, 2- and 3-worker engines.
+
+    Group ``h`` has five partitions, so two and three workers get uneven
+    contiguous chunks (2 + 3 and 1 + 2 + 2 partitions)."""
+    systems = [_build_system(workers) for workers in (1, 2, 3)]
     snapshots = []
     for system in systems:
         admin = system.admin
@@ -155,6 +158,9 @@ def equivalence_runs():
         admin.remove_user("g", "user3")
         admin.add_user("g", "late-joiner")
         admin.repartition("g")
+        admin.create_group("h", [f"h{i}" for i in range(18)])
+        admin.remove_user("h", "h7")
+        admin.rekey("h")
         snapshots.append(_cloud_bytes(system))
     yield systems, snapshots
     for system in systems:
@@ -162,25 +168,31 @@ def equivalence_runs():
 
 
 def test_group_operations_byte_identical(equivalence_runs):
-    _, (serial, parallel) = equivalence_runs
-    assert serial.keys() == parallel.keys()
-    assert serial == parallel
+    systems, (serial, *parallel) = equivalence_runs
+    assert len(systems[0].admin.group_state("h").table.partition_ids) == 5
+    for snapshot in parallel:
+        assert snapshot.keys() == serial.keys()
+        assert snapshot == serial
 
 
 def test_parallel_system_serves_clients(equivalence_runs):
-    (serial_sys, parallel_sys), _ = equivalence_runs
-    a = serial_sys.make_client("g", "user5")
-    b = parallel_sys.make_client("g", "user5")
-    a.sync(), b.sync()
-    assert a.current_group_key() == b.current_group_key()
+    systems, _ = equivalence_runs
+    for gid, user in (("g", "user5"), ("h", "h12")):
+        keys = set()
+        for system in systems:
+            client = system.make_client(gid, user)
+            client.sync()
+            keys.add(client.current_group_key())
+        assert len(keys) == 1
 
 
 def test_parallel_engine_metrics(equivalence_runs):
-    (_, parallel_sys), _ = equivalence_runs
-    metrics = parallel_sys.telemetry()["metrics"]
-    assert metrics["par.workers"] == 2
-    assert metrics["par.tasks"] > 0
-    assert metrics["par.failures"] == 0
+    systems, _ = equivalence_runs
+    for workers, system in zip((2, 3), systems[1:]):
+        metrics = system.telemetry()["metrics"]
+        assert metrics["par.workers"] == workers
+        assert metrics["par.tasks"] > 0
+        assert metrics["par.failures"] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import hashlib
 import pytest
 
 from repro import obs
+from repro.crypto.ecdsa import EcdsaPrivateKey
 from repro.ec import P256, Curve, Point, precomp_registry
 from repro.errors import (
     AttestationError,
@@ -60,20 +61,28 @@ def tables():
 def count_p256(monkeypatch):
     """Count P-256 generator multiplications and point decodes from
     here on, wrapping them as ``test_ciphertext_points_decoded`` wraps
-    :meth:`Point.decode`."""
+    :meth:`Point.decode`.  A signature's nonce point comes from its
+    ``sign_many`` batch, not from ``mul_generator``, so each signed
+    message counts as one generator multiplication too."""
     counts = {"mul_generator": 0, "decode": 0}
     mul_generator = Curve.mul_generator
+    sign_many = EcdsaPrivateKey.sign_many
     decode = Point.decode.__func__
 
     def counted_mul_generator(curve, k):
         counts["mul_generator"] += curve is P256
         return mul_generator(curve, k)
 
+    def counted_sign_many(key, messages):
+        counts["mul_generator"] += len(messages)
+        return sign_many(key, messages)
+
     def counted_decode(cls, curve, data):
         counts["decode"] += curve is P256
         return decode(cls, curve, data)
 
     monkeypatch.setattr(Curve, "mul_generator", counted_mul_generator)
+    monkeypatch.setattr(EcdsaPrivateKey, "sign_many", counted_sign_many)
     monkeypatch.setattr(Point, "decode", classmethod(counted_decode))
     return counts
 

@@ -54,13 +54,14 @@ REPO = SRC.parent
 #: ``repro.*`` modules loaded by importing the enclave in a fresh
 #: interpreter: crypto 8, sgx 8 (the enclave runtime with the device and
 #: EPC it runs on; no party), obs 4 (spans, metrics, collect; no
-#: writer), ec 4, mathutils 4, pairing 4, par 4, fields 3, ibbe 2,
-#: enclave_app 2, the package root and the leaves errors, serialize,
-#: faulthook.
-MAX_ENCLAVE_MODULES = 47
-#: Their line count (6 929 when pinned): headroom for ordinary edits,
+#: writer), ec 4, mathutils 4, pairing 4, par 4, ibbe 2, enclave_app 2,
+#: fields 2 (the raw F_p² arithmetic; the operator-overloaded wrappers
+#: live with the tests), the package root and the leaves errors,
+#: serialize, faulthook.
+MAX_ENCLAVE_MODULES = 46
+#: Their line count (6 788 when pinned): headroom for ordinary edits,
 #: not for a module.
-MAX_ENCLAVE_LINES = 6950
+MAX_ENCLAVE_LINES = 6800
 ECALLS = 17
 
 #: The package graph, bottom-up.  A unit is a first-level name under
