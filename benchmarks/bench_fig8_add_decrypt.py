@@ -4,7 +4,8 @@ Paper's observations:
 
 * 8a: add-user is O(1) for both IBBE-SGX and HE; the IBBE-SGX CDF has a
   knee around 0.8 where the slow path (creating a brand-new partition when
-  all are full) takes over; HE adds are roughly 2× faster.
+  all are full) takes over; HE adds are roughly 2× faster.  Here both
+  paths are one rebuild on tabled bases, so the modes coincide.
 * 8b: client decryption grows quadratically with the partition size for
   IBBE-SGX (HE decryption is constant — a single public-key operation).
   Beside the paper's series: a member that already holds a hint follows
@@ -78,15 +79,13 @@ def test_fig8a_add_user_cdf(sink, benchmark):
     sink.table("Fig 8a: add-user latency CDF",
                ["scheme", "CDF", "latency"], rows)
 
-    # Two-path structure: adds that created a new partition (full IBBE
-    # encrypt + unseal + envelope) versus O(1) ciphertext extensions.
-    # The paper's slower mode is the new partition.  Here it is still
-    # the faster one, by less than before: a one-member partition is
-    # four lookups on tabled bases, while an extension decompresses the
-    # partition's C2 and raises it on the one ladder left (k is not
-    # kept, so no table serves C2) before taking C3 off h's table — so
-    # the knee sits at the new-partition share, not at its complement
-    # (see EXPERIMENTS.md).
+    # Two-path structure: adds that created a new partition versus adds
+    # to an existing one.  The paper's slower mode is the new partition
+    # (a full IBBE encrypt beside an O(1) ciphertext extension).  Here
+    # both paths are one rebuild on tabled bases — three G1 powers, one
+    # GT power, one unseal — and differ only in how many member hashes
+    # the rebuild folds, so the two modes coincide and the CDF has no
+    # knee (see EXPERIMENTS.md).
     existing = [t for t, path in zip(ibbe_latencies, path_taken)
                 if path == "existing"]
     fresh = [t for t, path in zip(ibbe_latencies, path_taken)
@@ -94,21 +93,27 @@ def test_fig8a_add_user_cdf(sink, benchmark):
     assert existing and fresh, "both Fig 8a paths must occur in the workload"
     existing_mean = sum(existing) / len(existing)
     fresh_mean = sum(fresh) / len(fresh)
-    knee = len(fresh) / (len(existing) + len(fresh))
+    ratio = existing_mean / fresh_mean
     sink.line(f"  existing-partition path: {format_seconds(existing_mean)} "
               f"mean ({len(existing)} ops); new-partition path: "
               f"{format_seconds(fresh_mean)} mean ({len(fresh)} ops)")
-    sink.line(f"  CDF knee at ~{knee:.2f} (paper: ~0.8, modes in the "
-              "opposite order)")
-    assert existing_mean > 1.15 * fresh_mean, (
-        "the two add paths must be visibly distinct (the CDF knee)"
+    sink.line(f"  existing / new = {ratio:.2f}: the two modes coincide "
+              "(paper: knee ~0.8, the new partition the slower mode)")
+    assert 0.75 < ratio < 1.33, (
+        "both add paths are one rebuild on tabled bases and should cost "
+        "about the same"
     )
 
+    # HE wraps gk once for the joiner (one ECIES encryption); an
+    # IBBE-SGX add no longer runs a ladder, so the paper's 2x gap is
+    # gone and the two cost the same order (see EXPERIMENTS.md).
     mean_ibbe = sum(ibbe_latencies) / len(ibbe_latencies)
     mean_he = sum(he_latencies) / len(he_latencies)
     sink.line(f"  mean add: IBBE-SGX {format_seconds(mean_ibbe)}, "
-              f"HE {format_seconds(mean_he)} (paper: HE ~2x faster)")
-    assert mean_he < mean_ibbe, "HE adds should be faster (paper Fig 8a)"
+              f"HE {format_seconds(mean_he)}, IBBE-SGX / HE = "
+              f"{mean_ibbe / mean_he:.2f} (paper: HE ~2x faster)")
+    assert 0.5 < mean_ibbe / mean_he < 2, (
+        "both schemes' adds are O(1) and of the same order")
 
     benchmark.pedantic(lambda: system.admin.add_user("g", "bench-user"),
                        rounds=1, iterations=1)

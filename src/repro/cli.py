@@ -56,10 +56,12 @@ the state directory except the user-side files explicitly exported.
 from __future__ import annotations
 
 import argparse
+import fcntl
 import json
+import os
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from repro import ibbe
 from repro.cloud import FileCloudStore
@@ -72,6 +74,7 @@ from repro.pairing import PairingGroup, preset
 from repro.pairing.group import G1Element
 from repro.sgx import SgxDevice
 from repro.sgx.auditor import Auditor
+from repro.sgx.counters import MonotonicCounterService
 from repro.sgx.ias import IntelAttestationService
 
 _CONFIG = "config.json"
@@ -81,6 +84,50 @@ _PUBLIC_KEY = "public-key.bin"
 _ADMIN_KEY = "admin-signing.key"
 _CA_KEY = "auditor-ca.key"
 _IAS_KEY = "ias-report.key"
+_COUNTERS = "counters.json"
+
+
+class _DurableCounters(MonotonicCounterService):
+    """The device's monotonic counters, kept beside its secret so that
+    they outlive the process as the device does.
+
+    Every call reads the file under an exclusive lock, and a new value
+    reaches the file (temp file + ``os.replace``) before the call
+    returns: before the ecall that stamps a sealed blob with it returns,
+    so before that blob can reach the store.  A later invocation then
+    refuses the blob a revocation replaced, and two invocations on one
+    state directory never hand out one value twice.
+    """
+
+    def __init__(self, path: Path) -> None:
+        super().__init__()
+        self._path = path
+
+    def create(self, counter_id: str) -> int:
+        return self._locked(super().create, counter_id, write=True)
+
+    def exists(self, counter_id: str) -> bool:
+        return self._locked(super().exists, counter_id, write=False)
+
+    def increment(self, counter_id: str) -> int:
+        return self._locked(super().increment, counter_id, write=True)
+
+    def read(self, counter_id: str) -> int:
+        return self._locked(super().read, counter_id, write=False)
+
+    def _locked(self, method: Callable, counter_id: str, write: bool):
+        lock_path = self._path.with_name(self._path.name + ".lock")
+        with open(lock_path, "a") as lock:
+            fcntl.flock(lock, fcntl.LOCK_EX)
+            if self._path.exists():
+                self._counters = json.loads(self._path.read_text("utf-8"))
+            result = method(counter_id)
+            if write:
+                tmp = self._path.with_name(self._path.name + ".tmp")
+                tmp.write_text(json.dumps(self._counters, sort_keys=True),
+                               encoding="utf-8")
+                os.replace(tmp, self._path)
+        return result
 
 
 def open_system(state_dir: Path, cloud, workers: Optional[int] = None,
@@ -118,7 +165,8 @@ def open_system(state_dir: Path, cloud, workers: Optional[int] = None,
         group=group,
         device=SgxDevice(
             rng=rng,
-            device_secret=(state_dir / _DEVICE_SECRET).read_bytes()),
+            device_secret=(state_dir / _DEVICE_SECRET).read_bytes(),
+            counters=_DurableCounters(state_dir / _COUNTERS)),
         ias=ias,
         auditor=Auditor(ias, ca_key=_load_scalar(state_dir / _CA_KEY)),
         cloud=cloud, rng=rng, msk=msk,
@@ -180,6 +228,8 @@ def cmd_init(args) -> int:
     # Persist the identities, assemble the deployment they describe with
     # a fresh system setup, then persist what the enclave produced.
     (state_dir / _DEVICE_SECRET).write_bytes(rng.random_bytes(32))
+    # A new device starts with no counters.
+    (state_dir / _COUNTERS).unlink(missing_ok=True)
     for name in (_ADMIN_KEY, _CA_KEY, _IAS_KEY):
         _save_scalar(state_dir / name, ecdsa.generate_keypair(rng))
     (state_dir / _CONFIG).write_text(json.dumps({

@@ -84,17 +84,6 @@ class AdminMetrics:
         self.registry.reset()
 
 
-@dataclass
-class _Placement:
-    """Where a batch-add routed users: one entry per touched partition.
-    ``members`` is what the partition holds before the batch extends it
-    by ``users``; a ``fresh`` one is created around its ``users``."""
-
-    fresh: bool
-    members: List[str]
-    users: List[str]
-
-
 #: One enclave crossing's requests: ``(ecall name, positional args)``.
 _Batch = List[Tuple[str, Tuple[Any, ...]]]
 
@@ -114,8 +103,8 @@ def _rekeyed(state: AdminGroupState, pids: Sequence[int],
              blobs: Sequence[PartitionBlob]) -> Dict[int, PartitionBlob]:
     """Installs for partitions a re-key left the members of: the enclave
     returns their fresh header ``C1 ‖ C2`` alone — ``C3`` depends on the
-    member set only — so the stored record's last third is spliced back,
-    as ``add_user`` carries the envelope over."""
+    member set only — so the stored record's last third is spliced
+    back."""
     return {
         pid: replace(blob, ciphertext=blob.ciphertext
                      + state.records[pid].ciphertext[len(blob.ciphertext):])
@@ -204,12 +193,10 @@ class GroupAdministrator:
         """Add ``users``: each goes to a random open partition, or to a
         fresh one when all are full (the two CDF modes of Fig. 8a).
 
-        One crossing and one commit for the whole batch, one ecall per
-        touched partition: an existing one is extended by its joiners
-        (Algorithm 2 line 11, ``y_p`` carried over), a fresh one is
-        created around all of its joiners under the current ``gk``
-        (lines 4-6).  ``k`` does not depend on the member list, so the
-        records are byte-identical to the one-call-per-user sequence.
+        One crossing and one commit for the whole batch, one
+        ``create_partition`` per touched partition, opened (Algorithm 2
+        lines 4-6) or extended (line 11) alike: the enclave rebuilds it
+        around its whole member list under the current ``gk``.
         """
         state = self._require_group(group_id)
         users = list(users)
@@ -225,43 +212,23 @@ class GroupAdministrator:
 
         # Placement phase: route every user (mutating the table and
         # drawing placement randomness) before any enclave work.
-        placements: Dict[int, _Placement] = {}
+        touched: Dict[int, None] = {}
         for user in users:
             pid = state.table.pick_open_partition(self._rng)
             if pid is None:
                 pid = state.table.add_new_partition(user)
-                placements[pid] = _Placement(fresh=True, members=[],
-                                             users=[user])
             else:
-                if pid not in placements:
-                    placements[pid] = _Placement(
-                        fresh=False, members=state.table.members_of(pid),
-                        users=[])
                 state.table.add_to_partition(pid, user)
-                placements[pid].users.append(user)
+            touched[pid] = None
 
         state.epoch += 1
-
-        def writes(results: Sequence[Any]) -> _WriteSet:
-            # An extended partition keeps its bk: y_p is carried over.
-            return _WriteSet({
-                pid: blob if placement.fresh else PartitionBlob(
-                    ciphertext=blob, envelope=state.records[pid].envelope)
-                for (pid, placement), blob in zip(placements.items(),
-                                                  results)
-            })
-
         # ``create_partition`` reads the sealed gk when the batch is
         # built, so a rebuild after its recovery picks up the fresh one.
         self._commit_plan(state, lambda: [
             ("create_partition",
-             (group_id, placement.users, state.sealed_group_key))
-            if placement.fresh else
-            ("add_user_to_partition",
-             (state.records[pid].ciphertext, placement.members,
-              placement.users))
-            for pid, placement in placements.items()
-        ], writes)
+             (group_id, state.table.members_of(pid), state.sealed_group_key))
+            for pid in touched
+        ], lambda results: _WriteSet(dict(zip(touched, results))))
         self.metrics.users_added += len(users)
 
     def delete_group(self, group_id: str) -> None:

@@ -5,8 +5,8 @@ plaintext group key ``gk``.  Untrusted administrator code sees only:
 
 * the system public key (public by definition),
 * member lists and partition ciphertexts ``c_p`` (public broadcast
-  metadata; Algorithms 1-3 are driven by the lists, and only an
-  extension reads a stored ciphertext back),
+  metadata; Algorithms 1-3 are driven by the lists, and only a key
+  recovery and the unused paper-form extension read one back),
 * group-key envelopes ``y_p`` (AES-GCM ciphertext),
 * sealed blobs (group keys, master secret) bound to this enclave identity.
 
@@ -373,7 +373,10 @@ class IbbeEnclave(Enclave):
     @ecall(batchable=True)
     def create_partition(self, group_id: str, members: Sequence[str],
                          sealed_gk: bytes) -> PartitionBlob:
-        """Algorithm 2 lines 4-6: new partition enveloping the current gk."""
+        """Algorithm 2: the partition an add opens (lines 4-6) or extends
+        (line 11), rebuilt around its whole member list under a fresh
+        ``k`` — one tabled-sum batch, no ladder, no stored point read —
+        with the current ``gk`` in a fresh envelope."""
         msk, pk = self._require_msk(), self._require_pk()
         partitions = self._checked_partitions(pk, [members])
         gk = self.track_secret(self._unseal_group_key(group_id, sealed_gk))
@@ -384,15 +387,14 @@ class IbbeEnclave(Enclave):
     def add_user_to_partition(self, ciphertext: bytes,
                               members: Sequence[str],
                               identities: Sequence[str]) -> bytes:
-        """Algorithm 2 line 11: extend the ciphertext of the partition
-        holding ``members`` by ``identities``; ``bk`` is unchanged.
-
-        ``C1`` passes through as bytes; ``C2`` is raised once to the
-        product of the new factors, folded in ``Z_q`` — the one
-        variable-base ladder left, because ``k`` is not kept after
-        creation and a fresh ``k`` would change ``bk``; ``C3 = h^{∏ all}``
-        comes off the table.  The result is byte-identical to extending
-        by one identity at a time."""
+        """The paper's Algorithm 2 line 11, which no administrator path
+        calls (an add rebuilds through :meth:`create_partition`; the
+        per-layer rows of ``BENCHMARK.json`` name this one): extend the
+        ciphertext of the partition holding ``members`` by ``identities``
+        with ``bk`` unchanged.  ``C1`` passes through; ``C2`` is raised
+        once to the product of the new factors — a variable-base ladder,
+        as ``k`` is not kept — and ``C3 = h^{∏ all}`` comes off the
+        table; byte-identical to extending by one identity at a time."""
         msk, pk = self._require_msk(), self._require_pk()
         c1, c2, _ = ibbe.IbbeCiphertext.split(self._group, ciphertext)
         members, identities = list(members), list(identities)

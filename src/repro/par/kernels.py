@@ -77,14 +77,14 @@ def hash_members_task(members: Tuple[str, ...]) -> List[int]:
 def build_partition_task(chunk: Sequence[Tuple[int, bytes, bool]]
                          ) -> List[Tuple[bytes, bytes]]:
     """A chunk of partitions' broadcast ciphertexts and key digests — the
-    one kernel behind create, remove and re-key.
+    one kernel behind create, add, remove and re-key.
 
     Each task is ``(product, k_seed, with_c3)`` where ``product =
     ∏(γ + H(u)) mod q`` is the enclave-computed aggregate and ``k_seed``
     the per-partition randomness stream.  Computes eq. 3 on the tabled
     bases (:func:`~repro.ibbe.scheme.encrypt_aggregate`) and, ``with_c3``,
     the aggregate ``C3 = h^product`` — wanted when the member set changed
-    (create, the partition a removal shrinks) and skipped by a re-key,
+    (create, add, the partition a removal shrinks) and skipped by a re-key,
     which leaves the stored ``C3`` as it is.  The whole chunk is one
     ``encrypt_aggregate`` call, so all its ``C1``, ``C2`` and ``C3``
     share one tabled-sum batch; each partition's output is still a pure

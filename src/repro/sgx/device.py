@@ -33,21 +33,23 @@ class SgxDevice:
     ``device_secret`` models the CPU's e-fuses: when provided, the fuse
     and attestation keys are derived from it deterministically, so the
     *same* device (and hence its sealed blobs) survives process restarts —
-    required by the persistent CLI deployment.  Without it, fresh keys are
-    drawn from ``rng`` (an anonymous throwaway platform).
+    required by the persistent CLI deployment, which also hands it
+    ``counters`` kept on disk.  Without it, fresh keys are drawn from
+    ``rng`` (an anonymous throwaway platform).
     """
 
     def __init__(self, rng: Optional[Rng] = None,
                  epc: Optional[EpcModel] = None,
                  device_id: Optional[str] = None,
-                 device_secret: Optional[bytes] = None) -> None:
+                 device_secret: Optional[bytes] = None,
+                 counters: Optional[MonotonicCounterService] = None) -> None:
         self._rng = rng or SystemRng()
         self.epc = epc or EpcModel()
         #: Platform monotonic-counter service.  Hosted on the *device*
         #: (as on real SGX hardware) so counter state — and with it the
         #: rollback protection of sealed blobs — survives enclave
-        #: restarts on the same platform.
-        self.counters = MonotonicCounterService()
+        #: restarts on the same platform (a durable one: the process).
+        self.counters = counters or MonotonicCounterService()
         if device_secret is not None:
             digest = hashlib.sha256(device_secret).hexdigest()[:16]
             self.device_id = device_id or f"sgx-device-{digest}"

@@ -2,6 +2,7 @@
 like deployment from the state directory)."""
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -10,8 +11,9 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.cli import main
-from repro.cloud import CloudStore
+from repro.cli import _DurableCounters, main
+from repro.cloud import CloudStore, FileCloudStore
+from repro.core.metadata import sealed_key_path
 from repro.core.multiadmin import ConcurrentAdministrator
 from repro.crypto.rng import DeterministicRng
 from repro.net import RemoteCloudStore
@@ -168,6 +170,57 @@ class TestStateReuseAcrossInvocations:
             assert run("create-group", "--state", state, "--cloud", cloud,
                        f"g{i}", "a", "b") == 0
         assert run("show", "--state", state, "--cloud", cloud) == 0
+
+
+class TestSealedKeyReplayAcrossInvocations:
+    def test_replayed_sealed_key_refused_by_the_next_add(
+            self, initialized, tmp_path, capsys):
+        """The store puts a pre-revocation sealed group key back.  The
+        counter that stamped it lives in the state directory, so the
+        next invocation's add refuses it, and no member derives the
+        revoked member's key."""
+        state, cloud = initialized
+        assert run("create-group", "--state", state, "--cloud", cloud,
+                   "g", "a", "b") == 0
+        keys = {who: str(tmp_path / f"{who}.key") for who in ("a", "b")}
+        for who, key_file in keys.items():
+            assert run("provision", "--state", state, "--cloud", cloud,
+                       who, "--out", key_file) == 0
+        capsys.readouterr()
+        assert run("client-key", "--cloud", cloud,
+                   "--user-key", keys["b"], "g", "b") == 0
+        revoked_key = capsys.readouterr().out.strip()
+        saved = FileCloudStore(Path(cloud)).get(sealed_key_path("g")).data
+
+        assert run("remove-user", "--state", state, "--cloud", cloud,
+                   "g", "b") == 0
+        FileCloudStore(Path(cloud)).put(sealed_key_path("g"), saved)
+        capsys.readouterr()
+        assert run("add-user", "--state", state, "--cloud", cloud,
+                   "g", "c") == 1
+        assert "rollback detected" in capsys.readouterr().err
+        assert run("client-key", "--cloud", cloud,
+                   "--user-key", keys["a"], "g", "a") == 0
+        assert capsys.readouterr().out.strip() != revoked_key
+
+
+def _bump(path: str, times: int):
+    counters = _DurableCounters(Path(path))
+    return [counters.increment("gk:g") for _ in range(times)]
+
+
+class TestDurableCounters:
+    def test_concurrent_invocations_never_share_a_value(self, tmp_path):
+        """Four processes, more than the cores a CI job gets, bump one
+        counter of a state directory at once: a lost update would hand
+        one value out twice, or move the counter back."""
+        path = tmp_path / "counters.json"
+        _DurableCounters(path).create("gk:g")
+        with multiprocessing.get_context("spawn").Pool(4) as pool:
+            runs = pool.starmap_async(
+                _bump, [(str(path), 25)] * 4).get(timeout=120)
+        assert sorted(v for run in runs for v in run) == list(range(1, 101))
+        assert _DurableCounters(path).read("gk:g") == 100
 
 
 class TestServeHostsAStoreOnly:

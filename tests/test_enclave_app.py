@@ -10,7 +10,13 @@ from repro.crypto.rng import DeterministicRng
 from repro.ec import precomp_registry
 from repro.ec.curve import Point
 from repro.enclave_app import IbbeEnclave, PartitionBlob
-from repro.errors import EnclaveError, ParameterError, SchemeError
+from repro.errors import (
+    EnclaveError,
+    ParameterError,
+    RevokedError,
+    SchemeError,
+    SealingError,
+)
 from repro.pairing import PairingGroup, preset
 from repro.sgx.device import SgxDevice
 from repro.sgx.enclave import trusted_view
@@ -73,7 +79,6 @@ class TestLifecycle:
         _, _, pk, sealed_msk = loaded
         other_device = SgxDevice(rng=DeterministicRng("other-device"))
         imposter = IbbeEnclave.load(other_device, {"pairing_group": group})
-        from repro.errors import SealingError
         with pytest.raises(SealingError):
             imposter.call("restore_system", sealed_msk, pk)
 
@@ -111,10 +116,8 @@ class TestAddUser:
     def test_existing_partition_path(self, loaded):
         _, enclave, pk, _ = loaded
         blobs, sealed_gk = enclave.call("create_group", "g", [["a", "b"]])
-        new_ct = enclave.call(
-            "add_user_to_partition", blobs[0].ciphertext, ["a", "b"], ["c"]
-        )
-        blob = PartitionBlob(ciphertext=new_ct, envelope=blobs[0].envelope)
+        blob = enclave.call("create_partition", "g", ["a", "b", "c"],
+                            sealed_gk)
         gk_new = _decrypt_blob(pk, enclave, blob, ["a", "b", "c"], "c")
         gk_old = _decrypt_blob(pk, enclave, blobs[0], ["a", "b"], "a")
         assert gk_new == gk_old  # add does not rekey
@@ -199,8 +202,8 @@ def _twins(group, m=4):
         device = SgxDevice(rng=DeterministicRng("refusal"))
         enclave = IbbeEnclave.load(device, {"pairing_group": group})
         enclave.call("setup_system", m)
-        blobs, _ = enclave.call("create_group", "g", PARTS)
-        pair.append((device, enclave, blobs))
+        created = enclave.call("create_group", "g", PARTS)
+        pair.append((device, enclave, created))
     return pair
 
 
@@ -208,54 +211,72 @@ PARTS = [["a", "b", "c"], ["d", "e"]]
 FULL = ["p", "q", "r", "s"]     # a partition at the bound m = 4
 
 
-def _ct(blobs):
-    return blobs[0].ciphertext
+def _ct(created):
+    return created[0][0].ciphertext
 
 
-#: (ecall, args given the created blobs, error) — each names one thing
-#: the enclave can check about a host-supplied list or ciphertext.
+#: (ecall, args given the created blobs and sealed key, error) — each
+#: names one thing the enclave can check about a host-supplied list,
+#: ciphertext or sealed key.
 REFUSALS = {
     "remove: hosting list still names the identity":
-        ("remove_user", lambda b: ("g", "b", ["a", "b", "c"], [PARTS[1]]),
+        ("remove_user", lambda c: ("g", "b", ["a", "b", "c"], [PARTS[1]]),
          SchemeError),
     "remove: another list names the identity":
-        ("remove_user", lambda b: ("g", "b", ["a", "c"], [["d", "b"]]),
+        ("remove_user", lambda c: ("g", "b", ["a", "c"], [["d", "b"]]),
          SchemeError),
     "remove: empty hosting list":
-        ("remove_user", lambda b: ("g", "b", [], [PARTS[1]]), SchemeError),
+        ("remove_user", lambda c: ("g", "b", [], [PARTS[1]]), SchemeError),
     "remove: duplicate in a list":
-        ("remove_user", lambda b: ("g", "b", ["a", "c"], [["d", "d"]]),
+        ("remove_user", lambda c: ("g", "b", ["a", "c"], [["d", "d"]]),
          SchemeError),
     "remove: list over m":
-        ("remove_user", lambda b: ("g", "b", ["a", "c"], [FULL + ["t"]]),
+        ("remove_user", lambda c: ("g", "b", ["a", "c"], [FULL + ["t"]]),
          ParameterError),
     "rekey: empty list":
-        ("rekey_group", lambda b: ("g", [PARTS[0], []]), SchemeError),
+        ("rekey_group", lambda c: ("g", [PARTS[0], []]), SchemeError),
     "rekey: duplicate in a list":
-        ("rekey_group", lambda b: ("g", [["a", "a"]]), SchemeError),
+        ("rekey_group", lambda c: ("g", [["a", "a"]]), SchemeError),
     "rekey: list over m":
-        ("rekey_group", lambda b: ("g", [FULL + ["t"]]), ParameterError),
+        ("rekey_group", lambda c: ("g", [FULL + ["t"]]), ParameterError),
     "add: identity already listed":
-        ("add_user_to_partition", lambda b: (_ct(b), PARTS[0], ["b"]),
+        ("add_user_to_partition", lambda c: (_ct(c), PARTS[0], ["b"]),
          SchemeError),
     "add: result over m":
-        ("add_user_to_partition", lambda b: (_ct(b), FULL, ["t"]),
+        ("add_user_to_partition", lambda c: (_ct(c), FULL, ["t"]),
          ParameterError),
     "add: empty member list":
-        ("add_user_to_partition", lambda b: (_ct(b), [], ["t"]),
+        ("add_user_to_partition", lambda c: (_ct(c), [], ["t"]),
          SchemeError),
     "add: ciphertext of the wrong length":
-        ("add_user_to_partition", lambda b: (_ct(b)[:-1], PARTS[0], ["t"]),
+        ("add_user_to_partition", lambda c: (_ct(c)[:-1], PARTS[0], ["t"]),
          SchemeError),
     "batch add: identity repeated":
-        ("add_user_to_partition", lambda b: (_ct(b), ["a"], ["t", "t"]),
+        ("add_user_to_partition", lambda c: (_ct(c), ["a"], ["t", "t"]),
          SchemeError),
     "batch add: result over m":
         ("add_user_to_partition",
-         lambda b: (_ct(b), PARTS[0], ["t", "u"]), ParameterError),
+         lambda c: (_ct(c), PARTS[0], ["t", "u"]), ParameterError),
     "batch add: ciphertext of the wrong length":
         ("add_user_to_partition",
-         lambda b: (_ct(b) + b"\x00", PARTS[0], ["t"]), SchemeError),
+         lambda c: (_ct(c) + b"\x00", PARTS[0], ["t"]), SchemeError),
+    "rebuild: identity already listed":
+        ("create_partition", lambda c: ("g", PARTS[0] + ["b"], c[1]),
+         SchemeError),
+    "rebuild: identity repeated":
+        ("create_partition", lambda c: ("g", ["a", "t", "t"], c[1]),
+         SchemeError),
+    "rebuild: result over m":
+        ("create_partition", lambda c: ("g", PARTS[0] + ["t", "u"], c[1]),
+         ParameterError),
+    "rebuild: empty member list":
+        ("create_partition", lambda c: ("g", [], c[1]), SchemeError),
+    "rebuild: sealed key cut short":
+        ("create_partition", lambda c: ("g", PARTS[0] + ["t"], c[1][:-1]),
+         SealingError),
+    "rebuild: sealed key of another group":
+        ("create_partition", lambda c: ("h", PARTS[0] + ["t"], c[1]),
+         SealingError),
 }
 
 
@@ -266,12 +287,12 @@ class TestRefusalLeavesNoTrace:
     @pytest.mark.parametrize("case", REFUSALS)
     def test_refused_call_changes_nothing(self, group, case):
         name, make_args, error = REFUSALS[case]
-        (device, enclave, blobs), (_, control, _) = _twins(group)
+        (device, enclave, created), (_, control, _) = _twins(group)
         inside = trusted_view(enclave)
         rng_before = device.rng.getstate()
         counters_before = dict(inside._seal_counters)
         with pytest.raises(error):
-            enclave.call(name, *make_args(blobs))
+            enclave.call(name, *make_args(created))
         assert device.rng.getstate() == rng_before
         assert inside._seal_counters == counters_before
         # ...and what follows is what would have followed anyway.
@@ -318,9 +339,34 @@ class TestBatchAdd:
             members = members + [joiner]
         assert batch == one_by_one
 
+    @pytest.mark.parametrize("params,n", [
+        (params, n) for params in ("toy64", "std160") for n in (1, 2, 7)])
+    def test_rebuild_runs_no_ladder(self, params, n):
+        """The administrator's extension by ``n`` joiners is one rebuild
+        around the whole list: no variable-base ladder, the ``C3`` a
+        creation over the same list writes, and the current ``gk``."""
+        device = SgxDevice(rng=DeterministicRng("batch-add"))
+        enclave = IbbeEnclave.load(
+            device, {"pairing_group": PairingGroup(preset(params))})
+        pk, _ = enclave.call("setup_system", 10)
+        blobs, sealed_gk = enclave.call("create_group", "g", [["a", "b"]])
+        members = ["a", "b"] + [f"n{i}" for i in range(n)]
+        ladders = precomp_registry.snapshot()["ec.precomp.misses"]
+        blob = enclave.call("create_partition", "g", members, sealed_gk)
+        ladders = precomp_registry.snapshot()["ec.precomp.misses"] - ladders
+        assert ladders == 0
+        (created,), _ = enclave.call("create_group", "h", [members])
+        c3 = ibbe.IbbeCiphertext.split(pk.group, blob.ciphertext)[2]
+        assert c3 == ibbe.IbbeCiphertext.split(pk.group,
+                                               created.ciphertext)[2]
+        assert (_decrypt_blob(pk, enclave, blob, members, members[-1])
+                == _decrypt_blob(pk, enclave, blobs[0], ["a", "b"], "a"))
+
     def test_admin_batch_on_fresh_partitions_matches_single_adds(self):
         """Seven joiners to a full group: two fresh partitions, each one
-        ``create_partition`` around all of its joiners."""
+        ``create_partition`` around all of its joiners.  Every add draws
+        a fresh ``k``, so the bytes differ from seven single adds; the
+        member lists and the one group key do not."""
         joiners = [f"n{i}" for i in range(7)]
         batched, single = (make_system("fresh-batch", capacity=4)
                            for _ in range(2))
@@ -329,27 +375,76 @@ class TestBatchAdd:
         batched.admin.add_users("g", joiners)
         for joiner in joiners:
             single.admin.add_user("g", joiner)
-        records = [
-            {pid: (record.members, record.ciphertext, record.envelope)
+        members = [
+            {pid: record.members
              for pid, record in system.admin.group_state("g").records.items()}
             for system in (batched, single)
         ]
-        assert records[0] == records[1]
-        assert len(records[0]) == 3
+        assert members[0] == members[1]
+        assert len(members[0]) == 3
+        keys = set()
+        for system in (batched, single):
+            for listed in members[0].values():
+                client = system.make_client("g", listed[-1])
+                client.sync()
+                keys.add(client.current_group_key())
+        assert len(keys) == 1
+
+
+class TestAdminAdd:
+    def test_add_rebuilds_only_its_partition(self, monkeypatch):
+        """An add to an existing partition reads no stored point and runs
+        no ladder, rewrites that partition alone, and leaves every
+        member — the joiner too — on the one unchanged group key, which
+        a member removed earlier still cannot derive."""
+        system = make_system("admin-add", capacity=4, auto_repartition=False)
+        admin = system.admin
+        admin.create_group("g", [f"u{i}" for i in range(8)])
+        admin.remove_user("g", "u1")
+        admin.remove_user("g", "u6")
+
+        def current_key(user):
+            client = system.make_client("g", user)
+            client.sync()
+            return client.current_group_key()
+
+        members = admin.members("g")
+        gk = {current_key(user) for user in members}
+        assert len(gk) == 1
+        before = dict(admin.group_state("g").records)
+        decodes = []
+        real = Point.decode.__func__
+        monkeypatch.setattr(
+            Point, "decode",
+            classmethod(lambda cls, *a: decodes.append(1) or real(cls, *a)))
+        ladders = precomp_registry.snapshot()["ec.precomp.misses"]
+        admin.add_user("g", "late")
+        assert precomp_registry.snapshot()["ec.precomp.misses"] == ladders
+        assert decodes == []
+        monkeypatch.undo()
+
+        after = admin.group_state("g").records
+        touched = admin.group_state("g").table.partition_of("late")
+        assert after.keys() == before.keys()
+        assert after[touched] != before[touched]
+        for pid in before.keys() - {touched}:
+            assert after[pid] == before[pid]
+        assert {current_key(user) for user in members + ["late"]} == gk
+        with pytest.raises(RevokedError):
+            current_key("u1")
 
 
 def test_ciphertext_points_decoded(loaded, monkeypatch):
-    """An extension decompresses ``C2`` and nothing else; a removal and
-    a re-key decompress nothing."""
+    """An add, a removal and a re-key decompress no stored point: each
+    builds its partitions from member lists."""
     _, enclave, _, _ = loaded
-    blobs, _ = enclave.call("create_group", "g", PARTS)
+    blobs, sealed_gk = enclave.call("create_group", "g", PARTS)
     decodes = []
     real = Point.decode.__func__
     monkeypatch.setattr(
         Point, "decode",
         classmethod(lambda cls, *a: decodes.append(1) or real(cls, *a)))
-    enclave.call("add_user_to_partition", _ct(blobs), PARTS[0], ["t"])
-    assert len(decodes) == 1
+    enclave.call("create_partition", "g", PARTS[0] + ["t"], sealed_gk)
     enclave.call("remove_user", "g", "b", ["a", "c"], [PARTS[1]])
     enclave.call("rekey_group", "g", [["a", "c"], PARTS[1]])
-    assert len(decodes) == 1
+    assert decodes == []

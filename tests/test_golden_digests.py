@@ -17,21 +17,41 @@ deleted certificate door did not, so bytes written after the contention
 phase's ``join`` shift; the store up to the join is byte-identical to
 the parent's, and the four chaos digests did not move.
 
+Every value below was re-captured on top of commit 0b9c6c9, when an add
+stopped extending the stored ``C2`` and began rebuilding each partition
+it touches under a fresh ``k`` (one ``create_partition`` ecall): an add
+now draws a fresh ``k`` seed and envelope nonce and rewrites the
+record's ``C1``, ``C2`` and envelope, so every byte written after the
+first add moves, along with the group key of every later epoch.  In
+each chaos run the reference and the chaotic deployment still agree.
+``SCALE_1E4`` is the ``python -m repro.workloads.scale --users 1e4
+--seed 7`` digest (``dfaa69f9…2eb6`` before this change), checked here
+since the same re-capture.
+
 A deliberate change to what the system writes must re-capture these at
 the parent commit and say so.
 """
 
+import argparse
+
+
 from repro.faults import FaultPlan
 from repro.workloads.chaos import run_chaos
-from repro.workloads.scale import run_scale
+from repro.workloads.scale import (
+    add_scale_arguments,
+    config_from_args,
+    run_scale,
+)
 
 SEED = "chaos-ci"
-CLOUD = "b2a1f76e8b976c6a09396e6e16f44ba3b1003d7135a963efe2552fd152c1bb21"
-COLD = "e12bfe9e6cbf70acb614342862319b9b50461e0ec3c6deb3228cd0adef3c9d3f"
-KEY = "b3c9853d6c4dcb0fa186344858beef23542d783ecf773f4b5258af153248a88c"
-SHARD = "183102b06893e3dc2c1833f619cc799f0382d8c810ecc909f11776ee4a81e8dc"
+CLOUD = "3f53c79c6dcf5373b2bb1185e5abf764c85bf3c16d1534690caaf8e5ab66e087"
+COLD = "ce634d0080cfe6332af12650df4361c195ab5139c946055309d9de14fcf1f3f1"
+KEY = "23f4b1e0de9e64c56690643d640729a4fb0ee59febaa898b6254df3f4b8c1c72"
+SHARD = "aea4f0e074a3119f5ea467a6dc7eb55ca0357bebe206baa289d92f8340dd4b7b"
 SCALE_SMALL = (
-    "573c6d4acd9f903354c94c860d438ca026375fb7d4e2ab4445c125d1c6402cb7")
+    "8f21d3ffb801588a3a6e4881b412e706a232582f43bd14f21b7c14957fb2fea6")
+SCALE_1E4 = (
+    "25fb1036718a5184cc88a388121e63d303832c4adbdf7ef882f22fb191ca9a1f")
 
 
 def _assert_chaos(report):
@@ -68,3 +88,14 @@ def test_scale_suite():
                        resync_churn=4)
     assert report.converged
     assert report.convergence_digest == SCALE_SMALL
+
+
+def test_scale_cli_users_1e4_seed_7():
+    """The scenario ``python -m repro.workloads.scale --users 1e4 --seed
+    7`` runs, built from the same arguments."""
+    parser = argparse.ArgumentParser()
+    add_scale_arguments(parser)
+    args = parser.parse_args(["--users", "1e4", "--seed", "7"])
+    report = run_scale(config_from_args(args))
+    assert report.converged
+    assert report.convergence_digest == SCALE_1E4

@@ -185,9 +185,9 @@ class TestCrossEnclaveSealedKey:
 
     def test_batch_add_rebuilds_its_whole_batch_after_recovery(self):
         # B revokes "b", so the sealed gk is B's.  A's three joiners fill
-        # the partition {a} and open a fresh one: the batch extends one
-        # partition and creates another, and only the second ecall needs
-        # the gk.  Its SealingError rebuilds the whole batch.
+        # the partition {a} and open a fresh one: the batch rebuilds one
+        # partition and creates another, and both ecalls need the gk.
+        # The first SealingError rebuilds the whole batch.
         system = make_system("xseal-batch", capacity=2)
         admin_a = system.admin
         admin_b = make_second_admin(system, "xseal-batch-b")
@@ -215,7 +215,7 @@ class TestCrossEnclaveSealedKey:
             admin_a.enclave = enclave
         assert enclave.meter.crossings - crossings == 3
         first, recovery, rebuilt = requests
-        batch = ["add_user_to_partition", "create_partition"]
+        batch = ["create_partition", "create_partition"]
         assert [name for name, _ in first] == batch
         assert recovery[0] == "recover_and_reseal"
         assert [name for name, _ in rebuilt] == batch

@@ -59,9 +59,9 @@ REPO = SRC.parent
 #: live with the tests), the package root and the leaves errors,
 #: serialize, faulthook.
 MAX_ENCLAVE_MODULES = 46
-#: Their line count (6 788 when pinned): headroom for ordinary edits,
-#: not for a module.
-MAX_ENCLAVE_LINES = 6800
+#: Their line count, pinned at the measured closure (6 792, when the
+#: device took durable counters).
+MAX_ENCLAVE_LINES = 6792
 ECALLS = 17
 
 #: The package graph, bottom-up.  A unit is a first-level name under
@@ -345,8 +345,8 @@ def test_every_ecall_name_in_src_is_registered():
     assert {"setup_system", "create_group", "register_user",
             "import_master_secret_from_peer"} <= set(called)
     # ... and every batch the administrator commits.
-    assert {"create_group", "create_partition", "add_user_to_partition",
-            "remove_user", "rekey_group"} <= set(called)
+    assert {"create_group", "create_partition", "remove_user",
+            "rekey_group"} <= set(called)
     # No ecall hands a user key to the host in the clear.
     assert "extract_user_key_raw" not in registered
     dangling = {name: where for name, where in called.items()
