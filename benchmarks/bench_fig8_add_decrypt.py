@@ -104,16 +104,12 @@ def test_fig8a_add_user_cdf(sink, benchmark):
         "about the same"
     )
 
-    # HE wraps gk once for the joiner (one ECIES encryption); an
-    # IBBE-SGX add no longer runs a ladder, so the paper's 2x gap is
-    # gone and the two cost the same order (see EXPERIMENTS.md).
     mean_ibbe = sum(ibbe_latencies) / len(ibbe_latencies)
     mean_he = sum(he_latencies) / len(he_latencies)
     sink.line(f"  mean add: IBBE-SGX {format_seconds(mean_ibbe)}, "
               f"HE {format_seconds(mean_he)}, IBBE-SGX / HE = "
               f"{mean_ibbe / mean_he:.2f} (paper: HE ~2x faster)")
-    assert 0.5 < mean_ibbe / mean_he < 2, (
-        "both schemes' adds are O(1) and of the same order")
+    assert mean_he < mean_ibbe, "HE adds should be faster (paper Fig 8a)"
 
     benchmark.pedantic(lambda: system.admin.add_user("g", "bench-user"),
                        rounds=1, iterations=1)

@@ -92,8 +92,8 @@ class _DurableCounters(MonotonicCounterService):
     they outlive the process as the device does.
 
     Every call reads the file under an exclusive lock, and a new value
-    reaches the file (temp file + ``os.replace``) before the call
-    returns: before the ecall that stamps a sealed blob with it returns,
+    reaches the disk (temp file, ``fsync``, ``os.replace``, ``fsync`` of
+    the directory) before the call returns: before the ecall that stamps a sealed blob with it returns,
     so before that blob can reach the store.  A later invocation then
     refuses the blob a revocation replaced, and two invocations on one
     state directory never hand out one value twice.
@@ -123,11 +123,24 @@ class _DurableCounters(MonotonicCounterService):
                 self._counters = json.loads(self._path.read_text("utf-8"))
             result = method(counter_id)
             if write:
-                tmp = self._path.with_name(self._path.name + ".tmp")
-                tmp.write_text(json.dumps(self._counters, sort_keys=True),
-                               encoding="utf-8")
-                os.replace(tmp, self._path)
+                self._write()
         return result
+
+    def _write(self) -> None:
+        """Replace the file, flushed to the disk before and after the
+        rename, so that neither a host crash nor a cut write leaves an
+        older value or a torn file behind."""
+        tmp = self._path.with_name(self._path.name + ".tmp")
+        with open(tmp, "w", encoding="utf-8") as out:
+            json.dump(self._counters, out, sort_keys=True)
+            out.flush()
+            os.fsync(out.fileno())
+        os.replace(tmp, self._path)
+        directory = os.open(self._path.parent, os.O_RDONLY)
+        try:
+            os.fsync(directory)
+        finally:
+            os.close(directory)
 
 
 def open_system(state_dir: Path, cloud, workers: Optional[int] = None,

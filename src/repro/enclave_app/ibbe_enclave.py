@@ -49,7 +49,8 @@ from repro.crypto.envelope import (
 )
 from repro.crypto.kdf import hkdf, sha256
 from repro.ec.p256 import P256
-from repro.errors import AttestationError, EnclaveError, SchemeError
+from repro.errors import (AttestationError, EnclaveError, SchemeError,
+                          SealingError)
 from repro.obs.spans import span as _span
 from repro.pairing.group import G1Element, PairingGroup
 from repro.par import WorkerPool, derive_seed, resolve_workers
@@ -130,6 +131,9 @@ class IbbeEnclave(Enclave):
         self._counters = getattr(device, "counters", None) \
             or MonotonicCounterService()
         self._seal_counters: Dict[str, int] = {}
+        # Per group, the digest of the gk a stale sealed blob held: only
+        # that key may be re-sealed from the records (a failed commit).
+        self._refused_gk: Dict[str, bytes] = {}
         # MAGE-style peer registry (multi-enclave deployments).  Keyed
         # by the peer's identity public key bytes; entries are added
         # only by a completed mutual-attestation handshake
@@ -387,9 +391,9 @@ class IbbeEnclave(Enclave):
     def add_user_to_partition(self, ciphertext: bytes,
                               members: Sequence[str],
                               identities: Sequence[str]) -> bytes:
-        """The paper's Algorithm 2 line 11, which no administrator path
-        calls (an add rebuilds through :meth:`create_partition`; the
-        per-layer rows of ``BENCHMARK.json`` name this one): extend the
+        """The paper's Algorithm 2 line 11, unused (an add rebuilds
+        through :meth:`create_partition`) and to go with the per-layer
+        ``BENCHMARK.json`` rows naming it (ROADMAP item 2): extend the
         ciphertext of the partition holding ``members`` by ``identities``
         with ``bk`` unchanged.  ``C1`` passes through; ``C2`` is raised
         once to the product of the new factors — a variable-base ladder,
@@ -465,6 +469,8 @@ class IbbeEnclave(Enclave):
         gk = self.track_secret(unwrap_group_key(
             bk.digest(), envelope, aad=group_id.encode("utf-8")
         ))
+        if self._refused_gk.pop(group_id, sha256(gk)) != sha256(gk):
+            raise EnclaveError("rollback detected: a replayed sealed gk")
         return self._seal_group_key(group_id, gk)
 
     @ecall(batchable=True)
@@ -619,7 +625,8 @@ class IbbeEnclave(Enclave):
                 current = self._counters.read(counter_id)
                 self._seal_counters[group_id] = current
         if current is not None and version < current:
-            raise EnclaveError(
+            self._refused_gk[group_id] = sha256(payload[8:])
+            raise SealingError(
                 f"rollback detected: sealed group key version {version} is "
                 f"older than the counter {current}"
             )

@@ -6,6 +6,7 @@ import pytest
 
 from repro import ibbe
 from repro.crypto.envelope import unwrap_group_key
+from repro.core.metadata import sealed_key_path
 from repro.crypto.rng import DeterministicRng
 from repro.ec import precomp_registry
 from repro.ec.curve import Point
@@ -16,6 +17,7 @@ from repro.errors import (
     RevokedError,
     SchemeError,
     SealingError,
+    UnavailableError,
 )
 from repro.pairing import PairingGroup, preset
 from repro.sgx.device import SgxDevice
@@ -432,6 +434,57 @@ class TestAdminAdd:
         assert {current_key(user) for user in members + ["late"]} == gk
         with pytest.raises(RevokedError):
             current_key("u1")
+
+    def test_add_after_a_failed_removal_commit(self, monkeypatch):
+        """A removal seals a fresh key, then its commit fails: the device
+        counter is ahead of the stored sealed key.  The next add refuses
+        that blob, recovers the records' key — the one it holds — and
+        re-seals it, so adds keep working and no key changes."""
+        system = make_system("failed-commit", capacity=4)
+        admin = system.admin
+        admin.create_group("g", ["a", "b", "c"])
+
+        def current_key(user):
+            client = system.make_client("g", user)
+            client.sync()
+            return client.current_group_key()
+
+        gk = current_key("a")
+
+        def down(*_args, **_kwargs):
+            raise UnavailableError("store down")
+
+        monkeypatch.setattr(system.cloud, "commit", down)
+        with pytest.raises(UnavailableError):
+            admin.remove_user("g", "b")
+        monkeypatch.undo()
+
+        admin.add_user("g", "d")
+        admin.add_user("g", "e")
+        assert admin.members("g") == ["a", "b", "c", "d", "e"]
+        assert {current_key(u) for u in admin.members("g")} == {gk}
+
+    def test_replayed_sealed_key_stays_refused(self):
+        """A sealed key the store puts back from before a removal holds
+        another key than the records: the add fails, and no member is
+        handed the revoked member's key."""
+        system = make_system("replay", capacity=4)
+        admin = system.admin
+        admin.create_group("g", ["a", "b"])
+        client = system.make_client("g", "b")
+        client.sync()
+        revoked_key = client.current_group_key()
+        saved = system.cloud.get(sealed_key_path("g")).data
+        admin.remove_user("g", "b")
+        system.cloud.put(sealed_key_path("g"), saved)
+        admin.cache.drop("g")
+
+        with pytest.raises(EnclaveError, match="rollback detected"):
+            admin.add_user("g", "c")
+        assert admin.members("g") == ["a"]
+        client = system.make_client("g", "a")
+        client.sync()
+        assert client.current_group_key() != revoked_key
 
 
 def test_ciphertext_points_decoded(loaded, monkeypatch):

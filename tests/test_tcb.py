@@ -59,9 +59,10 @@ REPO = SRC.parent
 #: live with the tests), the package root and the leaves errors,
 #: serialize, faulthook.
 MAX_ENCLAVE_MODULES = 46
-#: Their line count, pinned at the measured closure (6 792, when the
-#: device took durable counters).
-MAX_ENCLAVE_LINES = 6792
+#: Their line count, pinned at the measured closure (6 799, when the
+#: device took durable counters and a stale sealed key's add learned
+#: to re-seal the records' key after a failed commit).
+MAX_ENCLAVE_LINES = 6799
 ECALLS = 17
 
 #: The package graph, bottom-up.  A unit is a first-level name under
