@@ -5,24 +5,30 @@ runs on Jacobian coordinates internally to avoid a modular inversion per
 group operation.  This module serves both the NIST P-256 curve (baselines,
 signatures) and the supersingular pairing curve ``y² = x³ + x``.
 
-Scalar multiplication has two engines.  One for ladders: ``Point.__mul__``
-and the plain bases of :meth:`Curve.multi_mul` are the interleaved
-width-5 wNAF sum (Straus) over one or many bases, built from Jacobian
-doubling, *mixed* addition (Jacobian accumulator plus affine operand),
-Montgomery batch normalisation (many Jacobian points to affine for one
-inversion) and the digit recoder of :mod:`repro.ec.wnaf`.  One for
-tabled sums: :meth:`Curve.tabled_sums` evaluates many sums of
+Scalar multiplication rests on one affine tree, :meth:`Curve._tree`:
+it adds many lists of affine points pairwise, level by level
+(``λ = Δy / Δx``), every list of a batch sharing one Montgomery
+inversion per level, and leaves a list to Jacobian *mixed* additions
+(Jacobian accumulator plus affine operand) where a pair cancels or a
+level is too small to pay for its inversion.  Three things run on it.
+Tabled sums: :meth:`Curve.tabled_sums` evaluates many sums of
 :class:`FixedBaseWnaf` terms (the curve generators, the long-lived IBBE
 bases, a pinned ECDSA key) at once — each term's digits select affine
-table entries, needing no doublings, and every sum's entries are added
-pairwise, level by level, in affine coordinates, all sums of the batch
-sharing one batch inversion per level.  :meth:`FixedBaseWnaf.mul` is its
-batch of one, and the tabled part of a mixed :meth:`Curve.multi_mul`
-comes from it too, folded into the ladder with one mixed addition.
+table entries, needing no doublings — and :meth:`FixedBaseWnaf.mul` is
+its batch of one.  Straus columns: ``Point.__mul__`` and
+:meth:`Curve.multi_mul` are the interleaved width-5 wNAF sum over one or
+many bases; each wNAF column's entries are summed by the tree, then one
+Horner pass doubles once and adds once a column (a tabled term's entries
+join the last column).  Table rows: the odd multiples of many bases, and
+a fixed-base table's rows, are built column by column, one tree pass
+each.  Montgomery batch normalisation (many Jacobian points to affine
+for one inversion) and the digit recoder of :mod:`repro.ec.wnaf` serve
+all three.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.ec.wnaf import (
@@ -45,7 +51,7 @@ Base = Union["Point", "FixedBaseWnaf"]
 _INFINITY: Jacobian = (1, 1, 0)
 #: Odd multiples ``P, 3P, …`` a wNAF ladder keeps per base.
 _ODD_MULTIPLES = 1 << (WNAF_WIDTH - 2)
-#: Fewest pairs a level of :meth:`Curve.tabled_sums` must add to pay for
+#: Fewest pairs a level of :meth:`Curve._tree` must add to pay for
 #: its inversion: one costs about four mixed additions on P-256 and at
 #: ``std160``, and an affine addition saves about a third of one.
 _TREE_MIN_PAIRS = 12
@@ -152,87 +158,161 @@ class Curve:
         Y3 = (r * (V - X3) - Y1 * HHH) % p
         return (X3, Y3, Z1 * H % p)
 
-    def _normalise(self,
-                   points: Sequence[Jacobian]) -> List[Optional[Affine]]:
-        """Affine forms of ``points`` for one modular inversion
-        (Montgomery's trick); infinity (``Z == 0``) becomes ``None``."""
+    def _inverses(self, values: Sequence[int]) -> List[int]:
+        """``[v⁻¹ mod p for v in values]`` (all non-zero) for one modular
+        inversion, Montgomery's trick; none for an empty list."""
         p = self.p
-        prefixes: List[int] = []
-        running = 1
-        for _, _, Z in points:
-            prefixes.append(running)
-            if Z:
-                running = running * Z % p
-        inverse = modinv(running, p)
-        out: List[Optional[Affine]] = [None] * len(points)
-        for i in range(len(points) - 1, -1, -1):
-            X, Y, Z = points[i]
-            if Z:
-                zinv = inverse * prefixes[i] % p
-                inverse = inverse * Z % p
-                zz = zinv * zinv % p
-                out[i] = (X * zz % p, Y * zz % p * zinv % p)
+        prefixes = list(accumulate(values, lambda a, b: a * b % p, initial=1))
+        inverse = modinv(prefixes.pop(), p) if values else 1
+        out = [0] * len(values)
+        for i in range(len(values) - 1, -1, -1):
+            out[i] = inverse * prefixes[i] % p
+            inverse = inverse * values[i] % p
         return out
 
-    def _multiples(self, x: int, y: int, count: int) -> List[Jacobian]:
-        """``[1·P, 2·P, …, count·P]`` for the affine ``P = (x, y)``: even
-        multiples by doubling, odd ones by one mixed addition of ``P``."""
-        out: List[Jacobian] = [(x, y, 1)]
-        for k in range(2, count + 1):
-            if k % 2:
-                out.append(self._add_affine(out[-1], x, y))
-            else:
-                out.append(self._double(out[k // 2 - 1]))
+    def _normalise(self,
+                   points: Sequence[Jacobian]) -> List[Optional[Affine]]:
+        """Affine forms of ``points`` for one modular inversion;
+        infinity (``Z == 0``) becomes ``None``."""
+        p = self.p
+        inverses = iter(self._inverses([Z for _, _, Z in points if Z]))
+        out: List[Optional[Affine]] = [None] * len(points)
+        for i, (X, Y, Z) in enumerate(points):
+            if Z:
+                zinv = next(inverses)
+                zz = zinv * zinv % p
+                out[i] = (X * zz % p, Y * zz % p * zinv % p)
         return out
 
     def _to_affine(self, pt: Jacobian) -> "Point":
         xy = self._normalise([pt])[0]
         return self.infinity() if xy is None else Point(self, *xy)
 
-    def _wnaf_sum(self, terms: Iterable[Tuple[int, "Point"]]) -> Jacobian:
-        """``Σ k_i · P_i`` by interleaved width-5 wNAF (Straus).
+    def _tree(self, sums: List[List[Affine]]) -> List[List[Affine]]:
+        """Shorten every list of affine points to one with the same sum,
+        in place: the engine behind tabled sums, Straus columns and
+        table rows.
 
-        Each base contributes its odd multiples ``P, 3P, …, 15P``; all of
-        them are normalised together, so the whole sum costs one
-        inversion for its tables.  The doublings are shared: one per bit
-        of the longest scalar, plus one mixed addition per non-zero digit
-        (≈ bits/6 per term).  The result stays Jacobian.
+        Each list's points are added pairwise, level by level, in affine
+        coordinates (``λ = Δy / Δx``, or ``(3x² + a) / 2y`` for a point
+        added to itself), and every list of the batch shares one
+        Montgomery inversion per level: six field multiplications an
+        addition against a mixed addition's eleven.  A list with a pair
+        ``P + (−P)`` (``y = 0`` included) leaves the tree as it stands,
+        and every list still open does once a level has fewer than
+        ``_TREE_MIN_PAIRS`` pairs to share its inversion; the caller adds
+        what is left by mixed additions, which take any operands.
+        """
+        p, a = self.p, self.a
+        active = [i for i, points in enumerate(sums) if len(points) > 1]
+        while sum(len(sums[i]) // 2 for i in active) >= _TREE_MIN_PAIRS:
+            deltas: List[int] = []
+            pairing: List[int] = []
+            for i in active:
+                points = sums[i]
+                level = [(right[0] - left[0]) % p
+                         or (2 * left[1] % p if left == right else 0)
+                         for left, right in zip(points[::2], points[1::2])]
+                if 0 not in level:
+                    deltas += level
+                    pairing.append(i)
+            slopes = iter(self._inverses(deltas))
+            for i in pairing:
+                points = sums[i]
+                added: List[Affine] = []
+                for (x1, y1), (x2, y2) in zip(points[::2], points[1::2]):
+                    slope = (y2 - y1 if x1 != x2 else 3 * x1 * x1 + a) * \
+                        next(slopes) % p
+                    x3 = (slope * slope - x1 - x2) % p
+                    added.append((x3, (slope * (x1 - x3) - y1) % p))
+                if len(points) % 2:
+                    added.append(points[-1])
+                sums[i] = added
+            active = [i for i in pairing if len(sums[i]) > 1]
+        return sums
+
+    def _sums(self, sums: List[List[Affine]]) -> List[Optional[Affine]]:
+        """``[Σ points for each list]``: the tree, then each list it left
+        open by mixed additions, all of those normalised together."""
+        open_sums: Dict[int, Jacobian] = {}
+        for i, points in enumerate(self._tree(sums)):
+            if len(points) > 1:
+                acc = _INFINITY
+                for x, y in points:
+                    acc = self._add_affine(acc, x, y)
+                open_sums[i] = acc
+        normalised = dict(zip(open_sums,
+                              self._normalise(list(open_sums.values()))))
+        return [normalised[i] if i in normalised else
+                (points[0] if points else None)
+                for i, points in enumerate(sums)]
+
+    def _progressions(self, starts: Sequence[Optional[Affine]],
+                      steps: Sequence[Optional[Affine]],
+                      count: int) -> List[List[Optional[Affine]]]:
+        """``[s, s + d, …, s + (count − 1)·d]`` for each ``(s, d)``, one
+        :meth:`_sums` pass (so one inversion) a column."""
+        rows = [[start] for start in starts]
+        for _ in range(count - 1):
+            column = self._sums([[pt for pt in (row[-1], step)
+                                  if pt is not None]
+                                 for row, step in zip(rows, steps)])
+            for row, pt in zip(rows, column):
+                row.append(pt)
+        return rows
+
+    def _wnaf_sum(self, terms: Iterable[Tuple[int, "Point"]],
+                  entries: Sequence[Affine] = ()) -> Jacobian:
+        """``Σ k_i · P_i + Σ entries`` by interleaved width-5 wNAF
+        (Straus).  The result stays Jacobian.
+
+        Each base contributes its odd multiples ``P, 3P, …, 15P``.  Under
+        ``_TREE_MIN_PAIRS`` bases they come from a Jacobian chain per
+        base, all normalised together; from there on from one batched
+        doubling and seven elementwise additions (:meth:`_progressions`),
+        an inversion each.  Every wNAF column's entries (one per non-zero
+        digit, ≈ bits/6 per term; ``entries`` join the last column) are
+        summed by :meth:`_tree`, and one Horner pass follows: a doubling
+        and, per point the tree left, a mixed addition per column.
         """
         p = self.p
-        odd_multiples: List[Jacobian] = []
+        bases: List[Affine] = []
         recodings: List[List[int]] = []
         for k, base in terms:
             xy = base._xy()
             if k == 0 or xy is None:
                 continue
-            x, y = xy
             recodings.append(wnaf_digits(abs(k)))
-            odd_multiples.extend(self._multiples(
-                x, -y % p if k < 0 else y, 2 * _ODD_MULTIPLES - 1)[::2])
-        table = self._normalise(odd_multiples)
+            bases.append((xy[0], -xy[1] % p if k < 0 else xy[1]))
+        if len(bases) < _TREE_MIN_PAIRS:
+            chains: List[Jacobian] = []
+            for x, y in bases:
+                # m·P for m = 1 … 15: doubling (m/2)·P, or adding P.
+                chain: List[Jacobian] = [(x, y, 1)]
+                for m in range(2, 2 * _ODD_MULTIPLES):
+                    chain.append(self._add_affine(chain[-1], x, y) if m % 2
+                                 else self._double(chain[m // 2 - 1]))
+                chains += chain[::2]
+            table = self._normalise(chains)
+            rows = [table[i:i + _ODD_MULTIPLES]
+                    for i in range(0, len(table), _ODD_MULTIPLES)]
+        else:
+            rows = self._progressions(
+                bases, self._sums([[xy, xy] for xy in bases]), _ODD_MULTIPLES)
         columns: List[List[Affine]] = [
-            [] for _ in range(max(map(len, recodings), default=0))
-        ]
-        for index, digits in enumerate(recodings):
-            first = index * _ODD_MULTIPLES
+            [] for _ in range(max(map(len, recodings), default=1))]
+        columns[0] += entries
+        for row, digits in zip(rows, recodings):
             for position, digit in enumerate(digits):
-                entry = table[first + (abs(digit) >> 1)] if digit else None
+                entry = row[abs(digit) >> 1] if digit else None
                 if entry is not None:
                     x, y = entry
                     columns[position].append((x, -y % p if digit < 0 else y))
         acc = _INFINITY
-        for column in reversed(columns):
+        for column in reversed(self._tree(columns)):
             acc = self._double(acc)
             for x, y in column:
                 acc = self._add_affine(acc, x, y)
-        return acc
-
-    def _accumulate(self, points: Sequence[Affine]) -> Jacobian:
-        """``Σ points`` by mixed additions into one Jacobian accumulator,
-        which any pair of operands may share an ``x`` in."""
-        acc = _INFINITY
-        for x, y in points:
-            acc = self._add_affine(acc, x, y)
         return acc
 
     def _table_entries(self, k: int, table: "FixedBaseWnaf") -> List[Affine]:
@@ -261,74 +341,17 @@ class Curve:
         batch.
 
         Every term's digits select its affine table entries (one per
-        non-zero digit, no doublings); each sum's entries are then added
-        pairwise, level by level, in affine coordinates
-        (``λ = Δy / Δx``), and every sum of the batch shares one
-        Montgomery batch inversion per level: ≈ log₂(entries) inversions
-        for the whole batch, and six field multiplications an addition
-        against a mixed addition's eleven.  Two cases go to the Jacobian
-        mixed-addition accumulation instead, all of them normalised
-        together at the end: a sum with a pair of equal ``x`` (a doubling
-        or a cancellation), and every sum still open once a level has
-        fewer than ``_TREE_MIN_PAIRS`` pairs to share its inversion.
-        Every result is the same point either way.  A scalar beyond its
-        table is a :class:`~repro.errors.CurveError`.
+        non-zero digit, no doublings), and :meth:`_sums` adds each sum's
+        entries in the one affine tree, every sum of the batch sharing
+        one batch inversion per level: ≈ log₂(entries) inversions for
+        the whole batch.  Every result is the point the ladder gives.
+        A scalar beyond its table is a :class:`~repro.errors.CurveError`.
         """
-        p = self.p
-        levels = [[entry for k, table in terms
-                   for entry in self._table_entries(k, table)]
-                  for terms in sums]
-        jacobian: Dict[int, Jacobian] = {}
-        active = [i for i, points in enumerate(levels) if len(points) > 1]
-        while active:
-            if sum(len(levels[i]) // 2 for i in active) < _TREE_MIN_PAIRS:
-                for i in active:
-                    jacobian[i] = self._accumulate(levels[i])
-                    levels[i] = []
-                break
-            deltas: List[int] = []
-            pairing: List[int] = []
-            for i in active:
-                points = levels[i]
-                level = [(right[0] - left[0]) % p for left, right
-                         in zip(points[::2], points[1::2])]
-                if 0 in level:
-                    jacobian[i] = self._accumulate(points)
-                    levels[i] = []
-                else:
-                    deltas += level
-                    pairing.append(i)
-            # Montgomery's trick: one inversion for every Δx of the level.
-            prefixes: List[int] = []
-            running = 1
-            for delta in deltas:
-                prefixes.append(running)
-                running = running * delta % p
-            inverse = modinv(running, p)
-            inverses = [0] * len(deltas)
-            for j in range(len(deltas) - 1, -1, -1):
-                inverses[j] = inverse * prefixes[j] % p
-                inverse = inverse * deltas[j] % p
-            slopes = iter(inverses)
-            for i in pairing:
-                points = levels[i]
-                added: List[Affine] = []
-                for (x1, y1), (x2, y2) in zip(points[::2], points[1::2]):
-                    slope = (y2 - y1) * next(slopes) % p
-                    x3 = (slope * slope - x1 - x2) % p
-                    added.append((x3, (slope * (x1 - x3) - y1) % p))
-                if len(points) % 2:
-                    added.append(points[-1])
-                levels[i] = added
-            active = [i for i in pairing if len(levels[i]) > 1]
-        normalised = dict(zip(jacobian,
-                              self._normalise(list(jacobian.values()))))
-        results: List[Point] = []
-        for i, points in enumerate(levels):
-            xy = normalised[i] if i in jacobian else (
-                points[0] if points else None)
-            results.append(self.infinity() if xy is None else Point(self, *xy))
-        return results
+        return [self.infinity() if xy is None else Point(self, *xy)
+                for xy in self._sums([
+                    [entry for k, table in terms
+                     for entry in self._table_entries(k, table)]
+                    for terms in sums])]
 
     # -- scalar multiplication -------------------------------------------------
 
@@ -357,26 +380,19 @@ class Curve:
         ``pairs`` is an iterable of ``(scalar, base)``; a base is a
         :class:`Point` (interleaved wNAF, shared doublings) or a
         :class:`FixedBaseWnaf` built for this curve (a scalar beyond the
-        table is a :class:`~repro.errors.CurveError`).  The tabled terms
-        are one sum of :meth:`tabled_sums`, folded into the ladder's
-        accumulator with one mixed addition.  Used by the IBBE decrypt
+        table is a :class:`~repro.errors.CurveError`).  The tabled terms'
+        entries join the last wNAF column, so every term is summed in
+        the one affine tree.  Used by the IBBE decrypt
         multi-exponentiation and by every ECDSA verification.
         """
         plain: List[Tuple[int, Point]] = []
-        tabled: List[Tuple[int, FixedBaseWnaf]] = []
+        entries: List[Affine] = []
         for k, base in pairs:
             if isinstance(base, FixedBaseWnaf):
-                tabled.append((k, base))
+                entries += self._table_entries(k, base)
             else:
                 plain.append((k, base))
-        folded = self.tabled_sums([tabled])[0] if tabled else None
-        if not plain and folded is not None:
-            return folded
-        acc = self._wnaf_sum(plain)
-        xy = None if folded is None else folded._xy()
-        if xy is not None:
-            acc = self._add_affine(acc, *xy)
-        return self._to_affine(acc)
+        return self._to_affine(self._wnaf_sum(plain, entries))
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -496,8 +512,10 @@ class FixedBaseWnaf:
     for ``j = 1 … 2^(width-1)``, so a recoded scalar is evaluated with
     one mixed addition per non-zero digit and *no* doublings; negative
     digits negate the looked-up point, which costs one field
-    subtraction.  At ``std160`` that is 41 rows of 8 points, built with
-    two batch inversions.
+    subtraction.  At ``std160`` that is 41 rows of 8 points: the row
+    bases by Jacobian doubling, normalised together, then each row's
+    multiples ``2·R, 3·R, …`` as one column of :meth:`Curve._progressions`
+    at a time — eight batch inversions for the table.
     """
 
     __slots__ = ("curve", "width", "rows")
@@ -513,14 +531,9 @@ class FixedBaseWnaf:
             for _ in range(width):
                 row_base = curve._double(row_base)
             row_bases.append(row_base)
-        multiples: List[Jacobian] = []
-        for xy in curve._normalise(row_bases):
-            # A base of small 2-power order leaves its upper rows empty.
-            multiples.extend([_INFINITY] * per_row if xy is None
-                             else curve._multiples(*xy, per_row))
-        entries = curve._normalise(multiples)
-        self.rows = [entries[start:start + per_row]
-                     for start in range(0, len(entries), per_row)]
+        # A base of small 2-power order leaves its upper rows empty.
+        starts = curve._normalise(row_bases)
+        self.rows = curve._progressions(starts, starts, per_row)
         TABLES.add()
 
     def mul(self, k: int) -> Point:

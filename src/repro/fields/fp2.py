@@ -25,14 +25,6 @@ RawFp2 = Tuple[int, int]
 # Raw-tuple arithmetic (hot path)
 # ---------------------------------------------------------------------------
 
-def fp2_add(x: RawFp2, y: RawFp2, p: int) -> RawFp2:
-    return ((x[0] + y[0]) % p, (x[1] + y[1]) % p)
-
-
-def fp2_sub(x: RawFp2, y: RawFp2, p: int) -> RawFp2:
-    return ((x[0] - y[0]) % p, (x[1] - y[1]) % p)
-
-
 def fp2_mul(x: RawFp2, y: RawFp2, p: int) -> RawFp2:
     a, b = x
     c, d = y
@@ -46,10 +38,6 @@ def fp2_sqr(x: RawFp2, p: int) -> RawFp2:
     a, b = x
     # (a+bi)² = (a-b)(a+b) + 2ab·i
     return (((a - b) * (a + b)) % p, (2 * a * b) % p)
-
-
-def fp2_neg(x: RawFp2, p: int) -> RawFp2:
-    return ((-x[0]) % p, (-x[1]) % p)
 
 
 def fp2_conj(x: RawFp2, p: int) -> RawFp2:

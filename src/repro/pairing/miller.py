@@ -69,17 +69,16 @@ def miller_lines(px: int, py: int, p: int, q: int) -> Lines:
         else:
             ZZ = Z * Z % p
             YY = Y * Y % p
-            # Tangent numerator n = 3X² + a·Z⁴ and the line scaled by 2YZ³
-            # at the distorted point (-x_Q, y_Q·i):
+            # Tangent numerator n = 3X² + a·Z⁴ and the line scaled by
+            # 2YZ³ = Z3·Z² at the distorted point (-x_Q, y_Q·i):
             #   l̃ = (nX - 2Y²  +  nZ²·x_Q)  +  (2YZ³·y_Q)·i
             n = (3 * X * X + ZZ * ZZ) % p
-            step = (((n * X - 2 * YY) % p, n * ZZ % p,
-                     2 * Y * ZZ % p * Z % p),)
+            Z3 = 2 * Y * Z % p
+            step = (((n * X - 2 * YY) % p, n * ZZ % p, Z3 * ZZ % p),)
             # Jacobian doubling (a = 1): standard dbl-2007-bl-like forms.
             S = 4 * X * YY % p
             X3 = (n * n - 2 * S) % p
             Y3 = (n * (S - X3) - 8 * YY * YY) % p
-            Z3 = 2 * Y * Z % p
             X, Y, Z = X3, Y3, Z3
         if bit == "1":
             # -- mixed addition V + P with line ----------------------------
@@ -103,15 +102,14 @@ def miller_lines(px: int, py: int, p: int, q: int) -> Lines:
                     lam_z = lam * Z % p
                     step += (((theta * x2 - lam_z * y2) % p, theta, lam_z),)
                     # Mixed addition with θ = Y - y2Z³, λ' = X - x2Z² and
-                    # Z3 = Z·λ': X3 = θ² + λ'³ - 2Xλ'²,
+                    # Z3 = Z·λ' (the line's λ'Z): X3 = θ² + λ'³ - 2Xλ'²,
                     # Y3 = θ(Xλ'² - X3) - Yλ'³.
                     ll = lam * lam % p
                     lll = ll * lam % p
                     v = X * ll % p
                     X3 = (theta * theta + lll - 2 * v) % p
                     Y3 = (theta * (v - X3) - Y * lll) % p
-                    Z3 = Z * lam % p
-                    X, Y, Z = X3, Y3, Z3
+                    X, Y, Z = X3, Y3, lam_z
         steps.append(step)
 
     if Z != 0:

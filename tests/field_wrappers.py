@@ -13,17 +13,26 @@ from typing import Union
 from repro.errors import MathError, ParameterError
 from repro.fields.fp2 import (
     RawFp2,
-    fp2_add,
     fp2_conj,
     fp2_inv,
     fp2_mul,
-    fp2_neg,
     fp2_pow,
-    fp2_sub,
 )
 from repro.mathutils.modular import jacobi_symbol, modinv, modsqrt
 
 IntoFp = Union["FpElement", int]
+
+
+def fp2_add(x: RawFp2, y: RawFp2, p: int) -> RawFp2:
+    return ((x[0] + y[0]) % p, (x[1] + y[1]) % p)
+
+
+def fp2_sub(x: RawFp2, y: RawFp2, p: int) -> RawFp2:
+    return ((x[0] - y[0]) % p, (x[1] - y[1]) % p)
+
+
+def fp2_neg(x: RawFp2, p: int) -> RawFp2:
+    return ((-x[0]) % p, (-x[1]) % p)
 
 
 class Fp:

@@ -6,11 +6,14 @@ Jacobian doubling, mixed addition, batch normalisation, digit recoder or
 tables under test.
 """
 
+import functools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ec import P256, Curve, FixedBaseWnaf, Point, wnaf_digits
+from repro.ec import curve as curve_module
 from repro.ec.wnaf import TABLE_WIDTH, WNAF_WIDTH, table_rows
 from repro.errors import CurveError
 from repro.pairing import PairingGroup
@@ -252,6 +255,129 @@ def test_multi_mul_of_tables_only_and_the_one_term_case():
     assert TOY.multi_mul([(0, table)]).is_infinity()
     assert TOY.multi_mul([(7, table), (11, table)]) == g * 18
     assert table.mul(18) == TOY.mul_generator(18) == g * 18
+
+
+# -- the column tree: many plain terms ---------------------------------------------
+
+STD = PairingGroup(preset("std160")).curve
+TREE_CURVES = {**CURVES, "std160": STD}
+
+
+def tree_pool(curve):
+    """Generator multiples, their negatives, infinity and — on the
+    type-A curves — the 2-torsion point ``(0, 0)``, whose doubling has
+    ``y = 0``."""
+    g = curve.generator
+    pool = [g * k for k in (1, 2, 3, 0xC0FFEE, curve.order - 5)]
+    pool += [-pt for pt in pool] + [curve.infinity()]
+    return pool + ([] if curve is P256 else [curve.point(0, 0)])
+
+
+@functools.lru_cache(maxsize=None)
+def table_of(base):
+    """``base``'s table, for the tabled side of a mix."""
+    return FixedBaseWnaf(base.curve, base, bits=base.curve.order.bit_length())
+
+
+def tree_scalars(order):
+    return st.one_of(st.integers(-order, order), st.sampled_from(
+        [0, 1, -1, order - 1, order, -order, -(order - 1), -5]))
+
+
+@pytest.mark.parametrize("name,examples",
+                         [("toy64", 20), ("P-256", 3), ("std160", 3)])
+def test_column_tree_matches_oracle(name, examples):
+    """4–80 plain terms, alone or beside tabled ones, drawn with
+    repetition from a small pool: repeated bases, ``P`` beside ``−P``,
+    the identity and edge scalars all meet inside one column."""
+    curve = TREE_CURVES[name]
+    pool = tree_pool(curve)
+
+    @given(st.lists(st.tuples(tree_scalars(curve.order),
+                              st.sampled_from(pool)),
+                    min_size=4, max_size=80),
+           st.lists(st.tuples(tree_scalars(curve.order),
+                              st.sampled_from(pool)), max_size=6))
+    @settings(max_examples=examples, deadline=None)
+    def run(plain, tabled):
+        assert xy(curve.multi_mul(plain)) == ref_sum(curve, plain)
+        mixed = plain + [(k, table_of(base)) for k, base in tabled]
+        assert xy(curve.multi_mul(mixed)) == ref_sum(curve, plain + tabled)
+
+    run()
+
+
+@pytest.mark.parametrize("name", TREE_CURVES)
+def test_column_tree_edge_sums(name):
+    """Sums wide enough for the tree (at least 12 bases): every edge
+    scalar on every pool base; a base repeated 16 times (equal points
+    in every column: the tree's doubling); 8 pairs ``P``, ``−P`` (every
+    column cancels); the identity alone; 2-torsion bases."""
+    curve = TREE_CURVES[name]
+    pool = tree_pool(curve)
+    order = curve.order
+    g = curve.generator
+    edges = [(k, base) for k in (0, 1, -1, order - 1, order, -7)
+             for base in pool]
+    cases = [
+        edges,
+        [(0xBEEF, g * 3)] * 16,
+        [(k, sign * (g * (k % 5 + 1))) for k in range(3, 11)
+         for sign in (1, -1)],
+        [(k, curve.infinity()) for k in range(1, 20)],
+        [(k + 1, pool[-1]) for k in range(14)] + [(order - 1, g)] * 12,
+    ]
+    for terms in cases:
+        assert xy(curve.multi_mul(terms)) == ref_sum(curve, terms)
+        half = len(terms) // 2
+        mixed = terms[:half] + [(k, table_of(base))
+                                for k, base in terms[half:]]
+        assert xy(curve.multi_mul(mixed)) == ref_sum(curve, terms)
+    assert xy(curve.multi_mul([(k, g * 5) for k in range(-6, 7)])) is None
+
+
+def kernel_counts(monkeypatch):
+    """Count doublings, mixed additions and modular inversions."""
+    counts = {"_double": 0, "_add_affine": 0, "modinv": 0}
+
+    def counted(name, real):
+        def call(*args):
+            counts[name] += 1
+            return real(*args)
+        return call
+
+    for name in ("_double", "_add_affine"):
+        monkeypatch.setattr(Curve, name, counted(name, getattr(Curve, name)))
+    monkeypatch.setattr(curve_module, "modinv",
+                        counted("modinv", curve_module.modinv))
+    return counts
+
+
+def test_sixty_three_terms_are_summed_by_the_tree(monkeypatch):
+    """A cold join's 63-term ``std160`` sum: one doubling and about one
+    mixed addition a column in the Horner pass, and an inversion per tree
+    level.  One mixed addition a non-zero digit — the columns summed
+    without the tree — would make ≈ 2 100."""
+    group = PairingGroup(preset("std160"))
+    terms = [(group.hash_to_scalar(f"k{i}"), STD.generator * (i + 3))
+             for i in range(63)]
+    expected = functools.reduce(
+        lambda total, term: total + term[1] * term[0], terms, STD.infinity())
+    counts = kernel_counts(monkeypatch)
+    assert STD.multi_mul(terms) == expected
+    assert counts["_add_affine"] <= 200
+    assert counts["_double"] <= STD.order.bit_length() + 1
+    assert counts["modinv"] <= 16
+
+
+def test_a_single_base_keeps_its_ladder(monkeypatch):
+    """``Point.__mul__`` takes no tree step: the Jacobian chain of odd
+    multiples, one normalisation and the ladder.  Its result (``q·P``,
+    infinity) needs no second inversion."""
+    base = STD.generator * 3
+    counts = kernel_counts(monkeypatch)
+    assert (base * STD.order).is_infinity()
+    assert counts == {"_double": 168, "_add_affine": 36, "modinv": 1}
 
 
 # -- fixed-base tables ----------------------------------------------------------------

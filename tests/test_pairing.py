@@ -266,6 +266,54 @@ class TestMillerImplementations:
         assert group.pair(G1Element(group, a.point), b) == first
 
 
+def _lines_unshared(px, py, p, q):
+    """The line table by the formulas ``miller_lines`` had before it
+    shared products: the tangent's ``2Y·Z²·Z`` and the chord's ``Z·λ'``
+    computed afresh, not taken from the doubled ``Z3`` and ``λ'Z``."""
+    X, Y, Z = px, py, 1
+    steps = []
+    for bit in bin(q)[3:]:
+        step = ()
+        if Y == 0 and Z:
+            X, Y, Z = 1, 1, 0
+        elif Z:
+            ZZ, YY = Z * Z % p, Y * Y % p
+            n = (3 * X * X + ZZ * ZZ) % p
+            step = (((n * X - 2 * YY) % p, n * ZZ % p,
+                     2 * Y * ZZ % p * Z % p),)
+            S = 4 * X * YY % p
+            X3 = (n * n - 2 * S) % p
+            X, Y, Z = X3, (n * (S - X3) - 8 * YY * YY) % p, 2 * Y * Z % p
+        if bit == "1" and not Z:
+            X, Y, Z = px, py, 1
+        elif bit == "1":
+            ZZ = Z * Z % p
+            theta = (Y - py * Z % p * ZZ) % p
+            lam = (X - px * ZZ) % p
+            if lam == 0:
+                X, Y, Z = 1, 1, 0
+            else:
+                lam_z = lam * Z % p
+                step += (((theta * px - lam_z * py) % p, theta, lam_z),)
+                ll = lam * lam % p
+                lll, v = ll * lam % p, X * ll % p
+                X3 = (theta * theta + lll - 2 * v) % p
+                X, Y, Z = X3, (theta * (v - X3) - Y * lll) % p, Z * lam % p
+        steps.append(step)
+    return steps
+
+
+@pytest.mark.parametrize("name", ["toy64", "std160"])
+def test_line_tables_equal_the_unshared_formulas(name):
+    """Taking the tangent's ``C`` as ``Z3·Z²`` and the chord's ``Z3`` as
+    ``λ'Z`` leaves every line of the table as it was."""
+    group = PairingGroup(preset(name))
+    for k in (1, 0xA11CE, group.q - 1, group.hash_to_scalar("lines")):
+        point = (group.g1 ** k).point
+        assert miller_lines(point.x, point.y, group.p, group.q) == \
+            _lines_unshared(point.x, point.y, group.p, group.q)
+
+
 class TestMillerEdgeCases:
     def test_pairing_of_low_order_rejected(self, group):
         """Points outside the order-q subgroup must be rejected."""
